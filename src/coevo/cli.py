@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,6 +24,12 @@ _FAMILY_PARAMS = {
     "silver_dollar": ("m", "k"),
     "turning_turtles": ("m",),
     "chomp": ("m",),
+}
+
+_STOP_RULES = {
+    "exact": "exact_optimal",
+    "sufficient": "sufficient_optimal",
+    "cap": "generation_cap_only",
 }
 
 
@@ -63,6 +70,37 @@ def _resolve_game(args) -> tuple:
 
 class UsageError(Exception):
     pass
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
+def _mu_grid(text: str) -> tuple[int, ...]:
+    grid = tuple(_positive_int(m) for m in text.split(","))
+    if list(grid) != sorted(grid):
+        raise argparse.ArgumentTypeError(f"expected ascending values, got {text!r}")
+    return grid
+
+
+def _border(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite value of at least 0, got {text!r}")
+    return value
+
+
+def _instances(text: str) -> list[dict]:
+    grid = []
+    for chunk in text.split(";"):
+        pairs = [pair.partition("=") for pair in chunk.split(",")]
+        try:
+            grid.append({key.strip(): int(value) for key, _, value in pairs})
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected KEY=INT pairs, got {chunk!r}") from None
+    return grid
 
 
 def _emit(payload: dict, out: str | None) -> None:
@@ -108,24 +146,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    g, spec = _resolve_game(args)
-    extended = False
-    run_game = grundy.ensure_first_player_win(g)
-    if run_game is not g:
-        extended = True
-    if args.gamma_theorem:
-        gamma = 1.0 / (20 * g.max_degree * g.n)
-    elif args.gamma is not None:
-        gamma = args.gamma
-    else:
+    if args.gamma is None and not args.gamma_theorem:
         raise UsageError("give --gamma VALUE or --gamma-theorem")
-    stop = {"exact": "exact_optimal", "sufficient": "sufficient_optimal", "cap": "generation_cap_only"}[args.stop]
+    g, spec = _resolve_game(args)
+    run_game = grundy.ensure_first_player_win(g)
+    extended = run_game is not g
+    gamma = 1.0 / (20 * g.max_degree * g.n) if args.gamma_theorem else args.gamma
     cfg = eda.UmdaConfig(
         mu=args.mu,
         gamma=gamma,
         max_generations=args.max_gen,
         seed=args.seed,
-        stop_rule=stop,
+        stop_rule=_STOP_RULES[args.stop],
     )
     result = eda.run_umda(run_game, cfg, trace_every=args.trace_every)
     witness = None
@@ -159,23 +191,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    param_grid = []
-    for chunk in args.instances.split(";"):
-        params = {}
-        for pair in chunk.split(","):
-            key, value = pair.split("=")
-            params[key.strip()] = int(value)
-        param_grid.append(params)
+    if args.gamma is None and not args.gamma_theorem:
+        raise UsageError("give --gamma VALUE or --gamma-theorem")
     template = harness.ExperimentConfig(
-        game=GameSpec(args.family, param_grid[0]),
-        mu_grid=tuple(int(m) for m in args.mu_grid.split(",")),
+        game=GameSpec(args.family, args.instances[0]),
+        mu_grid=args.mu_grid,
         gamma_rule="theorem" if args.gamma_theorem else args.gamma,
         replicates=args.replicates,
         base_seed=args.seed,
         max_generations=args.max_gen,
-        stop_rule={"exact": "exact_optimal", "sufficient": "sufficient_optimal", "cap": "generation_cap_only"}[args.stop],
+        stop_rule=_STOP_RULES[args.stop],
     )
-    summary = harness.sweep_scaling(args.family, param_grid, template)
+    summary = harness.sweep_scaling(args.family, args.instances, template)
     csv_path, plot_path = harness.write_sweep(
         args.out_dir, summary, include_timings=args.timings
     )
@@ -187,13 +214,7 @@ def _cmd_switch(args) -> int:
     g, _ = _resolve_game(args)
     if args.vertex is not None:
         if args.mode == "bound":
-            report = switchability.SwitchabilityReport(
-                vertex=args.vertex,
-                exact=None,
-                upper_bound=switchability.upper_bound_switchability(g, args.vertex),
-                witness=None,
-                method="path_bound",
-            )
+            report = switchability.path_bound_report(g, args.vertex)
         else:
             try:
                 report = switchability.exact_switchability(
@@ -202,13 +223,7 @@ def _cmd_switch(args) -> int:
             except switchability.TooLarge:
                 if args.mode == "exact":
                     raise
-                report = switchability.SwitchabilityReport(
-                    vertex=args.vertex,
-                    exact=None,
-                    upper_bound=switchability.upper_bound_switchability(g, args.vertex),
-                    witness=None,
-                    method="path_bound",
-                )
+                report = switchability.path_bound_report(g, args.vertex)
         _emit(
             {
                 "vertex": report.vertex,
@@ -248,10 +263,7 @@ def _cmd_analyze(args) -> int:
     g, _ = _resolve_game(args)
     if args.model:
         with open(args.model) as fh:
-            raw = json.load(fh)
-        dists = {int(v): np.asarray(p, dtype=float) for v, p in raw["dists"].items()}
-        gamma = float(raw.get("gamma", 0.0))
-        model = eda.ProbModel(graph=g, dists=dists, gamma=gamma)
+            model = eda.model_from_snapshot(g, json.load(fh))
     else:
         model = eda.uniform_model(g, gamma=0.0)
     analysis = oracles.analyze_model(g, model)
@@ -300,26 +312,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the self-play optimiser once")
     _add_game_arguments(p)
-    p.add_argument("--mu", type=int, required=True)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--mu", type=_positive_int, required=True)
+    p.add_argument("--gamma", type=_border)
     p.add_argument("--gamma-theorem", action="store_true")
-    p.add_argument("--max-gen", type=int, default=10_000)
+    p.add_argument("--max-gen", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stop", choices=("exact", "sufficient", "cap"), default="exact")
+    p.add_argument("--stop", choices=tuple(_STOP_RULES), default="exact")
     p.add_argument("--trace-every", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("sweep", help="replicate grid across game instances")
     p.add_argument("--family", choices=sorted(_FAMILY_PARAMS), required=True)
-    p.add_argument("--instances", required=True, help='e.g. "n=8,k=2;n=16,k=2"')
-    p.add_argument("--mu-grid", required=True, help='e.g. "256,1024"')
-    p.add_argument("--replicates", type=int, default=5)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--instances", type=_instances, required=True, help='e.g. "n=8,k=2;n=16,k=2"')
+    p.add_argument("--mu-grid", type=_mu_grid, required=True, help='e.g. "256,1024"')
+    p.add_argument("--replicates", type=_positive_int, default=5)
+    p.add_argument("--gamma", type=_border)
     p.add_argument("--gamma-theorem", action="store_true")
-    p.add_argument("--max-gen", type=int, default=10_000)
+    p.add_argument("--max-gen", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stop", choices=("exact", "sufficient", "cap"), default="exact")
+    p.add_argument("--stop", choices=tuple(_STOP_RULES), default="exact")
     p.add_argument("--timings", action="store_true", help="include wall_ms in the CSV")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=_cmd_sweep)

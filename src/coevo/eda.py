@@ -5,8 +5,11 @@ by canonical successor order. Each generation samples ``mu`` strategy
 pairs from the product distribution, plays one game per pair (one payoff
 evaluation each), collects the winners' per-vertex choice frequencies, and
 clamps the resulting frequency vectors back onto the gamma-bordered
-simplex. Sampling, playout, and stop-rule checks run vectorised over the
-whole population; results depend only on the seed, never on scheduling.
+simplex. A population is a matrix of successor slots, one row per vertex
+and one column per individual: slot ``i`` at ``v`` moves to
+``graph.targets[graph.offsets[v] + i]``. Sampling, playout, counting,
+restriction and stop-rule checks all run vectorised on that one layout;
+results depend only on the seed, never on scheduling.
 """
 
 from __future__ import annotations
@@ -14,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import grundy as _grundy
-from .graphs import GameGraph, Strategy, play
+from .graphs import GameGraph, Strategy
 from .grundy import GrundyData, PreconditionViolated
 
 
@@ -68,6 +70,8 @@ class UmdaConfig:
     def __post_init__(self):
         if self.mu < 1:
             raise ValueError("mu must be at least 1")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and at least 0, got {self.gamma}")
         if self.stop_rule not in (
             "exact_optimal",
             "sufficient_optimal",
@@ -78,10 +82,11 @@ class UmdaConfig:
 
 @dataclass
 class Population:
-    """Selected individuals of one generation as a choice matrix.
+    """Individuals of one generation as a choice matrix of successor slots.
 
-    ``choices[v, j]`` is individual ``j``'s move at vertex ``v`` (or -1 on
-    sink rows). Columns are complete strategies.
+    ``choices[v, j]`` is the slot individual ``j`` picks at interior vertex
+    ``v``; its move is ``graph.targets[graph.offsets[v] + choices[v, j]]``.
+    Sink rows are unused. Columns are complete strategies.
     """
 
     graph: GameGraph
@@ -91,7 +96,8 @@ class Population:
         return self.choices.shape[1]
 
     def strategy(self, j: int) -> Strategy:
-        return Strategy({v: int(self.choices[v, j]) for v in self.graph.interior})
+        g = self.graph
+        return Strategy({v: int(g.targets[g.offsets[v] + self.choices[v, j]]) for v in g.interior})
 
 
 @dataclass
@@ -102,16 +108,6 @@ class RunResult:
     final_model: ProbModel
     optimal_witness: Strategy | None
     trace: list[tuple[int, dict]] = field(default_factory=list)
-
-
-class EvalCounter:
-    """Mutable payoff-evaluation tally (one per game played)."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int = 1) -> None:
-        self.count += n
 
 
 # ---------------------------------------------------------------------------
@@ -135,28 +131,56 @@ def restrict(p, gamma):
     into ``[gamma, 1-gamma]``, and that form is used verbatim so the
     binary case agrees exactly. Accepts a float array (returns an array)
     or any sequence of numbers, including Fractions (returns a list and
-    stays exact).
+    stays exact). A 2-D float array is restricted row by row; numpy sums
+    each row of a C-contiguous matrix in the same order as the row alone,
+    so every row comes out exactly as from a one-vector call.
     """
-    size = len(p)
+    size = p.shape[-1] if isinstance(p, np.ndarray) else len(p)
     if size and not gamma * size < 1:
         raise GammaTooLarge(f"gamma {gamma} too large for {size} outcomes")
     if isinstance(p, np.ndarray):
         if size == 2:
             out = np.clip(p, gamma, 1 - gamma)
         else:
-            bplus = np.maximum(p - gamma, 0.0).sum()
-            bminus = np.maximum(gamma - p, 0.0).sum()
+            bplus = np.maximum(p - gamma, 0.0).sum(axis=-1, keepdims=True)
+            bminus = np.maximum(gamma - p, 0.0).sum(axis=-1, keepdims=True)
             out = np.where(p <= gamma, gamma, gamma + (1 - bminus / bplus) * (p - gamma))
-        total = out.sum()
-        if abs(total - 1.0) > RENORM_TOLERANCE:
-            out = out / total
-        return out
+        total = out.sum(axis=-1, keepdims=True)
+        return np.where(np.abs(total - 1.0) > RENORM_TOLERANCE, out / total, out)
     if size == 2:
         return [min(max(x, gamma), 1 - gamma) for x in p]
     bplus = beta_plus(p, gamma)
     bminus = beta_minus(p, gamma)
     scale = 1 - bminus / bplus
     return [gamma if x <= gamma else gamma + scale * (x - gamma) for x in p]
+
+
+def model_from_snapshot(g: GameGraph, data: Mapping) -> ProbModel:
+    """Rebuild a model from its JSON form, ``{"gamma": x, "dists": {...}}``.
+
+    ``dists`` must map exactly the interior vertices (as decimal strings)
+    to vectors of that vertex's degree whose entries are finite, at least
+    0, and sum to 1 within 1e-9. Raises ValueError naming the first bad
+    vertex otherwise.
+    """
+    raw = data.get("dists") if isinstance(data, Mapping) else None
+    if not isinstance(raw, Mapping):
+        raise ValueError("model snapshot needs a 'dists' object")
+    expected = {str(v) for v in g.interior}
+    for key in sorted(set(raw) ^ expected):
+        problem = "has no vector" if key in expected else "is not an interior vertex"
+        raise ValueError(f"model snapshot: vertex {key} {problem}")
+    dists = {}
+    for v in g.interior:
+        p = np.asarray(raw[str(v)], dtype=float)
+        if p.shape != (len(g.succ[v]),):
+            raise ValueError(f"vertex {v}: expected {len(g.succ[v])} entries, got shape {p.shape}")
+        if not (np.isfinite(p).all() and (p >= 0).all()):
+            raise ValueError(f"vertex {v}: entries must be finite and at least 0, got {p.tolist()}")
+        if abs(p.sum() - 1.0) > 1e-9:
+            raise ValueError(f"vertex {v}: entries sum to {float(p.sum())!r}, not 1")
+        dists[v] = p
+    return ProbModel(graph=g, dists=dists, gamma=float(data.get("gamma", 0.0)))
 
 
 def uniform_model(g: GameGraph, gamma: float) -> ProbModel:
@@ -175,67 +199,42 @@ def uniform_model(g: GameGraph, gamma: float) -> ProbModel:
 # Vectorised engine. All randomness flows through numpy's PCG64 stream;
 # draws happen per interior vertex in ascending id order, one uniform per
 # (vertex, individual), converted by inverse CDF over the canonical
-# successor order.
+# successor order into a successor slot.
 
-@dataclass(eq=False)
-class _GraphTables:
-    interior: tuple[int, ...]
-    succ_arrays: dict[int, np.ndarray]
-    sorted_succ: dict[int, np.ndarray]
-    sort_order: dict[int, np.ndarray]
-    sink_mask: np.ndarray
-
-
-@lru_cache(maxsize=16)
-def _tables(g: GameGraph) -> _GraphTables:
-    succ_arrays = {}
-    sorted_succ = {}
-    sort_order = {}
-    for v in g.interior:
-        arr = np.asarray(g.succ[v], dtype=np.int64)
-        order = np.argsort(arr, kind="stable")
-        succ_arrays[v] = arr
-        sorted_succ[v] = arr[order]
-        sort_order[v] = order
-    sink_mask = np.array([not g.succ[v] for v in range(g.n)], dtype=bool)
-    return _GraphTables(
-        interior=g.interior,
-        succ_arrays=succ_arrays,
-        sorted_succ=sorted_succ,
-        sort_order=sort_order,
-        sink_mask=sink_mask,
-    )
+def _moves(g: GameGraph, choices: np.ndarray, v: int) -> np.ndarray:
+    """Vertex ids that the slots in row ``v`` of a choice matrix lead to."""
+    return g.targets[g.offsets[v] + choices[v]]
 
 
 def _sample_choice_matrix(model: ProbModel, rng: np.random.Generator, count: int) -> np.ndarray:
     g = model.graph
-    t = _tables(g)
-    out = np.full((g.n, count), -1, dtype=np.int64)
-    for v in t.interior:
+    out = np.zeros((g.n, count), dtype=np.min_scalar_type(g.max_degree - 1))
+    for v in g.interior:
         cum = np.cumsum(model.dists[v])
-        draws = rng.random(count)
-        idx = np.searchsorted(cum, draws, side="right")
+        idx = np.searchsorted(cum, rng.random(count), side="right")
         np.clip(idx, 0, len(cum) - 1, out=idx)
-        out[v] = t.succ_arrays[v][idx]
+        out[v] = idx
     return out
 
 
 def _playout(g: GameGraph, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """Outcomes (+1/-1 for the first mover) of column-paired strategies."""
-    t = _tables(g)
+    offsets, targets = g.offsets, g.targets
+    sink = offsets[1:] == offsets[:-1]
     count = cx.shape[1]
     pos = np.full(count, g.root, dtype=np.int64)
     result = np.zeros(count, dtype=np.int8)
-    alive = ~t.sink_mask[pos]
+    alive = ~sink[pos]
     result[~alive] = -1
     moves = 0
     while alive.any():
         idx = np.flatnonzero(alive)
         mover = cx if moves % 2 == 0 else cy
-        nxt = mover[pos[idx], idx]
+        at = pos[idx]
+        nxt = targets[offsets[at] + mover[at, idx]]
         pos[idx] = nxt
         moves += 1
-        stuck = t.sink_mask[nxt]
+        stuck = sink[nxt]
         done = idx[stuck]
         # After `moves` moves the player now to act is x iff moves is even.
         result[done] = -1 if moves % 2 == 0 else 1
@@ -258,7 +257,7 @@ def population_optimal_mask(g: GameGraph, choices: np.ndarray) -> np.ndarray:
         if not succs:
             safe[u] = True
             continue
-        win[u] = safe[choices[u], cols]
+        win[u] = safe[_moves(g, choices, u), cols]
         acc = win[succs[0]].copy()
         for w in succs[1:]:
             acc &= win[w]
@@ -275,34 +274,8 @@ def population_sufficient_mask(
     zero = np.zeros(g.n, dtype=bool)
     zero[list(gd.zero_set)] = True
     for v in gd.critical:
-        ok &= zero[choices[v]]
+        ok &= zero[_moves(g, choices, v)]
     return ok
-
-
-# ---------------------------------------------------------------------------
-# Public sampling and selection operations.
-
-def sample_strategy(model: ProbModel, rng: np.random.Generator) -> Strategy:
-    """One independent categorical draw per interior vertex."""
-    g = model.graph
-    choice = {}
-    for v in g.interior:
-        cum = np.cumsum(model.dists[v])
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        idx = min(idx, len(cum) - 1)
-        choice[v] = g.succ[v][idx]
-    return Strategy(choice)
-
-
-def tournament(
-    model: ProbModel, rng: np.random.Generator, counter: EvalCounter | None = None
-) -> Strategy:
-    """Sample two strategies, play one game, return the winner."""
-    x = sample_strategy(model, rng)
-    y = sample_strategy(model, rng)
-    if counter is not None:
-        counter.add(1)
-    return x if play(model.graph, x, y).winner == 1 else y
 
 
 def generation_step(
@@ -315,19 +288,21 @@ def generation_step(
     evaluations spent (always exactly mu).
     """
     g = model.graph
-    t = _tables(g)
     cx = _sample_choice_matrix(model, rng, cfg.mu)
     cy = _sample_choice_matrix(model, rng, cfg.mu)
     outcome = _playout(g, cx, cy)
     winners = np.where(outcome[None, :] == 1, cx, cy)
 
-    new_dists = {}
-    for v in t.interior:
-        vals = winners[v]
-        slots = t.sort_order[v][np.searchsorted(t.sorted_succ[v], vals)]
-        counts = np.bincount(slots, minlength=len(g.succ[v]))
-        q = counts / cfg.mu
-        new_dists[v] = np.asarray(restrict(q, model.gamma))
+    # One count per edge: the winners' slot at v lands on edge offsets[v] + slot.
+    interior = np.array(g.interior, dtype=np.int64)
+    starts = g.offsets[interior]
+    edges = starts[:, None] + winners[interior]
+    flat = np.bincount(edges.ravel(), minlength=g.edge_count) / cfg.mu
+    degrees = g.offsets[interior + 1] - starts
+    for size in np.unique(degrees):
+        rows = starts[degrees == size][:, None] + np.arange(size)
+        flat[rows] = restrict(flat[rows], model.gamma)
+    new_dists = dict(zip(g.interior, np.split(flat, starts[1:])))
     next_model = ProbModel(graph=g, dists=new_dists, gamma=model.gamma)
     return next_model, Population(graph=g, choices=winners), cfg.mu
 
@@ -401,10 +376,6 @@ class TheoremBudget:
     generation_budget_base: int
     eval_budget: float
     eval_budget_base: int
-
-    @property
-    def gamma_float(self) -> float:
-        return float(self.gamma)
 
     def desk_feasible(self, mu_limit: int = 10**7) -> bool:
         return self.mu_min <= mu_limit

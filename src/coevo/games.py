@@ -303,11 +303,3 @@ def nim_encode(x: Strategy, n: int, k: int) -> str:
         chars.append(str(amount))
     return "".join(chars)
 
-
-def nim_strategy_codec(direction: str, n: int, k: int, payload):
-    """Dispatch wrapper: ``direction`` is ``"encode"`` or ``"decode"``."""
-    if direction == "decode":
-        return nim_decode(payload, n, k)
-    if direction == "encode":
-        return nim_encode(payload, n, k)
-    raise ValueError(f"direction must be 'encode' or 'decode', got {direction!r}")

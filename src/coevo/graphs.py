@@ -14,7 +14,10 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .ioutil import atomic_write_text
 
@@ -43,8 +46,10 @@ class GameGraph:
 
     ``succ[v]`` is the ordered successor tuple for vertex ``v``;
     ``reverse_topo`` lists vertices so that every vertex appears after all
-    of its successors (sinks first). Instances are safe to share across
-    threads; build them with :func:`build_graph`.
+    of its successors (sinks first). ``offsets`` and ``targets`` hold the
+    same successor lists as flat arrays: slot ``i`` of vertex ``v`` is edge
+    ``offsets[v] + i`` and leads to ``targets[offsets[v] + i]``. Instances
+    are safe to share across threads; build them with :func:`build_graph`.
     """
 
     succ: tuple[tuple[int, ...], ...]
@@ -66,6 +71,16 @@ class GameGraph:
     @property
     def n(self) -> int:
         return len(self.succ)
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Start of each vertex's successor slice in ``targets`` (length n+1)."""
+        return np.cumsum([0, *map(len, self.succ)], dtype=np.int64)
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """Every successor list, concatenated in vertex order."""
+        return np.fromiter(itertools.chain.from_iterable(self.succ), np.int64, self.edge_count)
 
     def is_sink(self, v: int) -> bool:
         return not self.succ[v]

@@ -9,6 +9,7 @@ requested, since they can never replay byte-for-byte.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import time
@@ -149,10 +150,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 def records_to_csv(records: Iterable[ExperimentRecord], include_timings: bool = False) -> str:
     columns = CSV_COLUMNS + (["wall_ms"] if include_timings else [])
     buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for rec in records:
-        row = [str(getattr(rec, col)) for col in columns]
-        buf.write(",".join(row) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([getattr(rec, col) for col in columns] for rec in records)
     return buf.getvalue()
 
 
@@ -161,8 +161,8 @@ def write_records(path, records: Iterable[ExperimentRecord], include_timings: bo
 
 
 def records_from_csv(text: str) -> list[ExperimentRecord]:
-    lines = text.strip().splitlines()
-    columns = lines[0].split(",")
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    columns = rows[0]
     casts = {
         "family": str,
         "params": str,
@@ -172,8 +172,7 @@ def records_from_csv(text: str) -> list[ExperimentRecord]:
         "wall_ms": float,
     }
     records = []
-    for line in lines[1:]:
-        values = line.split(",")
+    for values in rows[1:]:
         kwargs = {
             col: casts.get(col, int)(raw) for col, raw in zip(columns, values)
         }
@@ -298,10 +297,12 @@ def intransitivity_search(
     if rng is None:
         rng = np.random.default_rng(0)
     model = eda.uniform_model(g, gamma=0.0)
+
+    def sample() -> Strategy:
+        return eda.Population(g, eda._sample_choice_matrix(model, rng, 1)).strategy(0)
+
     for _ in range(triples):
-        a = eda.sample_strategy(model, rng)
-        b = eda.sample_strategy(model, rng)
-        c = eda.sample_strategy(model, rng)
+        a, b, c = sample(), sample(), sample()
         if (
             _beats_both_orders(g, a, b)
             and _beats_both_orders(g, b, c)

@@ -143,9 +143,8 @@ def monte_carlo_selection(
     cx = _eda._sample_choice_matrix(model, rng, trials)
     cy = _eda._sample_choice_matrix(model, rng, trials)
     outcome = _eda._playout(g, cx, cy)
-    winner_choice = np.where(outcome == 1, cx[u], cy[u])
-    succs = g.succ[u]
-    freqs = np.array([(winner_choice == w).mean() for w in succs])
+    winner_slots = np.where(outcome == 1, cx[u], cy[u])
+    freqs = np.bincount(winner_slots, minlength=len(g.succ[u])) / trials
     stderr = np.sqrt(freqs * (1 - freqs) / trials)
     return freqs, stderr
 

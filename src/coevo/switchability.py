@@ -11,11 +11,11 @@ border-restricted self-play visits ``v``.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import grundy as _grundy
 from .graphs import GameGraph, Unreachable
@@ -147,6 +147,17 @@ def upper_bound_switchability(g: GameGraph, v: int) -> int:
     raise Unreachable(v)
 
 
+def path_bound_report(g: GameGraph, v: int) -> SwitchabilityReport:
+    """Report carrying only the shortest-root-path bound."""
+    return SwitchabilityReport(
+        vertex=v,
+        exact=None,
+        upper_bound=upper_bound_switchability(g, v),
+        witness=None,
+        method="path_bound",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Exact search.
 #
@@ -161,10 +172,18 @@ def upper_bound_switchability(g: GameGraph, v: int) -> int:
 _CANDIDATE_LIMIT = 500_000
 
 
-@lru_cache(maxsize=8)
 def _candidates_by_depth(
-    g: GameGraph,
-) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    g: GameGraph, edge_limit: int
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Every functional assignment, stably sorted by depth.
+
+    Returns the branching vertices, a matrix whose column ``c`` picks
+    option ``k`` at each of them (0 assigns nothing, ``k`` the ``k``-th
+    successor), and each column's depth. Columns start in
+    ``itertools.product`` order, so equal depths keep enumeration order.
+    """
+    if g.edge_count > edge_limit:
+        raise TooLarge(f"{g.edge_count} edges exceeds the search budget {edge_limit}")
     branching = [v for v in g.interior if len(g.succ[v]) > 1]
     count = 1
     for v in branching:
@@ -173,24 +192,33 @@ def _candidates_by_depth(
             raise TooLarge(
                 f"{count}+ candidate edge sets; lower the edge budget or use bounds"
             )
-    option_lists = [[None, *g.succ[v]] for v in branching]
-    out = []
-    for picks in itertools.product(*option_lists):
-        chosen = {v: w for v, w in zip(branching, picks) if w is not None}
-        # Depth of the assignment, counting chosen edges along any path.
-        best = [0] * g.n
-        for u in g.reverse_topo:
-            m = 0
-            pick = chosen.get(u)
-            for w in g.succ[u]:
-                c = best[w] + (1 if w == pick else 0)
-                if c > m:
-                    m = c
-            best[u] = m
-        d = max(best, default=0)
-        out.append((d, tuple(sorted(chosen.items()))))
-    out.sort(key=lambda item: item[0])
-    return tuple(out)
+    options = [len(g.succ[v]) + 1 for v in branching]
+    picks = np.indices(options, dtype=np.min_scalar_type(g.max_degree))
+    picks = picks.reshape(len(branching), count)
+    chosen = dict(zip(branching, picks))
+    # Depth of every assignment at once: the most chosen edges on a path
+    # from each vertex. At most 11 vertices branch (3**12 > the candidate
+    # limit), so int8 cannot overflow.
+    best = [np.zeros(count, dtype=np.int8)] * g.n
+    for u in g.reverse_topo:
+        for k, w in enumerate(g.succ[u], start=1):
+            step = best[w] + (chosen[u] == k) if u in chosen else best[w]
+            best[u] = np.maximum(best[u], step)
+    order = np.argsort(best[g.root], kind="stable")
+    return branching, picks[:, order], best[g.root][order]
+
+
+def _search(g: GameGraph, v: int, candidates) -> SwitchabilityReport:
+    branching, picks, depths = candidates
+    ub = upper_bound_switchability(g, v)
+    for c in range(np.searchsorted(depths, ub, side="right")):
+        pairs = zip(branching, picks[:, c].tolist())
+        edges = frozenset((u, g.succ[u][k - 1]) for u, k in pairs if k)
+        if is_switcher(g, edges, v):
+            return SwitchabilityReport(
+                vertex=v, exact=int(depths[c]), upper_bound=ub, witness=edges, method="exact_search"
+            )
+    return path_bound_report(g, v)
 
 
 def exact_switchability(
@@ -203,20 +231,7 @@ def exact_switchability(
     guarantees a hit for every reachable vertex; the path-bound fallback
     only covers defensive completeness.
     """
-    if g.edge_count > edge_limit:
-        raise TooLarge(f"{g.edge_count} edges exceeds the search budget {edge_limit}")
-    ub = upper_bound_switchability(g, v)
-    for d, assignment in _candidates_by_depth(g):
-        if d > ub:
-            break
-        edges = frozenset(assignment)
-        if is_switcher(g, edges, v):
-            return SwitchabilityReport(
-                vertex=v, exact=d, upper_bound=ub, witness=edges, method="exact_search"
-            )
-    return SwitchabilityReport(
-        vertex=v, exact=None, upper_bound=ub, witness=None, method="path_bound"
-    )
+    return _search(g, v, _candidates_by_depth(g, edge_limit))
 
 
 def switchability_profile(
@@ -229,18 +244,11 @@ def switchability_profile(
     if mode not in ("exact", "bound", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
     use_exact = mode == "exact" or (mode == "hybrid" and g.edge_count <= edge_limit)
-    reports = {}
-    for v in range(g.n):
-        if use_exact:
-            reports[v] = exact_switchability(g, v, edge_limit=edge_limit)
-        else:
-            reports[v] = SwitchabilityReport(
-                vertex=v,
-                exact=None,
-                upper_bound=upper_bound_switchability(g, v),
-                witness=None,
-                method="path_bound",
-            )
+    if use_exact:
+        candidates = _candidates_by_depth(g, edge_limit)
+        reports = {v: _search(g, v, candidates) for v in range(g.n)}
+    else:
+        reports = {v: path_bound_report(g, v) for v in range(g.n)}
     if gd is None:
         gd = _grundy.grundy_values(g)
     s_bar = max(r.value for r in reports.values())

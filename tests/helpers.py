@@ -54,15 +54,20 @@ def random_rational_model(
     return dists
 
 
+def choice_matrix(g: GameGraph, strategies: list[Strategy]) -> np.ndarray:
+    """The engine's population layout: column j holds strategy j's
+    successor slot at every interior vertex; sink rows stay 0."""
+    out = np.zeros((g.n, len(strategies)), dtype=np.min_scalar_type(g.max_degree - 1))
+    out[list(g.interior)] = np.array([x.key(g) for x in strategies], dtype=out.dtype).T
+    return out
+
+
 def outcome_matrix(g: GameGraph, strategies: list[Strategy]) -> np.ndarray:
     """All-pairs playout results via the vectorised engine."""
     from coevo.eda import _playout
 
     m = len(strategies)
-    choices = np.full((g.n, m), -1, dtype=np.int64)
-    for j, x in enumerate(strategies):
-        for v in g.interior:
-            choices[v, j] = x.choice[v]
+    choices = choice_matrix(g, strategies)
     left = np.repeat(np.arange(m), m)
     right = np.tile(np.arange(m), m)
     results = _playout(g, choices[:, left], choices[:, right])

@@ -48,9 +48,11 @@ from coevo.switchability import (
     exact_switchability,
     is_switcher,
     is_switcher_by_enumeration,
+    switchability_profile,
 )
 from helpers import (
     all_strategies,
+    choice_matrix,
     outcome_matrix_scalar,
     random_game,
     random_rational_model,
@@ -89,10 +91,7 @@ def _optimal_flags_by_playout(g, strategies, pair_budget=4_000_000):
     from coevo.eda import _playout
 
     m = len(strategies)
-    choices = np.full((g.n, m), -1, dtype=np.int64)
-    for j, x in enumerate(strategies):
-        for v in g.interior:
-            choices[v, j] = x.choice[v]
+    choices = choice_matrix(g, strategies)
     flags = np.zeros(m, dtype=bool)
     block = max(1, pair_budget // m)
     for start in range(0, m, block):
@@ -244,9 +243,8 @@ def test_reach_lower_bound_rational():
     checked = 0
     for name in ("fig1", "fig2", "fig3_top", "fig3_bottom"):
         g = fixture(name)
-        s_exact = {
-            v: exact_switchability(g, v, edge_limit=32).exact for v in range(g.n)
-        }
+        profile = switchability_profile(g, mode="exact", edge_limit=32)
+        s_exact = {v: report.exact for v, report in profile.reports.items()}
         assert all(s is not None for s in s_exact.values())
         for _ in range(50):
             denominator = int(rng.integers(g.max_degree + 1, 10 * g.max_degree))

@@ -162,3 +162,107 @@ def test_runtime_errors(capsys):
     code, _, err = run_cli(capsys, "solve", "--game", "/nonexistent/game.json")
     assert code == 2
     assert "error" in err
+
+
+# --- usage errors at the boundary (exit 1, message names the flag) ---------
+
+def _sweep_argv(tmp_path, **overrides):
+    args = {
+        "--family": "subtraction_nim",
+        "--instances": "n=8,k=2",
+        "--mu-grid": "8",
+        "--replicates": "1",
+        "--max-gen": "10",
+        "--out-dir": str(tmp_path),
+        "--gamma-theorem": None,
+    }
+    args.update(overrides)
+    argv = ["sweep"]
+    for flag, value in args.items():
+        if value is not False:
+            argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+def test_sweep_without_gamma_is_usage_error(capsys, tmp_path):
+    code, _, err = run_cli(capsys, *_sweep_argv(tmp_path, **{"--gamma-theorem": False}))
+    assert code == 1
+    assert "--gamma" in err
+
+
+@pytest.mark.parametrize("instances", ["n=8,k", "n=x"])
+def test_sweep_bad_instances_is_usage_error(capsys, tmp_path, instances):
+    code, _, err = run_cli(capsys, *_sweep_argv(tmp_path, **{"--instances": instances}))
+    assert code == 1
+    assert "--instances" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--mu-grid", "0"), ("--mu-grid", "64,32"), ("--replicates", "0"), ("--max-gen", "0")],
+)
+def test_sweep_bad_count_is_usage_error(capsys, tmp_path, flag, value):
+    code, _, err = run_cli(capsys, *_sweep_argv(tmp_path, **{flag: value}))
+    assert code == 1
+    assert flag in err
+
+
+@pytest.mark.parametrize(
+    "flag, counts", [("--mu", ["--mu", "0"]), ("--max-gen", ["--mu", "4", "--max-gen", "0"])]
+)
+def test_run_count_zero_is_usage_error(capsys, flag, counts):
+    code, _, err = run_cli(capsys, "run", "--fixture", "fig1", "--gamma", "0.01", *counts)
+    assert code == 1
+    assert flag in err
+
+
+@pytest.mark.parametrize("gamma", ["-0.5", "nan", "inf"])
+def test_run_bad_gamma_is_usage_error(capsys, gamma):
+    code, out, err = run_cli(capsys, "run", "--fixture", "fig1", "--mu", "4", "--gamma", gamma)
+    assert code == 1
+    assert out == ""
+    assert "--gamma" in err
+
+
+# --- analyze --model validation (exit 2, message names the vertex) ---------
+
+def _analyze_with(capsys, tmp_path, dists):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"gamma": 0.0, "dists": dists}))
+    return run_cli(capsys, "analyze", "--fixture", "fig1", "--model", str(model_path))
+
+
+FIG1_OK = {"0": [0, 0, 1], "1": [1], "2": [1, 0], "3": [1]}
+
+
+@pytest.mark.parametrize(
+    "vertex, bad",
+    [
+        ("0", [2.0, -1.0, 0.0]),  # negative entry; used to print reach 2.0
+        ("2", [1.0]),  # wrong length; used to die with an IndexError
+        ("0", [0.5, 0.5, 0.5]),  # does not sum to one
+    ],
+)
+def test_analyze_rejects_bad_vector(capsys, tmp_path, vertex, bad):
+    code, out, err = _analyze_with(capsys, tmp_path, FIG1_OK | {vertex: bad})
+    assert code == 2
+    assert out == ""
+    assert f"vertex {vertex}" in err
+
+
+def test_analyze_rejects_non_finite_entry(capsys, tmp_path):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"dists": FIG1_OK}).replace("[1, 0]", "[NaN, 1]"))
+    code, _, err = run_cli(capsys, "analyze", "--fixture", "fig1", "--model", str(model_path))
+    assert code == 2
+    assert "vertex 2" in err
+
+
+def test_analyze_rejects_wrong_keys(capsys, tmp_path):
+    missing = {v: p for v, p in FIG1_OK.items() if v != "3"}
+    code, _, err = _analyze_with(capsys, tmp_path, missing)
+    assert code == 2
+    assert "vertex 3" in err
+    code, _, err = _analyze_with(capsys, tmp_path, FIG1_OK | {"4": [1]})
+    assert code == 2
+    assert "vertex 4" in err

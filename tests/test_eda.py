@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coevo.eda import (
-    EvalCounter,
     GammaTooLarge,
     MissingSwitchability,
     Population,
@@ -14,16 +14,16 @@ from coevo.eda import (
     beta_minus,
     beta_plus,
     generation_step,
+    model_from_snapshot,
     population_optimal_mask,
     population_sufficient_mask,
     restrict,
+    _sample_choice_matrix,
     run_umda,
-    sample_strategy,
     theorem_parameters,
-    tournament,
     uniform_model,
 )
-from coevo.games import subtraction_nim
+from coevo.games import chomp, subtraction_nim
 from coevo.graphs import build_graph
 from coevo.grundy import (
     PreconditionViolated,
@@ -32,7 +32,7 @@ from coevo.grundy import (
     is_optimal_exact,
 )
 from coevo.oracles import selection_distribution
-from helpers import all_strategies, random_game
+from helpers import all_strategies, choice_matrix, random_game
 
 
 # --- restriction -----------------------------------------------------------
@@ -115,6 +115,50 @@ def test_restrict_properties_hypothesis(weights, border_frac):
     assert (out <= np.maximum(gamma, p) + 1e-9).all()
 
 
+def _restrict_reference(p, gamma):
+    """The one-vector float restriction, written with plain 1-D sums."""
+    if len(p) == 2:
+        out = np.clip(p, gamma, 1 - gamma)
+    else:
+        bplus = np.maximum(p - gamma, 0.0).sum()
+        bminus = np.maximum(gamma - p, 0.0).sum()
+        out = np.where(p <= gamma, gamma, gamma + (1 - bminus / bplus) * (p - gamma))
+    total = out.sum()
+    return out / total if abs(total - 1.0) > 1e-12 else out
+
+
+def test_restrict_matches_reference_bit_for_bit():
+    # One vector, and each row of a matrix, get exactly the reference
+    # arithmetic, for lengths on both sides of numpy's 8-entry and
+    # 128-entry pairwise-sum thresholds.
+    rng = np.random.default_rng(97)
+    for size in [*range(1, 40), 128, 129, 300]:
+        rows = -np.log(rng.random((20, size)))
+        rows[:, 1:][rng.random((20, size - 1)) < 0.3] = 0.0  # zeros sit below the border
+        rows /= rows.sum(axis=1, keepdims=True)
+        gamma = float(rng.random()) / size * 0.5
+        for p, q in zip(rows, restrict(rows, gamma)):
+            expected = _restrict_reference(p, gamma).tobytes()
+            assert q.tobytes() == expected
+            assert restrict(p, gamma).tobytes() == expected
+
+
+def test_generation_step_restriction_matches_reference():
+    # Every row of the all-rows update equals the one-vector restriction of
+    # that row's winner frequencies, to the last bit.
+    g = chomp(4)  # degrees 1 to 15
+    gamma = 0.004
+    cfg = UmdaConfig(mu=300, gamma=gamma, max_generations=1, seed=0)
+    rng = np.random.default_rng(103)
+    model = uniform_model(g, gamma)
+    for _ in range(10):
+        new_model, population, _ = generation_step(model, cfg, rng)
+        for v in g.interior:
+            q = np.bincount(population.choices[v], minlength=len(g.succ[v])) / cfg.mu
+            assert new_model.dists[v].tobytes() == _restrict_reference(q, gamma).tobytes()
+        model = new_model
+
+
 def test_beta_identity():
     rng = np.random.default_rng(73)
     for _ in range(200):
@@ -138,6 +182,25 @@ def test_uniform_model_gamma_guard(fig1):
         uniform_model(fig1, 0.34)
 
 
+@pytest.mark.parametrize("gamma", [-0.5, float("nan"), float("inf")])
+def test_config_rejects_bad_gamma(gamma):
+    with pytest.raises(ValueError):
+        UmdaConfig(mu=4, gamma=gamma, max_generations=1, seed=0)
+
+
+def test_model_snapshot_round_trip():
+    g = ensure_first_player_win(subtraction_nim(10, 2))
+    cfg = UmdaConfig(
+        mu=37, gamma=1 / 400, max_generations=5, seed=3, stop_rule="generation_cap_only"
+    )
+    model = run_umda(g, cfg).final_model
+    data = json.loads(json.dumps({"gamma": model.gamma, "dists": model.snapshot()}))
+    rebuilt = model_from_snapshot(g, data)
+    assert rebuilt.gamma == model.gamma
+    for v in g.interior:
+        assert np.array_equal(rebuilt.dists[v], model.dists[v])
+
+
 def test_uniform_model_respects_border():
     g = subtraction_nim(7, 2)
     gamma = 1 / (20 * 2 * 7)
@@ -153,8 +216,9 @@ def test_sample_point_mass(fig1):
         p[0] = 1.0
         model.dists[v] = p
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        x = sample_strategy(model, rng)
+    population = Population(fig1, _sample_choice_matrix(model, rng, 20))
+    for j in range(20):
+        x = population.strategy(j)
         assert x.choice == {v: fig1.succ[v][0] for v in fig1.interior}
 
 
@@ -162,10 +226,8 @@ def test_sample_marginals_match_model(fig1):
     rng = np.random.default_rng(79)
     model = uniform_model(fig1, 0.0)
     draws = 100_000
-    hits = 0
-    for _ in range(draws):
-        if sample_strategy(model, rng).choice[0] == 4:
-            hits += 1
+    choices = _sample_choice_matrix(model, rng, draws)
+    hits = int((fig1.targets[fig1.offsets[0] + choices[0]] == 4).sum())
     assert abs(hits / draws - 1 / 3) <= 0.01
 
 
@@ -174,7 +236,7 @@ def test_sampled_strategies_valid():
     for _ in range(10):
         g = random_game(rng)
         model = uniform_model(g, 0.0)
-        sample_strategy(model, rng).validate(g)
+        Population(g, _sample_choice_matrix(model, rng, 1)).strategy(0).validate(g)
 
 
 # --- tournaments and generations --------------------------------------------
@@ -185,34 +247,30 @@ def test_tournament_point_mass_winner(fig1):
         p = np.zeros(len(fig1.succ[v]))
         p[fig1.succ[v].index(4) if 4 in fig1.succ[v] else 0] = 1.0
         model.dists[v] = p
-    counter = EvalCounter()
-    rng = np.random.default_rng(1)
-    winner = tournament(model, rng, counter)
+    cfg = UmdaConfig(mu=1, gamma=0.0, max_generations=1, seed=1)
+    _, population, evals = generation_step(model, cfg, np.random.default_rng(1))
+    winner = population.strategy(0)
     assert winner.choice[0] == 4  # first mover jumps to the sink and wins
-    assert counter.count == 1
+    assert evals == 1
 
 
-def test_tournament_counter_accumulates(fig1):
+def test_generation_step_spends_mu_evaluations(fig1):
     model = uniform_model(fig1, 0.01)
-    counter = EvalCounter()
-    rng = np.random.default_rng(2)
     mu = 64
-    for _ in range(mu):
-        tournament(model, rng, counter)
-    assert counter.count == mu
+    cfg = UmdaConfig(mu=mu, gamma=0.01, max_generations=1, seed=2)
+    _, population, evals = generation_step(model, cfg, np.random.default_rng(2))
+    assert evals == mu
+    assert len(population) == mu
 
 
 def test_tournament_frequencies_match_dp(fig1):
     model = uniform_model(fig1, 0.0)
-    rng = np.random.default_rng(89)
     trials = 200_000
-    counts = {w: 0 for w in fig1.succ[0]}
-    for _ in range(trials):
-        counts[tournament(model, rng).choice[0]] += 1
+    cfg = UmdaConfig(mu=trials, gamma=0.0, max_generations=1, seed=89)
+    _, population, _ = generation_step(model, cfg, np.random.default_rng(89))
+    counts = np.bincount(population.choices[0], minlength=len(fig1.succ[0]))
     exact = selection_distribution(fig1, model.dists, 0)
-    tv = 0.5 * sum(
-        abs(counts[w] / trials - float(exact[i])) for i, w in enumerate(fig1.succ[0])
-    )
+    tv = 0.5 * sum(abs(counts[i] / trials - float(exact[i])) for i in range(len(counts)))
     assert tv <= 0.01
 
 
@@ -247,7 +305,7 @@ def test_generation_step_expectation_matches_dp(fig1):
     cfg = UmdaConfig(mu=mu, gamma=gamma, max_generations=1, seed=5)
     new_model, population, _ = generation_step(model, cfg, np.random.default_rng(5))
     exact = [float(p) for p in selection_distribution(fig1, model.dists, 0)]
-    counts = np.array([(population.choices[0] == w).sum() for w in fig1.succ[0]])
+    counts = np.bincount(population.choices[0], minlength=len(fig1.succ[0]))
     for i, p in enumerate(exact):
         sigma = np.sqrt(p * (1 - p) / mu)
         assert abs(counts[i] / mu - p) <= 3.5 * sigma
@@ -352,10 +410,7 @@ def test_population_masks_match_scalar_checks():
             continue
         checked += 1
         strategies = all_strategies(g)
-        choices = np.full((g.n, len(strategies)), -1, dtype=np.int64)
-        for j, x in enumerate(strategies):
-            for v in g.interior:
-                choices[v, j] = x.choice[v]
+        choices = choice_matrix(g, strategies)
         opt_mask = population_optimal_mask(g, choices)
         suf_mask = population_sufficient_mask(g, gd, choices)
         from coevo.grundy import is_optimal_sufficient

@@ -16,7 +16,6 @@ from coevo.games import (
     fixture,
     nim_decode,
     nim_encode,
-    nim_strategy_codec,
     silver_dollar,
     subtraction_nim,
     turning_turtles,
@@ -229,13 +228,6 @@ def test_codec_round_trip_random():
         chars = [str(rng.integers(1, min(i, k) + 1)) for i in range(1, n)]
         payload = "".join(chars)
         assert nim_encode(nim_decode(payload, n, k), n, k) == payload
-
-
-def test_codec_dispatch():
-    x = nim_strategy_codec("decode", 7, 2, "122111")
-    assert nim_strategy_codec("encode", 7, 2, x) == "122111"
-    with pytest.raises(ValueError):
-        nim_strategy_codec("sideways", 7, 2, "122111")
 
 
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=4))

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -207,3 +208,11 @@ def test_describe_witness_with_nim_strings():
         "found": False,
         "strategies": None,
     }
+
+
+def test_csv_round_trip_comma_in_params():
+    (record,) = run_experiment(_chain_config())
+    record = replace(record, family="custom", params='path=games/a,b "c".json', wall_ms=0.0)
+    text = records_to_csv([record])
+    assert text.count("\n") == 2
+    assert records_from_csv(text) == [record]

@@ -164,7 +164,7 @@ def test_reach_and_win_match_simulation():
             if idx.size == 0:
                 break
             mover = cx if moves % 2 == 0 else cy
-            pos[idx] = mover[pos[idx], idx]
+            pos[idx] = g.targets[g.offsets[pos[idx]] + mover[pos[idx], idx]]
             alive = np.zeros(trials, dtype=bool)
             alive[idx] = True
             moves += 1
