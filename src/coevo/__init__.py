@@ -10,7 +10,7 @@ oracles in :mod:`coevo.oracles`, and the experiment harness in
 
 from .eda import ProbModel, RunResult, UmdaConfig, restrict, run_umda, uniform_model
 from .games import GameSpec, chomp, fixture, silver_dollar, subtraction_nim, turning_turtles
-from .graphs import GameGraph, Strategy, Transcript, build_graph, play, play_from
+from .graphs import GameGraph, Strategy, Transcript, build_graph, play
 from .grundy import (
     GrundyData,
     canonical_optimal_strategy,
@@ -56,7 +56,6 @@ __all__ = [
     "is_switcher",
     "mex",
     "play",
-    "play_from",
     "restrict",
     "run_umda",
     "silver_dollar",

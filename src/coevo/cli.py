@@ -72,10 +72,18 @@ class UsageError(Exception):
     pass
 
 
-def _positive_int(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+def _int_at_least(low: int, text: str) -> int:
+    if not text.strip().isdigit() or int(text) < low:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least {low}, got {text!r}")
     return int(text)
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(1, text)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(0, text)
 
 
 def _mu_grid(text: str) -> tuple[int, ...]:
@@ -151,7 +159,7 @@ def _cmd_run(args) -> int:
     g, spec = _resolve_game(args)
     run_game = grundy.ensure_first_player_win(g)
     extended = run_game is not g
-    gamma = 1.0 / (20 * g.max_degree * g.n) if args.gamma_theorem else args.gamma
+    gamma = float(eda.theorem_border(g)) if args.gamma_theorem else args.gamma
     cfg = eda.UmdaConfig(
         mu=args.mu,
         gamma=gamma,
@@ -213,17 +221,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_switch(args) -> int:
     g, _ = _resolve_game(args)
     if args.vertex is not None:
-        if args.mode == "bound":
-            report = switchability.path_bound_report(g, args.vertex)
-        else:
-            try:
-                report = switchability.exact_switchability(
-                    g, args.vertex, edge_limit=args.edge_limit
-                )
-            except switchability.TooLarge:
-                if args.mode == "exact":
-                    raise
-                report = switchability.path_bound_report(g, args.vertex)
+        reports, _ = switchability.switchability_reports(
+            g, [args.vertex], mode=args.mode, edge_limit=args.edge_limit
+        )
+        report = reports[args.vertex]
         _emit(
             {
                 "vertex": report.vertex,
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-gen", type=_positive_int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stop", choices=tuple(_STOP_RULES), default="exact")
-    p.add_argument("--trace-every", type=int, default=0)
+    p.add_argument("--trace-every", type=_nonnegative_int, default=0)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_run)
 
@@ -352,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("intrans", help="search for an intransitive strategy triple")
     _add_game_arguments(p)
-    p.add_argument("--triples", type=int, default=1000)
+    p.add_argument("--triples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_intrans)

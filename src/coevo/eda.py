@@ -133,7 +133,9 @@ def restrict(p, gamma):
     or any sequence of numbers, including Fractions (returns a list and
     stays exact). A 2-D float array is restricted row by row; numpy sums
     each row of a C-contiguous matrix in the same order as the row alone,
-    so every row comes out exactly as from a one-vector call.
+    so every row comes out exactly as from a one-vector call. A float
+    result whose total is off 1 by more than 1e-12, as from an unnormalised
+    input, is renormalised: divided by its total.
     """
     size = p.shape[-1] if isinstance(p, np.ndarray) else len(p)
     if size and not gamma * size < 1:
@@ -312,8 +314,12 @@ def run_umda(g: GameGraph, cfg: UmdaConfig, trace_every: int = 0) -> RunResult:
 
     The stop rule is checked on each generation's selected population;
     sampled-but-unselected losers never count. Requires a first-player-win
-    game (extend with a forced start vertex first if necessary).
+    game (extend with a forced start vertex first if necessary). With
+    ``trace_every`` at k > 0 the model is snapshotted every k-th
+    generation; 0 takes no snapshots.
     """
+    if trace_every < 0:
+        raise ValueError(f"trace_every must be at least 0, got {trace_every}")
     gd = _grundy.grundy_values(g)
     if gd.values[g.root] == 0:
         raise PreconditionViolated(
@@ -377,15 +383,24 @@ class TheoremBudget:
     eval_budget: float
     eval_budget_base: int
 
-    def desk_feasible(self, mu_limit: int = 10**7) -> bool:
-        return self.mu_min <= mu_limit
-
 
 def _to_float(value) -> float:
     try:
         return float(value)
     except OverflowError:
         return math.inf
+
+
+def theorem_border(g: GameGraph) -> Fraction:
+    """The runtime guarantee's border ``1/(20 * Delta * n)`` for ``g``.
+
+    Runs take it on the game as given, before any forced start is added,
+    while :func:`theorem_parameters` takes it on the game it budgets.
+    Raises ValueError on a game with no moves, where it is undefined.
+    """
+    if g.max_degree == 0:
+        raise ValueError("degenerate game: no moves at all")
+    return Fraction(1, 20 * g.max_degree * g.n)
 
 
 def theorem_parameters(
@@ -399,17 +414,17 @@ def theorem_parameters(
 
     ``s_values`` maps vertices to switchability values or upper bounds and
     must cover every critical position (budgets are monotone in them, so
-    upper bounds are safe). The border is ``1/(20 * Delta * n)``; the
+    upper bounds are safe). The border is :func:`theorem_border` of ``g``,
+    and its denominator is the power base of every budget; the
     population lower bound and the generation/evaluation budgets follow
     the guarantee's formulas with ``s_hat`` the maximum over critical
     positions and ``s_bar`` the maximum over all supplied vertices.
     """
-    if g.max_degree == 0:
-        raise ValueError("degenerate game: no moves at all")
+    gamma = theorem_border(g)
     missing = [v for v in gd.critical if v not in s_values]
     if missing:
         raise MissingSwitchability(f"no switchability value for vertices {missing}")
-    base = 20 * g.max_degree * g.n
+    base = gamma.denominator
     log_n = math.log(g.n)
     s_hat = max((int(s_values[v]) for v in gd.critical), default=0)
     s_bar = max((int(s) for s in s_values.values()), default=0)
@@ -418,7 +433,7 @@ def theorem_parameters(
     gen_base = sum(base ** int(s_values[v]) for v in gd.critical)
     eval_base = base ** (2 + 3 * s_bar)
     return TheoremBudget(
-        gamma=Fraction(1, base),
+        gamma=gamma,
         s_hat=s_hat,
         s_bar=s_bar,
         mu_min=C * (K + s_hat + 1) * _to_float(mu_base) * log_n,

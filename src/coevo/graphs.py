@@ -236,18 +236,6 @@ def play(g: GameGraph, x: Strategy, y: Strategy) -> Transcript:
     return Transcript(visited=tuple(visited), winner=winner)
 
 
-def play_from(g: GameGraph, v: int, x: Strategy, y: Strategy) -> int:
-    """Outcome of play started at ``v`` with ``x`` to move.
-
-    Recursive reference implementation: -1 at a sink, otherwise the
-    negation of the outcome at ``x``'s choice with roles swapped. Used for
-    cross-checking :func:`play`; prefer :func:`play` on deep graphs.
-    """
-    if not g.succ[v]:
-        return -1
-    return -play_from(g, x.choice[v], y, x)
-
-
 def strategy_space_size(g: GameGraph) -> int:
     size = 1
     for v in g.interior:

@@ -72,42 +72,17 @@ def grundy_values(g: GameGraph) -> GrundyData:
         values=values,
         zero_set=zero,
         nonzero_set=nonzero,
-        critical=critical_positions(g, values=values),
+        critical=critical_positions(g, values),
     )
 
 
-def critical_positions(
-    g: GameGraph,
-    gd: GrundyData | None = None,
-    values: tuple[int, ...] | None = None,
-    variant: str = "literal",
-) -> frozenset[int]:
-    """Interior positions where optimal play must be learned.
-
-    ``variant="literal"`` keeps vertices with nonzero value and at least
-    one successor of nonzero value (a wrong move exists). The
-    ``"inclusive"`` variant instead keeps nonzero vertices with a
-    zero-valued successor and more than one move; it differs only on
-    vertices whose moves are all winning, and exists for sensitivity
-    tests.
-    """
-    if values is None:
-        if gd is None:
-            raise ValueError("need GrundyData or a values tuple")
-        values = gd.values
-    out = set()
-    for v in g.interior:
-        if values[v] == 0:
-            continue
-        if variant == "literal":
-            if any(values[w] != 0 for w in g.succ[v]):
-                out.add(v)
-        elif variant == "inclusive":
-            if len(g.succ[v]) > 1 and any(values[w] == 0 for w in g.succ[v]):
-                out.add(v)
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-    return frozenset(out)
+def critical_positions(g: GameGraph, values: tuple[int, ...]) -> frozenset[int]:
+    """Interior positions where optimal play must be learned: nonzero
+    Grundy value and at least one successor of nonzero value (a wrong
+    move exists)."""
+    return frozenset(
+        v for v in g.interior if values[v] != 0 and any(values[w] != 0 for w in g.succ[v])
+    )
 
 
 def is_optimal_sufficient(g: GameGraph, gd: GrundyData, x: Strategy) -> bool:

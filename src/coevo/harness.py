@@ -50,10 +50,6 @@ class ExperimentConfig:
     base_seed: int = 0
     max_generations: int = 10_000
     stop_rule: str = "exact_optimal"
-    switch_mode: str = "hybrid"
-    switch_edge_limit: int = 20
-    theorem_c: float = 1.0
-    theorem_k: float = 1.0
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -97,19 +93,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     base_game = cfg.game.build()
     run_game = grundy.ensure_first_player_win(base_game)
     gd = grundy.grundy_values(run_game)
-    profile = switchability.switchability_profile(
-        run_game, mode=cfg.switch_mode, edge_limit=cfg.switch_edge_limit, gd=gd
-    )
+    profile = switchability.switchability_profile(run_game, gd=gd)
 
     if cfg.gamma_rule == "theorem":
-        gamma = 1.0 / (20 * base_game.max_degree * base_game.n)
+        gamma = float(eda.theorem_border(base_game))
     else:
         gamma = float(cfg.gamma_rule)
 
     s_values = {v: r.value for v, r in profile.reports.items()}
-    budget = eda.theorem_parameters(
-        run_game, gd, s_values, K=cfg.theorem_k, C=cfg.theorem_c
-    )
+    budget = eda.theorem_parameters(run_game, gd, s_values)
 
     records = []
     for mu_index, mu in enumerate(cfg.mu_grid):
@@ -158,27 +150,6 @@ def records_to_csv(records: Iterable[ExperimentRecord], include_timings: bool = 
 
 def write_records(path, records: Iterable[ExperimentRecord], include_timings: bool = False) -> None:
     atomic_write_text(path, records_to_csv(records, include_timings=include_timings))
-
-
-def records_from_csv(text: str) -> list[ExperimentRecord]:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    columns = rows[0]
-    casts = {
-        "family": str,
-        "params": str,
-        "s_mode": str,
-        "gamma": float,
-        "theorem_eval_budget": float,
-        "wall_ms": float,
-    }
-    records = []
-    for values in rows[1:]:
-        kwargs = {
-            col: casts.get(col, int)(raw) for col, raw in zip(columns, values)
-        }
-        kwargs.setdefault("wall_ms", 0.0)
-        records.append(ExperimentRecord(**kwargs))
-    return records
 
 
 @dataclass

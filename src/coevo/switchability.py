@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -99,35 +99,6 @@ def is_switcher(g: GameGraph, edges: Iterable[tuple[int, int]], v: int) -> bool:
                 seen[w] = True
                 stack.append(w)
     return True
-
-
-def compatible_sink_paths(
-    g: GameGraph, edges: Iterable[tuple[int, int]]
-) -> Iterator[tuple[int, ...]]:
-    """Every maximal compatible path, by direct recursion on the
-    inductive definition. Exponential; only for validating the
-    reachability formulation on tiny graphs."""
-    edges = _check_edges(g, edges)
-    forced: dict[int, list[int]] = {}
-    for u, w in edges:
-        forced.setdefault(u, []).append(w)
-
-    def rec(path: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        u = path[-1]
-        nexts = forced.get(u) or g.succ[u]
-        if not nexts:
-            yield path
-            return
-        for w in nexts:
-            yield from rec(path + (w,))
-
-    yield from rec((g.root,))
-
-
-def is_switcher_by_enumeration(
-    g: GameGraph, edges: Iterable[tuple[int, int]], v: int
-) -> bool:
-    return all(v in path for path in compatible_sink_paths(g, edges))
 
 
 def upper_bound_switchability(g: GameGraph, v: int) -> int:
@@ -234,6 +205,29 @@ def exact_switchability(
     return _search(g, v, _candidates_by_depth(g, edge_limit))
 
 
+def switchability_reports(
+    g: GameGraph, vertices: Iterable[int], mode: str = "hybrid", edge_limit: int = 20
+) -> tuple[dict[int, SwitchabilityReport], str]:
+    """Reports for ``vertices`` under ``mode``, and the method it used.
+
+    ``"exact"`` searches every vertex exactly and raises :class:`TooLarge`
+    when the graph exceeds ``edge_limit`` edges or the candidate limit.
+    ``"bound"`` reports the shortest-root-path bound. ``"hybrid"`` searches
+    exactly when both budgets fit and otherwise falls back to the bound.
+    """
+    if mode not in ("exact", "bound", "hybrid"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode != "bound":
+        try:
+            candidates = _candidates_by_depth(g, edge_limit)
+        except TooLarge:
+            if mode == "exact":
+                raise
+        else:
+            return {v: _search(g, v, candidates) for v in vertices}, "exact_search"
+    return {v: path_bound_report(g, v) for v in vertices}, "path_bound"
+
+
 def switchability_profile(
     g: GameGraph,
     mode: str = "hybrid",
@@ -241,21 +235,9 @@ def switchability_profile(
     gd: _grundy.GrundyData | None = None,
 ) -> SwitchabilityProfile:
     """Per-vertex reports plus the two aggregates used by runtime budgets."""
-    if mode not in ("exact", "bound", "hybrid"):
-        raise ValueError(f"unknown mode {mode!r}")
-    use_exact = mode == "exact" or (mode == "hybrid" and g.edge_count <= edge_limit)
-    if use_exact:
-        candidates = _candidates_by_depth(g, edge_limit)
-        reports = {v: _search(g, v, candidates) for v in range(g.n)}
-    else:
-        reports = {v: path_bound_report(g, v) for v in range(g.n)}
+    reports, mode_used = switchability_reports(g, range(g.n), mode, edge_limit)
     if gd is None:
         gd = _grundy.grundy_values(g)
     s_bar = max(r.value for r in reports.values())
     s_hat = max((reports[v].value for v in gd.critical), default=0)
-    return SwitchabilityProfile(
-        reports=reports,
-        s_bar=s_bar,
-        s_hat=s_hat,
-        mode_used="exact_search" if use_exact else "path_bound",
-    )
+    return SwitchabilityProfile(reports=reports, s_bar=s_bar, s_hat=s_hat, mode_used=mode_used)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from coevo.eda import restrict
 from coevo.graphs import GameGraph, Strategy, build_graph, enumerate_strategies, play
+from coevo.harness import ExperimentRecord
 
 
 def random_game(
@@ -86,3 +90,77 @@ def outcome_matrix_scalar(g: GameGraph, strategies: list[Strategy]) -> np.ndarra
 
 def all_strategies(g: GameGraph) -> list[Strategy]:
     return list(enumerate_strategies(g))
+
+
+def play_from(g: GameGraph, v: int, x: Strategy, y: Strategy) -> int:
+    """Outcome of play started at ``v`` with ``x`` to move.
+
+    Recursive reference implementation: -1 at a sink, otherwise the
+    negation of the outcome at ``x``'s choice with roles swapped. Used for
+    cross-checking :func:`coevo.graphs.play` on small graphs.
+    """
+    if not g.succ[v]:
+        return -1
+    return -play_from(g, x.choice[v], y, x)
+
+
+def critical_positions_inclusive(g: GameGraph, values: tuple[int, ...]) -> frozenset[int]:
+    """Alternative reading of the critical set: nonzero vertices with a
+    zero-valued successor and more than one move. It differs from
+    :func:`coevo.grundy.critical_positions` only on vertices whose moves
+    are all winning."""
+    return frozenset(
+        v
+        for v in g.interior
+        if values[v] != 0 and len(g.succ[v]) > 1 and any(values[w] == 0 for w in g.succ[v])
+    )
+
+
+def compatible_sink_paths(
+    g: GameGraph, edges: Iterable[tuple[int, int]]
+) -> Iterator[tuple[int, ...]]:
+    """Every maximal compatible path, by direct recursion on the
+    inductive definition. Exponential; only for validating the
+    reachability formulation on tiny graphs."""
+    forced: dict[int, list[int]] = {}
+    for u, w in edges:
+        forced.setdefault(u, []).append(w)
+
+    def rec(path: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        u = path[-1]
+        nexts = forced.get(u) or g.succ[u]
+        if not nexts:
+            yield path
+            return
+        for w in nexts:
+            yield from rec(path + (w,))
+
+    yield from rec((g.root,))
+
+
+def is_switcher_by_enumeration(
+    g: GameGraph, edges: Iterable[tuple[int, int]], v: int
+) -> bool:
+    return all(v in path for path in compatible_sink_paths(g, edges))
+
+
+def records_from_csv(text: str) -> list[ExperimentRecord]:
+    """Parse the harness CSV back into records (``wall_ms`` 0 when absent)."""
+    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    columns = rows[0]
+    casts = {
+        "family": str,
+        "params": str,
+        "s_mode": str,
+        "gamma": float,
+        "theorem_eval_budget": float,
+        "wall_ms": float,
+    }
+    records = []
+    for values in rows[1:]:
+        kwargs = {
+            col: casts.get(col, int)(raw) for col, raw in zip(columns, values)
+        }
+        kwargs.setdefault("wall_ms", 0.0)
+        records.append(ExperimentRecord(**kwargs))
+    return records

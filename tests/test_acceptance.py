@@ -47,12 +47,12 @@ from coevo.switchability import (
     depth,
     exact_switchability,
     is_switcher,
-    is_switcher_by_enumeration,
     switchability_profile,
 )
 from helpers import (
     all_strategies,
     choice_matrix,
+    is_switcher_by_enumeration,
     outcome_matrix_scalar,
     random_game,
     random_rational_model,

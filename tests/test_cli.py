@@ -125,6 +125,21 @@ def test_analyze_model_file(capsys, tmp_path):
     assert payload["win"]["0"] == 1.0
 
 
+def test_switch_hybrid_falls_back_past_the_candidate_limit(capsys):
+    # 25 edges fit the edge budget, but 12 two-move vertices give 3**12
+    # candidate sets, above the candidate limit.
+    argv = ["switch", "--family", "subtraction_nim", "--n", "14", "--k", "2", "--edge-limit", "25"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    profile = json.loads(out)
+    assert profile["mode"] == "path_bound"
+    code, out, _ = run_cli(capsys, *argv, "--vertex", "3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["method"] == "path_bound"
+    assert report["value"] == profile["reports"]["3"]["value"]
+
+
 def test_intrans_nim(capsys):
     code, out, _ = run_cli(
         capsys, "intrans", "--family", "subtraction_nim", "--n", "7", "--k", "2"
@@ -222,6 +237,21 @@ def test_run_bad_gamma_is_usage_error(capsys, gamma):
     assert code == 1
     assert out == ""
     assert "--gamma" in err
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--trace-every", ["run", "--mu", "4", "--gamma", "0.01", "--trace-every", "-1"]),
+        ("--triples", ["intrans", "--triples", "-5"]),
+        ("--triples", ["intrans", "--triples", "0"]),
+    ],
+)
+def test_negative_or_zero_count_is_usage_error(capsys, flag, argv):
+    code, out, err = run_cli(capsys, *argv, "--fixture", "fig1")
+    assert code == 1
+    assert out == ""
+    assert flag in err
 
 
 # --- analyze --model validation (exit 2, message names the vertex) ---------

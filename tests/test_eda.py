@@ -20,6 +20,7 @@ from coevo.eda import (
     restrict,
     _sample_choice_matrix,
     run_umda,
+    theorem_border,
     theorem_parameters,
     uniform_model,
 )
@@ -141,6 +142,14 @@ def test_restrict_matches_reference_bit_for_bit():
             expected = _restrict_reference(p, gamma).tobytes()
             assert q.tobytes() == expected
             assert restrict(p, gamma).tobytes() == expected
+
+
+def test_restrict_renormalises_unnormalised_input():
+    gamma = 0.01
+    for p in ([0.2, 0.2], [0.2, 0.2, 0.2], [3.0, 1.0, 0.0, 0.0]):
+        assert abs(restrict(np.array(p), gamma).sum() - 1.0) <= 1e-12
+    rows = np.array([[0.2, 0.2, 0.2], [2.0, 0.5, 0.0], [0.5, 0.25, 0.25]])
+    assert np.all(np.abs(restrict(rows, gamma).sum(axis=1) - 1.0) <= 1e-12)
 
 
 def test_generation_step_restriction_matches_reference():
@@ -396,6 +405,8 @@ def test_trace_snapshots(fig1):
     result = run_umda(fig1, cfg, trace_every=3)
     assert [t for t, _ in result.trace] == [3, 6, 9]
     assert set(result.trace[0][1]) == {"0", "1", "2", "3"}
+    with pytest.raises(ValueError, match="trace_every"):
+        run_umda(fig1, cfg, trace_every=-1)
 
 
 # --- population masks --------------------------------------------------------
@@ -427,7 +438,13 @@ def test_theorem_gamma_formula():
     gd = grundy_values(g)
     s_values = {v: 1 for v in range(g.n)}
     budget = theorem_parameters(g, gd, s_values)
-    assert budget.gamma == Fraction(1, 20 * 3 * 9)
+    assert budget.gamma == theorem_border(g) == Fraction(1, 20 * 3 * 9)
+    assert float(theorem_border(g)) == 1.0 / (20 * 3 * 9)
+
+
+def test_theorem_border_needs_a_move():
+    with pytest.raises(ValueError, match="no moves"):
+        theorem_border(build_graph({0: []}, root=0))
 
 
 def test_theorem_trivial_instantiation():
@@ -449,7 +466,7 @@ def test_theorem_fig1_budget(fig1):
     assert budget.s_hat == 1
     assert budget.s_bar == 2
     assert budget.mu_min == pytest.approx(3 * 300**3 * math.log(5))
-    assert not budget.desk_feasible()
+    assert budget.mu_min > 10**7
     # generation budget sums over the critical positions only
     assert budget.generation_budget_base == 300**0 + 300**1
     assert budget.eval_budget_base == 300 ** (2 + 3 * 2)

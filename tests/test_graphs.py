@@ -15,11 +15,10 @@ from coevo.graphs import (
     game_from_dict,
     game_to_dict,
     play,
-    play_from,
     strategy_space_size,
     to_dot,
 )
-from helpers import all_strategies, random_game
+from helpers import all_strategies, play_from, random_game
 
 FIG1_ADJ = {0: [1, 2, 4], 1: [2], 2: [3, 4], 3: [4], 4: []}
 

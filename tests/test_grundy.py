@@ -13,7 +13,7 @@ from coevo.grundy import (
     is_optimal_sufficient,
     mex,
 )
-from helpers import all_strategies, outcome_matrix_scalar, random_game
+from helpers import all_strategies, critical_positions_inclusive, outcome_matrix_scalar, random_game
 
 
 @pytest.mark.parametrize(
@@ -64,8 +64,8 @@ def test_critical_variant_flag():
     g = build_graph({2: [0, 1], 1: [], 0: []}, root=2)
     gd = grundy_values(g)
     assert gd.values == (0, 0, 1)
-    assert critical_positions(g, gd) == frozenset()
-    assert critical_positions(g, gd, variant="inclusive") == frozenset({2})
+    assert critical_positions(g, gd.values) == frozenset()
+    assert critical_positions_inclusive(g, gd.values) == frozenset({2})
 
 
 def test_sufficient_certificate(fig1):

@@ -13,12 +13,12 @@ from coevo.harness import (
     ExperimentConfig,
     describe_intransitivity_witness,
     intransitivity_search,
-    records_from_csv,
     records_to_csv,
     run_experiment,
     sweep_scaling,
     write_sweep,
 )
+from helpers import records_from_csv
 
 
 def _chain_config(**overrides):

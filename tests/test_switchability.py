@@ -8,11 +8,11 @@ from coevo.switchability import (
     depth,
     exact_switchability,
     is_switcher,
-    is_switcher_by_enumeration,
     switchability_profile,
+    switchability_reports,
     upper_bound_switchability,
 )
-from helpers import random_game
+from helpers import is_switcher_by_enumeration, random_game
 
 FIG2_SWITCHER = frozenset((b, 6) for b in range(1, 6))
 
@@ -210,3 +210,27 @@ def test_exact_le_bound_everywhere():
         for v in range(g.n):
             report = exact_switchability(g, v)
             assert report.exact <= upper_bound_switchability(g, v)
+
+
+def test_vertex_reports_match_profile_in_every_mode(fig1, fig2, fig3_top, fig3_bottom, fig4):
+    # One resolver serves the whole-graph profile and single vertices, so
+    # every mode, budget and fallback must agree between them. At edge
+    # limit 20 fig3_bottom (21 edges) exceeds the edge budget; nim n=14,
+    # k=2 at 25 edges exceeds only the candidate limit.
+    rng = np.random.default_rng(47)
+    corpus = [(g, 20) for g in (fig1, fig2, fig3_top, fig3_bottom, fig4)]
+    corpus += [(subtraction_nim(14, 2), 25)]
+    corpus += [(random_game(rng), 20) for _ in range(20)]
+    for g, edge_limit in corpus:
+        for mode in ("exact", "bound", "hybrid"):
+            try:
+                profile = switchability_profile(g, mode=mode, edge_limit=edge_limit)
+            except TooLarge:
+                assert mode == "exact"
+                with pytest.raises(TooLarge):
+                    switchability_reports(g, [g.root], mode, edge_limit)
+                continue
+            for v in range(g.n):
+                reports, used = switchability_reports(g, [v], mode, edge_limit)
+                assert used == profile.mode_used
+                assert reports == {v: profile.reports[v]}
