@@ -221,6 +221,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_switch(args) -> int:
     g, _ = _resolve_game(args)
     if args.vertex is not None:
+        if not 0 <= args.vertex < g.n:
+            raise UsageError(f"--vertex {args.vertex} outside the game's vertices 0..{g.n - 1}")
         reports, _ = switchability.switchability_reports(
             g, [args.vertex], mode=args.mode, edge_limit=args.edge_limit
         )

@@ -35,6 +35,7 @@ class MissingSwitchability(ValueError):
 
 
 RENORM_TOLERANCE = 1e-12
+COUNT_BLOCK = 2**18  # edge indices counted per bincount in generation_step
 
 
 @dataclass
@@ -134,21 +135,25 @@ def restrict(p, gamma):
     stays exact). A 2-D float array is restricted row by row; numpy sums
     each row of a C-contiguous matrix in the same order as the row alone,
     so every row comes out exactly as from a one-vector call. A float
-    result whose total is off 1 by more than 1e-12, as from an unnormalised
-    input, is renormalised: divided by its total.
+    input whose total is off 1 by more than 1e-12 is first normalised,
+    divided by its total, so the result still lies on the bordered simplex;
+    a row whose total is not positive raises ValueError.
     """
     size = p.shape[-1] if isinstance(p, np.ndarray) else len(p)
     if size and not gamma * size < 1:
         raise GammaTooLarge(f"gamma {gamma} too large for {size} outcomes")
     if isinstance(p, np.ndarray):
+        total = p.sum(axis=-1, keepdims=True)
+        off = np.abs(total - 1.0) > RENORM_TOLERANCE
+        if off.any():
+            if not (total > 0).all():
+                raise ValueError("restrict needs every row to have a positive total")
+            p = np.where(off, p / total, p)
         if size == 2:
-            out = np.clip(p, gamma, 1 - gamma)
-        else:
-            bplus = np.maximum(p - gamma, 0.0).sum(axis=-1, keepdims=True)
-            bminus = np.maximum(gamma - p, 0.0).sum(axis=-1, keepdims=True)
-            out = np.where(p <= gamma, gamma, gamma + (1 - bminus / bplus) * (p - gamma))
-        total = out.sum(axis=-1, keepdims=True)
-        return np.where(np.abs(total - 1.0) > RENORM_TOLERANCE, out / total, out)
+            return np.clip(p, gamma, 1 - gamma)
+        bplus = np.maximum(p - gamma, 0.0).sum(axis=-1, keepdims=True)
+        bminus = np.maximum(gamma - p, 0.0).sum(axis=-1, keepdims=True)
+        return np.where(p <= gamma, gamma, gamma + (1 - bminus / bplus) * (p - gamma))
     if size == 2:
         return [min(max(x, gamma), 1 - gamma) for x in p]
     bplus = beta_plus(p, gamma)
@@ -296,10 +301,16 @@ def generation_step(
     winners = np.where(outcome[None, :] == 1, cx, cy)
 
     # One count per edge: the winners' slot at v lands on edge offsets[v] + slot.
+    # Counting a block of rows at a time bounds the int64 edge indices to
+    # about COUNT_BLOCK entries; integer counts add exactly.
     interior = np.array(g.interior, dtype=np.int64)
     starts = g.offsets[interior]
-    edges = starts[:, None] + winners[interior]
-    flat = np.bincount(edges.ravel(), minlength=g.edge_count) / cfg.mu
+    counts = np.zeros(g.edge_count, dtype=np.int64)
+    block = max(1, COUNT_BLOCK // cfg.mu)
+    for lo in range(0, len(interior), block):
+        edges = starts[lo : lo + block, None] + winners[interior[lo : lo + block]]
+        counts += np.bincount(edges.ravel(), minlength=g.edge_count)
+    flat = counts / cfg.mu
     degrees = g.offsets[interior + 1] - starts
     for size in np.unique(degrees):
         rows = starts[degrees == size][:, None] + np.arange(size)

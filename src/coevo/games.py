@@ -190,14 +190,16 @@ def chomp(m: int) -> GameGraph:
     labels = {}
     for rows, i in index.items():
         moves = []
-        for row in range(1, m + 1):
-            for col in range(1, rows[row - 1] + 1):
-                if row == 1 and col == 1:
-                    continue
-                nxt = tuple(
-                    rows[r] if r < row - 1 else min(rows[r], col - 1) for r in range(m)
-                )
-                moves.append(index[nxt])
+        for row in range(m):
+            # The move at cell (row, c + 1) cuts this row and every row
+            # above it to at most ``c`` cells. Rows never grow upwards, so
+            # it shortens exactly rows ``row..j-1``, those longer than
+            # ``c``. Cutting the bottom row to nothing is the fatal move.
+            for c in range(row == 0, rows[row]):
+                j = row
+                while j < m and rows[j] > c:
+                    j += 1
+                moves.append(index[rows[:row] + (c,) * (j - row) + rows[j:]])
         adjacency[i] = moves
         labels[i] = ",".join(map(str, rows))
     return build_graph(adjacency, root=index[tuple([m] * m)], labels=labels)

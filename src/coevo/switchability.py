@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from . import grundy as _grundy
-from .graphs import GameGraph, Unreachable
+from .graphs import GameGraph
 
 
 class ForeignEdge(ValueError):
@@ -101,31 +101,47 @@ def is_switcher(g: GameGraph, edges: Iterable[tuple[int, int]], v: int) -> bool:
     return True
 
 
-def upper_bound_switchability(g: GameGraph, v: int) -> int:
-    """Shortest root-to-v path length; its edge set is always a v-switcher."""
-    if v == g.root:
-        return 0
-    dist = {g.root: 0}
+def root_distances(g: GameGraph) -> list[int]:
+    """Shortest root-to-vertex path length of every vertex, by one BFS.
+
+    The edge set of a shortest root-to-v path is always a v-switcher, so
+    ``root_distances(g)[v]`` is the path bound on v's switchability.
+    :func:`~coevo.graphs.build_graph` makes every vertex reachable, so
+    every entry is set.
+    """
+    dist = [-1] * g.n
+    dist[g.root] = 0
     queue = deque([g.root])
     while queue:
         u = queue.popleft()
         for w in g.succ[u]:
-            if w not in dist:
+            if dist[w] < 0:
                 dist[w] = dist[u] + 1
-                if w == v:
-                    return dist[w]
                 queue.append(w)
-    raise Unreachable(v)
+    return dist
 
 
-def path_bound_report(g: GameGraph, v: int) -> SwitchabilityReport:
-    """Report carrying only the shortest-root-path bound."""
+def _check_vertices(g: GameGraph, vertices: Iterable[int]) -> list[int]:
+    vertices = list(vertices)
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+    return vertices
+
+
+def upper_bound_switchability(g: GameGraph, v: int) -> int:
+    """Shortest root-to-v path length; its edge set is always a v-switcher.
+
+    Raises ValueError for a vertex outside ``0..n-1``.
+    """
+    _check_vertices(g, [v])
+    return root_distances(g)[v]
+
+
+def path_bound_report(v: int, bound: int) -> SwitchabilityReport:
+    """Report carrying only the shortest-root-path bound ``bound`` of ``v``."""
     return SwitchabilityReport(
-        vertex=v,
-        exact=None,
-        upper_bound=upper_bound_switchability(g, v),
-        witness=None,
-        method="path_bound",
+        vertex=v, exact=None, upper_bound=bound, witness=None, method="path_bound"
     )
 
 
@@ -179,9 +195,9 @@ def _candidates_by_depth(
     return branching, picks[:, order], best[g.root][order]
 
 
-def _search(g: GameGraph, v: int, candidates) -> SwitchabilityReport:
+def _search(g: GameGraph, v: int, candidates, ub: int) -> SwitchabilityReport:
+    """Shallowest candidate that switches ``v``, scanned up to depth ``ub``."""
     branching, picks, depths = candidates
-    ub = upper_bound_switchability(g, v)
     for c in range(np.searchsorted(depths, ub, side="right")):
         pairs = zip(branching, picks[:, c].tolist())
         edges = frozenset((u, g.succ[u][k - 1]) for u, k in pairs if k)
@@ -189,7 +205,7 @@ def _search(g: GameGraph, v: int, candidates) -> SwitchabilityReport:
             return SwitchabilityReport(
                 vertex=v, exact=int(depths[c]), upper_bound=ub, witness=edges, method="exact_search"
             )
-    return path_bound_report(g, v)
+    return path_bound_report(v, ub)
 
 
 def exact_switchability(
@@ -202,7 +218,7 @@ def exact_switchability(
     guarantees a hit for every reachable vertex; the path-bound fallback
     only covers defensive completeness.
     """
-    return _search(g, v, _candidates_by_depth(g, edge_limit))
+    return _search(g, v, _candidates_by_depth(g, edge_limit), upper_bound_switchability(g, v))
 
 
 def switchability_reports(
@@ -214,9 +230,13 @@ def switchability_reports(
     when the graph exceeds ``edge_limit`` edges or the candidate limit.
     ``"bound"`` reports the shortest-root-path bound. ``"hybrid"`` searches
     exactly when both budgets fit and otherwise falls back to the bound.
+    One BFS from the root gives every vertex's bound. Raises ValueError
+    for a vertex outside ``0..n-1``.
     """
     if mode not in ("exact", "bound", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
+    vertices = _check_vertices(g, vertices)
+    dist = root_distances(g)
     if mode != "bound":
         try:
             candidates = _candidates_by_depth(g, edge_limit)
@@ -224,8 +244,8 @@ def switchability_reports(
             if mode == "exact":
                 raise
         else:
-            return {v: _search(g, v, candidates) for v in vertices}, "exact_search"
-    return {v: path_bound_report(g, v) for v in vertices}, "path_bound"
+            return {v: _search(g, v, candidates, dist[v]) for v in vertices}, "exact_search"
+    return {v: path_bound_report(v, dist[v]) for v in vertices}, "path_bound"
 
 
 def switchability_profile(

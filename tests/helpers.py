@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -142,6 +143,24 @@ def is_switcher_by_enumeration(
     g: GameGraph, edges: Iterable[tuple[int, int]], v: int
 ) -> bool:
     return all(v in path for path in compatible_sink_paths(g, edges))
+
+
+def upper_bound_switchability_per_vertex(g: GameGraph, v: int) -> int:
+    """Shortest root-to-v path length by a BFS that stops at ``v``: the
+    per-vertex reference for :func:`coevo.switchability.root_distances`."""
+    if v == g.root:
+        return 0
+    dist = {g.root: 0}
+    queue = deque([g.root])
+    while queue:
+        u = queue.popleft()
+        for w in g.succ[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                if w == v:
+                    return dist[w]
+                queue.append(w)
+    raise AssertionError(f"vertex {v} is not reachable from the root")
 
 
 def records_from_csv(text: str) -> list[ExperimentRecord]:

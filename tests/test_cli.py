@@ -254,6 +254,18 @@ def test_negative_or_zero_count_is_usage_error(capsys, flag, argv):
     assert flag in err
 
 
+@pytest.mark.parametrize("vertex", ["5", "99", "-1"])
+@pytest.mark.parametrize("mode", ["exact", "bound", "hybrid"])
+def test_switch_vertex_outside_the_game_is_usage_error(capsys, vertex, mode):
+    code, out, err = run_cli(
+        capsys, "switch", "--fixture", "fig1", "--vertex", vertex, "--mode", mode
+    )
+    assert code == 1
+    assert out == ""
+    assert f"--vertex {vertex}" in err
+    assert "0..4" in err
+
+
 # --- analyze --model validation (exit 2, message names the vertex) ---------
 
 def _analyze_with(capsys, tmp_path, dists):

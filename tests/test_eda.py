@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from coevo import eda
 from coevo.eda import (
     GammaTooLarge,
     MissingSwitchability,
@@ -145,14 +146,23 @@ def test_restrict_matches_reference_bit_for_bit():
 
 
 def test_restrict_renormalises_unnormalised_input():
+    # The result lies on the gamma-bordered simplex: sum 1, every entry at
+    # least gamma, also where the input's total is off 1.
     gamma = 0.01
     for p in ([0.2, 0.2], [0.2, 0.2, 0.2], [3.0, 1.0, 0.0, 0.0]):
-        assert abs(restrict(np.array(p), gamma).sum() - 1.0) <= 1e-12
-    rows = np.array([[0.2, 0.2, 0.2], [2.0, 0.5, 0.0], [0.5, 0.25, 0.25]])
-    assert np.all(np.abs(restrict(rows, gamma).sum(axis=1) - 1.0) <= 1e-12)
+        out = restrict(np.array(p), gamma)
+        assert abs(out.sum() - 1.0) <= 1e-12
+        assert np.all(out >= gamma)
+    rows = np.array([[0.2, 0.2, 0.2], [2.0, 0.5, 0.0], [0.5, 0.25, 0.25], [3.0, 0.0, 0.0]])
+    out = restrict(rows, gamma)
+    assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-12)
+    assert np.all(out >= gamma)
+    for p in ([0.0, 0.0, 0.0], [[0.5, 0.5], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="positive total"):
+            restrict(np.array(p), gamma)
 
 
-def test_generation_step_restriction_matches_reference():
+def _check_update_matches_reference():
     # Every row of the all-rows update equals the one-vector restriction of
     # that row's winner frequencies, to the last bit.
     g = chomp(4)  # degrees 1 to 15
@@ -166,6 +176,17 @@ def test_generation_step_restriction_matches_reference():
             q = np.bincount(population.choices[v], minlength=len(g.succ[v])) / cfg.mu
             assert new_model.dists[v].tobytes() == _restrict_reference(q, gamma).tobytes()
         model = new_model
+
+
+def test_generation_step_restriction_matches_reference():
+    _check_update_matches_reference()  # mu=300 counts every row in one block
+
+
+@pytest.mark.parametrize("count_block", [1000, 1])
+def test_generation_step_counts_in_blocks(monkeypatch, count_block):
+    # Blocks of 3 rows, which cross degree groups, and of 1 row.
+    monkeypatch.setattr(eda, "COUNT_BLOCK", count_block)
+    _check_update_matches_reference()
 
 
 def test_beta_identity():

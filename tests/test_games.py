@@ -1,3 +1,5 @@
+import hashlib
+import json
 from math import comb
 
 import numpy as np
@@ -144,6 +146,25 @@ def test_chomp_rows_monotone():
         rows = [int(x) for x in g.label(v).split(",")]
         assert rows == sorted(rows, reverse=True)
         assert any(rows)
+
+
+# SHA-256 of each chomp graph's successor lists, root, labels and reverse
+# topological order, captured before the successor loop was rewritten.
+CHOMP_DIGESTS = {
+    1: "65685706ff80c4f114f4c2930871ae54b50154d03d06bb0744526bb63afe7f2b",
+    2: "87d73e918ef0124abdf9a6ed612e692f99605cb0e6bc145ea6bf656d6dafcef1",
+    3: "5dc68c457ac798a27ee6b6f4cdbdfb6828ff072be5f94b660130bc07847cff22",
+    4: "429c1aede39853b29eb6156c72f948cbb863236f134e04c3c4a5c35c616e7d5e",
+    5: "c13a408a3075817bae0832ea67b4a484b69952f2ee8e9ac76d48ff339bcb4bb7",
+    6: "be5cd1b156563fa5111a0cd20074887a47f1dd79f4bec4e80e65f6dc26a40b3d",
+}
+
+
+@pytest.mark.parametrize("m", sorted(CHOMP_DIGESTS))
+def test_chomp_graph_pinned(m):
+    g = chomp(m)
+    payload = {"succ": g.succ, "root": g.root, "labels": g.labels, "reverse_topo": g.reverse_topo}
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == CHOMP_DIGESTS[m]
 
 
 def test_desk_scale_guard():

@@ -1,18 +1,31 @@
 import numpy as np
 import pytest
 
-from coevo.games import FIXTURE_MARKED, subtraction_nim
+from coevo.games import (
+    FIXTURE_MARKED,
+    FIXTURE_NAMES,
+    chomp,
+    fixture,
+    silver_dollar,
+    subtraction_nim,
+    turning_turtles,
+)
 from coevo.switchability import (
     ForeignEdge,
     TooLarge,
     depth,
     exact_switchability,
     is_switcher,
+    root_distances,
     switchability_profile,
     switchability_reports,
     upper_bound_switchability,
 )
-from helpers import is_switcher_by_enumeration, random_game
+from helpers import (
+    is_switcher_by_enumeration,
+    random_game,
+    upper_bound_switchability_per_vertex,
+)
 
 FIG2_SWITCHER = frozenset((b, 6) for b in range(1, 6))
 
@@ -125,9 +138,34 @@ def test_upper_bound():
         assert upper_bound_switchability(g, v) == -(-(11 - v) // 3)
 
 
-def test_upper_bound_chomp_row_by_row():
-    from coevo.games import chomp
+def test_one_bfs_bounds_match_per_vertex_reference():
+    # One root BFS serves every path bound: each of its distances, the
+    # single-vertex lookup and the bound-mode reports must equal a BFS
+    # that runs from the root to that vertex alone.
+    rng = np.random.default_rng(59)
+    corpus = [fixture(name) for name in FIXTURE_NAMES]
+    corpus += [subtraction_nim(8, 2), subtraction_nim(12, 3), subtraction_nim(14, 2)]
+    corpus += [subtraction_nim(40, 2), chomp(3), chomp(4), silver_dollar(7, 3), turning_turtles(5)]
+    corpus += [random_game(rng) for _ in range(50)]
+    for g in corpus:
+        expected = [upper_bound_switchability_per_vertex(g, v) for v in range(g.n)]
+        assert root_distances(g) == expected
+        assert [upper_bound_switchability(g, v) for v in range(g.n)] == expected
+        reports, used = switchability_reports(g, range(g.n), mode="bound")
+        assert used == "path_bound"
+        assert [reports[v].upper_bound for v in range(g.n)] == expected
 
+
+@pytest.mark.parametrize("vertex", [-1, 5, 99])
+def test_vertex_outside_the_graph_is_rejected(fig1, vertex):
+    with pytest.raises(ValueError, match=f"vertex {vertex} outside 0..4"):
+        upper_bound_switchability(fig1, vertex)
+    for mode in ("exact", "bound", "hybrid"):
+        with pytest.raises(ValueError, match=f"vertex {vertex} outside 0..4"):
+            switchability_reports(fig1, [0, vertex], mode)
+
+
+def test_upper_bound_chomp_row_by_row():
     g = chomp(3)
     assert all(upper_bound_switchability(g, v) <= 3 for v in range(g.n))
 
