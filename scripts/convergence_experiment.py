@@ -13,18 +13,20 @@ Usage:
 import argparse
 from collections import defaultdict
 
+from coevo.cli import mu_grid, nonnegative_int, positive_int
+from coevo.eda import STOP_RULES
 from coevo.games import GameSpec
 from coevo.harness import ExperimentConfig, run_experiment, write_records
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", type=int, default=16)
-    parser.add_argument("--k", type=int, default=2)
-    parser.add_argument("--mu-grid", default="256,1024,4096")
-    parser.add_argument("--replicates", type=int, default=20)
-    parser.add_argument("--seed", type=int, default=160216)
-    parser.add_argument("--max-gen", type=int, default=10_000)
+    parser.add_argument("--n", type=positive_int, default=16)
+    parser.add_argument("--k", type=positive_int, default=2)
+    parser.add_argument("--mu-grid", type=mu_grid, default="256,1024,4096")
+    parser.add_argument("--replicates", type=positive_int, default=20)
+    parser.add_argument("--seed", type=nonnegative_int, default=160216)
+    parser.add_argument("--max-gen", type=positive_int, default=10_000)
     parser.add_argument("--stop", choices=("exact", "sufficient"), default="exact")
     parser.add_argument("--out", default="convergence.csv")
     parser.add_argument("--timings", action="store_true")
@@ -32,12 +34,12 @@ def main() -> None:
 
     cfg = ExperimentConfig(
         game=GameSpec("subtraction_nim", {"n": args.n, "k": args.k}),
-        mu_grid=tuple(int(m) for m in args.mu_grid.split(",")),
+        mu_grid=args.mu_grid,
         gamma_rule="theorem",
         replicates=args.replicates,
         base_seed=args.seed,
         max_generations=args.max_gen,
-        stop_rule="exact_optimal" if args.stop == "exact" else "sufficient_optimal",
+        stop_rule=STOP_RULES[args.stop],
     )
     records = run_experiment(cfg)
     write_records(args.out, records, include_timings=args.timings)

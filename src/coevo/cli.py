@@ -15,56 +15,51 @@ import sys
 import numpy as np
 
 from . import eda, grundy, harness, oracles, switchability
-from .games import FIXTURE_NAMES, GameSpec
+from .games import FAMILIES, FIXTURE_NAMES, BadParams, GameSpec
 from .graphs import game_to_dict, load_game, save_game, to_dot
 from .ioutil import atomic_write_text
 
-_FAMILY_PARAMS = {
-    "subtraction_nim": ("n", "k"),
-    "silver_dollar": ("m", "k"),
-    "turning_turtles": ("m",),
-    "chomp": ("m",),
-}
-
-_STOP_RULES = {
-    "exact": "exact_optimal",
-    "sufficient": "sufficient_optimal",
-    "cap": "generation_cap_only",
-}
+#: Families given by ``--family`` with their integer parameters, and the
+#: parameter flags in order of first use (``--n``, ``--k``, ``--m``).
+_GAME_FAMILIES = {name: params for name, (_, params) in FAMILIES.items() if name != "fixture"}
+_PARAM_FLAGS = tuple(dict.fromkeys(p for params in _GAME_FAMILIES.values() for p in params))
 
 
-def _add_game_arguments(parser: argparse.ArgumentParser, with_fixture: bool = True):
+def _add_game_arguments(parser: argparse.ArgumentParser):
     parser.add_argument("--game", help="path to a game JSON file")
-    parser.add_argument("--family", choices=sorted(_FAMILY_PARAMS))
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--m", type=int)
-    if with_fixture:
-        parser.add_argument("--fixture", choices=FIXTURE_NAMES)
+    parser.add_argument("--family", choices=sorted(_GAME_FAMILIES))
+    for name in _PARAM_FLAGS:
+        parser.add_argument(f"--{name}", type=int)
+    parser.add_argument("--fixture", choices=FIXTURE_NAMES)
+
+
+def _add_gamma_arguments(parser: argparse.ArgumentParser):
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--gamma", type=_border)
+    group.add_argument("--gamma-theorem", action="store_true")
+
+
+def _spec(family: str, params: dict, source: str) -> GameSpec:
+    try:
+        return GameSpec(family, params)
+    except BadParams as exc:
+        raise UsageError(f"{source}: {exc}") from None
 
 
 def _resolve_game(args) -> tuple:
-    """Returns (graph, spec-or-None). Exactly one source must be given."""
-    sources = [
-        bool(getattr(args, "game", None)),
-        bool(getattr(args, "family", None)),
-        bool(getattr(args, "fixture", None)),
-    ]
-    if sum(sources) != 1:
+    """Returns (graph, spec-or-None). Exactly one source must be given, and
+    only the parameter flags that source takes."""
+    if sum(map(bool, (args.game, args.family, args.fixture))) != 1:
         raise UsageError("give exactly one of --game, --family, or --fixture")
-    if getattr(args, "fixture", None):
-        spec = GameSpec("fixture", {"name": args.fixture})
+    params = {name: getattr(args, name) for name in _PARAM_FLAGS if getattr(args, name) is not None}
+    if args.family:
+        spec = _spec(args.family, params, "--family")
         return spec.build(), spec
+    if params:
+        raise UsageError(f"--{'game' if args.game else 'fixture'} takes no --{next(iter(params))}")
     if args.game:
         return load_game(args.game), None
-    wanted = _FAMILY_PARAMS[args.family]
-    params = {}
-    for name in wanted:
-        value = getattr(args, name, None)
-        if value is None:
-            raise UsageError(f"--family {args.family} needs --{name}")
-        params[name] = value
-    spec = GameSpec(args.family, params)
+    spec = GameSpec("fixture", {"name": args.fixture})
     return spec.build(), spec
 
 
@@ -78,16 +73,16 @@ def _int_at_least(low: int, text: str) -> int:
     return int(text)
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
     return _int_at_least(1, text)
 
 
-def _nonnegative_int(text: str) -> int:
+def nonnegative_int(text: str) -> int:
     return _int_at_least(0, text)
 
 
-def _mu_grid(text: str) -> tuple[int, ...]:
-    grid = tuple(_positive_int(m) for m in text.split(","))
+def mu_grid(text: str) -> tuple[int, ...]:
+    grid = tuple(positive_int(m) for m in text.split(","))
     if list(grid) != sorted(grid):
         raise argparse.ArgumentTypeError(f"expected ascending values, got {text!r}")
     return grid
@@ -105,9 +100,12 @@ def _instances(text: str) -> list[dict]:
     for chunk in text.split(";"):
         pairs = [pair.partition("=") for pair in chunk.split(",")]
         try:
-            grid.append({key.strip(): int(value) for key, _, value in pairs})
+            params = {key.strip(): int(value) for key, _, value in pairs}
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected KEY=INT pairs, got {chunk!r}") from None
+        if len(params) != len(pairs):
+            raise argparse.ArgumentTypeError(f"expected each key once, got {chunk!r}")
+        grid.append(params)
     return grid
 
 
@@ -154,8 +152,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.gamma is None and not args.gamma_theorem:
-        raise UsageError("give --gamma VALUE or --gamma-theorem")
     g, spec = _resolve_game(args)
     run_game = grundy.ensure_first_player_win(g)
     extended = run_game is not g
@@ -165,7 +161,7 @@ def _cmd_run(args) -> int:
         gamma=gamma,
         max_generations=args.max_gen,
         seed=args.seed,
-        stop_rule=_STOP_RULES[args.stop],
+        stop_rule=eda.STOP_RULES[args.stop],
     )
     result = eda.run_umda(run_game, cfg, trace_every=args.trace_every)
     witness = None
@@ -199,18 +195,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.gamma is None and not args.gamma_theorem:
-        raise UsageError("give --gamma VALUE or --gamma-theorem")
+    games = [_spec(args.family, params, "--instances") for params in args.instances]
     template = harness.ExperimentConfig(
-        game=GameSpec(args.family, args.instances[0]),
+        game=games[0],
         mu_grid=args.mu_grid,
         gamma_rule="theorem" if args.gamma_theorem else args.gamma,
         replicates=args.replicates,
         base_seed=args.seed,
         max_generations=args.max_gen,
-        stop_rule=_STOP_RULES[args.stop],
+        stop_rule=eda.STOP_RULES[args.stop],
     )
-    summary = harness.sweep_scaling(args.family, args.instances, template)
+    summary = harness.sweep_scaling(games, template)
     csv_path, plot_path = harness.write_sweep(
         args.out_dir, summary, include_timings=args.timings
     )
@@ -315,26 +310,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the self-play optimiser once")
     _add_game_arguments(p)
-    p.add_argument("--mu", type=_positive_int, required=True)
-    p.add_argument("--gamma", type=_border)
-    p.add_argument("--gamma-theorem", action="store_true")
-    p.add_argument("--max-gen", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stop", choices=tuple(_STOP_RULES), default="exact")
-    p.add_argument("--trace-every", type=_nonnegative_int, default=0)
+    p.add_argument("--mu", type=positive_int, required=True)
+    _add_gamma_arguments(p)
+    p.add_argument("--max-gen", type=positive_int, default=10_000)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
+    p.add_argument("--stop", choices=tuple(eda.STOP_RULES), default="exact")
+    p.add_argument("--trace-every", type=nonnegative_int, default=0)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("sweep", help="replicate grid across game instances")
-    p.add_argument("--family", choices=sorted(_FAMILY_PARAMS), required=True)
+    p.add_argument("--family", choices=sorted(_GAME_FAMILIES), required=True)
     p.add_argument("--instances", type=_instances, required=True, help='e.g. "n=8,k=2;n=16,k=2"')
-    p.add_argument("--mu-grid", type=_mu_grid, required=True, help='e.g. "256,1024"')
-    p.add_argument("--replicates", type=_positive_int, default=5)
-    p.add_argument("--gamma", type=_border)
-    p.add_argument("--gamma-theorem", action="store_true")
-    p.add_argument("--max-gen", type=_positive_int, default=10_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stop", choices=tuple(_STOP_RULES), default="exact")
+    p.add_argument("--mu-grid", type=mu_grid, required=True, help='e.g. "256,1024"')
+    p.add_argument("--replicates", type=positive_int, default=5)
+    _add_gamma_arguments(p)
+    p.add_argument("--max-gen", type=positive_int, default=10_000)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
+    p.add_argument("--stop", choices=tuple(eda.STOP_RULES), default="exact")
     p.add_argument("--timings", action="store_true", help="include wall_ms in the CSV")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=_cmd_sweep)
@@ -343,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_game_arguments(p)
     p.add_argument("--vertex", type=int)
     p.add_argument("--mode", choices=("exact", "bound", "hybrid"), default="hybrid")
-    p.add_argument("--edge-limit", type=int, default=20)
+    p.add_argument("--edge-limit", type=nonnegative_int, default=20)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_switch)
 
@@ -355,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("intrans", help="search for an intransitive strategy triple")
     _add_game_arguments(p)
-    p.add_argument("--triples", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--triples", type=positive_int, default=1000)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_intrans)
 

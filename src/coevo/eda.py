@@ -35,6 +35,14 @@ class MissingSwitchability(ValueError):
 
 
 RENORM_TOLERANCE = 1e-12
+#: Stop rules by their command-line name: stop at the first exactly
+#: optimal winner, at the first winner that passes the critical-position
+#: certificate, or only at the generation cap.
+STOP_RULES = {
+    "exact": "exact_optimal",
+    "sufficient": "sufficient_optimal",
+    "cap": "generation_cap_only",
+}
 COUNT_BLOCK = 2**18  # edge indices counted per bincount in generation_step
 
 
@@ -66,18 +74,14 @@ class UmdaConfig:
     gamma: float
     max_generations: int
     seed: int
-    stop_rule: str = "exact_optimal"  # exact_optimal | sufficient_optimal | generation_cap_only
+    stop_rule: str = "exact_optimal"  # a value of STOP_RULES
 
     def __post_init__(self):
         if self.mu < 1:
             raise ValueError("mu must be at least 1")
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and at least 0, got {self.gamma}")
-        if self.stop_rule not in (
-            "exact_optimal",
-            "sufficient_optimal",
-            "generation_cap_only",
-        ):
+        if self.stop_rule not in STOP_RULES.values():
             raise ValueError(f"unknown stop rule {self.stop_rule!r}")
 
 

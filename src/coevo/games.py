@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import GameGraph, Strategy, build_graph, load_game
+from .graphs import GameGraph, Strategy, build_graph
 
 MAX_VERTICES = 2**22
 
@@ -38,25 +38,31 @@ class IllegalMove(ValueError):
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Family name plus its integer parameters; buildable on demand."""
+    """Family name plus its parameters, checked against :data:`FAMILIES`.
+
+    Construction raises :class:`BadParams` naming an unknown family or the
+    first missing or unexpected parameter; :meth:`build` constructs the game.
+    """
 
     family: str
     params: dict
 
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            known = ", ".join(FAMILIES)
+            raise BadParams(f"unknown family {self.family!r}; expected one of {known}")
+        wanted = FAMILIES[self.family][1]
+        for name in wanted:
+            if name not in self.params:
+                raise BadParams(f"{self.family} needs parameter {name}")
+        for name in self.params:
+            if name not in wanted:
+                takes = ", ".join(wanted)
+                raise BadParams(f"{self.family} takes no parameter {name}; it takes {takes}")
+
     def build(self) -> GameGraph:
-        if self.family == "subtraction_nim":
-            return subtraction_nim(self.params["n"], self.params["k"])
-        if self.family == "silver_dollar":
-            return silver_dollar(self.params["m"], self.params["k"])
-        if self.family == "turning_turtles":
-            return turning_turtles(self.params["m"])
-        if self.family == "chomp":
-            return chomp(self.params["m"])
-        if self.family == "fixture":
-            return fixture(self.params["name"])
-        if self.family == "custom":
-            return load_game(self.params["path"])
-        raise BadParams(f"unknown family {self.family!r}")
+        make, names = FAMILIES[self.family]
+        return make(*(self.params[name] for name in names))
 
     def params_string(self) -> str:
         return ";".join(f"{k}={self.params[k]}" for k in sorted(self.params))
@@ -271,6 +277,18 @@ def fixture(name: str) -> GameGraph:
     if name == "chain3":
         return build_graph({0: [1], 1: [2], 2: [3], 3: []}, root=0)
     raise UnknownFixture(f"unknown fixture {name!r}")
+
+
+#: Every buildable game: family name -> (constructor, parameter names in
+#: the constructor's argument order). ``fixture`` is the only family whose
+#: parameter is a name rather than an integer.
+FAMILIES = {
+    "subtraction_nim": (subtraction_nim, ("n", "k")),
+    "silver_dollar": (silver_dollar, ("m", "k")),
+    "turning_turtles": (turning_turtles, ("m",)),
+    "chomp": (chomp, ("m",)),
+    "fixture": (fixture, ("name",)),
+}
 
 
 # ---------------------------------------------------------------------------

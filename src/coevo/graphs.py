@@ -283,9 +283,9 @@ def load_game(path) -> GameGraph:
         return game_from_dict(json.load(fh))
 
 
-def to_dot(g: GameGraph, name: str = "game") -> str:
+def to_dot(g: GameGraph) -> str:
     """DOT rendering for visual inspection; the root is double-circled."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph game {"]
     for v in range(g.n):
         shape = ", shape=doublecircle" if v == g.root else ""
         lines.append(f'  {v} [label="{g.label(v)}"{shape}];')

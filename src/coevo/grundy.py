@@ -31,7 +31,6 @@ class GrundyData:
 
     values: tuple[int, ...]
     zero_set: frozenset[int]
-    nonzero_set: frozenset[int]
     critical: frozenset[int]
 
 
@@ -67,11 +66,9 @@ def grundy_values(g: GameGraph) -> GrundyData:
         h[v] = m
     values = tuple(h)
     zero = frozenset(v for v in range(g.n) if values[v] == 0)
-    nonzero = frozenset(v for v in range(g.n) if values[v] != 0)
     return GrundyData(
         values=values,
         zero_set=zero,
-        nonzero_set=nonzero,
         critical=critical_positions(g, values),
     )
 

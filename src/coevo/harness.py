@@ -158,51 +158,27 @@ class SweepSummary:
     plot: dict
 
 
-def sweep_scaling(
-    family: str,
-    param_grid: Sequence[dict],
-    cfg_template: ExperimentConfig,
-) -> SweepSummary:
+def sweep_scaling(games: Sequence[GameSpec], cfg_template: ExperimentConfig) -> SweepSummary:
     """Run one experiment per instance and summarise scaling against n.
 
-    The plot description carries one series of median evaluations per
-    population size (failed replicates count at their capped cost) plus
-    the theorem-shaped evaluation budget curve, on log-log axes.
+    Instance ``i`` runs ``cfg_template`` on ``games[i]`` with a base seed
+    derived from the template's and ``i``. The plot description carries
+    one series of median evaluations per population size (failed
+    replicates count at their capped cost) plus the theorem-shaped
+    evaluation budget curve, on log-log axes, with one point per instance
+    from that instance's own records.
     """
-    all_records: list[ExperimentRecord] = []
-    for instance_index, params in enumerate(param_grid):
-        spec = GameSpec(family=family, params=dict(params))
-        cfg = replace(
-            cfg_template,
-            game=spec,
-            base_seed=_derive_seed(cfg_template.base_seed, instance_index),
-        )
-        all_records.extend(run_experiment(cfg))
-
+    runs = []
+    for i, spec in enumerate(games):
+        seed = _derive_seed(cfg_template.base_seed, i)
+        runs.append(run_experiment(replace(cfg_template, game=spec, base_seed=seed)))
+    xs = [records[0].n for records in runs]
     series = []
     for mu in cfg_template.mu_grid:
-        xs, ys = [], []
-        for params in param_grid:
-            spec = GameSpec(family=family, params=dict(params))
-            rows = [
-                r
-                for r in all_records
-                if r.mu == mu and r.params == spec.params_string()
-            ]
-            if rows:
-                xs.append(rows[0].n)
-                ys.append(float(np.median([r.evaluations for r in rows])))
+        ys = [float(np.median([r.evaluations for r in records if r.mu == mu])) for records in runs]
         series.append({"name": f"median-evaluations-mu{mu}", "x": xs, "y": ys})
-
-    xs, ys = [], []
-    for params in param_grid:
-        spec = GameSpec(family=family, params=dict(params))
-        rows = [r for r in all_records if r.params == spec.params_string()]
-        if rows:
-            xs.append(rows[0].n)
-            ys.append(rows[0].theorem_eval_budget)
-    series.append({"name": "theorem-budget", "x": xs, "y": ys})
-
+    budgets = [records[0].theorem_eval_budget for records in runs]
+    series.append({"name": "theorem-budget", "x": xs, "y": budgets})
     plot = {
         "series": series,
         "xlabel": "n",
@@ -210,7 +186,7 @@ def sweep_scaling(
         "xscale": "log",
         "yscale": "log",
     }
-    return SweepSummary(records=all_records, plot=plot)
+    return SweepSummary(records=[r for records in runs for r in records], plot=plot)
 
 
 def write_sweep(out_dir, summary: SweepSummary, include_timings: bool = False) -> tuple[str, str]:
@@ -235,20 +211,15 @@ def intransitivity_search(
     g: GameGraph,
     triples: int = 1000,
     rng: np.random.Generator | None = None,
-    exhaustive: bool | None = None,
 ) -> tuple[Strategy, Strategy, Strategy] | None:
     """Find strategies a, b, c with a > b > c > a, each dominance meaning
     a win both as first and as second mover.
 
     Exhaustive over the whole strategy space when it has at most 64
-    members (or when forced); otherwise samples random triples from the
+    members; otherwise samples ``triples`` random triples from the
     uniform model.
     """
-    size = strategy_space_size(g)
-    if exhaustive is None:
-        exhaustive = size <= 64
-
-    if exhaustive:
+    if strategy_space_size(g) <= 64:
         strategies = list(enumerate_strategies(g))
         m = len(strategies)
         beats = [[False] * m for _ in range(m)]

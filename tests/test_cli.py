@@ -205,21 +205,30 @@ def test_sweep_without_gamma_is_usage_error(capsys, tmp_path):
     assert "--gamma" in err
 
 
-@pytest.mark.parametrize("instances", ["n=8,k", "n=x"])
+@pytest.mark.parametrize("instances", ["n=8,k", "n=x", "n=8,k=2;n=8,k=2,m=3", "n=8,k=2,n=9"])
 def test_sweep_bad_instances_is_usage_error(capsys, tmp_path, instances):
     code, _, err = run_cli(capsys, *_sweep_argv(tmp_path, **{"--instances": instances}))
     assert code == 1
     assert "--instances" in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--mu-grid", "0"), ("--mu-grid", "64,32"), ("--replicates", "0"), ("--max-gen", "0")],
+    [
+        ("--mu-grid", "0"),
+        ("--mu-grid", "64,32"),
+        ("--replicates", "0"),
+        ("--max-gen", "0"),
+        ("--seed", "-1"),
+        ("--gamma", "0.01"),  # given together with --gamma-theorem
+    ],
 )
 def test_sweep_bad_count_is_usage_error(capsys, tmp_path, flag, value):
     code, _, err = run_cli(capsys, *_sweep_argv(tmp_path, **{flag: value}))
     assert code == 1
     assert flag in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -245,6 +254,11 @@ def test_run_bad_gamma_is_usage_error(capsys, gamma):
         ("--trace-every", ["run", "--mu", "4", "--gamma", "0.01", "--trace-every", "-1"]),
         ("--triples", ["intrans", "--triples", "-5"]),
         ("--triples", ["intrans", "--triples", "0"]),
+        ("--seed", ["run", "--mu", "4", "--gamma", "0.01", "--seed", "-1"]),
+        ("--seed", ["intrans", "--seed", "-1"]),
+        ("--edge-limit", ["switch", "--mode", "exact", "--edge-limit", "-5"]),
+        ("--edge-limit", ["switch", "--mode", "hybrid", "--edge-limit", "-5"]),
+        ("--gamma", ["run", "--mu", "4", "--gamma", "0.01", "--gamma-theorem"]),
     ],
 )
 def test_negative_or_zero_count_is_usage_error(capsys, flag, argv):
@@ -252,6 +266,41 @@ def test_negative_or_zero_count_is_usage_error(capsys, flag, argv):
     assert code == 1
     assert out == ""
     assert flag in err
+
+
+@pytest.mark.parametrize(
+    "message, argv",
+    [
+        (
+            "--family: chomp takes no parameter k",
+            ["run", "--family", "chomp", "--m", "3", "--k", "5", "--mu", "4", "--gamma", "0.01"],
+        ),
+        (
+            "--family: subtraction_nim needs parameter k",
+            ["solve", "--family", "subtraction_nim", "--n", "8"],
+        ),
+        (
+            "--instances: chomp takes no parameter k",
+            ["sweep", "--family", "chomp", "--instances", "m=3,k=9"],
+        ),
+        (
+            "--instances: chomp needs parameter m",
+            ["sweep", "--family", "chomp", "--instances", "n=4"],
+        ),
+        ("--fixture takes no --n", ["gen", "--fixture", "fig1", "--n", "3"]),
+        ("--game takes no --k", ["solve", "--game", "game.json", "--k", "2"]),
+    ],
+)
+def test_game_parameter_mismatch_is_usage_error(capsys, tmp_path, message, argv):
+    if argv[0] == "sweep":
+        argv = argv + ["--mu-grid", "8", "--gamma-theorem", "--out-dir", str(tmp_path / "out")]
+    else:
+        argv = argv + ["--out", str(tmp_path / "out.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("vertex", ["5", "99", "-1"])

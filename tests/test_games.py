@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from coevo.games import (
     BadChar,
     BadLength,
+    FAMILIES,
     BadParams,
     FIXTURE_MARKED,
     GameSpec,
@@ -220,8 +221,30 @@ def test_gamespec_build_round_trip():
     spec = GameSpec("chomp", {"m": 2})
     assert spec.build().n == 5
     assert spec.params_string() == "m=2"
+    with pytest.raises(BadParams, match="unknown family 'checkers'"):
+        GameSpec("checkers", {})
+    with pytest.raises(BadParams, match="chomp needs parameter m"):
+        GameSpec("chomp", {"n": 4})
+    with pytest.raises(BadParams, match="chomp takes no parameter k"):
+        GameSpec("chomp", {"m": 3, "k": 9})
+    with pytest.raises(BadParams, match="subtraction_nim needs parameter k"):
+        GameSpec("subtraction_nim", {"n": 4})
+
+
+def test_every_family_builds_from_the_table():
+    examples = {
+        "subtraction_nim": ({"n": 7, "k": 2}, subtraction_nim(7, 2)),
+        "silver_dollar": ({"m": 5, "k": 2}, silver_dollar(5, 2)),
+        "turning_turtles": ({"m": 3}, turning_turtles(3)),
+        "chomp": ({"m": 3}, chomp(3)),
+        "fixture": ({"name": "fig1"}, fixture("fig1")),
+    }
+    assert set(examples) == set(FAMILIES)
+    for family, (params, expected) in examples.items():
+        g = GameSpec(family, params).build()
+        assert (g.succ, g.root, g.labels) == (expected.succ, expected.root, expected.labels)
     with pytest.raises(BadParams):
-        GameSpec("checkers", {}).build()
+        GameSpec("chomp", {"m": 0}).build()  # names pass, the value is the constructor's to reject
 
 
 # --- codec ------------------------------------------------------------------

@@ -137,7 +137,7 @@ def test_sweep_scaling_nim(tmp_path):
         max_generations=2000,
     )
     summary = sweep_scaling(
-        "subtraction_nim", [{"n": 8, "k": 2}, {"n": 16, "k": 2}], template
+        [GameSpec("subtraction_nim", {"n": n, "k": 2}) for n in (8, 16)], template
     )
     assert sorted({r.n for r in summary.records}) == [8, 16]
     assert {r.delta for r in summary.records} == {2}
@@ -161,13 +161,34 @@ def test_sweep_census_columns():
         base_seed=3,
         max_generations=500,
     )
-    summary = sweep_scaling("chomp", [{"m": 2}, {"m": 3}], template)
+    summary = sweep_scaling([GameSpec("chomp", {"m": 2}), GameSpec("chomp", {"m": 3})], template)
     assert sorted({r.n for r in summary.records}) == [5, 19]
 
-    summary = sweep_scaling("turning_turtles", [{"m": 3}, {"m": 4}], template)
+    summary = sweep_scaling(
+        [GameSpec("turning_turtles", {"m": 3}), GameSpec("turning_turtles", {"m": 4})], template
+    )
     by_n = {r.n: r.delta for r in summary.records}
     assert set(by_n) == {8, 16}
     assert by_n[8] <= 6 and by_n[16] <= 10
+
+
+def test_sweep_repeated_instance_gets_its_own_point():
+    spec = GameSpec("subtraction_nim", {"n": 32, "k": 2})
+    template = ExperimentConfig(
+        game=spec,
+        mu_grid=(64,),
+        gamma_rule="theorem",
+        replicates=3,
+        base_seed=2,
+        max_generations=40,
+    )
+    summary = sweep_scaling([spec, spec], template)
+    first, second = summary.records[:3], summary.records[3:]
+    assert {r.seed for r in first}.isdisjoint(r.seed for r in second)
+    medians = [float(np.median([r.evaluations for r in rows])) for rows in (first, second)]
+    assert medians[0] != medians[1]  # pooling both copies would give one shared median
+    assert summary.plot["series"][0]["y"] == medians
+    assert summary.plot["series"][0]["x"] == [32, 32]
 
 
 def test_intransitivity_exhaustive_nim():
@@ -190,10 +211,14 @@ def test_intransitivity_none_on_trivial_games():
 
 
 def test_intransitivity_sampled_mode():
-    g = subtraction_nim(7, 2)
+    g = subtraction_nim(10, 2)  # 256 strategies: above the exhaustive limit of 64
     rng = np.random.default_rng(7)
-    witness = intransitivity_search(g, triples=5000, rng=rng, exhaustive=False)
+    witness = intransitivity_search(g, triples=5000, rng=rng)
     assert witness is not None
+    a, b, c = witness
+    for first, second in ((a, b), (b, c), (c, a)):
+        assert play(g, first, second).winner == 1
+        assert play(g, second, first).winner == -1
 
 
 def test_describe_witness_with_nim_strings():

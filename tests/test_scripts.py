@@ -1,0 +1,66 @@
+"""The experiment scripts end to end, at tiny sizes, in a fresh interpreter."""
+
+import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from coevo.harness import CSV_COLUMNS
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *argv, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def header(path):
+    with open(path, newline="") as fh:
+        return next(csv.reader(fh))
+
+
+def test_convergence_experiment_tiny(tmp_path):
+    done = run_script(
+        "convergence_experiment.py",
+        "--n", "8", "--mu-grid", "8,16", "--replicates", "2", "--max-gen", "20", "--out", "conv.csv",
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    assert header(tmp_path / "conv.csv") == CSV_COLUMNS
+    assert "wrote conv.csv" in done.stdout
+
+
+def test_scaling_sweep_tiny(tmp_path):
+    done = run_script(
+        "scaling_sweep.py",
+        "--families", "chomp,turning_turtles", "--mu-grid", "8", "--replicates", "1",
+        "--max-gen", "20", "--out-dir", "sweep",
+        cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    for family in ("chomp", "turning_turtles"):
+        assert header(tmp_path / "sweep" / family / "records.csv") == CSV_COLUMNS
+        assert (tmp_path / "sweep" / family / "plot.json").exists()
+
+
+@pytest.mark.parametrize(
+    "name, flag, value",
+    [
+        ("convergence_experiment.py", "--mu-grid", "64,16"),
+        ("scaling_sweep.py", "--families", "nim"),
+    ],
+)
+def test_script_rejects_bad_flag(tmp_path, name, flag, value):
+    done = run_script(name, flag, value, cwd=tmp_path)
+    assert done.returncode == 2
+    assert f"argument {flag}" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not any(tmp_path.iterdir())
