@@ -44,6 +44,7 @@ STOP_RULES = {
     "cap": "generation_cap_only",
 }
 COUNT_BLOCK = 2**18  # edge indices counted per bincount in generation_step
+SAMPLE_BLOCK = 2**17  # uniforms drawn per block in _sample_choice_matrix
 
 
 @dataclass
@@ -207,10 +208,11 @@ def uniform_model(g: GameGraph, gamma: float) -> ProbModel:
 
 
 # ---------------------------------------------------------------------------
-# Vectorised engine. All randomness flows through numpy's PCG64 stream;
-# draws happen per interior vertex in ascending id order, one uniform per
-# (vertex, individual), converted by inverse CDF over the canonical
-# successor order into a successor slot.
+# Vectorised engine. All randomness flows through numpy's PCG64 stream:
+# one uniform per (vertex, individual), interior vertices in ascending id
+# order, drawn in blocks of rows that continue the stream exactly as one
+# draw per vertex would. Inverse CDF over the canonical successor order
+# turns each uniform into a successor slot.
 
 def _moves(g: GameGraph, choices: np.ndarray, v: int) -> np.ndarray:
     """Vertex ids that the slots in row ``v`` of a choice matrix lead to."""
@@ -218,13 +220,34 @@ def _moves(g: GameGraph, choices: np.ndarray, v: int) -> np.ndarray:
 
 
 def _sample_choice_matrix(model: ProbModel, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Draw ``count`` strategies from ``model`` as a choice matrix of slots.
+
+    Row ``v`` turns each uniform ``u`` into the number of cumulative
+    probabilities ``cum[i] <= u`` with ``i < deg(v) - 1``, which is
+    ``searchsorted(cum, u, side="right")`` clipped to the last slot, so a
+    row whose total ends below one still picks its last slot. A block
+    holds at most ``SAMPLE_BLOCK`` uniforms; its rows are compared a
+    degree at a time, in chunks whose gathered uniforms (8 bytes each) and
+    comparisons (``deg(v) - 1`` bytes per uniform) stay within
+    ``SAMPLE_BLOCK`` bytes.
+    """
     g = model.graph
     out = np.zeros((g.n, count), dtype=np.min_scalar_type(g.max_degree - 1))
-    for v in g.interior:
-        cum = np.cumsum(model.dists[v])
-        idx = np.searchsorted(cum, rng.random(count), side="right")
-        np.clip(idx, 0, len(cum) - 1, out=idx)
-        out[v] = idx
+    interior = np.array(g.interior, dtype=np.int64)
+    degrees = g.offsets[interior + 1] - g.offsets[interior]
+    width = max(1, count)
+    block = max(1, SAMPLE_BLOCK // width)
+    uniforms = np.empty((min(block, len(interior)), count))
+    for lo in range(0, len(interior), block):
+        rows, row_degrees = interior[lo : lo + block], degrees[lo : lo + block]
+        u = rng.random(out=uniforms[: len(rows)])
+        for d in np.unique(row_degrees[row_degrees > 1]).tolist():
+            at = np.flatnonzero(row_degrees == d)
+            cum = np.cumsum([model.dists[v] for v in rows[at].tolist()], axis=1)[:, :-1]
+            step = max(1, SAMPLE_BLOCK // (max(8, d - 1) * width))
+            for s in range(0, len(at), step):
+                below = cum[s : s + step, :, None] <= u[at[s : s + step], None, :]
+                out[rows[at[s : s + step]]] = below.view(np.uint8).sum(axis=1, dtype=out.dtype)
     return out
 
 

@@ -166,8 +166,11 @@ def sweep_scaling(games: Sequence[GameSpec], cfg_template: ExperimentConfig) -> 
     one series of median evaluations per population size (failed
     replicates count at their capped cost) plus the theorem-shaped
     evaluation budget curve, on log-log axes, with one point per instance
-    from that instance's own records.
+    from that instance's own records. Every instance is built once before
+    the first run, so a bad one fails before any work is spent.
     """
+    for spec in games:
+        spec.build()
     runs = []
     for i, spec in enumerate(games):
         seed = _derive_seed(cfg_template.base_seed, i)

@@ -2,8 +2,7 @@
 
 These are the ground truth the stochastic machinery is validated against:
 visit probabilities, first-mover win probabilities, the closed-form
-distribution of a tournament winner's choice, its replicator rewriting,
-and brute-force enumeration of the optimal set.
+distribution of a tournament winner's choice and its replicator rewriting.
 
 The visit DP relies on one structural fact: the position path of a game
 between two independently sampled strategies has the same law as a lazy
@@ -19,15 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from . import eda as _eda
-from .graphs import GameGraph, Strategy, enumerate_strategies, strategy_space_size
-from .grundy import is_optimal_exact
-
-
-class TooLarge(ValueError):
-    pass
+from .graphs import GameGraph
 
 
 @dataclass(frozen=True)
@@ -120,38 +111,3 @@ def analyze_model(g: GameGraph, model) -> ModelAnalysis:
         win=win_probabilities(g, dists),
         selection={u: selection_distribution(g, dists, u) for u in g.interior},
     )
-
-
-def monte_carlo_selection(
-    g: GameGraph,
-    model: "_eda.ProbModel",
-    u: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical winner-choice frequencies at ``u`` over full tournaments.
-
-    Plays ``trials`` independent tournaments and tallies the winner's
-    choice at ``u`` in every trial (the unconditional law of the winner's
-    entry, whether or not ``u`` was on the path). Returns the frequency
-    vector over the successor order and its binomial standard errors.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if not g.succ[u]:
-        raise ValueError(f"vertex {u} has no moves")
-    cx = _eda._sample_choice_matrix(model, rng, trials)
-    cy = _eda._sample_choice_matrix(model, rng, trials)
-    outcome = _eda._playout(g, cx, cy)
-    winner_slots = np.where(outcome == 1, cx[u], cy[u])
-    freqs = np.bincount(winner_slots, minlength=len(g.succ[u])) / trials
-    stderr = np.sqrt(freqs * (1 - freqs) / trials)
-    return freqs, stderr
-
-
-def brute_force_opt(g: GameGraph, limit: int = 10**6) -> list[Strategy]:
-    """Enumerate the optimal set over the whole strategy space."""
-    size = strategy_space_size(g)
-    if size > limit:
-        raise TooLarge(f"{size} strategies exceeds the enumeration limit {limit}")
-    return [x for x in enumerate_strategies(g) if is_optimal_exact(g, x)]

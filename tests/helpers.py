@@ -10,9 +10,21 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from coevo.eda import restrict
-from coevo.graphs import GameGraph, Strategy, build_graph, enumerate_strategies, play
+from coevo.eda import ProbModel, _playout, _sample_choice_matrix, restrict
+from coevo.graphs import (
+    GameGraph,
+    Strategy,
+    build_graph,
+    enumerate_strategies,
+    play,
+    strategy_space_size,
+)
+from coevo.grundy import is_optimal_exact
 from coevo.harness import ExperimentRecord
+
+
+class TooLarge(ValueError):
+    pass
 
 
 def random_game(
@@ -67,10 +79,21 @@ def choice_matrix(g: GameGraph, strategies: list[Strategy]) -> np.ndarray:
     return out
 
 
+def sample_choice_matrix_per_vertex(model, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Reference for :func:`coevo.eda._sample_choice_matrix`: one
+    ``rng.random(count)`` and one ``searchsorted`` per interior vertex."""
+    g = model.graph
+    out = np.zeros((g.n, count), dtype=np.min_scalar_type(g.max_degree - 1))
+    for v in g.interior:
+        cum = np.cumsum(model.dists[v])
+        idx = np.searchsorted(cum, rng.random(count), side="right")
+        np.clip(idx, 0, len(cum) - 1, out=idx)
+        out[v] = idx
+    return out
+
+
 def outcome_matrix(g: GameGraph, strategies: list[Strategy]) -> np.ndarray:
     """All-pairs playout results via the vectorised engine."""
-    from coevo.eda import _playout
-
     m = len(strategies)
     choices = choice_matrix(g, strategies)
     left = np.repeat(np.arange(m), m)
@@ -91,6 +114,41 @@ def outcome_matrix_scalar(g: GameGraph, strategies: list[Strategy]) -> np.ndarra
 
 def all_strategies(g: GameGraph) -> list[Strategy]:
     return list(enumerate_strategies(g))
+
+
+def brute_force_opt(g: GameGraph, limit: int = 10**6) -> list[Strategy]:
+    """Enumerate the optimal set over the whole strategy space."""
+    size = strategy_space_size(g)
+    if size > limit:
+        raise TooLarge(f"{size} strategies exceeds the enumeration limit {limit}")
+    return [x for x in enumerate_strategies(g) if is_optimal_exact(g, x)]
+
+
+def monte_carlo_selection(
+    g: GameGraph,
+    model: ProbModel,
+    u: int,
+    trials: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical winner-choice frequencies at ``u`` over full tournaments.
+
+    Plays ``trials`` independent tournaments and tallies the winner's
+    choice at ``u`` in every trial (the unconditional law of the winner's
+    entry, whether or not ``u`` was on the path). Returns the frequency
+    vector over the successor order and its binomial standard errors.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if not g.succ[u]:
+        raise ValueError(f"vertex {u} has no moves")
+    cx = _sample_choice_matrix(model, rng, trials)
+    cy = _sample_choice_matrix(model, rng, trials)
+    outcome = _playout(g, cx, cy)
+    winner_slots = np.where(outcome == 1, cx[u], cy[u])
+    freqs = np.bincount(winner_slots, minlength=len(g.succ[u])) / trials
+    stderr = np.sqrt(freqs * (1 - freqs) / trials)
+    return freqs, stderr
 
 
 def play_from(g: GameGraph, v: int, x: Strategy, y: Strategy) -> int:

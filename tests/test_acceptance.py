@@ -38,7 +38,6 @@ from coevo.harness import (
     run_experiment,
 )
 from coevo.oracles import (
-    monte_carlo_selection,
     reach_probabilities,
     replicator_form,
     selection_distribution,
@@ -53,6 +52,7 @@ from helpers import (
     all_strategies,
     choice_matrix,
     is_switcher_by_enumeration,
+    monte_carlo_selection,
     outcome_matrix_scalar,
     random_game,
     random_rational_model,

@@ -213,6 +213,20 @@ def test_sweep_bad_instances_is_usage_error(capsys, tmp_path, instances):
     assert not any(tmp_path.iterdir())
 
 
+def test_sweep_bad_later_instance_fails_before_any_run(capsys, tmp_path, monkeypatch):
+    from coevo import eda
+
+    calls = []
+    run_umda = eda.run_umda
+    monkeypatch.setattr(eda, "run_umda", lambda *a, **k: calls.append(a) or run_umda(*a, **k))
+    argv = _sweep_argv(tmp_path, **{"--family": "chomp", "--instances": "m=3;m=0"})
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "chomp needs m >= 1" in err
+    assert calls == []
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from coevo import eda
 from coevo.eda import (
+    SAMPLE_BLOCK,
     GammaTooLarge,
     MissingSwitchability,
     Population,
@@ -34,7 +36,7 @@ from coevo.grundy import (
     is_optimal_exact,
 )
 from coevo.oracles import selection_distribution
-from helpers import all_strategies, choice_matrix, random_game
+from helpers import all_strategies, choice_matrix, random_game, sample_choice_matrix_per_vertex
 
 
 # --- restriction -----------------------------------------------------------
@@ -267,6 +269,89 @@ def test_sampled_strategies_valid():
         g = random_game(rng)
         model = uniform_model(g, 0.0)
         Population(g, _sample_choice_matrix(model, rng, 1)).strategy(0).validate(g)
+
+
+def _awkward_model(g, rng):
+    """Random rows, some with zero entries, some point masses, some whose
+    cumulative sum ends below one (the clip to the last slot)."""
+    model = uniform_model(g, 0.0)
+    for v in g.interior:
+        p = rng.random(len(g.succ[v]))
+        kind = int(rng.integers(4))
+        if kind == 1:
+            p[rng.random(len(p)) < 0.5] = 0.0
+            p[int(rng.integers(len(p)))] += 1.0
+        elif kind == 2:
+            p = np.eye(len(p))[int(rng.integers(len(p)))]
+        p = p / p.sum()
+        model.dists[v] = 0.9 * p if kind == 3 else p
+    return model
+
+
+def _sampling_corpus():
+    rng = np.random.default_rng(101)
+    games = [random_game(rng) for _ in range(12)] + [chomp(4), subtraction_nim(300, 270)]
+    for g in games:
+        yield g, uniform_model(g, 0.0)
+        yield g, _awkward_model(g, rng)
+
+
+@pytest.mark.parametrize("count", [1, 7, "blocks"])
+def test_sampler_equals_per_vertex_reference(count):
+    for seed, (g, model) in enumerate(_sampling_corpus()):
+        # "blocks": about three blocks of rows per matrix.
+        n = SAMPLE_BLOCK // max(1, len(g.interior) // 3) if count == "blocks" else count
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sample_choice_matrix(model, rng, n)
+        want = sample_choice_matrix_per_vertex(model, ref_rng, n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert rng.random() == ref_rng.random()  # the same stream consumed
+    assert want.dtype == np.uint16  # subtraction_nim(300, 270) has degree 270
+
+
+class _StubRng:
+    """Hands out fixed uniforms in order, as ``Generator.random`` would."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None, out=None):
+        shape = out.shape if out is not None else size
+        taken = np.array(self.values[: int(np.prod(shape))], dtype=float).reshape(shape)
+        del self.values[: taken.size]
+        if out is None:
+            return taken
+        out[...] = taken
+        return out
+
+
+@pytest.mark.parametrize("sampler", [_sample_choice_matrix, sample_choice_matrix_per_vertex])
+def test_sampler_boundaries(sampler):
+    g = build_graph({0: [1, 2, 3], 1: [2, 3, 4], 2: [], 3: [], 4: []}, root=0)
+    model = uniform_model(g, 0.0)
+    model.dists[0] = np.array([0.25, 0.5, 0.25])  # cum 0.25, 0.75, 1.0
+    model.dists[1] = np.array([0.25, 0.25, 0.25])  # cum 0.25, 0.5, 0.75
+    stub = _StubRng([0.0, 0.25, 0.5, 0.75, 1.0] + [0.0, 0.5, 0.75, 0.9, 1.0])
+    choices = sampler(model, stub, 5)
+    # u == cum[i] picks slot i + 1; u >= cum[-1] clamps to the last slot.
+    assert choices[0].tolist() == [0, 1, 1, 2, 2]
+    assert choices[1].tolist() == [0, 2, 2, 2, 2]
+    assert stub.values == []
+
+
+def test_sampler_memory_stays_near_the_output():
+    g = chomp(6)
+    model = uniform_model(g, 0.0)
+    _sample_choice_matrix(model, np.random.default_rng(5), 1)  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        choices = _sample_choice_matrix(model, np.random.default_rng(5), 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The output plus about one block of uniforms and two smaller chunks;
+    # drawing the whole matrix at once would add 15 MB.
+    assert peak <= choices.nbytes + 2 * 8 * SAMPLE_BLOCK
 
 
 # --- tournaments and generations --------------------------------------------

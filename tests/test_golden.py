@@ -63,6 +63,18 @@ GOLDEN_RUNS = {
          "sufficient_optimal", 4),
         "7444f5eecba09a0ce23b92cdd9aeb265e056bf0e7154fba2b3bfcafa87348882",
     ),
+    # The two cases below were pinned on the per-vertex searchsorted sampler:
+    # at mu=3000 one choice matrix spans several of the sampler's row blocks,
+    # and a degree of 270 makes the slots uint16.
+    "chomp m=5 mu=3000": (
+        (chomp(5), 3000, _theorem_gamma(chomp(5)), 3, 5, "generation_cap_only", 1),
+        "d92a2a631bcf1db1efabe56eb953c4bfb7d64d0d6818bf7c2f2bcfc244327c0b",
+    ),
+    "nim n=300 k=270": (
+        (subtraction_nim(300, 270), 40, _theorem_gamma(subtraction_nim(300, 270)), 4, 2,
+         "generation_cap_only", 2),
+        "cd701c146c6afad17161ff73c2da1cca646bfb8034044d6bd588ad4f1dab9387",
+    ),
 }
 
 

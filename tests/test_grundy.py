@@ -134,6 +134,32 @@ def test_exact_agrees_with_full_playout():
             assert is_optimal_exact(g, x) == bool((matrix[i] == 1).all())
 
 
+def test_optimal_iff_zero_move_at_every_faced_position():
+    """x is optimal iff it moves to a Grundy-0 vertex at every position it
+    can face: the root, and every reply to one of its own moves."""
+    rng = np.random.default_rng(97)
+    optimal = 0
+    for _ in range(300):
+        g = ensure_first_player_win(random_game(rng))
+        zero = grundy_values(g).zero_set
+        for _ in range(20):
+            choice = {}
+            for v in g.interior:
+                good = [w for w in g.succ[v] if w in zero]
+                pool = good if good and rng.random() < 0.8 else g.succ[v]
+                choice[v] = pool[int(rng.integers(len(pool)))]
+            faced, stack = set(), [g.root]
+            while stack:
+                v = stack.pop()
+                if v not in faced and g.succ[v]:
+                    faced.add(v)
+                    stack.extend(g.succ[choice[v]])
+            lemma = all(choice[v] in zero for v in faced)
+            assert lemma == is_optimal_exact(g, Strategy(choice))
+            optimal += lemma
+    assert min(optimal, 6000 - optimal) > 500  # both outcomes well represented
+
+
 def test_canonical_fig1(fig1):
     gd = grundy_values(fig1)
     assert canonical_optimal_strategy(fig1, gd).choice == {0: 1, 1: 2, 2: 4, 3: 4}

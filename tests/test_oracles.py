@@ -7,10 +7,7 @@ from coevo.eda import uniform_model
 from coevo.games import fixture, subtraction_nim
 from coevo.graphs import build_graph
 from coevo.oracles import (
-    TooLarge,
     analyze_model,
-    brute_force_opt,
-    monte_carlo_selection,
     reach_probabilities,
     replicator_form,
     selection_distribution,
@@ -18,7 +15,10 @@ from coevo.oracles import (
 )
 from coevo.switchability import exact_switchability
 from helpers import (
+    TooLarge,
     all_strategies,
+    brute_force_opt,
+    monte_carlo_selection,
     outcome_matrix,
     random_game,
     random_rational_model,
