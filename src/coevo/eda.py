@@ -10,6 +10,13 @@ and one column per individual: slot ``i`` at ``v`` moves to
 ``graph.targets[graph.offsets[v] + i]``. Sampling, playout, counting,
 restriction and stop-rule checks all run vectorised on that one layout;
 results depend only on the seed, never on scheduling.
+
+The exact stop check rests on a lemma: a strategy is optimal iff it moves
+to a Grundy-0 vertex at every position it can face. So it reads only those
+positions, breadth-first from the root, not the whole graph. Both stop
+rules scan the selected population in blocks of columns, in order, and
+stop at the first block with a hit, so the witness is the first column
+that meets the rule.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ STOP_RULES = {
 }
 COUNT_BLOCK = 2**18  # edge indices counted per bincount in generation_step
 SAMPLE_BLOCK = 2**17  # uniforms drawn per block in _sample_choice_matrix
+STOP_BLOCK = 2**18  # (column, position) pairs per block of the stop check in run_umda
 
 
 @dataclass
@@ -276,40 +284,92 @@ def _playout(g: GameGraph, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     return result
 
 
-def population_optimal_mask(g: GameGraph, choices: np.ndarray) -> np.ndarray:
+def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray) -> np.ndarray:
     """Exact-optimality flags for every column of a choice matrix.
 
-    Vectorised form of the per-strategy best-response sweep: column j is
-    optimal iff its strategy beats every opponent as first mover.
+    ``zero`` flags the Grundy-0 vertices. Column j is optimal iff it beats
+    every opponent as first mover, which holds iff it moves to a Grundy-0
+    vertex at every position it can face: the root, and every reply to one
+    of its own moves. The check walks (column, position) pairs
+    breadth-first from the root. A column drops out at its first move to a
+    nonzero vertex, and each (column, Grundy-0 vertex) pair is expanded at
+    most once, so one column costs at most Z + 1 pair steps, where Z is the
+    number of edges out of Grundy-0 vertices.
     """
+    offsets, targets = g.offsets, g.targets
     count = choices.shape[1]
-    cols = np.arange(count)
-    win = np.zeros((g.n, count), dtype=bool)
-    safe = np.zeros((g.n, count), dtype=bool)
-    for u in g.reverse_topo:
-        succs = g.succ[u]
-        if not succs:
-            safe[u] = True
-            continue
-        win[u] = safe[_moves(g, choices, u), cols]
-        acc = win[succs[0]].copy()
-        for w in succs[1:]:
-            acc &= win[w]
-        safe[u] = acc
-    return win[g.root]
+    slots = np.ascontiguousarray(choices).ravel()  # slot of (v, j) at v * count + j
+    ok = np.full(count, offsets[g.root + 1] > offsets[g.root])  # a sink root loses
+    seen = np.zeros(g.n * count, dtype=bool)  # (Grundy-0 vertex w, column j) at w * count + j
+    col = np.flatnonzero(ok)
+    pos = np.full(len(col), g.root)
+    while len(col):
+        moved = targets[offsets[pos] + slots[pos * count + col]]
+        ok[col[~zero[moved]]] = False
+        live = ok[col]
+        key = moved[live] * count + col[live]
+        key = key[~seen[key]]
+        key.sort()  # sort and drop repeats: np.unique hashes, several times slower here
+        first_of_run = np.ones(len(key), dtype=bool)
+        first_of_run[1:] = key[1:] != key[:-1]
+        key = key[first_of_run]
+        seen[key] = True
+        moved = key // count
+        col = key - moved * count
+        # Every reply from each newly reached Grundy-0 vertex is a position
+        # its column faces next.
+        starts = offsets[moved]
+        degrees = offsets[moved + 1] - starts
+        first = np.cumsum(degrees) - degrees
+        pos = targets[np.arange(int(degrees.sum())) + np.repeat(starts - first, degrees)]
+        col = np.repeat(col, degrees)
+    return ok
 
 
 def population_sufficient_mask(
-    g: GameGraph, gd: GrundyData, choices: np.ndarray
+    g: GameGraph, gd: GrundyData, choices: np.ndarray, zero: np.ndarray
 ) -> np.ndarray:
-    """Critical-position certificate flags for every column."""
-    count = choices.shape[1]
-    ok = np.ones(count, dtype=bool)
-    zero = np.zeros(g.n, dtype=bool)
-    zero[list(gd.zero_set)] = True
+    """Critical-position certificate flags for every column; ``zero`` flags
+    the Grundy-0 vertices."""
+    ok = np.ones(choices.shape[1], dtype=bool)
     for v in gd.critical:
         ok &= zero[_moves(g, choices, v)]
     return ok
+
+
+def _stop_block(g: GameGraph, zero: np.ndarray, stop_rule: str) -> int:
+    """Columns per block of the stop check.
+
+    The exact check steps through at most Z + 1 (column, position) pairs
+    per column, where Z is the number of edges out of the Grundy-0
+    vertices ``zero`` flags, so a block of ``STOP_BLOCK // Z`` columns keeps
+    its pairs, and with them its time and memory, near ``STOP_BLOCK``. The
+    certificate holds one row of a block at a time, so its block is
+    ``STOP_BLOCK`` columns.
+    """
+    if stop_rule == "sufficient_optimal":
+        return STOP_BLOCK
+    zero_edges = int((g.offsets[1:] - g.offsets[:-1])[zero].sum())
+    return max(1, STOP_BLOCK // max(1, zero_edges))
+
+
+def _first_stop_column(
+    g: GameGraph, gd: GrundyData, zero: np.ndarray, choices: np.ndarray, stop_rule: str, block: int
+) -> int | None:
+    """Index of the first column of ``choices`` that meets the stop rule, or None.
+
+    Columns are checked ``block`` at a time, in order, and the scan ends at
+    the first block that holds a hit, so the hit is the first in the matrix.
+    """
+    for lo in range(0, choices.shape[1], block):
+        part = choices[:, lo : lo + block]
+        if stop_rule == "exact_optimal":
+            mask = population_optimal_mask(g, part, zero)
+        else:
+            mask = population_sufficient_mask(g, gd, part, zero)
+        if mask.any():
+            return lo + int(np.argmax(mask))
+    return None
 
 
 def generation_step(
@@ -325,7 +385,13 @@ def generation_step(
     cx = _sample_choice_matrix(model, rng, cfg.mu)
     cy = _sample_choice_matrix(model, rng, cfg.mu)
     outcome = _playout(g, cx, cy)
-    winners = np.where(outcome[None, :] == 1, cx, cy)
+    # Bitwise select, in place in cx: ((cx ^ cy) & m) ^ cy is cx where the
+    # column mask m is all ones (x won) and cy where it is 0. A broadcast
+    # np.where(outcome == 1, cx, cy) gives the same matrix on a slow path.
+    winners = cx
+    winners ^= cy
+    winners &= -(outcome == 1).astype(winners.dtype)
+    winners ^= cy
 
     # One count per edge: the winners' slot at v lands on edge offsets[v] + slot.
     # Counting a block of rows at a time bounds the int64 edge indices to
@@ -363,6 +429,9 @@ def run_umda(g: GameGraph, cfg: UmdaConfig, trace_every: int = 0) -> RunResult:
         raise PreconditionViolated(
             "root has Grundy value 0; apply ensure_first_player_win first"
         )
+    zero = np.zeros(g.n, dtype=bool)
+    zero[list(gd.zero_set)] = True
+    block = _stop_block(g, zero, cfg.stop_rule)
     model = uniform_model(g, cfg.gamma)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     trace: list[tuple[int, dict]] = []
@@ -374,12 +443,9 @@ def run_umda(g: GameGraph, cfg: UmdaConfig, trace_every: int = 0) -> RunResult:
             trace.append((t, model.snapshot()))
         if cfg.stop_rule == "generation_cap_only":
             continue
-        if cfg.stop_rule == "exact_optimal":
-            mask = population_optimal_mask(g, population.choices)
-        else:
-            mask = population_sufficient_mask(g, gd, population.choices)
-        if mask.any():
-            witness = population.strategy(int(np.argmax(mask)))
+        hit = _first_stop_column(g, gd, zero, population.choices, cfg.stop_rule, block)
+        if hit is not None:
+            witness = population.strategy(hit)
             return RunResult(
                 generations_used=t,
                 evaluations=evaluations,

@@ -19,7 +19,7 @@ from coevo.graphs import (
     play,
     strategy_space_size,
 )
-from coevo.grundy import is_optimal_exact
+from coevo.grundy import grundy_values, is_optimal_exact
 from coevo.harness import ExperimentRecord
 
 
@@ -90,6 +90,35 @@ def sample_choice_matrix_per_vertex(model, rng: np.random.Generator, count: int)
         np.clip(idx, 0, len(cum) - 1, out=idx)
         out[v] = idx
     return out
+
+
+def population_optimal_mask_dp(g: GameGraph, choices: np.ndarray) -> np.ndarray:
+    """Reference for :func:`coevo.eda.population_optimal_mask`: the
+    best-response DP over every vertex and edge, for all columns at once.
+    Column j is optimal iff its strategy beats every opponent as first
+    mover."""
+    count = choices.shape[1]
+    cols = np.arange(count)
+    win = np.zeros((g.n, count), dtype=bool)
+    safe = np.zeros((g.n, count), dtype=bool)
+    for u in g.reverse_topo:
+        succs = g.succ[u]
+        if not succs:
+            safe[u] = True
+            continue
+        win[u] = safe[g.targets[g.offsets[u] + choices[u]], cols]
+        acc = win[succs[0]].copy()
+        for w in succs[1:]:
+            acc &= win[w]
+        safe[u] = acc
+    return win[g.root]
+
+
+def zero_mask(g: GameGraph) -> np.ndarray:
+    """Boolean flags of the Grundy-0 vertices, as ``run_umda`` builds them."""
+    zero = np.zeros(g.n, dtype=bool)
+    zero[list(grundy_values(g).zero_set)] = True
+    return zero
 
 
 def outcome_matrix(g: GameGraph, strategies: list[Strategy]) -> np.ndarray:

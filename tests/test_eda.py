@@ -1,6 +1,8 @@
+import copy
 import json
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,22 +23,31 @@ from coevo.eda import (
     population_optimal_mask,
     population_sufficient_mask,
     restrict,
+    _playout,
     _sample_choice_matrix,
     run_umda,
     theorem_border,
     theorem_parameters,
     uniform_model,
 )
-from coevo.games import chomp, subtraction_nim
+from coevo.games import chomp, silver_dollar, subtraction_nim, turning_turtles
 from coevo.graphs import build_graph
 from coevo.grundy import (
     PreconditionViolated,
     ensure_first_player_win,
     grundy_values,
     is_optimal_exact,
+    is_optimal_sufficient,
 )
 from coevo.oracles import selection_distribution
-from helpers import all_strategies, choice_matrix, random_game, sample_choice_matrix_per_vertex
+from helpers import (
+    all_strategies,
+    choice_matrix,
+    population_optimal_mask_dp,
+    random_game,
+    sample_choice_matrix_per_vertex,
+    zero_mask,
+)
 
 
 # --- restriction -----------------------------------------------------------
@@ -528,13 +539,173 @@ def test_population_masks_match_scalar_checks():
         checked += 1
         strategies = all_strategies(g)
         choices = choice_matrix(g, strategies)
-        opt_mask = population_optimal_mask(g, choices)
-        suf_mask = population_sufficient_mask(g, gd, choices)
-        from coevo.grundy import is_optimal_sufficient
-
+        zero = zero_mask(g)
+        opt_mask = population_optimal_mask(g, choices, zero)
+        ref_mask = population_optimal_mask_dp(g, choices)
+        suf_mask = population_sufficient_mask(g, gd, choices, zero)
         for j, x in enumerate(strategies):
-            assert opt_mask[j] == is_optimal_exact(g, x)
+            assert opt_mask[j] == ref_mask[j] == is_optimal_exact(g, x)
             assert suf_mask[j] == is_optimal_sufficient(g, gd, x)
+
+
+def _population(g, zero, rng, count, bias):
+    """Random slots; at a vertex with a Grundy-0 successor, each column
+    moves to one of those with probability ``bias``."""
+    choices = np.zeros((g.n, count), dtype=np.min_scalar_type(g.max_degree - 1))
+    for v in g.interior:
+        good = np.flatnonzero(zero[list(g.succ[v])])
+        choices[v] = rng.integers(len(g.succ[v]), size=count)
+        if len(good):
+            pick = rng.random(count) < bias
+            choices[v, pick] = good[rng.integers(len(good), size=int(pick.sum()))]
+    return choices
+
+
+def _check_mask_against_reference(g, choices):
+    got = population_optimal_mask(g, choices, zero_mask(g))
+    want = population_optimal_mask_dp(g, choices)
+    assert got.dtype == bool and np.array_equal(got, want)
+    return int(want.sum())
+
+
+def test_optimal_mask_equals_reference_on_random_games():
+    rng = np.random.default_rng(211)
+    optimal = columns = 0
+    for _ in range(300):
+        g = random_game(rng)  # roots of Grundy value 0 included
+        zero = zero_mask(g)
+        for bias in (0.0, 0.8):
+            optimal += _check_mask_against_reference(g, _population(g, zero, rng, 32, bias))
+            columns += 32
+    assert min(optimal, columns - optimal) > 2000  # both outcomes well represented
+
+
+def test_optimal_mask_of_a_sink_root_is_false():
+    g = build_graph({0: []}, root=0)
+    choices = np.zeros((1, 4), dtype=np.uint8)
+    assert not population_optimal_mask(g, choices, zero_mask(g)).any()
+    assert not population_optimal_mask_dp(g, choices).any()
+
+
+def test_optimal_mask_equals_reference_on_uint16_slots():
+    g = ensure_first_player_win(subtraction_nim(300, 270))
+    zero, rng = zero_mask(g), np.random.default_rng(5)
+    optimal = 0
+    for bias in (0.0, 0.8, 1.0):
+        choices = _population(g, zero, rng, 64, bias)
+        assert choices.dtype == np.uint16
+        optimal += _check_mask_against_reference(g, choices)
+    assert 0 < optimal < 3 * 64
+
+
+class _ReadCounter(np.ndarray):
+    """An array that counts the entries read from it through index arrays."""
+
+    def __getitem__(self, index):
+        self.reads += np.size(index)
+        return np.asarray(self)[index]
+
+
+def test_optimal_mask_steps_through_each_pair_once():
+    g = ensure_first_player_win(turning_turtles(8))
+    zero, mu = zero_mask(g), 16
+    choices = _population(g, zero, np.random.default_rng(6), mu, 1.0)  # every column optimal
+    targets = g.targets.view(_ReadCounter)
+    targets.reads = 0
+    counted = SimpleNamespace(offsets=g.offsets, targets=targets, root=g.root, n=g.n)
+    assert population_optimal_mask(counted, choices, zero).all()
+    # A pair step reads one move and at most one reply; expanding a
+    # (column, Grundy-0 vertex) pair twice makes about 19,000 reads here.
+    zero_edges = int(np.diff(g.offsets)[zero].sum())
+    assert targets.reads <= 2 * mu * (zero_edges + 1)
+
+
+def _run_populations(monkeypatch, g, cfg):
+    """A seeded run's result and each generation's selected population."""
+    populations = []
+
+    def spy(*args):
+        step = generation_step(*args)
+        populations.append(step[1].choices)
+        return step
+
+    monkeypatch.setattr(eda, "generation_step", spy)
+    return run_umda(g, cfg), populations
+
+
+@pytest.mark.parametrize(
+    "base, mu", [(chomp(4), 200), (silver_dollar(7, 2), 64)], ids=["chomp m=4", "silver_dollar m=7 k=2"]
+)
+def test_optimal_mask_equals_reference_up_to_the_first_hit(monkeypatch, base, mu):
+    g = ensure_first_player_win(base)
+    cfg = UmdaConfig(mu=mu, gamma=float(theorem_border(base)), max_generations=500, seed=3)
+    result, populations = _run_populations(monkeypatch, g, cfg)
+    assert result.succeeded and len(populations) > 10
+    hits = [_check_mask_against_reference(g, choices) for choices in populations]
+    assert hits[-1] > 0 and not any(hits[:-1])
+
+
+@pytest.mark.parametrize("stop_rule", ["exact_optimal", "sufficient_optimal"])
+@pytest.mark.parametrize("columns", [1, 3])
+@pytest.mark.parametrize("seed", [2, 3])  # first hit in column 33, a block start, and 52
+def test_witness_is_the_first_hit_across_blocks(monkeypatch, stop_rule, columns, seed):
+    base = silver_dollar(7, 2)
+    g = ensure_first_player_win(base)
+    gd, zero = grundy_values(g), zero_mask(g)
+    per_column = 1 if stop_rule == "sufficient_optimal" else int(np.diff(g.offsets)[zero].sum())
+    monkeypatch.setattr(eda, "STOP_BLOCK", columns * per_column)
+    assert eda._stop_block(g, zero, stop_rule) == columns
+    cfg = UmdaConfig(
+        mu=64, gamma=float(theorem_border(base)), max_generations=500, seed=seed, stop_rule=stop_rule
+    )
+    result, populations = _run_populations(monkeypatch, g, cfg)
+    if stop_rule == "exact_optimal":
+        masks = [population_optimal_mask_dp(g, choices) for choices in populations]
+    else:
+        masks = [population_sufficient_mask(g, gd, choices, zero) for choices in populations]
+    assert result.succeeded and not any(mask.any() for mask in masks[:-1])
+    first = int(np.argmax(masks[-1]))
+    assert first >= 3 * columns  # past the first blocks
+    assert result.optimal_witness.choice == Population(g, populations[-1]).strategy(first).choice
+
+
+def test_stop_check_memory_stays_near_the_population():
+    g = ensure_first_player_win(turning_turtles(10))
+    gd, zero, mu = grundy_values(g), zero_mask(g), 2048
+    choices = _population(g, zero, np.random.default_rng(8), mu, 1.0)  # every column optimal
+    block = eda._stop_block(g, zero, "exact_optimal")
+    eda._first_stop_column(g, gd, zero, choices[:, :1], "exact_optimal", block)  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        hit = eda._first_stop_column(g, gd, zero, choices, "exact_optimal", block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit == 0 and population_optimal_mask(g, choices[:, :block], zero).all()
+    # One block's seen flags and copy of its columns, and its pair frontier;
+    # one pass over all 2048 columns at once reached 560 MB.
+    assert peak <= 2 * g.n * mu + 2 * 2**20
+
+
+# --- the winner select -------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "base", [chomp(4), subtraction_nim(300, 270)], ids=["chomp m=4", "nim n=300 k=270"]
+)
+def test_generation_step_selects_winners_as_where(base):
+    g = ensure_first_player_win(base)
+    model = _awkward_model(g, np.random.default_rng(17))
+    cfg = UmdaConfig(mu=300, gamma=0.0, max_generations=1, seed=0)
+    rng = np.random.default_rng(19)
+    replay = copy.deepcopy(rng)
+    _, population, _ = generation_step(model, cfg, rng)
+    cx = _sample_choice_matrix(model, replay, cfg.mu)
+    cy = _sample_choice_matrix(model, replay, cfg.mu)
+    outcome = _playout(g, cx, cy)
+    want = np.where(outcome == 1, cx, cy)
+    assert 0 < (outcome == 1).sum() < cfg.mu  # both players win some games
+    assert population.choices.dtype == want.dtype == cx.dtype
+    assert np.array_equal(population.choices, want)
 
 
 # --- theorem parameters -------------------------------------------------------
