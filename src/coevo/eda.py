@@ -1,22 +1,22 @@
 """Multi-valued UMDA with binary tournament selection.
 
 The model holds one categorical distribution per interior vertex, indexed
-by canonical successor order. Each generation samples ``mu`` strategy
-pairs from the product distribution, plays one game per pair (one payoff
-evaluation each), collects the winners' per-vertex choice frequencies, and
-clamps the resulting frequency vectors back onto the gamma-bordered
-simplex. A population is a matrix of successor slots, one row per vertex
-and one column per individual: slot ``i`` at ``v`` moves to
-``graph.targets[graph.offsets[v] + i]``. Sampling, playout, counting,
-restriction and stop-rule checks all run vectorised on that one layout;
-results depend only on the seed, never on scheduling.
+by canonical successor order. Each generation plays ``mu`` games between
+strategy pairs from the product distribution (one payoff evaluation each),
+counts the winners' choices per vertex, and clamps the frequency vectors
+back onto the gamma-bordered simplex. Individuals are lazy: an entry (one
+individual's successor slot at one vertex) is drawn only when something
+reads it, so a game draws its players' choices along its own path. The
+winners' drawn entries sit in an n × mu slot store; each vertex's count
+adds a multinomial fill for the winners' entries nobody read, which makes
+the update the same in law as drawing every entry. Everything runs
+vectorised over the columns of that one layout, from the seed alone.
 
 The exact stop check rests on a lemma: a strategy is optimal iff it moves
 to a Grundy-0 vertex at every position it can face. So it reads only those
-positions, breadth-first from the root, not the whole graph. Both stop
-rules scan the selected population in blocks of columns, in order, and
-stop at the first block with a hit, so the witness is the first column
-that meets the rule.
+positions, breadth-first from the root. Both stop rules scan the winners
+in blocks of columns, in order, and stop at the first block with a hit, so
+the witness is the first column that meets the rule.
 """
 
 from __future__ import annotations
@@ -42,17 +42,13 @@ class MissingSwitchability(ValueError):
 
 
 RENORM_TOLERANCE = 1e-12
-#: Stop rules by their command-line name: stop at the first exactly
-#: optimal winner, at the first winner that passes the critical-position
-#: certificate, or only at the generation cap.
+#: Stop rules by their command-line name: stop at the first exactly optimal
+#: winner, at the first that passes the critical-position certificate, or
+#: only at the generation cap.
 STOP_RULES = {
-    "exact": "exact_optimal",
-    "sufficient": "sufficient_optimal",
-    "cap": "generation_cap_only",
+    "exact": "exact_optimal", "sufficient": "sufficient_optimal", "cap": "generation_cap_only"
 }
-COUNT_BLOCK = 2**18  # edge indices counted per bincount in generation_step
-SAMPLE_BLOCK = 2**17  # uniforms drawn per block in _sample_choice_matrix
-STOP_BLOCK = 2**18  # (column, position) pairs per block of the stop check in run_umda
+STOP_BLOCK = 2**18  # (column, position) pairs per block of the stop check
 
 
 @dataclass
@@ -69,9 +65,7 @@ class ProbModel:
     gamma: float
 
     def copy(self) -> "ProbModel":
-        return ProbModel(
-            self.graph, {v: p.copy() for v, p in self.dists.items()}, self.gamma
-        )
+        return ProbModel(self.graph, {v: p.copy() for v, p in self.dists.items()}, self.gamma)
 
     def snapshot(self) -> dict:
         return {str(v): [float(x) for x in p] for v, p in sorted(self.dists.items())}
@@ -96,15 +90,17 @@ class UmdaConfig:
 
 @dataclass
 class Population:
-    """Individuals of one generation as a choice matrix of successor slots.
+    """The selected individuals of one generation as a slot store.
 
-    ``choices[v, j]`` is the slot individual ``j`` picks at interior vertex
-    ``v``; its move is ``graph.targets[graph.offsets[v] + choices[v, j]]``.
-    Sink rows are unused. Columns are complete strategies.
+    ``choices[v, j]`` is winner j's slot at vertex v (its move is
+    ``targets[offsets[v] + slot]``), 0 where v has under two moves, or the
+    dtype's largest value where it was never drawn. ``witness`` is the
+    first column that met the stop rule, drawn in full, or None.
     """
 
     graph: GameGraph
     choices: np.ndarray
+    witness: int | None = None
 
     def __len__(self) -> int:
         return self.choices.shape[1]
@@ -138,19 +134,14 @@ def beta_minus(p: Sequence, gamma):
 def restrict(p, gamma):
     """Clamp a distribution onto the simplex with per-entry floor ``gamma``.
 
-    Entries at or below the floor are raised to exactly ``gamma``; the
-    surplus is paid for by shrinking the remaining entries' excess over
-    ``gamma`` by the common factor ``1 - beta_minus/beta_plus``, which
-    keeps the total at one. With two entries this reduces to clamping
-    into ``[gamma, 1-gamma]``, and that form is used verbatim so the
-    binary case agrees exactly. Accepts a float array (returns an array)
-    or any sequence of numbers, including Fractions (returns a list and
-    stays exact). A 2-D float array is restricted row by row; numpy sums
-    each row of a C-contiguous matrix in the same order as the row alone,
-    so every row comes out exactly as from a one-vector call. A float
-    input whose total is off 1 by more than 1e-12 is first normalised,
-    divided by its total, so the result still lies on the bordered simplex;
-    a row whose total is not positive raises ValueError.
+    Entries at or below the floor become ``gamma``; the others' excess over
+    ``gamma`` shrinks by the common factor ``1 - beta_minus/beta_plus``, so
+    the total stays one. Two entries are clamped into ``[gamma, 1-gamma]``
+    verbatim, so the binary case agrees exactly. A float array gives an
+    array, row by row for 2-D (numpy sums each row of a C-contiguous matrix
+    as it sums the row alone), and a row whose total is off 1 by more than
+    1e-12 is first divided by its total (ValueError if not positive); any
+    other sequence, Fractions included, gives an exact list.
     """
     size = p.shape[-1] if isinstance(p, np.ndarray) else len(p)
     if size and not gamma * size < 1:
@@ -176,13 +167,10 @@ def restrict(p, gamma):
 
 
 def model_from_snapshot(g: GameGraph, data: Mapping) -> ProbModel:
-    """Rebuild a model from its JSON form, ``{"gamma": x, "dists": {...}}``.
-
-    ``dists`` must map exactly the interior vertices (as decimal strings)
-    to vectors of that vertex's degree whose entries are finite, at least
-    0, and sum to 1 within 1e-9. Raises ValueError naming the first bad
-    vertex otherwise.
-    """
+    """Rebuild a model from its JSON form, ``{"gamma": x, "dists": {...}}``:
+    ``dists`` maps each interior vertex (a decimal string) to a vector of its
+    degree, finite, at least 0 and summing to 1 within 1e-9; otherwise
+    ValueError names the first bad vertex."""
     raw = data.get("dists") if isinstance(data, Mapping) else None
     if not isinstance(raw, Mapping):
         raise ValueError("model snapshot needs a 'dists' object")
@@ -206,113 +194,147 @@ def model_from_snapshot(g: GameGraph, data: Mapping) -> ProbModel:
 def uniform_model(g: GameGraph, gamma: float) -> ProbModel:
     """Initial model: the uniform distribution at every interior vertex."""
     if g.max_degree and not gamma * g.max_degree < 1:
-        raise GammaTooLarge(
-            f"gamma {gamma} times max degree {g.max_degree} must stay below 1"
-        )
-    dists = {
-        v: np.full(len(g.succ[v]), 1.0 / len(g.succ[v])) for v in g.interior
-    }
+        raise GammaTooLarge(f"gamma {gamma} times max degree {g.max_degree} must stay below 1")
+    dists = {v: np.full(len(g.succ[v]), 1.0 / len(g.succ[v])) for v in g.interior}
     return ProbModel(graph=g, dists=dists, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
-# Vectorised engine. All randomness flows through numpy's PCG64 stream:
-# one uniform per (vertex, individual), interior vertices in ascending id
-# order, drawn in blocks of rows that continue the stream exactly as one
-# draw per vertex would. Inverse CDF over the canonical successor order
-# turns each uniform into a successor slot.
+# Lazy engine. All randomness flows through numpy's PCG64 stream, in the
+# order a generation reads it: a uniform per entry the games read, move by
+# move, then per entry the stop check and the witness read, then one
+# multinomial per degree group. Inverse CDF over the canonical successor
+# order turns a uniform into a slot.
 
-def _moves(g: GameGraph, choices: np.ndarray, v: int) -> np.ndarray:
-    """Vertex ids that the slots in row ``v`` of a choice matrix lead to."""
-    return g.targets[g.offsets[v] + choices[v]]
-
-
-def _sample_choice_matrix(model: ProbModel, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` strategies from ``model`` as a choice matrix of slots.
-
-    Row ``v`` turns each uniform ``u`` into the number of cumulative
-    probabilities ``cum[i] <= u`` with ``i < deg(v) - 1``, which is
-    ``searchsorted(cum, u, side="right")`` clipped to the last slot, so a
-    row whose total ends below one still picks its last slot. A block
-    holds at most ``SAMPLE_BLOCK`` uniforms; its rows are compared a
-    degree at a time, in chunks whose gathered uniforms (8 bytes each) and
-    comparisons (``deg(v) - 1`` bytes per uniform) stay within
-    ``SAMPLE_BLOCK`` bytes.
-    """
-    g = model.graph
-    out = np.zeros((g.n, count), dtype=np.min_scalar_type(g.max_degree - 1))
+def _degree_groups(g: GameGraph) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(degree, vertex ids, a row of edge ids per vertex) per interior degree, ascending."""
     interior = np.array(g.interior, dtype=np.int64)
     degrees = g.offsets[interior + 1] - g.offsets[interior]
-    width = max(1, count)
-    block = max(1, SAMPLE_BLOCK // width)
-    uniforms = np.empty((min(block, len(interior)), count))
-    for lo in range(0, len(interior), block):
-        rows, row_degrees = interior[lo : lo + block], degrees[lo : lo + block]
-        u = rng.random(out=uniforms[: len(rows)])
-        for d in np.unique(row_degrees[row_degrees > 1]).tolist():
-            at = np.flatnonzero(row_degrees == d)
-            cum = np.cumsum([model.dists[v] for v in rows[at].tolist()], axis=1)[:, :-1]
-            step = max(1, SAMPLE_BLOCK // (max(8, d - 1) * width))
-            for s in range(0, len(at), step):
-                below = cum[s : s + step, :, None] <= u[at[s : s + step], None, :]
-                out[rows[at[s : s + step]]] = below.view(np.uint8).sum(axis=1, dtype=out.dtype)
-    return out
+    groups = [(d, interior[degrees == d]) for d in np.unique(degrees).tolist()]
+    return [(d, rows, g.offsets[rows][:, None] + np.arange(d)) for d, rows in groups]
 
 
-def _playout(g: GameGraph, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """Outcomes (+1/-1 for the first mover) of column-paired strategies."""
+def _edge_vector(model: ProbModel) -> np.ndarray:
+    """The model as one vector by edge: ``dists[v][i]`` at ``offsets[v] + i``."""
+    return np.concatenate([model.dists[v] for v in model.graph.interior])
+
+
+def _threshold_table(g: GameGraph, p: np.ndarray) -> np.ndarray:
+    """The n × (Δ−1) inverse-CDF table of the edge vector ``p``: row v holds
+    v's running sums without the last, then 2.0, above every uniform."""
+    degrees = g.offsets[1:] - g.offsets[:-1]
+    width = np.arange(max(0, g.max_degree - 1))
+    valid = width < degrees[:, None] - 1
+    sums = np.cumsum(p[np.where(valid, g.offsets[:-1, None] + width, 0)], axis=1)
+    return np.where(valid, sums, 2.0)
+
+
+def _sample_choice_matrix(table: np.ndarray, rng, rows: np.ndarray) -> np.ndarray:
+    """Draw a slot at each vertex of ``rows``, one uniform ``u`` each, in order.
+
+    The slot counts the row's thresholds at most ``u`` (``u == cum[i]``
+    picks slot i + 1), comparing every column of a narrow table and
+    binary-searching a wide one. Its dtype keeps the largest value free.
+    """
+    u = rng.random(len(rows))
+    width = table.shape[1]
+    dtype = np.min_scalar_type(width + 1)
+    if width < 10:
+        slots = (table[:, 0][rows] <= u).view(dtype) if width else np.zeros(len(rows), dtype)
+        for i in range(1, width):
+            slots = slots + (table[:, i][rows] <= u)
+        return slots
+    # With 2^k <= width < 2^(k+1): do the last 2^k thresholds start at or
+    # below u? Then k halving steps over the 2^k - 1 left to search.
+    flat, base = table.ravel(), rows * width - 1
+    half = 1 << (width.bit_length() - 1)
+    count = np.where(flat[base + width - half + 1] <= u, width - half + 1, 0)
+    while half > 1:
+        half >>= 1
+        np.copyto(count, count + half, where=flat[base + count + half] <= u)
+    return count.astype(dtype)
+
+
+def _playout(g: GameGraph, draw, count: int) -> np.ndarray:
+    """Outcomes (+1/-1 for the first mover) of ``count`` games from the root.
+
+    Move by move, ``draw(side, at, columns)`` returns the slots x (side 0)
+    or y (side 1) picks at positions ``at`` of the live games ``columns``,
+    where the position has more than one move."""
     offsets, targets = g.offsets, g.targets
-    sink = offsets[1:] == offsets[:-1]
-    count = cx.shape[1]
-    pos = np.full(count, g.root, dtype=np.int64)
-    result = np.zeros(count, dtype=np.int8)
-    alive = ~sink[pos]
-    result[~alive] = -1
+    degrees = offsets[1:] - offsets[:-1]
+    free, sink = degrees > 1, degrees == 0
+    result = np.full(count, -1, dtype=np.int8)  # x loses at a sink root
+    cols = np.arange(0 if sink[g.root] else count, dtype=np.int32)
+    at = np.full(len(cols), g.root)
     moves = 0
-    while alive.any():
-        idx = np.flatnonzero(alive)
-        mover = cx if moves % 2 == 0 else cy
-        at = pos[idx]
-        nxt = targets[offsets[at] + mover[at, idx]]
-        pos[idx] = nxt
+    while len(cols):
+        chosen = np.flatnonzero(free[at])
+        if len(chosen) == len(cols):
+            slots = draw(moves % 2, at, cols)
+        else:
+            slots = np.zeros(len(cols), dtype=np.int64)
+            slots[chosen] = draw(moves % 2, at[chosen], cols[chosen])
+        at = targets[offsets[at] + slots]
         moves += 1
-        stuck = sink[nxt]
-        done = idx[stuck]
-        # After `moves` moves the player now to act is x iff moves is even.
-        result[done] = -1 if moves % 2 == 0 else 1
-        alive[done] = False
+        over = sink[at]
+        if over.any():
+            # After `moves` moves the player now to act is x iff moves is even.
+            result[cols[over]] = -1 if moves % 2 == 0 else 1
+            live = np.flatnonzero(~over)
+            cols, at = cols[live], at[live]
     return result
 
 
-def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray) -> np.ndarray:
+def _play_matrices(g: GameGraph, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """Outcomes of complete strategies paired by column of two choice matrices."""
+    return _playout(g, lambda side, at, cols: (cx, cy)[side][at, cols], cx.shape[1])
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys; np.unique hashes, several times slower here."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray, draw=None):
     """Exact-optimality flags for every column of a choice matrix.
 
     ``zero`` flags the Grundy-0 vertices. Column j is optimal iff it beats
     every opponent as first mover, which holds iff it moves to a Grundy-0
     vertex at every position it can face: the root, and every reply to one
-    of its own moves. The check walks (column, position) pairs
-    breadth-first from the root. A column drops out at its first move to a
+    of its own moves. The walk over (column, position) pairs runs
+    breadth-first from the root; a column drops out at its first move to a
     nonzero vertex, and each (column, Grundy-0 vertex) pair is expanded at
-    most once, so one column costs at most Z + 1 pair steps, where Z is the
-    number of edges out of Grundy-0 vertices.
+    most once: at most Z + 1 pair steps a column, Z the edges out of
+    Grundy-0 vertices. With ``draw``, ``choices`` is a column-major slot
+    store, and an undrawn entry the walk reads is drawn and written back.
     """
-    offsets, targets = g.offsets, g.targets
+    offsets, targets, n = g.offsets, g.targets, g.n
     count = choices.shape[1]
-    slots = np.ascontiguousarray(choices).ravel()  # slot of (v, j) at v * count + j
+    if draw is not None and not choices.flags.f_contiguous:
+        raise ValueError("drawing into a choice matrix needs it column-major")
+    slots = choices.ravel(order="F")  # slot of (v, j) at j * n + v
+    undrawn = np.iinfo(slots.dtype).max
     ok = np.full(count, offsets[g.root + 1] > offsets[g.root])  # a sink root loses
-    seen = np.zeros(g.n * count, dtype=bool)  # (Grundy-0 vertex w, column j) at w * count + j
+    seen = np.zeros(n * count, dtype=bool)  # (Grundy-0 vertex w, column j) at w * count + j
     col = np.flatnonzero(ok)
     pos = np.full(len(col), g.root)
     while len(col):
-        moved = targets[offsets[pos] + slots[pos * count + col]]
+        at = col * n + pos
+        moved = slots[at]
+        miss = np.flatnonzero(moved == undrawn) if draw is not None else []
+        if len(miss):
+            key = _distinct(at[miss])
+            slots[key] = draw(key % n)
+            moved[miss] = slots[at[miss]]
+        moved = targets[offsets[pos] + moved]
         ok[col[~zero[moved]]] = False
         live = ok[col]
         key = moved[live] * count + col[live]
-        key = key[~seen[key]]
-        key.sort()  # sort and drop repeats: np.unique hashes, several times slower here
-        first_of_run = np.ones(len(key), dtype=bool)
-        first_of_run[1:] = key[1:] != key[:-1]
-        key = key[first_of_run]
+        key = _distinct(key[~seen[key]])
         seen[key] = True
         moved = key // count
         col = key - moved * count
@@ -326,142 +348,134 @@ def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray)
     return ok
 
 
-def population_sufficient_mask(
-    g: GameGraph, gd: GrundyData, choices: np.ndarray, zero: np.ndarray
-) -> np.ndarray:
+def population_sufficient_mask(g: GameGraph, gd: GrundyData, choices, zero, draw=None):
     """Critical-position certificate flags for every column; ``zero`` flags
-    the Grundy-0 vertices."""
+    the Grundy-0 vertices. With ``draw``, each critical row's undrawn
+    entries are drawn first."""
     ok = np.ones(choices.shape[1], dtype=bool)
-    for v in gd.critical:
-        ok &= zero[_moves(g, choices, v)]
+    for v in sorted(gd.critical):
+        row = choices[v]
+        miss = np.flatnonzero(row == np.iinfo(row.dtype).max) if draw is not None else []
+        if len(miss):
+            row[miss] = draw(np.full(len(miss), v))
+        ok &= zero[g.targets[g.offsets[v] + row]]
     return ok
 
 
-def _stop_block(g: GameGraph, zero: np.ndarray, stop_rule: str) -> int:
-    """Columns per block of the stop check.
+@dataclass(frozen=True)
+class RunPlan:
+    """What a run's generations reuse: the degree groups and, for the stop
+    rule, Grundy data (without it no rule is checked), flags and block."""
 
-    The exact check steps through at most Z + 1 (column, position) pairs
-    per column, where Z is the number of edges out of the Grundy-0
-    vertices ``zero`` flags, so a block of ``STOP_BLOCK // Z`` columns keeps
-    its pairs, and with them its time and memory, near ``STOP_BLOCK``. The
-    certificate holds one row of a block at a time, so its block is
-    ``STOP_BLOCK`` columns.
-    """
+    groups: list[tuple[int, np.ndarray, np.ndarray]]
+    gd: GrundyData | None = None
+    zero: np.ndarray | None = None
+    block: int = 0
+
+
+def _stop_block(g: GameGraph, zero: np.ndarray, stop_rule: str) -> int:
+    """Columns per block of the stop check: ``STOP_BLOCK // Z`` for the
+    exact check, which takes at most Z + 1 (column, position) pair steps a
+    column (Z edges out of the Grundy-0 vertices ``zero`` flags), and
+    ``STOP_BLOCK`` for the certificate, which holds one row at a time."""
     if stop_rule == "sufficient_optimal":
         return STOP_BLOCK
     zero_edges = int((g.offsets[1:] - g.offsets[:-1])[zero].sum())
     return max(1, STOP_BLOCK // max(1, zero_edges))
 
 
-def _first_stop_column(
-    g: GameGraph, gd: GrundyData, zero: np.ndarray, choices: np.ndarray, stop_rule: str, block: int
-) -> int | None:
-    """Index of the first column of ``choices`` that meets the stop rule, or None.
-
-    Columns are checked ``block`` at a time, in order, and the scan ends at
-    the first block that holds a hit, so the hit is the first in the matrix.
-    """
-    for lo in range(0, choices.shape[1], block):
-        part = choices[:, lo : lo + block]
-        if stop_rule == "exact_optimal":
-            mask = population_optimal_mask(g, part, zero)
-        else:
-            mask = population_sufficient_mask(g, gd, part, zero)
-        if mask.any():
-            return lo + int(np.argmax(mask))
-    return None
-
-
 def generation_step(
-    model: ProbModel, cfg: UmdaConfig, rng: np.random.Generator
+    model: ProbModel, cfg: UmdaConfig, rng: np.random.Generator, plan: RunPlan | None = None
 ) -> tuple[ProbModel, Population, int]:
-    """One full generation: mu tournaments, frequency update, restriction.
+    """One generation: mu tournaments, the stop check, the update and its restriction.
 
-    Returns the next model, the selected population (the mu winners,
-    complete with their off-path choices), and the number of payoff
-    evaluations spent (always exactly mu).
+    Draws each player's choice where it moves, the winners' entries the
+    stop check reads (none under the cap-only rule or without Grundy data
+    in ``plan``) and the witness's other entries. An edge counts the drawn
+    winner entries on it plus a per-vertex multinomial fill of the undrawn
+    ones. Returns the next model, the winners, and the evaluations (mu).
     """
-    g = model.graph
-    cx = _sample_choice_matrix(model, rng, cfg.mu)
-    cy = _sample_choice_matrix(model, rng, cfg.mu)
-    outcome = _playout(g, cx, cy)
-    # Bitwise select, in place in cx: ((cx ^ cy) & m) ^ cy is cx where the
-    # column mask m is all ones (x won) and cy where it is 0. A broadcast
-    # np.where(outcome == 1, cx, cy) gives the same matrix on a slow path.
-    winners = cx
-    winners ^= cy
-    winners &= -(outcome == 1).astype(winners.dtype)
-    winners ^= cy
+    g, mu = model.graph, cfg.mu
+    plan = plan or RunPlan(_degree_groups(g))
+    p = _edge_vector(model)
+    table = _threshold_table(g, p)
+    dtype = np.min_scalar_type(g.max_degree)
+    none = np.zeros(0, dtype=np.int32)
+    steps, wins = [(none, none, none.astype(dtype))], [1]  # (positions, games, slots) per move
 
-    # One count per edge: the winners' slot at v lands on edge offsets[v] + slot.
-    # Counting a block of rows at a time bounds the int64 edge indices to
-    # about COUNT_BLOCK entries; integer counts add exactly.
-    interior = np.array(g.interior, dtype=np.int64)
-    starts = g.offsets[interior]
-    counts = np.zeros(g.edge_count, dtype=np.int64)
-    block = max(1, COUNT_BLOCK // cfg.mu)
-    for lo in range(0, len(interior), block):
-        edges = starts[lo : lo + block, None] + winners[interior[lo : lo + block]]
-        counts += np.bincount(edges.ravel(), minlength=g.edge_count)
-    flat = counts / cfg.mu
-    degrees = g.offsets[interior + 1] - starts
-    for size in np.unique(degrees):
-        rows = starts[degrees == size][:, None] + np.arange(size)
-        flat[rows] = restrict(flat[rows], model.gamma)
-    new_dists = dict(zip(g.interior, np.split(flat, starts[1:])))
-    next_model = ProbModel(graph=g, dists=new_dists, gamma=model.gamma)
-    return next_model, Population(graph=g, choices=winners), cfg.mu
+    def move(side, at, cols):
+        slots = _sample_choice_matrix(table, rng, at)
+        steps.append((at.astype(np.int32), cols, slots))  # int32 halves the record
+        wins.append(1 - 2 * side)  # the outcome that makes this mover the winner
+        return slots
+
+    outcome = _playout(g, move, mu)
+    at, cols, slots = (np.concatenate(part) for part in zip(*steps))
+    wins = np.repeat(np.int8(wins), [len(step[0]) for step in steps])
+    won = np.flatnonzero(outcome[cols] == wins)
+    at, cols, slots = at[won], cols[won], slots[won]
+    drawn = [(at, slots)]  # every winner entry drawn, each once
+
+    def draw(rows):
+        drawn.append((rows, _sample_choice_matrix(table, rng, rows)))
+        return drawn[-1][1]
+
+    undrawn = np.iinfo(dtype).max
+    store = np.full((g.n, mu), undrawn, dtype=dtype, order="F")
+    store[g.offsets[1:] - g.offsets[:-1] < 2] = 0  # no choice to draw
+    store.ravel(order="F")[cols * np.int64(g.n) + at] = slots
+    witness = None
+    if plan.gd is not None and cfg.stop_rule != "generation_cap_only":
+        for lo in range(0, mu, plan.block):  # up to the first block with a hit
+            part = store[:, lo : lo + plan.block]
+            if cfg.stop_rule == "exact_optimal":
+                mask = population_optimal_mask(g, part, plan.zero, draw)
+            else:
+                mask = population_sufficient_mask(g, plan.gd, part, plan.zero, draw)
+            if mask.any():
+                witness = lo + int(np.argmax(mask))
+                column = store[:, witness]
+                rows = np.flatnonzero(column == undrawn)
+                column[rows] = draw(rows)
+                break
+
+    at, slots = (np.concatenate(part) for part in zip(*drawn))
+    counts = np.bincount(g.offsets[at] + slots, minlength=g.edge_count)
+    rest = mu - np.bincount(at, minlength=g.n)  # the winners' undrawn entries per vertex
+    for d, rows, edges in plan.groups:
+        counts[edges] += rng.multinomial(rest[rows], p[edges]) if d > 1 else mu
+        p[edges] = restrict(counts[edges] / mu, model.gamma)
+    bounds = g.offsets[list(g.interior)].tolist() + [g.edge_count]
+    dists = {v: p[lo:hi] for v, lo, hi in zip(g.interior, bounds, bounds[1:])}
+    return ProbModel(g, dists, model.gamma), Population(g, store, witness), mu
 
 
 def run_umda(g: GameGraph, cfg: UmdaConfig, trace_every: int = 0) -> RunResult:
     """Iterate generations until the selected population hits the target.
 
-    The stop rule is checked on each generation's selected population;
-    sampled-but-unselected losers never count. Requires a first-player-win
-    game (extend with a forced start vertex first if necessary). With
-    ``trace_every`` at k > 0 the model is snapshotted every k-th
-    generation; 0 takes no snapshots.
+    The stop rule is checked on each generation's winners, never on the
+    losers. Requires a first-player-win game (add a forced start first if
+    necessary). ``trace_every`` k > 0 snapshots every k-th generation's model.
     """
     if trace_every < 0:
         raise ValueError(f"trace_every must be at least 0, got {trace_every}")
     gd = _grundy.grundy_values(g)
     if gd.values[g.root] == 0:
-        raise PreconditionViolated(
-            "root has Grundy value 0; apply ensure_first_player_win first"
-        )
+        raise PreconditionViolated("root has Grundy value 0; apply ensure_first_player_win first")
     zero = np.zeros(g.n, dtype=bool)
     zero[list(gd.zero_set)] = True
-    block = _stop_block(g, zero, cfg.stop_rule)
+    plan = RunPlan(_degree_groups(g), gd, zero, _stop_block(g, zero, cfg.stop_rule))
     model = uniform_model(g, cfg.gamma)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     trace: list[tuple[int, dict]] = []
-    evaluations = 0
     for t in range(1, cfg.max_generations + 1):
-        model, population, spent = generation_step(model, cfg, rng)
-        evaluations += spent
+        model, population, _ = generation_step(model, cfg, rng, plan)
         if trace_every and t % trace_every == 0:
             trace.append((t, model.snapshot()))
-        if cfg.stop_rule == "generation_cap_only":
-            continue
-        hit = _first_stop_column(g, gd, zero, population.choices, cfg.stop_rule, block)
-        if hit is not None:
-            witness = population.strategy(hit)
-            return RunResult(
-                generations_used=t,
-                evaluations=evaluations,
-                succeeded=True,
-                final_model=model,
-                optimal_witness=witness,
-                trace=trace,
-            )
-    return RunResult(
-        generations_used=cfg.max_generations,
-        evaluations=evaluations,
-        succeeded=False,
-        final_model=model,
-        optimal_witness=None,
-        trace=trace,
-    )
+        if population.witness is not None:
+            witness = population.strategy(population.witness)
+            return RunResult(t, cfg.mu * t, True, model, witness, trace)
+    return RunResult(cfg.max_generations, cfg.mu * cfg.max_generations, False, model, None, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -471,10 +485,9 @@ def run_umda(g: GameGraph, cfg: UmdaConfig, trace_every: int = 0) -> RunResult:
 class TheoremBudget:
     """Theorem-shaped parameter suggestions, never enforced as cutoffs.
 
-    The guarantee's constant is existential, so callers supply ``C`` (and
-    the confidence exponent ``K``); every budget carries its exact integer
-    power base alongside the float value, which may be astronomically
-    large at desk scale.
+    Callers supply the guarantee's existential constant ``C`` and the
+    confidence exponent ``K``; every budget carries its exact integer power
+    base beside its float value, which may be astronomical at desk scale.
     """
 
     gamma: Fraction
@@ -496,33 +509,23 @@ def _to_float(value) -> float:
 
 
 def theorem_border(g: GameGraph) -> Fraction:
-    """The runtime guarantee's border ``1/(20 * Delta * n)`` for ``g``.
-
-    Runs take it on the game as given, before any forced start is added,
-    while :func:`theorem_parameters` takes it on the game it budgets.
-    Raises ValueError on a game with no moves, where it is undefined.
-    """
+    """The runtime guarantee's border ``1/(20 * Delta * n)`` for ``g``, undefined
+    (ValueError) on a game with no moves. Runs take it on the game before any
+    forced start is added; :func:`theorem_parameters` on the game it budgets."""
     if g.max_degree == 0:
         raise ValueError("degenerate game: no moves at all")
     return Fraction(1, 20 * g.max_degree * g.n)
 
 
 def theorem_parameters(
-    g: GameGraph,
-    gd: GrundyData,
-    s_values: Mapping[int, int],
-    K: float = 1.0,
-    C: float = 1.0,
+    g: GameGraph, gd: GrundyData, s_values: Mapping[int, int], K: float = 1.0, C: float = 1.0
 ) -> TheoremBudget:
     """Instantiate the runtime guarantee's parameter formulas.
 
-    ``s_values`` maps vertices to switchability values or upper bounds and
-    must cover every critical position (budgets are monotone in them, so
-    upper bounds are safe). The border is :func:`theorem_border` of ``g``,
-    and its denominator is the power base of every budget; the
-    population lower bound and the generation/evaluation budgets follow
-    the guarantee's formulas with ``s_hat`` the maximum over critical
-    positions and ``s_bar`` the maximum over all supplied vertices.
+    ``s_values`` maps vertices to switchability values or upper bounds (the
+    budgets are monotone in them) and must cover every critical position;
+    ``s_hat`` is their maximum over critical positions, ``s_bar`` over all.
+    The denominator of :func:`theorem_border` is every budget's power base.
     """
     gamma = theorem_border(g)
     missing = [v for v in gd.critical if v not in s_values]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import eda, grundy, switchability
 from .games import GameSpec, nim_encode
-from .graphs import GameGraph, Strategy, enumerate_strategies, play, strategy_space_size
+from .graphs import GameGraph, Strategy, enumerate_strategies, strategy_space_size
 from .ioutil import atomic_write_text
 
 CSV_COLUMNS = [
@@ -206,54 +206,51 @@ def write_sweep(out_dir, summary: SweepSummary, include_timings: bool = False) -
 # ---------------------------------------------------------------------------
 # Intransitivity.
 
-def _beats_both_orders(g: GameGraph, a: Strategy, b: Strategy) -> bool:
-    return play(g, a, b).winner == 1 and play(g, b, a).winner == -1
+def _beats(g: GameGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per column: strategy ``a`` beats ``b`` both as first and as second mover."""
+    return (eda._play_matrices(g, a, b) == 1) & (eda._play_matrices(g, b, a) == -1)
 
 
 def intransitivity_search(
-    g: GameGraph,
-    triples: int = 1000,
-    rng: np.random.Generator | None = None,
+    g: GameGraph, triples: int = 1000, rng: np.random.Generator | None = None
 ) -> tuple[Strategy, Strategy, Strategy] | None:
     """Find strategies a, b, c with a > b > c > a, each dominance meaning
     a win both as first and as second mover.
 
     Exhaustive over the whole strategy space when it has at most 64
-    members; otherwise samples ``triples`` random triples from the
-    uniform model.
+    members, returning the first cycle in (a, b, c) index order; otherwise
+    samples ``triples`` random triples from the uniform model, each drawn
+    at every interior vertex in turn, and returns the first that cycles.
     """
     if strategy_space_size(g) <= 64:
         strategies = list(enumerate_strategies(g))
         m = len(strategies)
-        beats = [[False] * m for _ in range(m)]
+        choices = np.zeros((g.n, m), dtype=np.min_scalar_type(g.max_degree))
+        choices[list(g.interior)] = np.array([x.key(g) for x in strategies]).T
+        first, second = np.repeat(np.arange(m), m), np.tile(np.arange(m), m)
+        beats = _beats(g, choices[:, first], choices[:, second]).reshape(m, m)
         for i in range(m):
-            for j in range(m):
-                if i != j:
-                    beats[i][j] = _beats_both_orders(g, strategies[i], strategies[j])
-        for i in range(m):
-            for j in range(m):
-                if not beats[i][j]:
-                    continue
-                for k in range(m):
-                    if beats[j][k] and beats[k][i]:
-                        return strategies[i], strategies[j], strategies[k]
+            for j in np.flatnonzero(beats[i]).tolist():
+                k = np.flatnonzero(beats[j] & beats[:, i])
+                if len(k):
+                    return strategies[i], strategies[j], strategies[int(k[0])]
         return None
 
     if rng is None:
         rng = np.random.default_rng(0)
-    model = eda.uniform_model(g, gamma=0.0)
-
-    def sample() -> Strategy:
-        return eda.Population(g, eda._sample_choice_matrix(model, rng, 1)).strategy(0)
-
-    for _ in range(triples):
-        a, b, c = sample(), sample(), sample()
-        if (
-            _beats_both_orders(g, a, b)
-            and _beats_both_orders(g, b, c)
-            and _beats_both_orders(g, c, a)
-        ):
-            return a, b, c
+    table = eda._threshold_table(g, eda._edge_vector(eda.uniform_model(g, gamma=0.0)))
+    interior = np.array(g.interior, dtype=np.int64)
+    block = max(1, 2**16 // (3 * len(interior)))  # triples drawn and played at once
+    for lo in range(0, triples, block):
+        size = min(block, triples - lo)
+        choices = np.zeros((g.n, 3 * size), dtype=np.min_scalar_type(g.max_degree))
+        slots = eda._sample_choice_matrix(table, rng, np.tile(interior, 3 * size))
+        choices[interior] = slots.reshape(3 * size, len(interior)).T
+        a, b, c = choices[:, 0::3], choices[:, 1::3], choices[:, 2::3]
+        hit = np.flatnonzero(_beats(g, a, b) & _beats(g, b, c) & _beats(g, c, a))
+        if len(hit):
+            population = eda.Population(g, choices)
+            return tuple(population.strategy(3 * int(hit[0]) + i) for i in range(3))
     return None
 
 

@@ -4,13 +4,24 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from collections import deque
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from coevo.eda import ProbModel, _playout, _sample_choice_matrix, restrict
+from coevo.eda import (
+    ProbModel,
+    RunResult,
+    _edge_vector,
+    _play_matrices,
+    _sample_choice_matrix,
+    _threshold_table,
+    population_sufficient_mask,
+    restrict,
+    uniform_model,
+)
 from coevo.graphs import (
     GameGraph,
     Strategy,
@@ -19,7 +30,7 @@ from coevo.graphs import (
     play,
     strategy_space_size,
 )
-from coevo.grundy import grundy_values, is_optimal_exact
+from coevo.grundy import PreconditionViolated, grundy_values, is_optimal_exact
 from coevo.harness import ExperimentRecord
 
 
@@ -92,6 +103,127 @@ def sample_choice_matrix_per_vertex(model, rng: np.random.Generator, count: int)
     return out
 
 
+def sample_choice_matrix(model, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Complete strategies drawn with the engine's draw routine: one
+    uniform per (interior vertex, individual), vertices in ascending order,
+    which is the stream of :func:`sample_choice_matrix_per_vertex`."""
+    g = model.graph
+    interior = np.array(g.interior, dtype=np.int64)
+    table = _threshold_table(g, _edge_vector(model))
+    slots = _sample_choice_matrix(table, rng, np.repeat(interior, count))
+    out = np.zeros((g.n, count), dtype=slots.dtype)
+    out[interior] = slots.reshape(len(interior), count)
+    return out
+
+
+def playout_eager(g: GameGraph, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """The eager engine's playout: outcomes (+1/-1 for the first mover)
+    of column-paired strategies given as complete choice matrices."""
+    offsets, targets = g.offsets, g.targets
+    sink = offsets[1:] == offsets[:-1]
+    count = cx.shape[1]
+    pos = np.full(count, g.root, dtype=np.int64)
+    result = np.zeros(count, dtype=np.int8)
+    alive = ~sink[pos]
+    result[~alive] = -1
+    moves = 0
+    while alive.any():
+        idx = np.flatnonzero(alive)
+        mover = cx if moves % 2 == 0 else cy
+        at = pos[idx]
+        nxt = targets[offsets[at] + mover[at, idx]]
+        pos[idx] = nxt
+        moves += 1
+        done = idx[sink[nxt]]
+        result[done] = -1 if moves % 2 == 0 else 1
+        alive[done] = False
+    return result
+
+
+def run_umda_eager(g: GameGraph, cfg, trace_every: int = 0) -> RunResult:
+    """Reference for :func:`coevo.eda.run_umda`: the eager engine.
+
+    Each generation draws two complete choice matrices with
+    :func:`sample_choice_matrix_per_vertex`, plays them column by column,
+    keeps each game's winner, counts every winner's choice at every vertex
+    and restricts each degree group; the stop rule then checks the
+    complete winners (:func:`population_optimal_mask_dp` for the exact
+    rule). This is the engine the first golden digests were pinned on.
+    """
+    gd = grundy_values(g)
+    if gd.values[g.root] == 0:
+        raise PreconditionViolated("root has Grundy value 0")
+    zero = zero_mask(g)
+    model = uniform_model(g, cfg.gamma)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    interior = np.array(g.interior, dtype=np.int64)
+    starts = g.offsets[interior]
+    degrees = g.offsets[interior + 1] - starts
+    trace = []
+    for t in range(1, cfg.max_generations + 1):
+        cx = sample_choice_matrix_per_vertex(model, rng, cfg.mu)
+        cy = sample_choice_matrix_per_vertex(model, rng, cfg.mu)
+        winners = np.where(playout_eager(g, cx, cy) == 1, cx, cy)
+        edges = starts[:, None] + winners[interior]
+        flat = np.bincount(edges.ravel(), minlength=g.edge_count) / cfg.mu
+        for size in np.unique(degrees):
+            rows = starts[degrees == size][:, None] + np.arange(size)
+            flat[rows] = restrict(flat[rows], model.gamma)
+        model = ProbModel(g, dict(zip(g.interior, np.split(flat, starts[1:]))), model.gamma)
+        if trace_every and t % trace_every == 0:
+            trace.append((t, model.snapshot()))
+        if cfg.stop_rule == "generation_cap_only":
+            continue
+        if cfg.stop_rule == "exact_optimal":
+            mask = population_optimal_mask_dp(g, winners)
+        else:
+            mask = population_sufficient_mask(g, gd, winners, zero)
+        if mask.any():
+            j = int(np.argmax(mask))
+            witness = Strategy({v: int(g.targets[g.offsets[v] + winners[v, j]]) for v in g.interior})
+            return RunResult(t, cfg.mu * t, True, model, witness, trace)
+    return RunResult(cfg.max_generations, cfg.mu * cfg.max_generations, False, model, None, trace)
+
+
+def intransitivity_search_scalar(g: GameGraph):
+    """The exhaustive intransitivity search with the scalar player: the
+    first (a, b, c) in index order with a > b > c > a, each dominance a win
+    both as first and as second mover, or None."""
+    strategies = list(enumerate_strategies(g))
+    m = len(strategies)
+
+    def beats(a, b):
+        return play(g, a, b).winner == 1 and play(g, b, a).winner == -1
+
+    table = [[i != j and beats(strategies[i], strategies[j]) for j in range(m)] for i in range(m)]
+    for i in range(m):
+        for j in range(m):
+            if table[i][j]:
+                for k in range(m):
+                    if table[j][k] and table[k][i]:
+                        return strategies[i], strategies[j], strategies[k]
+    return None
+
+
+def mann_whitney_p(a, b) -> float:
+    """Two-sided p-value of the Mann-Whitney U test, by the normal
+    approximation with tie correction."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    values = np.concatenate([a, b])
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    ranks[order] = np.arange(1, len(values) + 1)
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    ranks = np.bincount(inverse, weights=ranks)[inverse] / counts[inverse]  # mid-ranks of ties
+    n1, n2 = len(a), len(b)
+    u = ranks[:n1].sum() - n1 * (n1 + 1) / 2
+    total = n1 + n2
+    ties = (counts**3 - counts).sum()
+    sigma = np.sqrt(n1 * n2 / 12 * (total + 1 - ties / (total * (total - 1))))
+    z = (abs(u - n1 * n2 / 2) - 0.5) / sigma if sigma > 0 else 0.0
+    return float(math.erfc(max(z, 0.0) / math.sqrt(2)))
+
+
 def population_optimal_mask_dp(g: GameGraph, choices: np.ndarray) -> np.ndarray:
     """Reference for :func:`coevo.eda.population_optimal_mask`: the
     best-response DP over every vertex and edge, for all columns at once.
@@ -127,8 +259,7 @@ def outcome_matrix(g: GameGraph, strategies: list[Strategy]) -> np.ndarray:
     choices = choice_matrix(g, strategies)
     left = np.repeat(np.arange(m), m)
     right = np.tile(np.arange(m), m)
-    results = _playout(g, choices[:, left], choices[:, right])
-    return results.reshape(m, m)
+    return _play_matrices(g, choices[:, left], choices[:, right]).reshape(m, m)
 
 
 def outcome_matrix_scalar(g: GameGraph, strategies: list[Strategy]) -> np.ndarray:
@@ -171,9 +302,9 @@ def monte_carlo_selection(
         raise ValueError("trials must be at least 1")
     if not g.succ[u]:
         raise ValueError(f"vertex {u} has no moves")
-    cx = _sample_choice_matrix(model, rng, trials)
-    cy = _sample_choice_matrix(model, rng, trials)
-    outcome = _playout(g, cx, cy)
+    cx = sample_choice_matrix(model, rng, trials)
+    cy = sample_choice_matrix(model, rng, trials)
+    outcome = _play_matrices(g, cx, cy)
     winner_slots = np.where(outcome == 1, cx[u], cy[u])
     freqs = np.bincount(winner_slots, minlength=len(g.succ[u])) / trials
     stderr = np.sqrt(freqs * (1 - freqs) / trials)

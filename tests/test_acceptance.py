@@ -88,7 +88,7 @@ def test_grundy_fixture_fast(capsys):
 # --- criterion 2: optimality oracle equivalence ---------------------------------
 
 def _optimal_flags_by_playout(g, strategies, pair_budget=4_000_000):
-    from coevo.eda import _playout
+    from coevo.eda import _play_matrices
 
     m = len(strategies)
     choices = choice_matrix(g, strategies)
@@ -98,7 +98,7 @@ def _optimal_flags_by_playout(g, strategies, pair_budget=4_000_000):
         stop = min(start + block, m)
         left = np.repeat(np.arange(start, stop), m)
         right = np.tile(np.arange(m), stop - start)
-        results = _playout(g, choices[:, left], choices[:, right])
+        results = _play_matrices(g, choices[:, left], choices[:, right])
         flags[start:stop] = (results.reshape(stop - start, m) == 1).all(axis=1)
     return flags
 

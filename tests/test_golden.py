@@ -1,12 +1,16 @@
-"""Seeded outputs pinned to the values the engine produced before the
-successor-slot layout.
+"""Seeded outputs pinned, for the engine and for the eager reference.
 
 Each case hashes everything a run reports: final model, trace snapshots,
-witness, generation and evaluation counts. Population sizes are not
-powers of two, so the frequencies ``count / mu`` are not exact binary
-fractions. A change in the order of the restriction's float sums moves a
-model entry only now and then, so ``test_eda`` checks that order bit for
-bit against a one-vector reference.
+witness, generation and evaluation counts. ``EAGER_RUNS`` holds the
+digests pinned before the lazy engine, on the engine that drew two
+complete choice matrices per generation; ``helpers.run_umda_eager`` still
+reproduces them. ``GOLDEN_RUNS`` pins the lazy engine on the same cases:
+it draws a different stream (only the entries a generation reads, then a
+multinomial fill), so its digests were recorded once when it replaced the
+eager engine. Population sizes are not powers of two, so the frequencies
+``count / mu`` are not exact binary fractions. A change in the order of
+the restriction's float sums moves a model entry only now and then, so
+``test_eda`` checks that order bit for bit against a one-vector reference.
 """
 
 import hashlib
@@ -19,6 +23,7 @@ from coevo.eda import UmdaConfig, run_umda
 from coevo.games import chomp, nim_encode, silver_dollar, subtraction_nim
 from coevo.grundy import ensure_first_player_win
 from coevo.harness import intransitivity_search
+from helpers import run_umda_eager
 
 
 def _digest(payload) -> str:
@@ -29,12 +34,12 @@ def _theorem_gamma(g) -> float:
     return 1 / (20 * g.max_degree * g.n)
 
 
-def _run_digest(base, mu, gamma, max_generations, seed, stop_rule, trace_every):
+def _run_digest(base, mu, gamma, max_generations, seed, stop_rule, trace_every, run=run_umda):
     g = ensure_first_player_win(base)
     cfg = UmdaConfig(
         mu=mu, gamma=gamma, max_generations=max_generations, seed=seed, stop_rule=stop_rule
     )
-    result = run_umda(g, cfg, trace_every=trace_every)
+    result = run(g, cfg, trace_every=trace_every)
     witness = result.optimal_witness
     return _digest(
         {
@@ -48,43 +53,50 @@ def _run_digest(base, mu, gamma, max_generations, seed, stop_rule, trace_every):
     )
 
 
-GOLDEN_RUNS = {
-    # name: (game, mu, gamma, max_generations, seed, stop_rule, trace_every), sha256
-    "nim n=10 k=2": (
-        (subtraction_nim(10, 2), 5, 1 / 400, 300, 0, "exact_optimal", 10),
-        "3390e596934532a051a4bed98dac3044a4a961bb2e574a0bd145ec47b26a37a2",
-    ),
-    "chomp m=4": (
-        (chomp(4), 200, _theorem_gamma(chomp(4)), 60, 1, "exact_optimal", 2),
-        "7e71664758f01452898351eab430b236beb123755706bc6d1cc540458659a4be",
-    ),
+CASES = {
+    # name: (game, mu, gamma, max_generations, seed, stop_rule, trace_every)
+    "nim n=10 k=2": (subtraction_nim(10, 2), 5, 1 / 400, 300, 0, "exact_optimal", 10),
+    "chomp m=4": (chomp(4), 200, _theorem_gamma(chomp(4)), 60, 1, "exact_optimal", 2),
     "silver dollar m=7 k=3": (
-        (silver_dollar(7, 3), 96, _theorem_gamma(silver_dollar(7, 3)), 40, 3,
-         "sufficient_optimal", 4),
-        "7444f5eecba09a0ce23b92cdd9aeb265e056bf0e7154fba2b3bfcafa87348882",
+        silver_dollar(7, 3), 96, _theorem_gamma(silver_dollar(7, 3)), 40, 3, "sufficient_optimal", 4
     ),
-    # The two cases below were pinned on the per-vertex searchsorted sampler:
-    # at mu=3000 one choice matrix spans several of the sampler's row blocks,
-    # and a degree of 270 makes the slots uint16.
-    "chomp m=5 mu=3000": (
-        (chomp(5), 3000, _theorem_gamma(chomp(5)), 3, 5, "generation_cap_only", 1),
-        "d92a2a631bcf1db1efabe56eb953c4bfb7d64d0d6818bf7c2f2bcfc244327c0b",
-    ),
+    # At mu=3000 one eager choice matrix spanned several of the eager
+    # sampler's row blocks, and a degree of 270 makes the slots uint16.
+    "chomp m=5 mu=3000": (chomp(5), 3000, _theorem_gamma(chomp(5)), 3, 5, "generation_cap_only", 1),
     "nim n=300 k=270": (
-        (subtraction_nim(300, 270), 40, _theorem_gamma(subtraction_nim(300, 270)), 4, 2,
-         "generation_cap_only", 2),
-        "cd701c146c6afad17161ff73c2da1cca646bfb8034044d6bd588ad4f1dab9387",
+        subtraction_nim(300, 270), 40, _theorem_gamma(subtraction_nim(300, 270)), 4, 2,
+        "generation_cap_only", 2,
     ),
+}
+EAGER_RUNS = {
+    "nim n=10 k=2": "3390e596934532a051a4bed98dac3044a4a961bb2e574a0bd145ec47b26a37a2",
+    "chomp m=4": "7e71664758f01452898351eab430b236beb123755706bc6d1cc540458659a4be",
+    "silver dollar m=7 k=3": "7444f5eecba09a0ce23b92cdd9aeb265e056bf0e7154fba2b3bfcafa87348882",
+    "chomp m=5 mu=3000": "d92a2a631bcf1db1efabe56eb953c4bfb7d64d0d6818bf7c2f2bcfc244327c0b",
+    "nim n=300 k=270": "cd701c146c6afad17161ff73c2da1cca646bfb8034044d6bd588ad4f1dab9387",
+}
+GOLDEN_RUNS = {
+    "nim n=10 k=2": "9a29a99ada1a1cf9c84958db33e9cbef72021c752b8125628a3adf8f0b1bca68",
+    "chomp m=4": "75369c6c28e570e6067f02fb69855c6bb682e5ab1de7900612c8735b39096f91",
+    "silver dollar m=7 k=3": "bb902e9dd448d1072c2c54ed566ff4add2a2f87ece4441cae82e246dce203fff",
+    "chomp m=5 mu=3000": "d3aaa58126e479df9551409506298b8802481dbd1814314c2cc24d53b12b5126",
+    "nim n=300 k=270": "756d00c7e8e5ca04534f7fa84514b7641c3d45784e41fff08d7f2eb63bd14e06",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
 def test_run_umda_golden(name):
-    args, expected = GOLDEN_RUNS[name]
-    assert _run_digest(*args) == expected
+    assert _run_digest(*CASES[name]) == GOLDEN_RUNS[name]
+
+
+@pytest.mark.parametrize("name", sorted(EAGER_RUNS))
+def test_run_umda_eager_golden(name):
+    assert _run_digest(*CASES[name], run=run_umda_eager) == EAGER_RUNS[name]
 
 
 def test_intransitivity_sampled_golden():
+    # Each triple is drawn at every interior vertex in turn and played as
+    # columns; the witness equals the one the scalar player found.
     g = subtraction_nim(14, 2)
     witness = intransitivity_search(g, triples=500, rng=np.random.default_rng(3))
     assert [nim_encode(x, 14, 2) for x in witness] == [

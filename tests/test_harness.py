@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coevo.games import GameSpec, fixture, nim_encode, subtraction_nim
-from coevo.graphs import build_graph, play
+from coevo.graphs import build_graph, play, strategy_space_size
 from coevo.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -18,7 +18,7 @@ from coevo.harness import (
     sweep_scaling,
     write_sweep,
 )
-from helpers import records_from_csv
+from helpers import intransitivity_search_scalar, random_game, records_from_csv
 
 
 def _chain_config(**overrides):
@@ -201,6 +201,22 @@ def test_intransitivity_exhaustive_nim():
     for first, second in ((a, b), (b, c), (c, a)):
         assert play(g, first, second).winner == 1
         assert play(g, second, first).winner == -1
+
+
+def test_intransitivity_exhaustive_matches_the_scalar_search():
+    # Played as columns, the exhaustive search returns the same first cycle
+    # (or none) as the scalar player did.
+    rng = np.random.default_rng(47)
+    games = [subtraction_nim(7, 2), subtraction_nim(6, 3), fixture("fig1")]
+    games += [g for g in (random_game(rng, n_max=9) for _ in range(60)) if strategy_space_size(g) <= 64]
+    found = 0
+    for g in games:
+        got, want = intransitivity_search(g), intransitivity_search_scalar(g)
+        assert (got is None) == (want is None)
+        if got is not None:
+            found += 1
+            assert [x.choice for x in got] == [x.choice for x in want]
+    assert found >= 3 and len(games) >= 30
 
 
 def test_intransitivity_none_on_trivial_games():

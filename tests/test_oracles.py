@@ -22,6 +22,7 @@ from helpers import (
     outcome_matrix,
     random_game,
     random_rational_model,
+    sample_choice_matrix,
     uniform_rational_model,
 )
 
@@ -142,11 +143,11 @@ def test_reach_and_win_match_simulation():
         g = fixture(name)
         model = uniform_model(g, 0.0)
         trials = 200_000
-        from coevo.eda import _playout, _sample_choice_matrix
+        from coevo.eda import _play_matrices
 
-        cx = _sample_choice_matrix(model, rng, trials)
-        cy = _sample_choice_matrix(model, rng, trials)
-        outcome = _playout(g, cx, cy)
+        cx = sample_choice_matrix(model, rng, trials)
+        cy = sample_choice_matrix(model, rng, trials)
+        outcome = _play_matrices(g, cx, cy)
         win_hat = (outcome == 1).mean()
         win = win_probabilities(g, model.dists)
         se = np.sqrt(0.25 / trials)
