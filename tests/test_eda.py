@@ -386,6 +386,27 @@ def test_sampler_boundaries_in_wide_tables(degree):
     assert got.dtype == np.min_scalar_type(degree)
 
 
+def test_sampler_memory_stays_near_the_output():
+    # The draw routine holds a few arrays of the request's length whatever
+    # the table's width: chomp m=6 has 35 moves at its root, and gathering
+    # each entry's whole threshold row would take 34 floats an entry.
+    g = chomp(6)
+    table = _threshold_table(g, _edge_vector(uniform_model(g, 0.0)))
+    rows = np.repeat(np.flatnonzero(np.diff(g.offsets) > 1), 256)
+    _sample_choice_matrix(table, np.random.default_rng(5), rows[:8])  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        slots = _sample_choice_matrix(table, np.random.default_rng(5), rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(slots) == len(rows) and table.shape[1] >= 10  # the binary search
+    # The output plus at most seven arrays of 8 bytes an entry: the uniforms,
+    # the row offsets, the counts, and a halving step's index, gathered
+    # thresholds and next counts (six at the measured peak).
+    assert peak <= slots.nbytes + 7 * 8 * len(rows)
+
+
 class _CountingRng:
     """A numpy generator that counts the uniforms and multinomial fills it hands out."""
 
@@ -873,6 +894,42 @@ def test_witness_is_the_first_hit_across_blocks(monkeypatch, stop_rule, columns,
     assert first >= 3 * columns  # past the first blocks
     assert witnesses[-1] == first
     assert result.optimal_witness.choice == Population(g, populations[-1]).strategy(first).choice
+
+
+def test_stop_check_memory_stays_near_the_population(monkeypatch):
+    g = ensure_first_player_win(turning_turtles(10))
+    zero, mu = zero_mask(g), 2048
+    plan = _plan(g)
+    choices = np.asfortranarray(_population(g, zero, np.random.default_rng(8), mu, 1.0))  # every column optimal
+    population_optimal_mask(g, choices[:, :1], zero)  # numpy's lazy set-up
+    tracemalloc.start()
+    try:
+        mask = population_optimal_mask(g, choices[:, : plan.block], zero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.all() and plan.block < mu
+    # One block's seen flags and its pair frontier; one pass over all 2048
+    # columns at once reached 560 MB.
+    assert peak <= 2 * g.n * mu + 2 * 2**20
+    # A generation hands the check one block of its winners at a time: with
+    # the model on a Grundy-0 move wherever there is one, every winner is
+    # optimal and the first block has the witness.
+    model = uniform_model(g, 0.0)
+    for v in g.interior:
+        good = np.flatnonzero(zero[list(g.succ[v])])
+        if len(good):
+            model.dists[v] = np.eye(len(g.succ[v]))[good[0]]
+    widths = []
+
+    def spy(g, part, zero, draw=None):
+        widths.append(part.shape[1])
+        return population_optimal_mask(g, part, zero, draw)
+
+    monkeypatch.setattr(eda, "population_optimal_mask", spy)
+    cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0)
+    _, population, _ = generation_step(model, cfg, np.random.default_rng(5), plan)
+    assert widths == [plan.block] and population.witness == 0
 
 
 def test_generation_memory_stays_near_the_store():
