@@ -9,8 +9,7 @@ individual's successor slot at one vertex) is drawn only when something
 reads it, so a game draws its players' choices along its own path. The
 winners' drawn entries sit in an n × mu slot store; each vertex's count
 adds a multinomial fill for the winners' entries nobody read, which makes
-the update the same in law as drawing every entry. Everything runs
-vectorised over the columns of that one layout, from the seed alone.
+the update the same in law as drawing every entry.
 
 The exact stop check rests on a lemma: a strategy is optimal iff it moves
 to a Grundy-0 vertex at every position it can face. So it reads only those
@@ -42,9 +41,8 @@ class MissingSwitchability(ValueError):
 
 
 RENORM_TOLERANCE = 1e-12
-#: Stop rules by their command-line name: stop at the first exactly optimal
-#: winner, at the first that passes the critical-position certificate, or
-#: only at the generation cap.
+#: Stop rules by command-line name: stop at the first exactly optimal winner,
+#: at the first that passes the critical-position certificate, or at the cap.
 STOP_RULES = {
     "exact": "exact_optimal", "sufficient": "sufficient_optimal", "cap": "generation_cap_only"
 }
@@ -106,8 +104,10 @@ class Population:
         return self.choices.shape[1]
 
     def strategy(self, j: int) -> Strategy:
-        g = self.graph
-        return Strategy({v: int(g.targets[g.offsets[v] + self.choices[v, j]]) for v in g.interior})
+        g, column = self.graph, self.choices[:, j]
+        if (column[list(g.interior)] == np.iinfo(column.dtype).max).any():
+            raise ValueError(f"column {j} is not drawn in full; only a generation's witness is")
+        return Strategy({v: int(g.targets[g.offsets[v] + column[v]]) for v in g.interior})
 
 
 @dataclass
@@ -160,9 +160,7 @@ def restrict(p, gamma):
         return np.where(p <= gamma, gamma, gamma + (1 - bminus / bplus) * (p - gamma))
     if size == 2:
         return [min(max(x, gamma), 1 - gamma) for x in p]
-    bplus = beta_plus(p, gamma)
-    bminus = beta_minus(p, gamma)
-    scale = 1 - bminus / bplus
+    scale = 1 - beta_minus(p, gamma) / beta_plus(p, gamma)
     return [gamma if x <= gamma else gamma + scale * (x - gamma) for x in p]
 
 
@@ -222,9 +220,8 @@ def _edge_vector(model: ProbModel) -> np.ndarray:
 def _threshold_table(g: GameGraph, p: np.ndarray) -> np.ndarray:
     """The n × (Δ−1) inverse-CDF table of the edge vector ``p``: row v holds
     v's running sums without the last, then 2.0, above every uniform."""
-    degrees = g.offsets[1:] - g.offsets[:-1]
     width = np.arange(max(0, g.max_degree - 1))
-    valid = width < degrees[:, None] - 1
+    valid = width < np.diff(g.offsets)[:, None] - 1
     sums = np.cumsum(p[np.where(valid, g.offsets[:-1, None] + width, 0)], axis=1)
     return np.where(valid, sums, 2.0)
 
@@ -233,22 +230,22 @@ def _sample_choice_matrix(table: np.ndarray, rng, rows: np.ndarray) -> np.ndarra
     """Draw a slot at each vertex of ``rows``, one uniform ``u`` each, in order.
 
     The slot counts the row's thresholds at most ``u`` (``u == cum[i]``
-    picks slot i + 1), comparing every column of a narrow table and
-    binary-searching a wide one. Its dtype keeps the largest value free.
+    picks slot i + 1). Its dtype keeps the largest value free. Int32
+    ``rows`` keep the binary search's index arrays at 4 bytes.
     """
     u = rng.random(len(rows))
     width = table.shape[1]
     dtype = np.min_scalar_type(width + 1)
-    if width < 10:
-        slots = (table[:, 0][rows] <= u).view(dtype) if width else np.zeros(len(rows), dtype)
-        for i in range(1, width):
-            slots = slots + (table[:, i][rows] <= u)
+    if width < 10:  # one pass per threshold column beats the search below 10 (timed at 1-20)
+        slots = np.zeros(len(rows), dtype)
+        for i in range(width):
+            slots += table[:, i][rows] <= u
         return slots
     # With 2^k <= width < 2^(k+1): do the last 2^k thresholds start at or
     # below u? Then k halving steps over the 2^k - 1 left to search.
     flat, base = table.ravel(), rows * width - 1
     half = 1 << (width.bit_length() - 1)
-    count = np.where(flat[base + width - half + 1] <= u, width - half + 1, 0)
+    count = (flat[base + width - half + 1] <= u) * np.int32(width - half + 1)
     while half > 1:
         half >>= 1
         np.copyto(count, count + half, where=flat[base + count + half] <= u)
@@ -299,6 +296,33 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
+def _read_slots(slots: np.ndarray, at: np.ndarray, n: int, draw) -> np.ndarray:
+    """``slots[at]`` of a flat column-major store of n rows; with ``draw``,
+    each distinct undrawn entry among them is drawn first and written back."""
+    read = slots[at]
+    key = at[read == np.iinfo(slots.dtype).max] if draw is not None else []
+    if len(key):
+        key = _distinct(key)
+        slots[key] = draw((key % n).astype(np.int32))
+        read = slots[at]
+    return read
+
+
+def _replies(g: GameGraph, col: np.ndarray, at: np.ndarray, seen: np.ndarray):
+    """The (column, position) pairs faced next: a column j that moved to Grundy-0
+    vertex w faces every reply from w, once (``seen`` flags w * count + j)."""
+    count = len(seen) // g.n
+    key = at * count + col
+    key = _distinct(key[~seen[key]])
+    seen[key] = True
+    moved = key // count
+    starts = g.offsets[moved]
+    degrees = g.offsets[moved + 1] - starts
+    first = np.cumsum(degrees) - degrees
+    pos = g.targets[np.arange(int(degrees.sum())) + np.repeat(starts - first, degrees)]
+    return np.repeat(key - moved * count, degrees), pos
+
+
 def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray, draw=None):
     """Exact-optimality flags for every column of a choice matrix.
 
@@ -312,39 +336,21 @@ def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray,
     Grundy-0 vertices. With ``draw``, ``choices`` is a column-major slot
     store, and an undrawn entry the walk reads is drawn and written back.
     """
-    offsets, targets, n = g.offsets, g.targets, g.n
-    count = choices.shape[1]
+    offsets, targets, n, count = g.offsets, g.targets, g.n, choices.shape[1]
     if draw is not None and not choices.flags.f_contiguous:
         raise ValueError("drawing into a choice matrix needs it column-major")
     slots = choices.ravel(order="F")  # slot of (v, j) at j * n + v
-    undrawn = np.iinfo(slots.dtype).max
     ok = np.full(count, offsets[g.root + 1] > offsets[g.root])  # a sink root loses
     seen = np.zeros(n * count, dtype=bool)  # (Grundy-0 vertex w, column j) at w * count + j
     col = np.flatnonzero(ok)
     pos = np.full(len(col), g.root)
     while len(col):
-        at = col * n + pos
-        moved = slots[at]
-        miss = np.flatnonzero(moved == undrawn) if draw is not None else []
-        if len(miss):
-            key = _distinct(at[miss])
-            slots[key] = draw(key % n)
-            moved[miss] = slots[at[miss]]
-        moved = targets[offsets[pos] + moved]
-        ok[col[~zero[moved]]] = False
+        read = _read_slots(slots, col * n + pos, n, draw)
+        pos = targets[offsets[pos] + read]  # where each column moves
+        ok[col[~zero[pos]]] = False
         live = ok[col]
-        key = moved[live] * count + col[live]
-        key = _distinct(key[~seen[key]])
-        seen[key] = True
-        moved = key // count
-        col = key - moved * count
-        # Every reply from each newly reached Grundy-0 vertex is a position
-        # its column faces next.
-        starts = offsets[moved]
-        degrees = offsets[moved + 1] - starts
-        first = np.cumsum(degrees) - degrees
-        pos = targets[np.arange(int(degrees.sum())) + np.repeat(starts - first, degrees)]
-        col = np.repeat(col, degrees)
+        col, pos = col[live], pos[live]  # dropped before the expansion, which lowers its peak
+        col, pos = _replies(g, col, pos, seen)
     return ok
 
 
@@ -357,31 +363,30 @@ def population_sufficient_mask(g: GameGraph, gd: GrundyData, choices, zero, draw
         row = choices[v]
         miss = np.flatnonzero(row == np.iinfo(row.dtype).max) if draw is not None else []
         if len(miss):
-            row[miss] = draw(np.full(len(miss), v))
+            row[miss] = draw(np.full(len(miss), v, dtype=np.int32))
         ok &= zero[g.targets[g.offsets[v] + row]]
     return ok
 
 
 @dataclass(frozen=True)
 class RunPlan:
-    """What a run's generations reuse: the degree groups and, for the stop
-    rule, Grundy data (without it no rule is checked), flags and block."""
+    """What a run's generations reuse: degree groups; the stop rule's Grundy data, flags, block."""
 
     groups: list[tuple[int, np.ndarray, np.ndarray]]
-    gd: GrundyData | None = None
-    zero: np.ndarray | None = None
-    block: int = 0
+    gd: GrundyData
+    zero: np.ndarray
+    block: int
 
 
-def _stop_block(g: GameGraph, zero: np.ndarray, stop_rule: str) -> int:
-    """Columns per block of the stop check: ``STOP_BLOCK // Z`` for the
-    exact check, which takes at most Z + 1 (column, position) pair steps a
-    column (Z edges out of the Grundy-0 vertices ``zero`` flags), and
-    ``STOP_BLOCK`` for the certificate, which holds one row at a time."""
-    if stop_rule == "sufficient_optimal":
-        return STOP_BLOCK
+def _run_plan(g: GameGraph, stop_rule: str) -> RunPlan:
+    """The plan :func:`run_umda` builds. A stop-check block holds ``STOP_BLOCK // Z``
+    columns for the exact check (at most Z + 1 pair steps a column, Z the edges out
+    of Grundy-0 vertices) and ``STOP_BLOCK`` for the certificate (a row at a time)."""
+    gd = _grundy.grundy_values(g)
+    zero = np.array(gd.values) == 0
     zero_edges = int((g.offsets[1:] - g.offsets[:-1])[zero].sum())
-    return max(1, STOP_BLOCK // max(1, zero_edges))
+    block = max(1, STOP_BLOCK // (1 if stop_rule == "sufficient_optimal" else max(1, zero_edges)))
+    return RunPlan(_degree_groups(g), gd, zero, block)
 
 
 def generation_step(
@@ -390,13 +395,13 @@ def generation_step(
     """One generation: mu tournaments, the stop check, the update and its restriction.
 
     Draws each player's choice where it moves, the winners' entries the
-    stop check reads (none under the cap-only rule or without Grundy data
-    in ``plan``) and the witness's other entries. An edge counts the drawn
-    winner entries on it plus a per-vertex multinomial fill of the undrawn
-    ones. Returns the next model, the winners, and the evaluations (mu).
+    stop check reads (none under the cap-only rule) and the witness's rest.
+    An edge counts the drawn winner entries on it plus a per-vertex
+    multinomial fill of the undrawn ones. ``plan`` defaults to run_umda's.
+    Returns the next model, the winners, and the evaluations (mu).
     """
     g, mu = model.graph, cfg.mu
-    plan = plan or RunPlan(_degree_groups(g))
+    plan = plan or _run_plan(g, cfg.stop_rule)
     p = _edge_vector(model)
     table = _threshold_table(g, p)
     dtype = np.min_scalar_type(g.max_degree)
@@ -425,7 +430,7 @@ def generation_step(
     store[g.offsets[1:] - g.offsets[:-1] < 2] = 0  # no choice to draw
     store.ravel(order="F")[cols * np.int64(g.n) + at] = slots
     witness = None
-    if plan.gd is not None and cfg.stop_rule != "generation_cap_only":
+    if cfg.stop_rule != "generation_cap_only":
         for lo in range(0, mu, plan.block):  # up to the first block with a hit
             part = store[:, lo : lo + plan.block]
             if cfg.stop_rule == "exact_optimal":
@@ -435,7 +440,7 @@ def generation_step(
             if mask.any():
                 witness = lo + int(np.argmax(mask))
                 column = store[:, witness]
-                rows = np.flatnonzero(column == undrawn)
+                rows = np.flatnonzero(column == undrawn).astype(np.int32)
                 column[rows] = draw(rows)
                 break
 
@@ -459,12 +464,9 @@ def run_umda(g: GameGraph, cfg: UmdaConfig, trace_every: int = 0) -> RunResult:
     """
     if trace_every < 0:
         raise ValueError(f"trace_every must be at least 0, got {trace_every}")
-    gd = _grundy.grundy_values(g)
-    if gd.values[g.root] == 0:
+    plan = _run_plan(g, cfg.stop_rule)
+    if plan.gd.values[g.root] == 0:
         raise PreconditionViolated("root has Grundy value 0; apply ensure_first_player_win first")
-    zero = np.zeros(g.n, dtype=bool)
-    zero[list(gd.zero_set)] = True
-    plan = RunPlan(_degree_groups(g), gd, zero, _stop_block(g, zero, cfg.stop_rule))
     model = uniform_model(g, cfg.gamma)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     trace: list[tuple[int, dict]] = []
@@ -535,14 +537,11 @@ def theorem_parameters(
     log_n = math.log(g.n)
     s_hat = max((int(s_values[v]) for v in gd.critical), default=0)
     s_bar = max((int(s) for s in s_values.values()), default=0)
-
     mu_base = base ** (1 + 2 * s_hat)
     gen_base = sum(base ** int(s_values[v]) for v in gd.critical)
     eval_base = base ** (2 + 3 * s_bar)
     return TheoremBudget(
-        gamma=gamma,
-        s_hat=s_hat,
-        s_bar=s_bar,
+        gamma=gamma, s_hat=s_hat, s_bar=s_bar,
         mu_min=C * (K + s_hat + 1) * _to_float(mu_base) * log_n,
         mu_min_base=mu_base,
         generation_budget=C * _to_float(gen_base) * log_n,

@@ -15,7 +15,6 @@ from coevo.eda import (
     MissingSwitchability,
     Population,
     ProbModel,
-    RunPlan,
     UmdaConfig,
     beta_minus,
     beta_plus,
@@ -188,7 +187,7 @@ def test_generation_step_restriction_matches_reference(monkeypatch):
     # (drawn plus filled) add up to mu.
     g = chomp(4)  # degrees 1 to 15
     gamma = 0.004
-    cfg = UmdaConfig(mu=300, gamma=gamma, max_generations=1, seed=0)
+    cfg = UmdaConfig(mu=300, gamma=gamma, max_generations=1, seed=0, stop_rule="generation_cap_only")
     rng = np.random.default_rng(103)
     model = uniform_model(g, gamma)
     calls = []
@@ -291,6 +290,15 @@ def test_sampled_strategies_valid():
         Population(g, sample_choice_matrix(model, rng, 1)).strategy(0).validate(g)
 
 
+def test_strategy_of_a_partly_drawn_column_is_refused():
+    # A generation draws its winners' entries only where something reads them.
+    g = chomp(4)
+    cfg = UmdaConfig(mu=64, gamma=0.0, max_generations=1, seed=0, stop_rule="generation_cap_only")
+    _, population, _ = generation_step(uniform_model(g, 0.0), cfg, np.random.default_rng(1))
+    with pytest.raises(ValueError, match="column 3 is not drawn in full"):
+        population.strategy(3)
+
+
 def _awkward_model(g, rng):
     """Random rows, some with zero entries, some point masses, some whose
     cumulative sum ends below one (the clip to the last slot)."""
@@ -319,9 +327,9 @@ def _sampling_corpus():
 @pytest.mark.parametrize("count", [1, 7, "blocks"])
 def test_sampler_equals_per_vertex_reference(count):
     # The draw routine, asked for every (interior vertex, individual) in
-    # order, reproduces the per-vertex searchsorted stream: narrow tables
-    # (chomp m=4 has 14 thresholds a row, the random games at most 2) and
-    # binary-searched wide ones alike.
+    # order, reproduces the per-vertex searchsorted stream at every table
+    # width: the random games have at most 2 thresholds a row, chomp m=4
+    # has 14 and subtraction_nim(300, 270) 269.
     for seed, (g, model) in enumerate(_sampling_corpus()):
         # "blocks": the count at which the eager sampler split one matrix
         # into about three blocks of rows.
@@ -368,10 +376,12 @@ def test_sampler_boundaries(sampler):
     assert stub.values == []
 
 
-@pytest.mark.parametrize("degree", [10, 12, 16, 17, 300])
-def test_sampler_boundaries_in_wide_tables(degree):
-    # Rows this wide are binary-searched; dyadic entries make every running
-    # sum exact, so a uniform can sit on each threshold.
+@pytest.mark.parametrize("degree", [2, 3, 4, 5, 9, 10, 12, 16, 17, 300])
+def test_sampler_boundaries_at_every_width(degree):
+    # Both paths of the draw routine: a pass per threshold column below 10
+    # thresholds a row, the binary search from 10 (powers of two and their
+    # neighbours); dyadic entries make every running sum exact, so a
+    # uniform can sit on each threshold.
     g = build_graph({0: list(range(1, degree + 1)), **{w: [] for w in range(1, degree + 1)}}, root=0)
     model = uniform_model(g, 0.0)
     p = np.full(degree, 1 / 512)
@@ -392,7 +402,7 @@ def test_sampler_memory_stays_near_the_output():
     # each entry's whole threshold row would take 34 floats an entry.
     g = chomp(6)
     table = _threshold_table(g, _edge_vector(uniform_model(g, 0.0)))
-    rows = np.repeat(np.flatnonzero(np.diff(g.offsets) > 1), 256)
+    rows = np.repeat(np.flatnonzero(np.diff(g.offsets) > 1), 256).astype(np.int32)  # as the engine asks
     _sample_choice_matrix(table, np.random.default_rng(5), rows[:8])  # numpy's lazy set-up
     tracemalloc.start()
     try:
@@ -400,11 +410,11 @@ def test_sampler_memory_stays_near_the_output():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(slots) == len(rows) and table.shape[1] >= 10  # the binary search
-    # The output plus at most seven arrays of 8 bytes an entry: the uniforms,
-    # the row offsets, the counts, and a halving step's index, gathered
-    # thresholds and next counts (six at the measured peak).
-    assert peak <= slots.nbytes + 7 * 8 * len(rows)
+    assert len(slots) == len(rows)
+    # The output plus at most 40 bytes an entry: 8-byte uniforms and gathered
+    # thresholds, and 4-byte row offsets, counts, a halving step's index and
+    # next counts (31 bytes at the measured peak; int64 rows made it 39).
+    assert peak <= slots.nbytes + 5 * 8 * len(rows)
 
 
 class _CountingRng:
@@ -425,8 +435,7 @@ class _CountingRng:
 
 
 def _plan(g, stop_rule="exact_optimal"):
-    gd, zero = grundy_values(g), zero_mask(g)
-    return RunPlan(_degree_groups(g), gd, zero, eda._stop_block(g, zero, stop_rule))
+    return eda._run_plan(g, stop_rule)
 
 
 def _spy_draws(monkeypatch):
@@ -509,7 +518,7 @@ def test_tournament_point_mass_winner(fig1):
         p = np.zeros(len(fig1.succ[v]))
         p[fig1.succ[v].index(4) if 4 in fig1.succ[v] else 0] = 1.0
         model.dists[v] = p
-    cfg = UmdaConfig(mu=1, gamma=0.0, max_generations=1, seed=1)
+    cfg = UmdaConfig(mu=1, gamma=0.0, max_generations=1, seed=1, stop_rule="generation_cap_only")
     _, population, evals = generation_step(model, cfg, np.random.default_rng(1))
     # The first mover jumps to the sink and wins; its root entry was drawn.
     assert fig1.targets[fig1.offsets[0] + population.choices[0, 0]] == 4
@@ -519,7 +528,7 @@ def test_tournament_point_mass_winner(fig1):
 def test_generation_step_spends_mu_evaluations(fig1):
     model = uniform_model(fig1, 0.01)
     mu = 64
-    cfg = UmdaConfig(mu=mu, gamma=0.01, max_generations=1, seed=2)
+    cfg = UmdaConfig(mu=mu, gamma=0.01, max_generations=1, seed=2, stop_rule="generation_cap_only")
     _, population, evals = generation_step(model, cfg, np.random.default_rng(2))
     assert evals == mu
     assert len(population) == mu
@@ -528,7 +537,7 @@ def test_generation_step_spends_mu_evaluations(fig1):
 def test_tournament_frequencies_match_dp(fig1):
     model = uniform_model(fig1, 0.0)
     trials = 200_000
-    cfg = UmdaConfig(mu=trials, gamma=0.0, max_generations=1, seed=89)
+    cfg = UmdaConfig(mu=trials, gamma=0.0, max_generations=1, seed=89, stop_rule="generation_cap_only")
     new_model, _, _ = generation_step(model, cfg, np.random.default_rng(89))
     freqs = new_model.dists[0]  # with no border, the winners' frequencies at the root
     exact = selection_distribution(fig1, model.dists, 0)
@@ -539,7 +548,7 @@ def test_tournament_frequencies_match_dp(fig1):
 def test_generation_step_mu_one(fig1):
     gamma = 0.05
     model = uniform_model(fig1, gamma)
-    cfg = UmdaConfig(mu=1, gamma=gamma, max_generations=1, seed=3)
+    cfg = UmdaConfig(mu=1, gamma=gamma, max_generations=1, seed=3, stop_rule="generation_cap_only")
     new_model, population, evals = generation_step(model, cfg, np.random.default_rng(3))
     assert evals == 1
     assert len(population) == 1
@@ -557,7 +566,7 @@ def test_generation_step_forced_chain():
     g = build_graph({0: [1], 1: [2], 2: []}, root=0)
     gamma = 0.1
     model = uniform_model(g, gamma)
-    cfg = UmdaConfig(mu=16, gamma=gamma, max_generations=1, seed=4)
+    cfg = UmdaConfig(mu=16, gamma=gamma, max_generations=1, seed=4, stop_rule="generation_cap_only")
     new_model, _, _ = generation_step(model, cfg, np.random.default_rng(4))
     for v in g.interior:
         assert new_model.dists[v].tolist() == [1.0]
@@ -567,7 +576,7 @@ def test_generation_step_expectation_matches_dp(fig1):
     gamma = 1e-6
     model = uniform_model(fig1, gamma)
     mu = 10_000
-    cfg = UmdaConfig(mu=mu, gamma=gamma, max_generations=1, seed=5)
+    cfg = UmdaConfig(mu=mu, gamma=gamma, max_generations=1, seed=5, stop_rule="generation_cap_only")
     new_model, _, _ = generation_step(model, cfg, np.random.default_rng(5))
     exact = [float(p) for p in selection_distribution(fig1, model.dists, 0)]
     for i, p in enumerate(exact):
@@ -580,7 +589,7 @@ def test_model_entries_stay_bounded():
     g = ensure_first_player_win(g)
     gamma = 0.02
     model = uniform_model(g, gamma)
-    cfg = UmdaConfig(mu=50, gamma=gamma, max_generations=1, seed=6)
+    cfg = UmdaConfig(mu=50, gamma=gamma, max_generations=1, seed=6, stop_rule="generation_cap_only")
     rng = np.random.default_rng(6)
     for _ in range(30):
         model, _, _ = generation_step(model, cfg, rng)
@@ -611,7 +620,7 @@ def test_mean_update_matches_selection_distribution(game):
     g = {"fig1": fixture("fig1"), "chomp m=3": chomp(3), "random game": random_game(rng, n_min=9)}[game]
     model = _random_float_model(g, rng)
     mu, repeats = 20_000, 10
-    cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0)
+    cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0, stop_rule="generation_cap_only")
     mean = {v: np.zeros(len(g.succ[v])) for v in g.interior}
     for r in range(repeats):
         new_model, _, _ = generation_step(model, cfg, np.random.default_rng(400 + r))
@@ -880,7 +889,7 @@ def test_witness_is_the_first_hit_across_blocks(monkeypatch, stop_rule, columns,
     gd, zero = grundy_values(g), zero_mask(g)
     per_column = 1 if stop_rule == "sufficient_optimal" else int(np.diff(g.offsets)[zero].sum())
     monkeypatch.setattr(eda, "STOP_BLOCK", columns * per_column)
-    assert eda._stop_block(g, zero, stop_rule) == columns
+    assert eda._run_plan(g, stop_rule).block == columns
     cfg = UmdaConfig(
         mu=74, gamma=float(theorem_border(base)), max_generations=500, seed=seed, stop_rule=stop_rule
     )
@@ -897,39 +906,48 @@ def test_witness_is_the_first_hit_across_blocks(monkeypatch, stop_rule, columns,
 
 
 def test_stop_check_memory_stays_near_the_population(monkeypatch):
+    # A generation hands the stop check one block of its winners at a time,
+    # and a block pass, drawing the entries its walk reads, holds about one
+    # block's seen flags, pair frontier and draws. With the model on a
+    # Grundy-0 move wherever there is one, every winner is optimal, so the
+    # first block's pass walks every column to the end.
     g = ensure_first_player_win(turning_turtles(10))
     zero, mu = zero_mask(g), 2048
     plan = _plan(g)
-    choices = np.asfortranarray(_population(g, zero, np.random.default_rng(8), mu, 1.0))  # every column optimal
-    population_optimal_mask(g, choices[:, :1], zero)  # numpy's lazy set-up
-    tracemalloc.start()
-    try:
-        mask = population_optimal_mask(g, choices[:, : plan.block], zero)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert mask.all() and plan.block < mu
-    # One block's seen flags and its pair frontier; one pass over all 2048
-    # columns at once reached 560 MB.
-    assert peak <= 2 * g.n * mu + 2 * 2**20
-    # A generation hands the check one block of its winners at a time: with
-    # the model on a Grundy-0 move wherever there is one, every winner is
-    # optimal and the first block has the witness.
     model = uniform_model(g, 0.0)
     for v in g.interior:
         good = np.flatnonzero(zero[list(g.succ[v])])
         if len(good):
             model.dists[v] = np.eye(len(g.succ[v]))[good[0]]
-    widths = []
+    widths, peaks, drawn = [], [], []
 
-    def spy(g, part, zero, draw=None):
+    def spy(g, part, zero, draw):
+        def counted(rows):
+            drawn.append(len(rows))
+            return draw(rows)
+
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        mask = population_optimal_mask(g, part, zero, counted)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
         widths.append(part.shape[1])
-        return population_optimal_mask(g, part, zero, draw)
+        return mask
 
     monkeypatch.setattr(eda, "population_optimal_mask", spy)
     cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0)
-    _, population, _ = generation_step(model, cfg, np.random.default_rng(5), plan)
-    assert widths == [plan.block] and population.witness == 0
+    generation_step(model, replace(cfg, mu=8), np.random.default_rng(5), plan)  # numpy's lazy set-up
+    widths.clear(), peaks.clear(), drawn.clear()
+    tracemalloc.start()
+    try:
+        _, population, _ = generation_step(model, cfg, np.random.default_rng(5), plan)
+    finally:
+        tracemalloc.stop()
+    assert widths == [plan.block] and plan.block < mu and population.witness == 0
+    assert sum(drawn) > g.n * plan.block // 2  # the walk drew most of the block
+    # One pass over all 2048 columns at once reached 560 MB; with the drawn
+    # rows as int64 and the walk's step temporaries held into the next
+    # step, one block pass reached 7.4 MB.
+    assert peaks[0] <= 2 * g.n * mu + 2 * 2**20
 
 
 def test_generation_memory_stays_near_the_store():
@@ -962,7 +980,7 @@ def test_generation_step_selects_winners_as_where(base):
     # column, as np.where(outcome == 1, x, y) picks it.
     g = ensure_first_player_win(base)
     model = _awkward_model(g, np.random.default_rng(17))
-    cfg = UmdaConfig(mu=300, gamma=0.0, max_generations=1, seed=0)
+    cfg = UmdaConfig(mu=300, gamma=0.0, max_generations=1, seed=0, stop_rule="generation_cap_only")
     rng = np.random.default_rng(19)
     replay = copy.deepcopy(rng)
     _, population, _ = generation_step(model, cfg, rng)
