@@ -10,7 +10,7 @@ oracles in :mod:`coevo.oracles`, and the experiment harness in
 
 from .eda import ProbModel, RunResult, UmdaConfig, restrict, run_umda, uniform_model
 from .games import GameSpec, chomp, fixture, silver_dollar, subtraction_nim, turning_turtles
-from .graphs import GameGraph, Strategy, Transcript, build_graph, play
+from .graphs import GameGraph, Strategy, Transcript, build_graph, csr_graph, play
 from .grundy import (
     GrundyData,
     canonical_optimal_strategy,
@@ -46,6 +46,7 @@ __all__ = [
     "canonical_optimal_strategy",
     "chomp",
     "critical_positions",
+    "csr_graph",
     "depth",
     "ensure_first_player_win",
     "exact_switchability",

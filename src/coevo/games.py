@@ -11,7 +11,9 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import GameGraph, Strategy, build_graph
+import numpy as np
+
+from .graphs import GameGraph, Strategy, build_graph, csr_graph
 
 MAX_VERTICES = 2**22
 
@@ -73,6 +75,26 @@ def _guard_size(n: int) -> None:
         raise BadParams(f"{n} positions exceeds the desk-scale limit of {MAX_VERTICES}")
 
 
+def _ramp(counts: np.ndarray) -> np.ndarray:
+    """``0, 1, .., c - 1`` for each count ``c``, concatenated."""
+    starts = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) - np.repeat(starts, counts)
+
+
+def _from_moves(n: int, sources: list, targets: list, root: int, labels: list[str]) -> GameGraph:
+    """The graph whose moves are the concatenated ``(sources, targets)`` groups.
+
+    Each group lists its moves by source, and within a source the groups'
+    order and each group's own order make the canonical successor order, so
+    a stable sort by source puts every vertex's moves in place.
+    """
+    sources = np.concatenate(sources)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n), out=offsets[1:])
+    targets = np.concatenate(targets)[np.argsort(sources, kind="stable")]
+    return csr_graph(offsets, targets, root, labels)
+
+
 def subtraction_nim(n: int, k: int) -> GameGraph:
     """One heap of ``n-1`` items; each turn removes between 1 and ``k``.
 
@@ -83,9 +105,10 @@ def subtraction_nim(n: int, k: int) -> GameGraph:
     if n < 1 or k < 1:
         raise BadParams("subtraction_nim needs n >= 1 and k >= 1")
     _guard_size(n)
-    adjacency = {v: [v - j for j in range(1, k + 1) if v - j >= 0] for v in range(n)}
-    labels = {v: str(v) for v in range(n)}
-    return build_graph(adjacency, root=n - 1, labels=labels)
+    degree = np.minimum(np.arange(n), k)
+    offsets = np.concatenate(([0], np.cumsum(degree)))
+    targets = np.repeat(np.arange(n), degree) - 1 - _ramp(degree)
+    return csr_graph(offsets, targets, n - 1, list(map(str, range(n))))
 
 
 def silver_dollar(m: int, k: int, start: tuple[int, ...] | None = None) -> GameGraph:
@@ -114,24 +137,27 @@ def silver_dollar(m: int, k: int, start: tuple[int, ...] | None = None) -> GameG
             raise BadParams("start squares must lie in 1..m")
     _guard_size(comb(m, k))
 
-    positions = [
-        combo
-        for combo in itertools.combinations(range(1, m + 1), k)
-        if all(c <= s for c, s in zip(combo, start))
-    ]
-    index = {combo: i for i, combo in enumerate(positions)}
-    adjacency: dict[int, list[int]] = {}
-    labels = {}
-    for combo, i in index.items():
-        moves = []
-        for coin in range(k):
-            lower = combo[coin - 1] if coin > 0 else 0
-            for target in range(lower + 1, combo[coin]):
-                nxt = combo[:coin] + (target,) + combo[coin + 1 :]
-                moves.append(index[nxt])
-        adjacency[i] = moves
-        labels[i] = ",".join(map(str, combo))
-    return build_graph(adjacency, root=index[start], labels=labels)
+    squares = np.array(list(itertools.combinations(range(1, m + 1), k)), dtype=np.int64)
+    squares = squares[(squares <= start).all(axis=1)]
+    n = len(squares)
+    # Combinatorial number system: coin c on square s adds C(s - 1, c + 1),
+    # and the sum ranks the position among all C(m, k) without collision.
+    # Every term a position uses is below C(m, k), so the table can be capped.
+    term = np.array([[min(comb(s, c + 1), MAX_VERTICES) for c in range(k)] for s in range(m)])
+    rank = term[squares - 1, np.arange(k)].sum(axis=1)
+    ids = np.zeros(comb(m, k), dtype=np.int64)
+    ids[rank] = np.arange(n)
+    sources, targets = [], []
+    for coin in range(k):
+        lower = squares[:, coin - 1] if coin else np.zeros(n, dtype=np.int64)
+        count = squares[:, coin] - lower - 1
+        src = np.repeat(np.arange(n), count)
+        to = np.repeat(lower + 1, count) + _ramp(count)
+        sources.append(src)
+        targets.append(ids[rank[src] - term[squares[src, coin] - 1, coin] + term[to - 1, coin]])
+    labels = [",".join(map(str, combo)) for combo in squares.tolist()]
+    root = int(ids[term[np.array(start) - 1, np.arange(k)].sum()])
+    return _from_moves(n, sources, targets, root, labels)
 
 
 def turning_turtles(m: int) -> GameGraph:
@@ -148,22 +174,18 @@ def turning_turtles(m: int) -> GameGraph:
     if m < 1:
         raise BadParams("turning_turtles needs m >= 1")
     _guard_size(2**m)
-    adjacency: dict[int, list[int]] = {}
-    labels = {}
-    for mask in range(2**m):
-        moves = []
-        for i in range(1, m + 1):
-            bit = 1 << (i - 1)
-            if not mask & bit:
-                continue
-            base = mask & ~bit
-            moves.append(base)
-            for j in range(1, i):
-                moves.append(base ^ (1 << (j - 1)))
-        adjacency[mask] = moves
-        heads = [str(i) for i in range(1, m + 1) if mask & (1 << (i - 1))]
-        labels[mask] = "{" + ",".join(heads) + "}"
-    return build_graph(adjacency, root=2**m - 1, labels=labels)
+    masks = np.arange(2**m)
+    sources, targets = [], []
+    flips = np.array([0] + [1 << j for j in range(m - 1)])
+    for i in range(1, m + 1):
+        bit = 1 << (i - 1)
+        src = masks[masks & bit != 0]
+        sources.append(np.repeat(src, i))
+        targets.append(((src ^ bit)[:, None] ^ flips[:i]).ravel())
+    labels = [
+        "{" + ",".join(str(i) for i in range(1, m + 1) if mask >> (i - 1) & 1) + "}" for mask in range(2**m)
+    ]
+    return _from_moves(2**m, sources, targets, 2**m - 1, labels)
 
 
 def chomp(m: int) -> GameGraph:
@@ -182,33 +204,29 @@ def chomp(m: int) -> GameGraph:
         raise BadParams("chomp needs m >= 1")
     _guard_size(comb(2 * m, m) - 1)
 
-    def staircases(rows: int, cap: int):
-        if rows == 0:
-            yield ()
-            return
-        for first in range(cap + 1):
-            for rest in staircases(rows - 1, first):
-                yield (first,) + rest
-
-    positions = sorted(t for t in staircases(m, m) if any(t))
-    index = {t: i for i, t in enumerate(positions)}
-    adjacency: dict[int, list[int]] = {}
-    labels = {}
-    for rows, i in index.items():
-        moves = []
-        for row in range(m):
-            # The move at cell (row, c + 1) cuts this row and every row
-            # above it to at most ``c`` cells. Rows never grow upwards, so
-            # it shortens exactly rows ``row..j-1``, those longer than
-            # ``c``. Cutting the bottom row to nothing is the fatal move.
-            for c in range(row == 0, rows[row]):
-                j = row
-                while j < m and rows[j] > c:
-                    j += 1
-                moves.append(index[rows[:row] + (c,) * (j - row) + rows[j:]])
-        adjacency[i] = moves
-        labels[i] = ",".join(map(str, rows))
-    return build_graph(adjacency, root=index[tuple([m] * m)], labels=labels)
+    # Staircases in lexicographic order: extend each prefix by every row
+    # length up to its last, ascending; then drop the empty board.
+    rows = np.arange(m + 1)[:, None]
+    for _ in range(m - 1):
+        last = rows[:, -1] + 1
+        rows = np.column_stack((np.repeat(rows, last, axis=0), _ramp(last)))
+    rows = rows[1:]
+    # Row lengths are base-(m + 1) digits, so keys sort as the tuples do.
+    weight = (m + 1) ** np.arange(m - 1, -1, -1)
+    keys = rows @ weight
+    sources, targets = [], []
+    for row in range(m):
+        # The move at cell (row, c + 1) cuts this row and every row above it
+        # to at most c cells. Cutting the bottom row to nothing is fatal.
+        first = int(row == 0)
+        src, c = np.nonzero(np.arange(first, m) < rows[:, row, None])
+        cut = rows[src]
+        np.minimum(cut[:, row:], (c + first)[:, None], out=cut[:, row:])
+        sources.append(src)
+        targets.append(np.searchsorted(keys, cut @ weight))
+    names = list(map(str, range(m + 1)))
+    labels = [",".join([names[x] for x in t]) for t in rows.tolist()]
+    return _from_moves(len(rows), sources, targets, len(rows) - 1, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import itertools
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -47,9 +46,10 @@ class GameGraph:
     ``succ[v]`` is the ordered successor tuple for vertex ``v``;
     ``reverse_topo`` lists vertices so that every vertex appears after all
     of its successors (sinks first). ``offsets`` and ``targets`` hold the
-    same successor lists as flat arrays: slot ``i`` of vertex ``v`` is edge
-    ``offsets[v] + i`` and leads to ``targets[offsets[v] + i]``. Instances
-    are safe to share across threads; build them with :func:`build_graph`.
+    same successor lists as flat read-only int64 arrays, set when the graph
+    is built: slot ``i`` of vertex ``v`` is edge ``offsets[v] + i`` and
+    leads to ``targets[offsets[v] + i]``. Instances are safe to share
+    across threads; build them with :func:`csr_graph` or :func:`build_graph`.
     """
 
     succ: tuple[tuple[int, ...], ...]
@@ -60,6 +60,8 @@ class GameGraph:
     interior: tuple[int, ...]
     sinks: tuple[int, ...]
     edge_count: int
+    offsets: np.ndarray = field(repr=False, compare=False)
+    targets: np.ndarray = field(repr=False, compare=False)
     _hash: int = field(init=False, repr=False, compare=False, default=0)
 
     def __post_init__(self):
@@ -71,16 +73,6 @@ class GameGraph:
     @property
     def n(self) -> int:
         return len(self.succ)
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        """Start of each vertex's successor slice in ``targets`` (length n+1)."""
-        return np.cumsum([0, *map(len, self.succ)], dtype=np.int64)
-
-    @cached_property
-    def targets(self) -> np.ndarray:
-        """Every successor list, concatenated in vertex order."""
-        return np.fromiter(itertools.chain.from_iterable(self.succ), np.int64, self.edge_count)
 
     def is_sink(self, v: int) -> bool:
         return not self.succ[v]
@@ -95,6 +87,20 @@ class GameGraph:
         return name if name is not None else str(v)
 
 
+def csr_graph(offsets, targets, root: int, labels: Sequence[str | None] | None = None) -> GameGraph:
+    """Validate a graph given as flat successor arrays and assemble a :class:`GameGraph`.
+
+    Vertex ``v``'s successors, in canonical order, are
+    ``targets[offsets[v]:offsets[v + 1]]``, so ``offsets`` rises from 0 to
+    ``len(targets)`` in ``n + 1`` integer entries; ``labels`` holds one
+    name or None per vertex. Raises :class:`BadEdge` naming the first edge,
+    in vertex then slot order, that leaves the vertex set, loops or repeats
+    an earlier one; :class:`CycleDetected` if no topological order exists;
+    and :class:`Unreachable` naming the smallest vertex the root cannot reach.
+    """
+    return _assemble(_int_array(offsets, "offsets"), _int_array(targets, "targets"), root, labels)
+
+
 def build_graph(
     adjacency: Mapping[int, Sequence[int]],
     root: int,
@@ -102,48 +108,91 @@ def build_graph(
 ) -> GameGraph:
     """Validate an adjacency mapping and assemble a :class:`GameGraph`.
 
-    Keys must be the dense integers ``0..n-1`` and must cover every vertex
-    mentioned as a successor. Raises :class:`BadEdge` for duplicate or
-    self-loop edges, :class:`CycleDetected` if no topological order
-    exists, and :class:`Unreachable` if some vertex cannot be reached from
-    the root.
+    Keys must be the dense integers ``0..n-1`` and successors ints (not
+    bools) in ``0..n-1``; a successor that is not counts as pointing
+    outside the vertex set. Otherwise the checks are :func:`csr_graph`'s.
     """
     n = len(adjacency)
     if set(adjacency) != set(range(n)):
         raise GameGraphError("adjacency keys must be the dense integers 0..n-1")
-    if not 0 <= root < n:
-        raise GameGraphError(f"root {root} outside 0..{n - 1}")
-
-    succ: list[tuple[int, ...]] = []
-    for v in range(n):
-        ws = tuple(adjacency[v])
-        seen = set()
-        for w in ws:
-            if not isinstance(w, int) or not 0 <= w < n:
-                raise BadEdge(f"edge ({v}, {w}) points outside the vertex set")
-            if w == v:
-                raise BadEdge(f"self-loop at vertex {v}")
-            if w in seen:
-                raise BadEdge(f"duplicate edge ({v}, {w})")
-            seen.add(w)
-        succ.append(ws)
-
-    reverse_topo = _reverse_topological_order(succ)
-    _check_reachable(succ, root, n)
-
+    lists = [tuple(adjacency[v]) for v in range(n)]
+    shown = list(itertools.chain.from_iterable(lists))
+    targets = [w if _is_int(w) and 0 <= w < n else -1 for w in shown]
     label_tuple = tuple((labels or {}).get(v) for v in range(n))
-    interior = tuple(v for v in range(n) if succ[v])
-    sinks = tuple(v for v in range(n) if not succ[v])
+    offsets = np.cumsum([0, *map(len, lists)], dtype=np.int64)
+    return _assemble(offsets, np.array(targets, dtype=np.int64), root, label_tuple, shown)
+
+
+def _int_array(values, name: str) -> np.ndarray:
+    array = np.asarray(values)
+    if array.ndim != 1 or (array.size and array.dtype.kind not in "iu"):
+        raise GameGraphError(f"{name} must be a flat array of integers")
+    return array.astype(np.int64)
+
+
+def _assemble(offsets, targets, root, labels, shown=None) -> GameGraph:
+    # ``shown`` holds the caller's successor values, for error messages.
+    n = len(offsets) - 1
+    degree = np.diff(offsets)
+    if n < 0 or offsets[0] != 0 or offsets[-1] != len(targets) or (degree < 0).any():
+        raise GameGraphError("offsets must rise from 0 to the number of targets")
+    if isinstance(root, bool) or not isinstance(root, (int, np.integer)) or not 0 <= root < n:
+        raise GameGraphError(f"root {root} outside 0..{n - 1}")
+    labels = (None,) * n if labels is None else tuple(labels)
+    if len(labels) != n:
+        raise GameGraphError(f"{len(labels)} labels for {n} vertices")
+    sources = np.repeat(np.arange(n, dtype=np.int64), degree)
+    _check_edges(sources, targets, n, shown)
+
+    bounds = offsets.tolist()
+    flat = targets.tolist()
+    succ = tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    if (targets < sources).all():
+        # Every move lowers the id, so 0..n-1 lists successors first; it is
+        # also the order the depth-first search below emits on such graphs.
+        reverse_topo = tuple(range(n))
+    else:
+        reverse_topo = _reverse_topological_order(succ)
+    # In a DAG every vertex is reachable iff every non-root one has an in-edge.
+    indegree = np.bincount(targets, minlength=n)
+    indegree[root] += 1
+    if not indegree.all():
+        _check_reachable(succ, root, n)
+    for array in (offsets, targets):
+        array.flags.writeable = False
     return GameGraph(
-        succ=tuple(succ),
-        root=root,
-        labels=label_tuple,
+        succ=succ,
+        root=int(root),
+        labels=labels,
         reverse_topo=reverse_topo,
-        max_degree=max((len(ws) for ws in succ), default=0),
-        interior=interior,
-        sinks=sinks,
-        edge_count=sum(len(ws) for ws in succ),
+        max_degree=int(degree.max(initial=0)),
+        interior=tuple(np.flatnonzero(degree).tolist()),
+        sinks=tuple(np.flatnonzero(degree == 0).tolist()),
+        edge_count=len(flat),
+        offsets=offsets,
+        targets=targets,
     )
+
+
+def _check_edges(sources: np.ndarray, targets: np.ndarray, n: int, shown: Sequence | None) -> None:
+    """Raise :class:`BadEdge` for the first edge that leaves ``0..n-1``, loops, or
+    repeats an earlier edge of its vertex, showing its target as ``shown`` has it."""
+    outside = (targets < 0) | (targets >= n)
+    loop = targets == sources
+    keys = sources * (n + 1) + np.clip(targets, -1, n)  # equal keys: the same edge
+    ordered = np.sort(keys)
+    if not (outside.any() or loop.any() or (ordered[1:] == ordered[:-1]).any()):
+        return
+    order = np.argsort(keys, kind="stable")
+    repeat = np.zeros(len(keys), dtype=bool)
+    repeat[order[1:][keys[order[1:]] == keys[order[:-1]]]] = True
+    i = int(np.flatnonzero(outside | loop | repeat)[0])
+    v, w = int(sources[i]), int(targets[i]) if shown is None else shown[i]
+    if outside[i]:
+        raise BadEdge(f"edge ({v}, {w}) points outside the vertex set")
+    if loop[i]:
+        raise BadEdge(f"self-loop at vertex {v}")
+    raise BadEdge(f"duplicate edge ({v}, {w})")
 
 
 def _reverse_topological_order(succ: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -264,14 +313,31 @@ def game_to_dict(g: GameGraph) -> dict:
 
 
 def game_from_dict(data: Mapping) -> GameGraph:
+    """Read the layout :func:`game_to_dict` writes. The root, every id and every
+    successor must be a JSON integer; anything else, a bool or a float with an
+    integer value included, is a :class:`GameGraphError` naming its field."""
+    root = data["root"]
+    if not _is_int(root):
+        raise GameGraphError(f"root must be a JSON integer, got {root!r}")
     adjacency = {}
     labels = {}
-    for entry in data["vertices"]:
-        v = int(entry["id"])
-        adjacency[v] = [int(w) for w in entry["succ"]]
+    for i, entry in enumerate(data["vertices"]):
+        v, succ = entry["id"], entry["succ"]
+        if not _is_int(v):
+            raise GameGraphError(f"vertex entry {i}: id must be a JSON integer, got {v!r}")
+        if v in adjacency:
+            raise GameGraphError(f"vertex {v}: id appears twice")
+        bad = [w for w in succ if not _is_int(w)] if isinstance(succ, list) else [succ]
+        if bad:
+            raise GameGraphError(f"vertex {v}: succ must be a list of JSON integers, got {bad[0]!r}")
+        adjacency[v] = succ
         if "label" in entry:
             labels[v] = entry["label"]
-    return build_graph(adjacency, int(data["root"]), labels)
+    return build_graph(adjacency, root, labels)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def save_game(g: GameGraph, path) -> None:

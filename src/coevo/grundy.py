@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import GameGraph, Strategy, build_graph
+import numpy as np
+
+from .graphs import GameGraph, Strategy, csr_graph
 
 
 class PreconditionViolated(ValueError):
@@ -146,8 +148,12 @@ def ensure_first_player_win(g: GameGraph, gd: GrundyData | None = None) -> GameG
         gd = grundy_values(g)
     if gd.values[g.root] != 0:
         return g
-    adjacency: dict[int, list[int]] = {v: list(g.succ[v]) for v in range(g.n)}
-    adjacency[g.n] = [g.root]
-    labels = {v: g.labels[v] for v in range(g.n) if g.labels[v] is not None}
-    labels[g.n] = "start"
-    return build_graph(adjacency, root=g.n, labels=labels)
+    offsets = np.append(g.offsets, g.edge_count + 1)
+    return csr_graph(offsets, np.append(g.targets, g.root), g.n, g.labels + ("start",))
+
+
+def forced_start_values(gd: GrundyData) -> GrundyData:
+    """The Grundy data of the graph :func:`ensure_first_player_win` extends, from
+    the base graph's: the start vertex takes value 1 and, with one move, is never
+    critical, so the zero and critical sets stay as they are."""
+    return GrundyData(values=gd.values + (1,), zero_set=gd.zero_set, critical=gd.critical)

@@ -91,8 +91,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     and the theorem border rule uses those same values.
     """
     base_game = cfg.game.build()
-    run_game = grundy.ensure_first_player_win(base_game)
-    gd = grundy.grundy_values(run_game)
+    gd = grundy.grundy_values(base_game)
+    run_game = grundy.ensure_first_player_win(base_game, gd)
+    if run_game is not base_game:
+        gd = grundy.forced_start_values(gd)
     profile = switchability.switchability_profile(run_game, gd=gd)
 
     if cfg.gamma_rule == "theorem":

@@ -179,6 +179,30 @@ def test_runtime_errors(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"succ": [1.9, 2, 4]}, "vertex 0: succ must be a list of JSON integers, got 1.9"),
+        ({"succ": [True, 2, 4]}, "vertex 0: succ must be a list of JSON integers, got True"),
+        ({"id": "0"}, "vertex entry 0: id must be a JSON integer, got '0'"),
+        ({"root": "0"}, "root must be a JSON integer, got '0'"),
+    ],
+)
+def test_game_file_with_non_integers_is_invalid(capsys, tmp_path, change, message):
+    # A float successor used to load as the vertex it truncates to.
+    game_path = tmp_path / "fig1.json"
+    run_cli(capsys, "gen", "--fixture", "fig1", "--out", str(game_path))
+    data = json.loads(game_path.read_text())
+    if "root" in change:
+        data["root"] = change["root"]
+    else:
+        data["vertices"][0].update(change)
+    game_path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "solve", "--game", str(game_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 # --- usage errors at the boundary (exit 1, message names the flag) ---------
 
 def _sweep_argv(tmp_path, **overrides):

@@ -23,7 +23,7 @@ from coevo.games import (
     subtraction_nim,
     turning_turtles,
 )
-from coevo.grundy import grundy_values
+from coevo.grundy import ensure_first_player_win, grundy_values
 
 
 # --- subtraction nim -------------------------------------------------------
@@ -166,6 +166,35 @@ def test_chomp_graph_pinned(m):
     g = chomp(m)
     payload = {"succ": g.succ, "root": g.root, "labels": g.labels, "reverse_topo": g.reverse_topo}
     assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == CHOMP_DIGESTS[m]
+
+
+# The same digest for the other families and for one forced-start graph,
+# captured before their generators were rewritten as array code.
+FAMILY_DIGESTS = {
+    "subtraction_nim n=64 k=2": "eea37d84b8da7a3eb2f5537aee5a7fb36521f4fda47d24b0dc051ba45504befb",
+    "subtraction_nim n=300 k=270": "9103431fbce2a29dbd9aa7bea3b4368929d2ea697e72d812e90e90b6cc30a601",
+    "silver_dollar m=9 k=3": "724a70e16dfdb0aca7f5d0bfa0935b9da111ddcee8ca4e22e000d37bd8dcd513",
+    "silver_dollar m=7 k=2": "2122b9e7bcbd8474f1c8cdf491aee08359764fc7b94c685ff4785115821308d5",
+    "silver_dollar m=8 k=3 start=3,5,8": "c9b0796e31139ee69d653128f60703d942dff69d9d9685870d1e452dfd6d95bf",
+    "turning_turtles m=8": "4317b5b4e9643e7cd73e7ecf993d5eacb17bbb7cc6884a4cc6e7cd96d83149ce",
+    "forced start subtraction_nim n=64 k=2": "01ec5e33ccea991a7a16d44c9edef83aabe5f8ac1d3a749d58bd5d1fcac06f2d",
+}
+FAMILY_GRAPHS = {
+    "subtraction_nim n=64 k=2": lambda: subtraction_nim(64, 2),
+    "subtraction_nim n=300 k=270": lambda: subtraction_nim(300, 270),
+    "silver_dollar m=9 k=3": lambda: silver_dollar(9, 3),
+    "silver_dollar m=7 k=2": lambda: silver_dollar(7, 2),
+    "silver_dollar m=8 k=3 start=3,5,8": lambda: silver_dollar(8, 3, start=(3, 5, 8)),
+    "turning_turtles m=8": lambda: turning_turtles(8),
+    "forced start subtraction_nim n=64 k=2": lambda: ensure_first_player_win(subtraction_nim(64, 2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_DIGESTS))
+def test_family_graph_pinned(name):
+    g = FAMILY_GRAPHS[name]()
+    payload = {"succ": g.succ, "root": g.root, "labels": g.labels, "reverse_topo": g.reverse_topo}
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == FAMILY_DIGESTS[name]
 
 
 def test_desk_scale_guard():

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from coevo.games import nim_decode, subtraction_nim
+from coevo.games import nim_decode, silver_dollar, subtraction_nim
 from coevo.graphs import Strategy, build_graph
 from coevo.grundy import (
     PreconditionViolated,
     canonical_optimal_strategy,
     critical_positions,
     ensure_first_player_win,
+    forced_start_values,
     grundy_values,
     is_optimal_exact,
     is_optimal_sufficient,
@@ -174,6 +175,19 @@ def test_canonical_nim_string():
     assert is_optimal_exact(g, canon)
     trimmed = Strategy({v: w for v, w in canon.choice.items() if 1 <= v <= 6})
     assert nim_encode(trimmed, 7, 2) == "121121"
+
+
+def test_forced_start_values_equal_a_fresh_pass():
+    rng = np.random.default_rng(21)
+    games = [subtraction_nim(64, 2), silver_dollar(7, 2)] + [random_game(rng) for _ in range(60)]
+    extended = 0
+    for g in games:
+        gd = grundy_values(g)
+        run_game = ensure_first_player_win(g, gd)
+        if run_game is not g:
+            extended += 1
+            assert forced_start_values(gd) == grundy_values(run_game)
+    assert extended >= 10
 
 
 def test_canonical_chain():

@@ -2,10 +2,12 @@ import json
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coevo import eda, grundy
 from coevo.games import GameSpec, fixture, nim_encode, subtraction_nim
 from coevo.graphs import build_graph, play, strategy_space_size
 from coevo.harness import (
@@ -42,6 +44,37 @@ def test_single_row_forced_game():
     assert rec.generations == 1
     assert rec.evaluations == 1
     assert rec.mu == 1
+
+
+@pytest.mark.parametrize("n", [10, 11])  # n=10 needs the forced start, n=11 does not
+def test_one_grundy_pass_per_experiment_outside_the_runs(monkeypatch, n):
+    calls = {"outside": 0, "inside": 0}
+    inner_values, inner_run = grundy.grundy_values, eda.run_umda
+    where = ["outside"]
+
+    def values(g):
+        calls[where[0]] += 1
+        return inner_values(g)
+
+    def run(*args, **kwargs):
+        where[0] = "inside"
+        try:
+            return inner_run(*args, **kwargs)
+        finally:
+            where[0] = "outside"
+
+    monkeypatch.setattr(grundy, "grundy_values", values)
+    monkeypatch.setattr(eda, "run_umda", run)
+    cfg = ExperimentConfig(
+        game=GameSpec("subtraction_nim", {"n": n, "k": 2}),
+        mu_grid=(16, 32),
+        gamma_rule=0.05,
+        replicates=2,
+        max_generations=5,
+    )
+    records = run_experiment(cfg)
+    assert len(records) == 4
+    assert calls == {"outside": 1, "inside": 4}
 
 
 def test_records_shape_and_accounting():
@@ -147,9 +180,9 @@ def test_sweep_scaling_nim(tmp_path):
     assert summary.plot["xscale"] == "log"
 
     csv_path, plot_path = write_sweep(tmp_path, summary)
-    data = json.loads(open(plot_path).read())
+    data = json.loads(Path(plot_path).read_text())
     assert data["ylabel"] == "evaluations"
-    assert open(csv_path).read().startswith(",".join(CSV_COLUMNS))
+    assert Path(csv_path).read_text().startswith(",".join(CSV_COLUMNS))
 
 
 def test_sweep_census_columns():
