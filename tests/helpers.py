@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from collections import deque
 from fractions import Fraction
@@ -401,3 +402,66 @@ def records_from_csv(text: str) -> list[ExperimentRecord]:
         kwargs.setdefault("wall_ms", 0.0)
         records.append(ExperimentRecord(**kwargs))
     return records
+
+
+# ---------------------------------------------------------------------------
+# Loop references for the game families: one dict lookup per move, built
+# through the adjacency adapter, as the generators were before they became
+# array code.
+
+def subtraction_nim_reference(n: int, k: int) -> GameGraph:
+    adjacency = {v: [v - j for j in range(1, k + 1) if v - j >= 0] for v in range(n)}
+    return build_graph(adjacency, root=n - 1, labels={v: str(v) for v in range(n)})
+
+
+def silver_dollar_reference(m: int, k: int, start: tuple[int, ...] | None = None) -> GameGraph:
+    start = tuple(range(m - k + 1, m + 1)) if start is None else tuple(start)
+    positions = [c for c in itertools.combinations(range(1, m + 1), k) if all(a <= s for a, s in zip(c, start))]
+    index = {combo: i for i, combo in enumerate(positions)}
+    adjacency = {}
+    for combo, i in index.items():
+        moves = []
+        for coin in range(k):
+            lower = combo[coin - 1] if coin > 0 else 0
+            for target in range(lower + 1, combo[coin]):
+                moves.append(index[combo[:coin] + (target,) + combo[coin + 1 :]])
+        adjacency[i] = moves
+    labels = {i: ",".join(map(str, combo)) for combo, i in index.items()}
+    return build_graph(adjacency, root=index[start], labels=labels)
+
+
+def turning_turtles_reference(m: int) -> GameGraph:
+    adjacency, labels = {}, {}
+    for mask in range(2**m):
+        moves = []
+        for i in range(1, m + 1):
+            bit = 1 << (i - 1)
+            if mask & bit:
+                moves.append(mask & ~bit)
+                moves.extend((mask & ~bit) ^ (1 << (j - 1)) for j in range(1, i))
+        adjacency[mask] = moves
+        labels[mask] = "{" + ",".join(str(i) for i in range(1, m + 1) if mask & (1 << (i - 1))) + "}"
+    return build_graph(adjacency, root=2**m - 1, labels=labels)
+
+
+def chomp_reference(m: int) -> GameGraph:
+    def staircases(rows: int, cap: int):
+        if rows == 0:
+            yield ()
+            return
+        for first in range(cap + 1):
+            for rest in staircases(rows - 1, first):
+                yield (first,) + rest
+
+    positions = sorted(t for t in staircases(m, m) if any(t))
+    index = {t: i for i, t in enumerate(positions)}
+    adjacency = {}
+    for rows, i in index.items():
+        # The move at cell (row, c + 1) cuts this row and every row above it to at most c cells.
+        adjacency[i] = [
+            index[rows[:row] + tuple(min(r, c) for r in rows[row:])]
+            for row in range(m)
+            for c in range(row == 0, rows[row])
+        ]
+    labels = {i: ",".join(map(str, rows)) for rows, i in index.items()}
+    return build_graph(adjacency, root=index[(m,) * m], labels=labels)

@@ -24,6 +24,7 @@ from coevo.games import (
     turning_turtles,
 )
 from coevo.grundy import ensure_first_player_win, grundy_values
+from helpers import chomp_reference, silver_dollar_reference, subtraction_nim_reference, turning_turtles_reference
 
 
 # --- subtraction nim -------------------------------------------------------
@@ -195,6 +196,27 @@ def test_family_graph_pinned(name):
     g = FAMILY_GRAPHS[name]()
     payload = {"succ": g.succ, "root": g.root, "labels": g.labels, "reverse_topo": g.reverse_topo}
     assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == FAMILY_DIGESTS[name]
+
+
+REFERENCE_CASES = (
+    [(subtraction_nim, subtraction_nim_reference, (n, k)) for n in (1, 2, 9, 40) for k in (1, 3, 50)]
+    + [(silver_dollar, silver_dollar_reference, (m, k)) for m in range(1, 10) for k in range(1, m + 1)]
+    + [(silver_dollar, silver_dollar_reference, (9, 3, start)) for start in [(1, 2, 3), (2, 6, 7), (4, 5, 9)]]
+    + [(turning_turtles, turning_turtles_reference, (m,)) for m in range(1, 10)]
+    + [(chomp, chomp_reference, (m,)) for m in range(1, 8)]
+)
+
+
+@pytest.mark.parametrize(
+    "make, reference, args",
+    [pytest.param(*case, id=f"{case[0].__name__}{case[2]}") for case in REFERENCE_CASES],
+)
+def test_family_equals_its_loop_reference(make, reference, args):
+    g, expected = make(*args), reference(*args)
+    assert (g.succ, g.root, g.labels, g.reverse_topo) == (
+        expected.succ, expected.root, expected.labels, expected.reverse_topo
+    )
+    assert np.array_equal(g.targets, expected.targets) and np.array_equal(g.offsets, expected.offsets)
 
 
 def test_desk_scale_guard():
