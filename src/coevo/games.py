@@ -2,7 +2,9 @@
 
 Every generator materialises the full explicit graph with documented
 position-to-integer encodings, so vertex ids are stable across runs and
-platforms. Generation refuses graphs above ``MAX_VERTICES`` vertices.
+platforms. Moves are computed as numpy arrays and handed to
+:func:`~coevo.graphs.csr_graph` in one piece. Generation refuses graphs
+above ``MAX_VERTICES`` vertices.
 """
 
 from __future__ import annotations
@@ -141,8 +143,9 @@ def silver_dollar(m: int, k: int, start: tuple[int, ...] | None = None) -> GameG
     squares = squares[(squares <= start).all(axis=1)]
     n = len(squares)
     # Combinatorial number system: coin c on square s adds C(s - 1, c + 1),
-    # and the sum ranks the position among all C(m, k) without collision.
-    # Every term a position uses is below C(m, k), so the table can be capped.
+    # and the sum ranks the position among all C(m, k) without collision
+    # (base-(m + 1) digits would overflow int64 for k near m). Every term a
+    # position uses is below C(m, k), so the table can be capped.
     term = np.array([[min(comb(s, c + 1), MAX_VERTICES) for c in range(k)] for s in range(m)])
     rank = term[squares - 1, np.arange(k)].sum(axis=1)
     ids = np.zeros(comb(m, k), dtype=np.int64)

@@ -145,8 +145,10 @@ def _assemble(offsets, targets, root, labels, shown=None) -> GameGraph:
     _check_edges(sources, targets, n, shown)
 
     bounds = offsets.tolist()
-    flat = targets.tolist()
-    succ = tuple(tuple(flat[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    # Gathered from one object array, every edge into a vertex shares that
+    # vertex's int, where ``targets.tolist()`` would make one int per edge.
+    flat = tuple(np.arange(n, dtype=object)[targets].tolist())
+    succ = tuple(flat[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
     if (targets < sources).all():
         # Every move lowers the id, so 0..n-1 lists successors first; it is
         # also the order the depth-first search below emits on such graphs.

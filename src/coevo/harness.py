@@ -85,10 +85,11 @@ def _derive_seed(base_seed: int, *path: int) -> int:
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """One game instance across the whole mu grid and every replicate.
 
-    The game is built once; a second-player-win instance gets the forced
-    start vertex before running. The reported ``n`` and ``delta`` columns
-    describe the instance as parameterised (before that normalisation),
-    and the theorem border rule uses those same values.
+    The game is built once and its Grundy values computed once; a
+    second-player-win instance gets the forced start vertex, whose values
+    follow from the base graph's, before running. The reported ``n`` and
+    ``delta`` columns describe the instance as parameterised (before that
+    normalisation), and the theorem border rule uses those same values.
     """
     base_game = cfg.game.build()
     gd = grundy.grundy_values(base_game)
