@@ -19,10 +19,11 @@ import json
 import numpy as np
 import pytest
 
+from coevo.cli import cli
 from coevo.eda import UmdaConfig, run_umda
-from coevo.games import chomp, nim_encode, silver_dollar, subtraction_nim
+from coevo.games import GameSpec, chomp, nim_encode, silver_dollar, subtraction_nim
 from coevo.grundy import ensure_first_player_win
-from coevo.harness import intransitivity_search
+from coevo.harness import ExperimentConfig, intransitivity_search, records_to_csv, run_experiment
 from helpers import run_umda_eager
 
 
@@ -92,6 +93,36 @@ def test_run_umda_golden(name):
 @pytest.mark.parametrize("name", sorted(EAGER_RUNS))
 def test_run_umda_eager_golden(name):
     assert _run_digest(*CASES[name], run=run_umda_eager) == EAGER_RUNS[name]
+
+
+# The canonical CSV of run_experiment on nim k=2 over a 2 × 2 grid: n=10 has a
+# Grundy-0 root and runs on the forced start, n=11 runs on the game as built.
+EXPERIMENT_CSV = {
+    10: "3afe62b4567f3836016e09799b829bdb3832b9d0a25acc12c7134ebafa70cb57",
+    11: "b0eed077b276a4ad8cd14e34d56a179fd7d81a6ff1482f2efe2c4f7e27d711cd",
+}
+
+
+@pytest.mark.parametrize("n", sorted(EXPERIMENT_CSV))
+def test_run_experiment_csv_golden(n):
+    cfg = ExperimentConfig(
+        game=GameSpec("subtraction_nim", {"n": n, "k": 2}), mu_grid=(8, 24),
+        gamma_rule="theorem", replicates=2, base_seed=5, max_generations=200,
+    )
+    text = records_to_csv(run_experiment(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == EXPERIMENT_CSV[n]
+
+
+def test_cli_run_forced_start_golden(capsys):
+    argv = [
+        "run", "--family", "subtraction_nim", "--n", "10", "--k", "2", "--mu", "6",
+        "--gamma-theorem", "--max-gen", "60", "--seed", "3", "--trace-every", "1",
+    ]
+    assert cli(argv) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["extended"] is True
+    digest = "e848db36a00a4ecc7332943c65a02f4727b2ab4a6e912687d04889fcc4d92e46"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_intransitivity_sampled_golden():
