@@ -8,6 +8,7 @@ are written atomically; everything else prints deterministic JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -31,6 +32,7 @@ def _add_game_arguments(parser: argparse.ArgumentParser):
     for name in _PARAM_FLAGS:
         parser.add_argument(f"--{name}", type=int)
     parser.add_argument("--fixture", choices=FIXTURE_NAMES)
+    parser.add_argument("--out", help="output path (stdout when omitted)")
 
 
 def _add_gamma_arguments(parser: argparse.ArgumentParser):
@@ -153,8 +155,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_run(args) -> int:
     g, spec = _resolve_game(args)
-    run_game = grundy.ensure_first_player_win(g)
-    extended = run_game is not g
+    instance = eda.prepare(g)
     gamma = float(eda.theorem_border(g)) if args.gamma_theorem else args.gamma
     cfg = eda.UmdaConfig(
         mu=args.mu,
@@ -163,7 +164,7 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         stop_rule=eda.STOP_RULES[args.stop],
     )
-    result = eda.run_umda(run_game, cfg, trace_every=args.trace_every)
+    result = eda.run_umda(instance.graph, cfg, trace_every=args.trace_every, instance=instance)
     witness = None
     if result.optimal_witness is not None:
         witness = {str(v): w for v, w in sorted(result.optimal_witness.choice.items())}
@@ -171,13 +172,9 @@ def _cmd_run(args) -> int:
         "config": {
             "game": spec.family if spec else args.game,
             "params": spec.params if spec else None,
-            "mu": cfg.mu,
-            "gamma": cfg.gamma,
-            "max_generations": cfg.max_generations,
-            "seed": cfg.seed,
-            "stop_rule": cfg.stop_rule,
+            **dataclasses.asdict(cfg),
         },
-        "extended": extended,
+        "extended": instance.graph is not g,
         "result": {
             "succeeded": result.succeeded,
             "generations": result.generations_used,
@@ -213,6 +210,10 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _report_fields(r: switchability.SwitchabilityReport) -> dict:
+    return {"exact": r.exact, "upper_bound": r.upper_bound, "value": r.value, "method": r.method}
+
+
 def _cmd_switch(args) -> int:
     g, _ = _resolve_game(args)
     if args.vertex is not None:
@@ -221,39 +222,16 @@ def _cmd_switch(args) -> int:
         reports, _ = switchability.switchability_reports(
             g, [args.vertex], mode=args.mode, edge_limit=args.edge_limit
         )
-        report = reports[args.vertex]
-        _emit(
-            {
-                "vertex": report.vertex,
-                "exact": report.exact,
-                "upper_bound": report.upper_bound,
-                "value": report.value,
-                "method": report.method,
-                "witness": sorted(list(e) for e in report.witness) if report.witness else None,
-            },
-            args.out,
-        )
+        r = reports[args.vertex]
+        witness = sorted(list(e) for e in r.witness) if r.witness else None
+        _emit({"vertex": r.vertex, **_report_fields(r), "witness": witness}, args.out)
         return 0
     profile = switchability.switchability_profile(
         g, mode=args.mode, edge_limit=args.edge_limit
     )
-    _emit(
-        {
-            "mode": profile.mode_used,
-            "s_bar": profile.s_bar,
-            "s_hat": profile.s_hat,
-            "reports": {
-                str(v): {
-                    "exact": r.exact,
-                    "upper_bound": r.upper_bound,
-                    "value": r.value,
-                    "method": r.method,
-                }
-                for v, r in sorted(profile.reports.items())
-            },
-        },
-        args.out,
-    )
+    reports = {str(v): _report_fields(r) for v, r in sorted(profile.reports.items())}
+    summary = {"mode": profile.mode_used, "s_bar": profile.s_bar, "s_hat": profile.s_hat}
+    _emit({**summary, "reports": reports}, args.out)
     return 0
 
 
@@ -299,13 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a game graph as JSON")
     _add_game_arguments(p)
-    p.add_argument("--out", help="output path (stdout when omitted)")
     p.add_argument("--dot", help="also write a DOT rendering here")
     p.set_defaults(handler=_cmd_gen)
 
     p = sub.add_parser("solve", help="Grundy values, critical set, canonical strategy")
     _add_game_arguments(p)
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("run", help="run the self-play optimiser once")
@@ -316,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--stop", choices=tuple(eda.STOP_RULES), default="exact")
     p.add_argument("--trace-every", type=nonnegative_int, default=0)
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_run)
 
     p = sub.add_parser("sweep", help="replicate grid across game instances")
@@ -337,20 +312,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex", type=int)
     p.add_argument("--mode", choices=("exact", "bound", "hybrid"), default="hybrid")
     p.add_argument("--edge-limit", type=nonnegative_int, default=20)
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_switch)
 
     p = sub.add_parser("analyze", help="visit/win/selection analysis of a model")
     _add_game_arguments(p)
     p.add_argument("--model", help="model snapshot JSON (uniform when omitted)")
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("intrans", help="search for an intransitive strategy triple")
     _add_game_arguments(p)
     p.add_argument("--triples", type=positive_int, default=1000)
     p.add_argument("--seed", type=nonnegative_int, default=0)
-    p.add_argument("--out")
     p.set_defaults(handler=_cmd_intrans)
 
     return parser

@@ -21,6 +21,7 @@ the witness is the first column that meets the rule.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -166,27 +167,39 @@ def restrict(p, gamma):
 
 def model_from_snapshot(g: GameGraph, data: Mapping) -> ProbModel:
     """Rebuild a model from its JSON form, ``{"gamma": x, "dists": {...}}``:
-    ``dists`` maps each interior vertex (a decimal string) to a vector of its
-    degree, finite, at least 0 and summing to 1 within 1e-9; otherwise
-    ValueError names the first bad vertex."""
+    ``gamma``, 0 when absent, is a finite JSON number at least 0; ``dists``
+    maps each interior vertex (a decimal string) to a list of its degree of
+    finite JSON numbers (not bools or strings), at least 0 and summing to 1
+    within 1e-9. Otherwise ValueError names ``gamma`` or the first bad vertex."""
     raw = data.get("dists") if isinstance(data, Mapping) else None
     if not isinstance(raw, Mapping):
         raise ValueError("model snapshot needs a 'dists' object")
+    gamma = data.get("gamma", 0.0)
+    if not (_is_finite_number(gamma) and gamma >= 0):
+        raise ValueError(f"model snapshot: gamma must be a finite JSON number >= 0, got {gamma!r}")
     expected = {str(v) for v in g.interior}
     for key in sorted(set(raw) ^ expected):
         problem = "has no vector" if key in expected else "is not an interior vertex"
         raise ValueError(f"model snapshot: vertex {key} {problem}")
     dists = {}
     for v in g.interior:
-        p = np.asarray(raw[str(v)], dtype=float)
+        entries = raw[str(v)]
+        if not (isinstance(entries, list) and all(map(_is_finite_number, entries))):
+            raise ValueError(f"vertex {v}: expected a list of finite JSON numbers, got {entries!r}")
+        p = np.asarray(entries, dtype=float)
         if p.shape != (len(g.succ[v]),):
             raise ValueError(f"vertex {v}: expected {len(g.succ[v])} entries, got shape {p.shape}")
-        if not (np.isfinite(p).all() and (p >= 0).all()):
-            raise ValueError(f"vertex {v}: entries must be finite and at least 0, got {p.tolist()}")
+        if not (p >= 0).all():
+            raise ValueError(f"vertex {v}: entries must be at least 0, got {p.tolist()}")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"vertex {v}: entries sum to {float(p.sum())!r}, not 1")
         dists[v] = p
-    return ProbModel(graph=g, dists=dists, gamma=float(data.get("gamma", 0.0)))
+    return ProbModel(graph=g, dists=dists, gamma=float(gamma))
+
+
+def _is_finite_number(value) -> bool:
+    """A JSON number, not a bool, that a float holds finite (no NaN, no huge int)."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def uniform_model(g: GameGraph, gamma: float) -> ProbModel:
@@ -354,12 +367,12 @@ def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray,
     return ok
 
 
-def population_sufficient_mask(g: GameGraph, gd: GrundyData, choices, zero, draw=None):
-    """Critical-position certificate flags for every column; ``zero`` flags
-    the Grundy-0 vertices. With ``draw``, each critical row's undrawn
-    entries are drawn first."""
+def population_sufficient_mask(g: GameGraph, critical, choices, zero, draw=None):
+    """Critical-position certificate flags for every column: ``critical`` holds
+    the critical rows in ascending order, ``zero`` flags the Grundy-0 vertices.
+    With ``draw``, each critical row's undrawn entries are drawn first."""
     ok = np.ones(choices.shape[1], dtype=bool)
-    for v in sorted(gd.critical):
+    for v in critical:
         row = choices[v]
         miss = np.flatnonzero(row == np.iinfo(row.dtype).max) if draw is not None else []
         if len(miss):
@@ -368,40 +381,58 @@ def population_sufficient_mask(g: GameGraph, gd: GrundyData, choices, zero, draw
     return ok
 
 
-@dataclass(frozen=True)
-class RunPlan:
-    """What a run's generations reuse: degree groups; the stop rule's Grundy data, flags, block."""
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """One game prepared for runs by :func:`prepare`: ``base`` as built; ``graph``,
+    the game the runs play, ``base`` plus a forced start where its root is
+    Grundy-0; and of ``graph``: Grundy data, Grundy-0 flags, critical rows in
+    ascending order and interior vertices by degree (:func:`_degree_groups`)."""
 
-    groups: list[tuple[int, np.ndarray, np.ndarray]]
+    base: GameGraph
+    graph: GameGraph
     gd: GrundyData
     zero: np.ndarray
-    block: int
+    critical: np.ndarray
+    groups: list[tuple[int, np.ndarray, np.ndarray]]
 
 
-def _run_plan(g: GameGraph, stop_rule: str) -> RunPlan:
-    """The plan :func:`run_umda` builds. A stop-check block holds ``STOP_BLOCK // Z``
-    columns for the exact check (at most Z + 1 pair steps a column, Z the edges out
-    of Grundy-0 vertices) and ``STOP_BLOCK`` for the certificate (a row at a time)."""
-    gd = _grundy.grundy_values(g)
-    zero = np.array(gd.values) == 0
-    zero_edges = int((g.offsets[1:] - g.offsets[:-1])[zero].sum())
-    block = max(1, STOP_BLOCK // (1 if stop_rule == "sufficient_optimal" else max(1, zero_edges)))
-    return RunPlan(_degree_groups(g), gd, zero, block)
+def _instance(base: GameGraph, graph: GameGraph, gd: GrundyData) -> Instance:
+    critical = np.array(sorted(gd.critical), dtype=np.int64)
+    return Instance(base, graph, gd, np.array(gd.values) == 0, critical, _degree_groups(graph))
+
+
+def prepare(base: GameGraph) -> Instance:
+    """The instance of ``base``, from one Grundy pass: a second-player-win game
+    gets the forced start vertex, whose values follow from ``base``'s."""
+    gd = _grundy.grundy_values(base)
+    graph = _grundy.ensure_first_player_win(base, gd)
+    return _instance(base, graph, gd if graph is base else _grundy.forced_start_values(gd))
+
+
+def _stop_block(instance: Instance, stop_rule: str) -> int:
+    """Columns per block of the stop check: ``STOP_BLOCK // Z`` for the exact check
+    (at most Z + 1 pair steps a column, Z the edges out of Grundy-0 vertices) and
+    ``STOP_BLOCK`` for the certificate (a row at a time)."""
+    if stop_rule == "sufficient_optimal":
+        return STOP_BLOCK
+    zero_edges = int(np.diff(instance.graph.offsets)[instance.zero].sum())
+    return max(1, STOP_BLOCK // max(1, zero_edges))
 
 
 def generation_step(
-    model: ProbModel, cfg: UmdaConfig, rng: np.random.Generator, plan: RunPlan | None = None
+    model: ProbModel, cfg: UmdaConfig, rng: np.random.Generator, instance: Instance | None = None
 ) -> tuple[ProbModel, Population, int]:
     """One generation: mu tournaments, the stop check, the update and its restriction.
 
     Draws each player's choice where it moves, the winners' entries the
     stop check reads (none under the cap-only rule) and the witness's rest.
     An edge counts the drawn winner entries on it plus a per-vertex
-    multinomial fill of the undrawn ones. ``plan`` defaults to run_umda's.
-    Returns the next model, the winners, and the evaluations (mu).
+    multinomial fill of the undrawn ones. ``instance`` describes
+    ``model.graph``; by default it is that graph as it stands, with no forced
+    start. Returns the next model, the winners, and the evaluations (mu).
     """
     g, mu = model.graph, cfg.mu
-    plan = plan or _run_plan(g, cfg.stop_rule)
+    instance = instance or _instance(g, g, _grundy.grundy_values(g))
     p = _edge_vector(model)
     table = _threshold_table(g, p)
     dtype = np.min_scalar_type(g.max_degree)
@@ -431,12 +462,13 @@ def generation_step(
     store.ravel(order="F")[cols * np.int64(g.n) + at] = slots
     witness = None
     if cfg.stop_rule != "generation_cap_only":
-        for lo in range(0, mu, plan.block):  # up to the first block with a hit
-            part = store[:, lo : lo + plan.block]
+        block = _stop_block(instance, cfg.stop_rule)
+        for lo in range(0, mu, block):  # up to the first block with a hit
+            part = store[:, lo : lo + block]
             if cfg.stop_rule == "exact_optimal":
-                mask = population_optimal_mask(g, part, plan.zero, draw)
+                mask = population_optimal_mask(g, part, instance.zero, draw)
             else:
-                mask = population_sufficient_mask(g, plan.gd, part, plan.zero, draw)
+                mask = population_sufficient_mask(g, instance.critical, part, instance.zero, draw)
             if mask.any():
                 witness = lo + int(np.argmax(mask))
                 column = store[:, witness]
@@ -447,7 +479,7 @@ def generation_step(
     at, slots = (np.concatenate(part) for part in zip(*drawn))
     counts = np.bincount(g.offsets[at] + slots, minlength=g.edge_count)
     rest = mu - np.bincount(at, minlength=g.n)  # the winners' undrawn entries per vertex
-    for d, rows, edges in plan.groups:
+    for d, rows, edges in instance.groups:
         counts[edges] += rng.multinomial(rest[rows], p[edges]) if d > 1 else mu
         p[edges] = restrict(counts[edges] / mu, model.gamma)
     bounds = g.offsets[list(g.interior)].tolist() + [g.edge_count]
@@ -455,23 +487,30 @@ def generation_step(
     return ProbModel(g, dists, model.gamma), Population(g, store, witness), mu
 
 
-def run_umda(g: GameGraph, cfg: UmdaConfig, trace_every: int = 0) -> RunResult:
+def run_umda(
+    g: GameGraph, cfg: UmdaConfig, trace_every: int = 0, instance: Instance | None = None
+) -> RunResult:
     """Iterate generations until the selected population hits the target.
 
     The stop rule is checked on each generation's winners, never on the
-    losers. Requires a first-player-win game (add a forced start first if
-    necessary). ``trace_every`` k > 0 snapshots every k-th generation's model.
+    losers. ``instance`` must be prepared with ``g`` as its run graph; without
+    one, ``g`` is prepared here and must be a first-player-win game (add a
+    forced start first if necessary). ``trace_every`` k > 0 snapshots every
+    k-th generation's model.
     """
     if trace_every < 0:
         raise ValueError(f"trace_every must be at least 0, got {trace_every}")
-    plan = _run_plan(g, cfg.stop_rule)
-    if plan.gd.values[g.root] == 0:
-        raise PreconditionViolated("root has Grundy value 0; apply ensure_first_player_win first")
+    if instance is None:
+        instance = prepare(g)
+        if instance.graph is not g:
+            raise PreconditionViolated("root has Grundy value 0; apply ensure_first_player_win")
+    elif instance.graph is not g:
+        raise ValueError("the instance was prepared for another run graph")
     model = uniform_model(g, cfg.gamma)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     trace: list[tuple[int, dict]] = []
     for t in range(1, cfg.max_generations + 1):
-        model, population, _ = generation_step(model, cfg, rng, plan)
+        model, population, _ = generation_step(model, cfg, rng, instance)
         if trace_every and t % trace_every == 0:
             trace.append((t, model.snapshot()))
         if population.witness is not None:

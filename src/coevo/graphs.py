@@ -315,16 +315,25 @@ def game_to_dict(g: GameGraph) -> dict:
 
 
 def game_from_dict(data: Mapping) -> GameGraph:
-    """Read the layout :func:`game_to_dict` writes. The root, every id and every
-    successor must be a JSON integer; anything else, a bool or a float with an
-    integer value included, is a :class:`GameGraphError` naming its field."""
-    root = data["root"]
+    """Read the layout :func:`game_to_dict` writes: an object with ``root`` and a
+    ``vertices`` list of objects with ``id`` and ``succ``. The root, every id and
+    every successor must be a JSON integer; a missing or wrongly typed field, a
+    bool or a float with an integer value included, is a
+    :class:`GameGraphError` naming it."""
+    if not isinstance(data, Mapping):
+        raise GameGraphError(f"a game must be a JSON object, got {type(data).__name__}")
+    root, entries = _field(data, "root", "game"), _field(data, "vertices", "game")
     if not _is_int(root):
         raise GameGraphError(f"root must be a JSON integer, got {root!r}")
+    if not isinstance(entries, list):
+        raise GameGraphError(f"vertices must be a list, got {type(entries).__name__}")
     adjacency = {}
     labels = {}
-    for i, entry in enumerate(data["vertices"]):
-        v, succ = entry["id"], entry["succ"]
+    for i, entry in enumerate(entries):
+        where = f"vertex entry {i}"
+        if not isinstance(entry, Mapping):
+            raise GameGraphError(f"{where} must be an object, got {type(entry).__name__}")
+        v, succ = _field(entry, "id", where), _field(entry, "succ", where)
         if not _is_int(v):
             raise GameGraphError(f"vertex entry {i}: id must be a JSON integer, got {v!r}")
         if v in adjacency:
@@ -336,6 +345,12 @@ def game_from_dict(data: Mapping) -> GameGraph:
         if "label" in entry:
             labels[v] = entry["label"]
     return build_graph(adjacency, root, labels)
+
+
+def _field(data: Mapping, key: str, where: str):
+    if key not in data:
+        raise GameGraphError(f"{where} has no {key}")
+    return data[key]
 
 
 def _is_int(value) -> bool:

@@ -125,15 +125,10 @@ def canonical_optimal_strategy(g: GameGraph, gd: GrundyData) -> Strategy:
     """First zero-valued successor where one exists, else first successor."""
     if gd.values[g.root] == 0:
         raise PreconditionViolated("root has Grundy value 0; first player cannot win")
-    choice = {}
-    for v in g.interior:
-        picked = None
-        for w in g.succ[v]:
-            if gd.values[w] == 0:
-                picked = w
-                break
-        choice[v] = picked if picked is not None else g.succ[v][0]
-    return Strategy(choice)
+    values = gd.values
+    return Strategy(
+        {v: next((w for w in g.succ[v] if values[w] == 0), g.succ[v][0]) for v in g.interior}
+    )
 
 
 def ensure_first_player_win(g: GameGraph, gd: GrundyData | None = None) -> GameGraph:

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import eda, grundy, switchability
+from . import eda, switchability
 from .games import GameSpec, nim_encode
 from .graphs import GameGraph, Strategy, enumerate_strategies, strategy_space_size
 from .ioutil import atomic_write_text
@@ -85,60 +85,38 @@ def _derive_seed(base_seed: int, *path: int) -> int:
 def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     """One game instance across the whole mu grid and every replicate.
 
-    The game is built once and its Grundy values computed once; a
-    second-player-win instance gets the forced start vertex, whose values
-    follow from the base graph's, before running. The reported ``n`` and
-    ``delta`` columns describe the instance as parameterised (before that
-    normalisation), and the theorem border rule uses those same values.
+    The game is built and prepared once (:func:`eda.prepare`), and every run
+    shares that record. The ``n`` and ``delta`` columns and the theorem
+    border describe the record's base game, as parameterised; the
+    switchability profile and the budget describe its run graph, which
+    carries the forced start of a second-player-win game.
     """
-    base_game = cfg.game.build()
-    gd = grundy.grundy_values(base_game)
-    run_game = grundy.ensure_first_player_win(base_game, gd)
-    if run_game is not base_game:
-        gd = grundy.forced_start_values(gd)
-    profile = switchability.switchability_profile(run_game, gd=gd)
+    return _experiment(cfg, eda.prepare(cfg.game.build()))
 
-    if cfg.gamma_rule == "theorem":
-        gamma = float(eda.theorem_border(base_game))
-    else:
-        gamma = float(cfg.gamma_rule)
 
-    s_values = {v: r.value for v, r in profile.reports.items()}
-    budget = eda.theorem_parameters(run_game, gd, s_values)
-
+def _experiment(cfg: ExperimentConfig, instance: eda.Instance) -> list[ExperimentRecord]:
+    base, graph, gd = instance.base, instance.graph, instance.gd
+    profile = switchability.switchability_profile(graph, gd=gd)
+    gamma = float(eda.theorem_border(base) if cfg.gamma_rule == "theorem" else cfg.gamma_rule)
+    budget = eda.theorem_parameters(graph, gd, {v: r.value for v, r in profile.reports.items()})
+    columns = dict(
+        family=cfg.game.family, params=cfg.game.params_string(), n=base.n, delta=base.max_degree,
+        s_bar=profile.s_bar, s_mode=profile.mode_used, gamma=gamma,
+        theorem_eval_budget=budget.eval_budget,
+    )
     records = []
     for mu_index, mu in enumerate(cfg.mu_grid):
         for replicate in range(cfg.replicates):
             seed = _derive_seed(cfg.base_seed, mu_index, replicate)
-            run_cfg = eda.UmdaConfig(
-                mu=mu,
-                gamma=gamma,
-                max_generations=cfg.max_generations,
-                seed=seed,
-                stop_rule=cfg.stop_rule,
-            )
+            run_cfg = eda.UmdaConfig(mu, gamma, cfg.max_generations, seed, cfg.stop_rule)
             started = time.perf_counter()
-            result = eda.run_umda(run_game, run_cfg)
+            result = eda.run_umda(graph, run_cfg, instance=instance)
             wall_ms = (time.perf_counter() - started) * 1e3
-            records.append(
-                ExperimentRecord(
-                    family=cfg.game.family,
-                    params=cfg.game.params_string(),
-                    n=base_game.n,
-                    delta=base_game.max_degree,
-                    s_bar=profile.s_bar,
-                    s_mode=profile.mode_used,
-                    mu=mu,
-                    gamma=gamma,
-                    seed=seed,
-                    replicate=replicate,
-                    generations=result.generations_used,
-                    evaluations=result.evaluations,
-                    success=int(result.succeeded),
-                    theorem_eval_budget=budget.eval_budget,
-                    wall_ms=wall_ms,
-                )
-            )
+            records.append(ExperimentRecord(
+                **columns, mu=mu, seed=seed, replicate=replicate,
+                generations=result.generations_used, evaluations=result.evaluations,
+                success=int(result.succeeded), wall_ms=wall_ms,
+            ))
     return records
 
 
@@ -169,15 +147,15 @@ def sweep_scaling(games: Sequence[GameSpec], cfg_template: ExperimentConfig) -> 
     one series of median evaluations per population size (failed
     replicates count at their capped cost) plus the theorem-shaped
     evaluation budget curve, on log-log axes, with one point per instance
-    from that instance's own records. Every instance is built once before
-    the first run, so a bad one fails before any work is spent.
+    from that instance's own records. Every instance is built and prepared
+    once (:func:`eda.prepare`) before the first run, so a bad one fails
+    before any work is spent, and its experiment runs on that record.
     """
-    for spec in games:
-        spec.build()
+    instances = [eda.prepare(spec.build()) for spec in games]
     runs = []
-    for i, spec in enumerate(games):
+    for i, (spec, instance) in enumerate(zip(games, instances)):
         seed = _derive_seed(cfg_template.base_seed, i)
-        runs.append(run_experiment(replace(cfg_template, game=spec, base_seed=seed)))
+        runs.append(_experiment(replace(cfg_template, game=spec, base_seed=seed), instance))
     xs = [records[0].n for records in runs]
     series = []
     for mu in cfg_template.mu_grid:

@@ -178,7 +178,7 @@ def run_umda_eager(g: GameGraph, cfg, trace_every: int = 0) -> RunResult:
         if cfg.stop_rule == "exact_optimal":
             mask = population_optimal_mask_dp(g, winners)
         else:
-            mask = population_sufficient_mask(g, gd, winners, zero)
+            mask = population_sufficient_mask(g, sorted(gd.critical), winners, zero)
         if mask.any():
             j = int(np.argmax(mask))
             witness = Strategy({v: int(g.targets[g.offsets[v] + winners[v, j]]) for v in g.interior})
@@ -248,7 +248,8 @@ def population_optimal_mask_dp(g: GameGraph, choices: np.ndarray) -> np.ndarray:
 
 
 def zero_mask(g: GameGraph) -> np.ndarray:
-    """Boolean flags of the Grundy-0 vertices, as ``run_umda`` builds them."""
+    """Boolean flags of the Grundy-0 vertices of ``g`` as given, with no forced
+    start added: ``eda.prepare(g).zero`` where the root is not Grundy-0."""
     zero = np.zeros(g.n, dtype=bool)
     zero[list(grundy_values(g).zero_set)] = True
     return zero

@@ -69,6 +69,30 @@ def test_run_deterministic(capsys, tmp_path):
     assert payload["config"]["gamma"] == pytest.approx(1 / 400)
 
 
+def test_run_solves_the_game_once(capsys, monkeypatch):
+    from coevo import grundy
+
+    calls = []
+    inner = grundy.grundy_values
+    monkeypatch.setattr(grundy, "grundy_values", lambda g: calls.append(g.n) or inner(g))
+    argv = [
+        "run", "--family", "subtraction_nim", "--n", "10", "--k", "2",
+        "--mu", "8", "--gamma-theorem", "--max-gen", "20",
+    ]
+    assert run_cli(capsys, *argv)[0] == 0
+    assert calls == [10]  # the base game; the forced start's values follow from it
+
+
+def test_run_fixed_gamma_on_a_game_without_moves(capsys):
+    argv = ["run", "--family", "chomp", "--m", "1", "--mu", "4"]
+    code, out, _ = run_cli(capsys, *argv, "--gamma", "0.1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["extended"] is True and payload["result"]["succeeded"] is True
+    code, _, err = run_cli(capsys, *argv, "--gamma-theorem")
+    assert code == 2 and "no moves" in err
+
+
 def test_run_trace(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -186,17 +210,21 @@ def test_runtime_errors(capsys):
         ({"succ": [True, 2, 4]}, "vertex 0: succ must be a list of JSON integers, got True"),
         ({"id": "0"}, "vertex entry 0: id must be a JSON integer, got '0'"),
         ({"root": "0"}, "root must be a JSON integer, got '0'"),
+        ({"succ": None}, "vertex entry 0 has no succ"),  # used to print 'succ'
     ],
 )
 def test_game_file_with_non_integers_is_invalid(capsys, tmp_path, change, message):
-    # A float successor used to load as the vertex it truncates to.
+    # A float successor used to load as the vertex it truncates to. A change
+    # to None removes the field.
     game_path = tmp_path / "fig1.json"
     run_cli(capsys, "gen", "--fixture", "fig1", "--out", str(game_path))
     data = json.loads(game_path.read_text())
-    if "root" in change:
-        data["root"] = change["root"]
-    else:
-        data["vertices"][0].update(change)
+    target = data if "root" in change else data["vertices"][0]
+    for key, value in change.items():
+        if value is None:
+            del target[key]
+        else:
+            target[key] = value
     game_path.write_text(json.dumps(data))
     code, out, err = run_cli(capsys, "solve", "--game", str(game_path))
     assert (code, out) == (2, "")
@@ -355,9 +383,9 @@ def test_switch_vertex_outside_the_game_is_usage_error(capsys, vertex, mode):
 
 # --- analyze --model validation (exit 2, message names the vertex) ---------
 
-def _analyze_with(capsys, tmp_path, dists):
+def _analyze_with(capsys, tmp_path, dists, gamma=0.0):
     model_path = tmp_path / "model.json"
-    model_path.write_text(json.dumps({"gamma": 0.0, "dists": dists}))
+    model_path.write_text(json.dumps({"gamma": gamma, "dists": dists}))
     return run_cli(capsys, "analyze", "--fixture", "fig1", "--model", str(model_path))
 
 
@@ -370,6 +398,12 @@ FIG1_OK = {"0": [0, 0, 1], "1": [1], "2": [1, 0], "3": [1]}
         ("0", [2.0, -1.0, 0.0]),  # negative entry; used to print reach 2.0
         ("2", [1.0]),  # wrong length; used to die with an IndexError
         ("0", [0.5, 0.5, 0.5]),  # does not sum to one
+        # Each of these used to be read as a plausible vector, or to die
+        # with a float() message that named no vertex.
+        ("0", [True, False, False]),
+        ("0", ["0.5", "0.25", "0.25"]),
+        ("2", {"0": 1, "1": 0}),
+        ("0", [10**400, 0, 0]),  # a JSON integer no float holds
     ],
 )
 def test_analyze_rejects_bad_vector(capsys, tmp_path, vertex, bad):
@@ -377,6 +411,16 @@ def test_analyze_rejects_bad_vector(capsys, tmp_path, vertex, bad):
     assert code == 2
     assert out == ""
     assert f"vertex {vertex}" in err
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    ["nan", "0.1", [1], True, -0.5, float("nan"), float("inf"), pytest.param(10**400, id="huge")],
+)
+def test_analyze_rejects_bad_gamma(capsys, tmp_path, gamma):
+    code, out, err = _analyze_with(capsys, tmp_path, FIG1_OK, gamma=gamma)
+    assert (code, out) == (2, "")
+    assert "gamma" in err
 
 
 def test_analyze_rejects_non_finite_entry(capsys, tmp_path):

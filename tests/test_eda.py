@@ -22,6 +22,7 @@ from coevo.eda import (
     model_from_snapshot,
     population_optimal_mask,
     population_sufficient_mask,
+    prepare,
     restrict,
     _degree_groups,
     _edge_vector,
@@ -434,10 +435,6 @@ class _CountingRng:
         return self.inner.multinomial(n, pvals)
 
 
-def _plan(g, stop_rule="exact_optimal"):
-    return eda._run_plan(g, stop_rule)
-
-
 def _spy_draws(monkeypatch):
     """Record the rows of every call of the draw routine."""
     calls = []
@@ -458,11 +455,11 @@ def test_degree_one_positions_draw_no_uniform(monkeypatch, stop_rule):
     degrees = np.diff(g.offsets)
     assert degrees[g.root] == 1 and degrees[1] == 1
     calls = _spy_draws(monkeypatch)
-    rng, plan = _CountingRng(7), _plan(g, stop_rule)
+    rng, instance = _CountingRng(7), prepare(g)
     model = uniform_model(g, 0.01)
     cfg = UmdaConfig(mu=64, gamma=0.01, max_generations=1, seed=0, stop_rule=stop_rule)
     for _ in range(5):
-        model, population, _ = generation_step(model, cfg, rng, plan)
+        model, population, _ = generation_step(model, cfg, rng, instance)
         assert (population.choices[degrees < 2] == 0).all()
     rows = np.concatenate(calls)
     assert len(rows) == rng.uniforms > 0
@@ -477,7 +474,7 @@ def test_draws_stay_far_below_the_population_size(monkeypatch):
     calls = _spy_draws(monkeypatch)
     rng, mu = _CountingRng(11), 512
     cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0)
-    _, population, evaluations = generation_step(uniform_model(g, 0.0), cfg, rng, _plan(g))
+    _, population, evaluations = generation_step(uniform_model(g, 0.0), cfg, rng, prepare(g))
     entries = sum(len(rows) for rows in calls)
     assert evaluations == mu and entries == rng.uniforms
     assert entries < 0.05 * g.n * mu
@@ -496,7 +493,7 @@ def test_drawn_plus_filled_is_mu(stop_rule):
     model = uniform_model(g, 0.01)
     for _ in range(4):
         rng.fills.clear()
-        model, population, evaluations = generation_step(model, cfg, rng, _plan(g, stop_rule))
+        model, population, evaluations = generation_step(model, cfg, rng, prepare(g))
         assert evaluations == mu
         choices = population.choices
         drawn = (choices != np.iinfo(choices.dtype).max).sum(axis=1)
@@ -693,6 +690,49 @@ def test_run_requires_first_player_win():
         run_umda(g, cfg)
 
 
+@pytest.mark.parametrize("n", [10, 11])  # heap 10 loses (a forced start), 11 wins
+def test_prepare_describes_the_run_graph_from_one_pass(monkeypatch, n):
+    base = subtraction_nim(n, 2)
+    calls = []
+    monkeypatch.setattr(
+        eda._grundy, "grundy_values", lambda g: calls.append(g) or grundy_values(g)
+    )
+    instance = prepare(base)
+    assert calls == [base]
+    g = instance.graph
+    assert instance.base is base and (g is base) == (n == 11)
+    assert g == ensure_first_player_win(base)
+    assert instance.gd == grundy_values(g)
+    assert np.array_equal(instance.zero, zero_mask(g))
+    assert instance.critical.tolist() == sorted(instance.gd.critical)
+    assert [(d, r.tolist(), e.tolist()) for d, r, e in instance.groups] == [
+        (d, r.tolist(), e.tolist()) for d, r, e in _degree_groups(g)
+    ]
+
+
+def test_run_requires_the_instance_of_its_graph():
+    g = ensure_first_player_win(subtraction_nim(10, 2))
+    cfg = UmdaConfig(mu=8, gamma=0.01, max_generations=10, seed=8)
+    with pytest.raises(ValueError, match="another run graph"):
+        run_umda(g, cfg, instance=prepare(subtraction_nim(11, 2)))
+    with pytest.raises(ValueError, match="another run graph"):
+        run_umda(g, cfg, instance=prepare(ensure_first_player_win(subtraction_nim(10, 2))))
+    base = subtraction_nim(10, 2)  # its run graph carries a forced start
+    with pytest.raises(ValueError, match="another run graph"):
+        run_umda(base, cfg, instance=prepare(base))
+
+
+@pytest.mark.parametrize("stop_rule", ["exact_optimal", "sufficient_optimal"])
+def test_run_on_a_prepared_instance_equals_the_plain_run(stop_rule):
+    instance = prepare(silver_dollar(7, 2))
+    g = instance.graph
+    cfg = UmdaConfig(mu=40, gamma=0.01, max_generations=300, seed=3, stop_rule=stop_rule)
+    a, b = run_umda(g, cfg), run_umda(g, cfg, instance=instance)
+    assert (a.generations_used, a.succeeded) == (b.generations_used, b.succeeded)
+    assert a.final_model.snapshot() == b.final_model.snapshot()
+    assert a.optimal_witness == b.optimal_witness
+
+
 def test_run_reproducible_bit_for_bit():
     g = ensure_first_player_win(subtraction_nim(10, 2))
     cfg = UmdaConfig(mu=128, gamma=1 / 400, max_generations=500, seed=99)
@@ -764,7 +804,7 @@ def test_population_masks_match_scalar_checks():
         zero = zero_mask(g)
         opt_mask = population_optimal_mask(g, choices, zero)
         ref_mask = population_optimal_mask_dp(g, choices)
-        suf_mask = population_sufficient_mask(g, gd, choices, zero)
+        suf_mask = population_sufficient_mask(g, sorted(gd.critical), choices, zero)
         for j, x in enumerate(strategies):
             assert opt_mask[j] == ref_mask[j] == is_optimal_exact(g, x)
             assert suf_mask[j] == is_optimal_sufficient(g, gd, x)
@@ -889,7 +929,7 @@ def test_witness_is_the_first_hit_across_blocks(monkeypatch, stop_rule, columns,
     gd, zero = grundy_values(g), zero_mask(g)
     per_column = 1 if stop_rule == "sufficient_optimal" else int(np.diff(g.offsets)[zero].sum())
     monkeypatch.setattr(eda, "STOP_BLOCK", columns * per_column)
-    assert eda._run_plan(g, stop_rule).block == columns
+    assert eda._stop_block(prepare(g), stop_rule) == columns
     cfg = UmdaConfig(
         mu=74, gamma=float(theorem_border(base)), max_generations=500, seed=seed, stop_rule=stop_rule
     )
@@ -897,7 +937,7 @@ def test_witness_is_the_first_hit_across_blocks(monkeypatch, stop_rule, columns,
     if stop_rule == "exact_optimal":
         masks = [population_optimal_mask_dp(g, choices) for choices in populations]
     else:
-        masks = [population_sufficient_mask(g, gd, choices, zero) for choices in populations]
+        masks = [population_sufficient_mask(g, sorted(gd.critical), choices, zero) for choices in populations]
     assert result.succeeded and not any(mask.any() for mask in masks[:-1])
     first = int(np.argmax(masks[-1]))
     assert first >= 3 * columns  # past the first blocks
@@ -913,7 +953,8 @@ def test_stop_check_memory_stays_near_the_population(monkeypatch):
     # first block's pass walks every column to the end.
     g = ensure_first_player_win(turning_turtles(10))
     zero, mu = zero_mask(g), 2048
-    plan = _plan(g)
+    instance = prepare(g)
+    block = eda._stop_block(instance, "exact_optimal")
     model = uniform_model(g, 0.0)
     for v in g.interior:
         good = np.flatnonzero(zero[list(g.succ[v])])
@@ -935,15 +976,15 @@ def test_stop_check_memory_stays_near_the_population(monkeypatch):
 
     monkeypatch.setattr(eda, "population_optimal_mask", spy)
     cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0)
-    generation_step(model, replace(cfg, mu=8), np.random.default_rng(5), plan)  # numpy's lazy set-up
+    generation_step(model, replace(cfg, mu=8), np.random.default_rng(5), instance)  # numpy's lazy set-up
     widths.clear(), peaks.clear(), drawn.clear()
     tracemalloc.start()
     try:
-        _, population, _ = generation_step(model, cfg, np.random.default_rng(5), plan)
+        _, population, _ = generation_step(model, cfg, np.random.default_rng(5), instance)
     finally:
         tracemalloc.stop()
-    assert widths == [plan.block] and plan.block < mu and population.witness == 0
-    assert sum(drawn) > g.n * plan.block // 2  # the walk drew most of the block
+    assert widths == [block] and block < mu and population.witness == 0
+    assert sum(drawn) > g.n * block // 2  # the walk drew most of the block
     # One pass over all 2048 columns at once reached 560 MB; with the drawn
     # rows as int64 and the walk's step temporaries held into the next
     # step, one block pass reached 7.4 MB.
@@ -954,11 +995,11 @@ def test_generation_memory_stays_near_the_store():
     g = chomp(6)
     model, mu = uniform_model(g, 0.0), 2048
     cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0)
-    plan = _plan(g)
-    generation_step(model, replace(cfg, mu=8), np.random.default_rng(5), plan)  # numpy's lazy set-up
+    instance = prepare(g)
+    generation_step(model, replace(cfg, mu=8), np.random.default_rng(5), instance)  # numpy's lazy set-up
     tracemalloc.start()
     try:
-        generation_step(model, cfg, np.random.default_rng(5), plan)
+        generation_step(model, cfg, np.random.default_rng(5), instance)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -268,6 +268,20 @@ def test_json_round_trip(fig1, tmp_path):
     assert again.labels == fig1.labels
 
 
+DROP = object()  # a change that removes its field
+
+
+def _apply(target, change: dict) -> None:
+    """Replace each named field, edit it with a nested dict, or remove it with DROP."""
+    for key, value in change.items():
+        if value is DROP:
+            del target[key]
+        elif isinstance(value, dict):
+            _apply(target[key], value)
+        else:
+            target[key] = value
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -280,15 +294,23 @@ def test_json_round_trip(fig1, tmp_path):
         ({2: {"succ": [3, True]}}, "vertex 2: succ must be a list of JSON integers, got True"),
         ({3: {"succ": 4}}, "vertex 3: succ must be a list of JSON integers, got 4"),
         ({3: {"id": 2}}, "vertex 2: id appears twice"),
+        # Wrongly shaped files used to fail with messages that named no field.
+        ({"vertices": 5}, "vertices must be a list, got int"),
+        ({"root": DROP}, "game has no root"),
+        ({"vertices": DROP}, "game has no vertices"),
+        ({1: [1, [2]]}, "vertex entry 1 must be an object, got list"),
+        ({2: {"id": DROP}}, "vertex entry 2 has no id"),
+        ({2: {"succ": DROP}}, "vertex entry 2 has no succ"),
+        ([{"root": 0, "vertices": []}], "a game must be a JSON object, got list"),
     ],
 )
 def test_game_from_dict_rejects_non_integers(fig1, change, message):
+    # Integer keys change a vertex entry, others the file; a list is the whole file.
     data = game_to_dict(fig1)
+    if isinstance(change, list):
+        data, change = change, {}
     for key, value in change.items():
-        if key == "root":
-            data["root"] = value
-        else:
-            data["vertices"][key].update(value)
+        _apply(data["vertices"] if isinstance(key, int) else data, {key: value})
     with pytest.raises(GameGraphError, match=f"^{re.escape(message)}$"):
         game_from_dict(json.loads(json.dumps(data)))
 

@@ -74,7 +74,34 @@ def test_one_grundy_pass_per_experiment_outside_the_runs(monkeypatch, n):
     )
     records = run_experiment(cfg)
     assert len(records) == 4
-    assert calls == {"outside": 1, "inside": 4}
+    assert calls == {"outside": 1, "inside": 0}
+
+
+def test_sweep_builds_and_solves_each_instance_once(monkeypatch):
+    builds, passes = [], []
+    inner_build, inner_values = GameSpec.build, grundy.grundy_values
+    monkeypatch.setattr(GameSpec, "build", lambda spec: builds.append(spec) or inner_build(spec))
+    monkeypatch.setattr(grundy, "grundy_values", lambda g: passes.append(g.n) or inner_values(g))
+    games = [GameSpec("subtraction_nim", {"n": n, "k": 2}) for n in (10, 11)]
+    template = ExperimentConfig(
+        game=games[0], mu_grid=(8, 16), gamma_rule="theorem", replicates=2, max_generations=5
+    )
+    summary = sweep_scaling(games, template)
+    assert len(summary.records) == 8
+    assert builds == games
+    assert passes == [10, 11]  # on the base games, before any forced start
+
+
+def test_fixed_gamma_runs_a_game_without_moves():
+    # chomp m=1 has no move, so it has no theorem border; a fixed border
+    # still runs it on its forced start.
+    cfg = ExperimentConfig(
+        game=GameSpec("chomp", {"m": 1}), mu_grid=(4,), gamma_rule=0.1, max_generations=5
+    )
+    (record,) = run_experiment(cfg)
+    assert (record.n, record.delta, record.success, record.generations) == (1, 0, 1, 1)
+    with pytest.raises(ValueError, match="no moves"):
+        run_experiment(replace(cfg, gamma_rule="theorem"))
 
 
 def test_records_shape_and_accounting():
