@@ -55,8 +55,9 @@ class ProbModel:
     """Per-vertex categorical distributions over successors.
 
     ``dists[v][i]`` is the probability of moving from ``v`` to
-    ``graph.succ[v][i]``. Every vector sums to one (within 1e-12 for
-    floats) and, after restriction, every entry is at least ``gamma``.
+    ``targets[offsets[v] + i]`` of the graph. Every vector sums to one
+    (within 1e-12 for floats) and, after restriction, every entry is at
+    least ``gamma``.
     """
 
     graph: GameGraph
@@ -182,13 +183,13 @@ def model_from_snapshot(g: GameGraph, data: Mapping) -> ProbModel:
         problem = "has no vector" if key in expected else "is not an interior vertex"
         raise ValueError(f"model snapshot: vertex {key} {problem}")
     dists = {}
-    for v in g.interior:
+    for v, degree in zip(g.interior, np.diff(g.offsets)[list(g.interior)].tolist()):
         entries = raw[str(v)]
         if not (isinstance(entries, list) and all(map(_is_finite_number, entries))):
             raise ValueError(f"vertex {v}: expected a list of finite JSON numbers, got {entries!r}")
         p = np.asarray(entries, dtype=float)
-        if p.shape != (len(g.succ[v]),):
-            raise ValueError(f"vertex {v}: expected {len(g.succ[v])} entries, got shape {p.shape}")
+        if p.shape != (degree,):
+            raise ValueError(f"vertex {v}: expected {degree} entries, got shape {p.shape}")
         if not (p >= 0).all():
             raise ValueError(f"vertex {v}: entries must be at least 0, got {p.tolist()}")
         if abs(p.sum() - 1.0) > 1e-9:
@@ -206,7 +207,8 @@ def uniform_model(g: GameGraph, gamma: float) -> ProbModel:
     """Initial model: the uniform distribution at every interior vertex."""
     if g.max_degree and not gamma * g.max_degree < 1:
         raise GammaTooLarge(f"gamma {gamma} times max degree {g.max_degree} must stay below 1")
-    dists = {v: np.full(len(g.succ[v]), 1.0 / len(g.succ[v])) for v in g.interior}
+    degrees = np.diff(g.offsets)[list(g.interior)].tolist()
+    dists = {v: np.full(d, 1.0 / d) for v, d in zip(g.interior, degrees)}
     return ProbModel(graph=g, dists=dists, gamma=gamma)
 
 
@@ -219,9 +221,12 @@ def uniform_model(g: GameGraph, gamma: float) -> ProbModel:
 
 def _degree_groups(g: GameGraph) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """(degree, vertex ids, a row of edge ids per vertex) per interior degree, ascending."""
-    interior = np.array(g.interior, dtype=np.int64)
-    degrees = g.offsets[interior + 1] - g.offsets[interior]
-    groups = [(d, interior[degrees == d]) for d in np.unique(degrees).tolist()]
+    degree = np.diff(g.offsets)
+    order = np.argsort(degree, kind="stable")[len(g.sinks) :]  # the interior; ties stay ascending
+    degrees = degree[order]
+    starts = np.flatnonzero(degrees[1:] != degrees[:-1]) + 1
+    bounds = [0, *starts.tolist(), len(order)] if len(order) else []
+    groups = [(int(degrees[lo]), order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
     return [(d, rows, g.offsets[rows][:, None] + np.arange(d)) for d, rows in groups]
 
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -39,20 +41,19 @@ class BadEdge(GameGraphError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameGraph:
-    """Immutable rooted DAG of game positions.
+    """Immutable rooted DAG of game positions, stored as two flat arrays.
 
-    ``succ[v]`` is the ordered successor tuple for vertex ``v``;
-    ``reverse_topo`` lists vertices so that every vertex appears after all
-    of its successors (sinks first). ``offsets`` and ``targets`` hold the
-    same successor lists as flat read-only int64 arrays, set when the graph
-    is built: slot ``i`` of vertex ``v`` is edge ``offsets[v] + i`` and
-    leads to ``targets[offsets[v] + i]``. Instances are safe to share
-    across threads; build them with :func:`csr_graph` or :func:`build_graph`.
+    ``offsets`` and ``targets`` are read-only int64 arrays: vertex ``v``'s
+    successors, in canonical order, are ``targets[offsets[v]:offsets[v + 1]]``,
+    so slot ``i`` of ``v`` is edge ``offsets[v] + i``. ``reverse_topo`` lists
+    vertices so that every vertex appears after all of its successors (sinks
+    first). Two graphs are equal when their root, labels and arrays are.
+    Instances are safe to share across threads; build them with
+    :func:`csr_graph` or :func:`build_graph`.
     """
 
-    succ: tuple[tuple[int, ...], ...]
     root: int
     labels: tuple[str | None, ...]
     reverse_topo: tuple[int, ...]
@@ -60,27 +61,37 @@ class GameGraph:
     interior: tuple[int, ...]
     sinks: tuple[int, ...]
     edge_count: int
-    offsets: np.ndarray = field(repr=False, compare=False)
-    targets: np.ndarray = field(repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False, default=0)
+    offsets: np.ndarray = field(repr=False)
+    targets: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.succ, self.root)))
+    def __eq__(self, other):
+        if not isinstance(other, GameGraph):
+            return NotImplemented
+        return (self.root, self.labels) == (other.root, other.labels) and all(
+            map(np.array_equal, (self.offsets, self.targets), (other.offsets, other.targets))
+        )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.root, self.labels, self.offsets.tobytes(), self.targets.tobytes()))
+
+    @cached_property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        """The successor tuples, derived from the arrays on first read. Every edge
+        into a vertex shares its int, gathered from one object array."""
+        bounds, ids = self.offsets.tolist(), np.arange(self.n, dtype=object)
+        flat = tuple(ids[self.targets].tolist())
+        return tuple(flat[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
 
     @property
     def n(self) -> int:
-        return len(self.succ)
+        return len(self.offsets) - 1
 
     def is_sink(self, v: int) -> bool:
-        return not self.succ[v]
+        return bool(self.offsets[v] == self.offsets[v + 1])
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for u, ws in enumerate(self.succ):
-            for w in ws:
-                yield (u, w)
+        sources = np.repeat(np.arange(self.n), np.diff(self.offsets))
+        return zip(sources.tolist(), self.targets.tolist())
 
     def label(self, v: int) -> str:
         name = self.labels[v]
@@ -144,33 +155,27 @@ def _assemble(offsets, targets, root, labels, shown=None) -> GameGraph:
     sources = np.repeat(np.arange(n, dtype=np.int64), degree)
     _check_edges(sources, targets, n, shown)
 
-    bounds = offsets.tolist()
-    # Gathered from one object array, every edge into a vertex shares that
-    # vertex's int, where ``targets.tolist()`` would make one int per edge.
-    flat = tuple(np.arange(n, dtype=object)[targets].tolist())
-    succ = tuple(flat[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
     if (targets < sources).all():
         # Every move lowers the id, so 0..n-1 lists successors first; it is
         # also the order the depth-first search below emits on such graphs.
         reverse_topo = tuple(range(n))
     else:
-        reverse_topo = _reverse_topological_order(succ)
+        reverse_topo = _reverse_topological_order(offsets.tolist(), targets.tolist())
     # In a DAG every vertex is reachable iff every non-root one has an in-edge.
     indegree = np.bincount(targets, minlength=n)
     indegree[root] += 1
     if not indegree.all():
-        _check_reachable(succ, root, n)
+        raise Unreachable(_first_unreachable(offsets.tolist(), targets.tolist(), root))
     for array in (offsets, targets):
         array.flags.writeable = False
     return GameGraph(
-        succ=succ,
         root=int(root),
         labels=labels,
         reverse_topo=reverse_topo,
         max_degree=int(degree.max(initial=0)),
         interior=tuple(np.flatnonzero(degree).tolist()),
         sinks=tuple(np.flatnonzero(degree == 0).tolist()),
-        edge_count=len(flat),
+        edge_count=len(targets),
         offsets=offsets,
         targets=targets,
     )
@@ -197,46 +202,44 @@ def _check_edges(sources: np.ndarray, targets: np.ndarray, n: int, shown: Sequen
     raise BadEdge(f"duplicate edge ({v}, {w})")
 
 
-def _reverse_topological_order(succ: Sequence[Sequence[int]]) -> tuple[int, ...]:
+def _reverse_topological_order(off: list[int], targets: list[int]) -> tuple[int, ...]:
     # Iterative DFS post-order: every vertex is emitted after its successors.
-    n = len(succ)
+    n = len(off) - 1
     WHITE, GREY, BLACK = 0, 1, 2
     colour = [WHITE] * n
     order: list[int] = []
     for start in range(n):
         if colour[start] != WHITE:
             continue
-        stack: list[tuple[int, int]] = [(start, 0)]
+        stack: list[tuple[int, int]] = [(start, off[start])]
         colour[start] = GREY
         while stack:
-            v, i = stack.pop()
-            if i < len(succ[v]):
-                stack.append((v, i + 1))
-                w = succ[v][i]
+            v, e = stack.pop()
+            if e < off[v + 1]:
+                stack.append((v, e + 1))
+                w = targets[e]
                 if colour[w] == GREY:
                     raise CycleDetected(f"cycle through edge ({v}, {w})")
                 if colour[w] == WHITE:
                     colour[w] = GREY
-                    stack.append((w, 0))
+                    stack.append((w, off[w]))
             else:
                 colour[v] = BLACK
                 order.append(v)
     return tuple(order)
 
 
-def _check_reachable(succ: Sequence[Sequence[int]], root: int, n: int) -> None:
-    seen = [False] * n
+def _first_unreachable(off: list[int], targets: list[int], root: int) -> int:
+    seen = [False] * (len(off) - 1)
     seen[root] = True
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for w in succ[v]:
+        for w in targets[off[v] : off[v + 1]]:
             if not seen[w]:
                 seen[w] = True
                 queue.append(w)
-    for v in range(n):
-        if not seen[v]:
-            raise Unreachable(v)
+    return seen.index(False)
 
 
 @dataclass(frozen=True)
@@ -251,14 +254,16 @@ class Strategy:
     def validate(self, g: GameGraph) -> "Strategy":
         if set(self.choice) != set(g.interior):
             raise ValueError("strategy domain must be exactly the interior vertices")
+        off, targets = g.offsets.tolist(), g.targets.tolist()
         for v, w in self.choice.items():
-            if w not in g.succ[v]:
+            if w not in targets[off[v] : off[v + 1]]:
                 raise ValueError(f"choice {v} -> {w} is not a legal move")
         return self
 
     def key(self, g: GameGraph) -> tuple[int, ...]:
         """Canonical tuple of successor indices, for set membership."""
-        return tuple(g.succ[v].index(self.choice[v]) for v in g.interior)
+        off, targets = g.offsets.tolist(), g.targets.tolist()
+        return tuple(targets[off[v] : off[v + 1]].index(self.choice[v]) for v in g.interior)
 
 
 @dataclass(frozen=True)
@@ -275,10 +280,11 @@ def play(g: GameGraph, x: Strategy, y: Strategy) -> Transcript:
     Iterative, so arbitrarily long paths are fine. The winner is +1 exactly
     when the player stuck at the final sink is ``y``.
     """
+    off = g.offsets.tolist()
     cur = g.root
     visited = [cur]
     moves = 0
-    while g.succ[cur]:
+    while off[cur] < off[cur + 1]:
         mover = x if moves % 2 == 0 else y
         cur = mover.choice[cur]
         visited.append(cur)
@@ -288,16 +294,13 @@ def play(g: GameGraph, x: Strategy, y: Strategy) -> Transcript:
 
 
 def strategy_space_size(g: GameGraph) -> int:
-    size = 1
-    for v in g.interior:
-        size *= len(g.succ[v])
-    return size
+    return math.prod(d for d in np.diff(g.offsets).tolist() if d)
 
 
 def enumerate_strategies(g: GameGraph) -> Iterator[Strategy]:
     """All strategies in lexicographic order of successor indices."""
-    interior = g.interior
-    for combo in itertools.product(*(g.succ[v] for v in interior)):
+    interior, off, targets = g.interior, g.offsets.tolist(), g.targets.tolist()
+    for combo in itertools.product(*(targets[off[v] : off[v + 1]] for v in interior)):
         yield Strategy(dict(zip(interior, combo)))
 
 
@@ -305,9 +308,10 @@ def enumerate_strategies(g: GameGraph) -> Iterator[Strategy]:
 # Serialisation
 
 def game_to_dict(g: GameGraph) -> dict:
+    off, targets = g.offsets.tolist(), g.targets.tolist()
     vertices = []
     for v in range(g.n):
-        entry: dict = {"id": v, "succ": list(g.succ[v])}
+        entry: dict = {"id": v, "succ": targets[off[v] : off[v + 1]]}
         if g.labels[v] is not None:
             entry["label"] = g.labels[v]
         vertices.append(entry)
@@ -316,10 +320,10 @@ def game_to_dict(g: GameGraph) -> dict:
 
 def game_from_dict(data: Mapping) -> GameGraph:
     """Read the layout :func:`game_to_dict` writes: an object with ``root`` and a
-    ``vertices`` list of objects with ``id`` and ``succ``. The root, every id and
-    every successor must be a JSON integer; a missing or wrongly typed field, a
-    bool or a float with an integer value included, is a
-    :class:`GameGraphError` naming it."""
+    ``vertices`` list of objects with ``id``, ``succ`` and optionally ``label``. The
+    root, every id and every successor must be a JSON integer, and a label a JSON
+    string; a missing or wrongly typed field, a bool or a float with an integer
+    value included, is a :class:`GameGraphError` naming it."""
     if not isinstance(data, Mapping):
         raise GameGraphError(f"a game must be a JSON object, got {type(data).__name__}")
     root, entries = _field(data, "root", "game"), _field(data, "vertices", "game")
@@ -344,6 +348,8 @@ def game_from_dict(data: Mapping) -> GameGraph:
         adjacency[v] = succ
         if "label" in entry:
             labels[v] = entry["label"]
+            if not isinstance(labels[v], str):
+                raise GameGraphError(f"vertex {v}: label must be a JSON string, got {labels[v]!r}")
     return build_graph(adjacency, root, labels)
 
 
@@ -371,7 +377,8 @@ def to_dot(g: GameGraph) -> str:
     lines = ["digraph game {"]
     for v in range(g.n):
         shape = ", shape=doublecircle" if v == g.root else ""
-        lines.append(f'  {v} [label="{g.label(v)}"{shape}];')
+        name = g.label(v).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  {v} [label="{name}"{shape}];')
     for u, w in g.edges():
         lines.append(f"  {u} -> {w};")
     lines.append("}")

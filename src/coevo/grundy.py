@@ -51,21 +51,18 @@ def grundy_values(g: GameGraph) -> GrundyData:
     Per-vertex mex uses a presence bitmap of size ``deg+1``; the value of a
     vertex never exceeds its out-degree, so no sorting is needed.
     """
+    off, targets = g.offsets.tolist(), g.targets.tolist()
     h = [0] * g.n
     for v in g.reverse_topo:
-        succs = g.succ[v]
-        if not succs:
+        deg = off[v + 1] - off[v]
+        if not deg:
             continue
-        deg = len(succs)
         present = bytearray(deg + 1)
-        for w in succs:
+        for w in targets[off[v] : off[v + 1]]:
             val = h[w]
             if val <= deg:
                 present[val] = 1
-        m = 0
-        while present[m]:
-            m += 1
-        h[v] = m
+        h[v] = present.index(0)
     values = tuple(h)
     zero = frozenset(v for v in range(g.n) if values[v] == 0)
     return GrundyData(
@@ -79,9 +76,9 @@ def critical_positions(g: GameGraph, values: tuple[int, ...]) -> frozenset[int]:
     """Interior positions where optimal play must be learned: nonzero
     Grundy value and at least one successor of nonzero value (a wrong
     move exists)."""
-    return frozenset(
-        v for v in g.interior if values[v] != 0 and any(values[w] != 0 for w in g.succ[v])
-    )
+    nonzero = np.array(values) != 0
+    before = np.concatenate(([0], np.cumsum(nonzero[g.targets])))[g.offsets]  # nonzero targets before v's edges
+    return frozenset(np.flatnonzero(nonzero & (np.diff(before) > 0)).tolist())
 
 
 def is_optimal_sufficient(g: GameGraph, gd: GrundyData, x: Strategy) -> bool:
@@ -104,20 +101,19 @@ def is_optimal_exact(g: GameGraph, x: Strategy) -> bool:
     against all adversaries (``u`` is a sink, or every reply leaves the
     x-player winning).
     """
+    off, targets = g.offsets.tolist(), g.targets.tolist()
     win = [False] * g.n
     safe = [False] * g.n
     for u in g.reverse_topo:
-        succs = g.succ[u]
-        if not succs:
+        if off[u] == off[u + 1]:
             safe[u] = True
             continue
         win[u] = safe[x.choice[u]]
-        ok = True
-        for w in succs:
+        for w in targets[off[u] : off[u + 1]]:
             if not win[w]:
-                ok = False
                 break
-        safe[u] = ok
+        else:
+            safe[u] = True
     return win[g.root]
 
 
@@ -125,10 +121,9 @@ def canonical_optimal_strategy(g: GameGraph, gd: GrundyData) -> Strategy:
     """First zero-valued successor where one exists, else first successor."""
     if gd.values[g.root] == 0:
         raise PreconditionViolated("root has Grundy value 0; first player cannot win")
-    values = gd.values
-    return Strategy(
-        {v: next((w for w in g.succ[v] if values[w] == 0), g.succ[v][0]) for v in g.interior}
-    )
+    values, off, targets = gd.values, g.offsets.tolist(), g.targets.tolist()
+    moves = {v: targets[off[v] : off[v + 1]] for v in g.interior}
+    return Strategy({v: next((w for w in ws if values[w] == 0), ws[0]) for v, ws in moves.items()})
 
 
 def ensure_first_player_win(g: GameGraph, gd: GrundyData | None = None) -> GameGraph:

@@ -9,8 +9,10 @@ between two independently sampled strategies has the same law as a lazy
 random walk that samples a fresh successor from the model at each vertex
 it meets. This holds because the graph is acyclic, so no vertex is ever
 consulted twice in a playout and it never matters which of the two
-players owns the consulted entry. All DPs are written in plain arithmetic
-and stay exact when handed Fraction-valued models.
+players owns the consulted entry. A model gives each interior vertex ``v``
+one probability per move, entry ``i`` for the move to
+``targets[offsets[v] + i]``. The DPs walk the graph's two arrays, read as
+lists, in plain arithmetic, so they stay exact on Fraction-valued models.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ class ModelAnalysis:
 
 
 def _dists(model) -> Mapping[int, Sequence]:
-    return model.dists if hasattr(model, "dists") else model
+    # A ProbModel's vectors as lists: the DPs' float arithmetic on list entries
+    # gives the same IEEE doubles as on numpy scalars, and runs faster.
+    return {v: p.tolist() for v, p in model.dists.items()} if hasattr(model, "dists") else model
 
 
 def reach_probabilities(g: GameGraph, model) -> dict:
@@ -39,29 +43,25 @@ def reach_probabilities(g: GameGraph, model) -> dict:
     collects, over its in-edges, the probability of visiting the tail
     times the tail's chance of stepping here.
     """
-    dists = _dists(model)
+    dists, off, targets = _dists(model), g.offsets.tolist(), g.targets.tolist()
     reach = {v: 0 for v in range(g.n)}
     reach[g.root] = 1
     for u in reversed(g.reverse_topo):  # forward topological order
-        r = reach[u]
-        if not r:
+        r, lo = reach[u], off[u]
+        if not r or lo == off[u + 1]:
             continue
-        for i, w in enumerate(g.succ[u]):
-            reach[w] = reach[w] + r * dists[u][i]
+        for e in range(lo, off[u + 1]):
+            reach[targets[e]] = reach[targets[e]] + r * dists[u][e - lo]
     return reach
 
 
 def win_probabilities(g: GameGraph, model) -> dict:
     """Probability the player about to move at each vertex wins the game."""
-    dists = _dists(model)
+    dists, off, targets = _dists(model), g.offsets.tolist(), g.targets.tolist()
     win = {}
     for v in g.reverse_topo:
-        if not g.succ[v]:
-            win[v] = 0
-        else:
-            win[v] = 1 - sum(
-                dists[v][i] * win[w] for i, w in enumerate(g.succ[v])
-            )
+        lo, hi = off[v], off[v + 1]
+        win[v] = 1 - sum(dists[v][e - lo] * win[targets[e]] for e in range(lo, hi)) if hi > lo else 0
     return win
 
 
@@ -71,16 +71,11 @@ def selection_distribution(g: GameGraph, model, u: int) -> list:
     Closed form: the sampling probability of each move, rescaled by
     ``1 + reach(u) * (1 - win(move) - win(u))``. Sums to one identically.
     """
-    dists = _dists(model)
-    if not g.succ[u]:
+    dists, moves = _dists(model), g.targets[g.offsets[u] : g.offsets[u + 1]].tolist()
+    if not moves:
         raise ValueError(f"vertex {u} has no moves")
-    reach = reach_probabilities(g, dists)
-    win = win_probabilities(g, dists)
-    r = reach[u]
-    return [
-        dists[u][i] * (1 + r * (1 - win[w] - win[u]))
-        for i, w in enumerate(g.succ[u])
-    ]
+    r, win = reach_probabilities(g, dists)[u], win_probabilities(g, dists)
+    return [p * (1 + r * (1 - win[w] - win[u])) for w, p in zip(moves, dists[u])]
 
 
 def replicator_form(g: GameGraph, model, u: int) -> tuple[list, list, list]:
@@ -91,14 +86,12 @@ def replicator_form(g: GameGraph, model, u: int) -> tuple[list, list, list]:
     fitness, and ``q_next[i] = q[i] * (1 + a[i] - sum_j q[j] a[j])``.
     Must agree with :func:`selection_distribution` entry by entry.
     """
-    dists = _dists(model)
-    if not g.succ[u]:
+    dists, moves = _dists(model), g.targets[g.offsets[u] : g.offsets[u + 1]].tolist()
+    if not moves:
         raise ValueError(f"vertex {u} has no moves")
-    reach = reach_probabilities(g, dists)
-    win = win_probabilities(g, dists)
-    r = reach[u]
+    r, win = reach_probabilities(g, dists)[u], win_probabilities(g, dists)
     q = list(dists[u])
-    a = [r * (1 - win[w]) for w in g.succ[u]]
+    a = [r * (1 - win[w]) for w in moves]
     mean_fitness = sum(qj * aj for qj, aj in zip(q, a))
     q_next = [qi * (1 + ai - mean_fitness) for qi, ai in zip(q, a)]
     return q, a, q_next

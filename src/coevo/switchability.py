@@ -52,8 +52,9 @@ class SwitchabilityProfile:
 
 def _check_edges(g: GameGraph, edges: Iterable[tuple[int, int]]) -> frozenset:
     edges = frozenset(edges)
+    off, targets = g.offsets.tolist(), g.targets.tolist()
     for u, w in edges:
-        if not (0 <= u < g.n) or w not in g.succ[u]:
+        if not (0 <= u < g.n) or w not in targets[off[u] : off[u + 1]]:
             raise ForeignEdge(f"({u}, {w}) is not an edge of the graph")
     return edges
 
@@ -61,14 +62,10 @@ def _check_edges(g: GameGraph, edges: Iterable[tuple[int, int]]) -> frozenset:
 def depth(g: GameGraph, edges: Iterable[tuple[int, int]]) -> int:
     """Maximum number of ``edges`` members met along one directed path."""
     edges = _check_edges(g, edges)
+    off, targets = g.offsets.tolist(), g.targets.tolist()
     best = [0] * g.n
     for u in g.reverse_topo:
-        m = 0
-        for w in g.succ[u]:
-            c = best[w] + ((u, w) in edges)
-            if c > m:
-                m = c
-        best[u] = m
+        best[u] = max((best[w] + ((u, w) in edges) for w in targets[off[u] : off[u + 1]]), default=0)
     return max(best, default=0)
 
 
@@ -79,7 +76,10 @@ def is_switcher(g: GameGraph, edges: Iterable[tuple[int, int]], v: int) -> bool:
     be a v-switcher exactly when some sink other than ``v`` stays
     reachable from the root without expanding ``v``.
     """
-    edges = _check_edges(g, edges)
+    return _switches(g, g.offsets.tolist(), g.targets.tolist(), _check_edges(g, edges), v)
+
+
+def _switches(g: GameGraph, off: list[int], targets: list[int], edges: frozenset, v: int) -> bool:
     forced: dict[int, list[int]] = {}
     for u, w in edges:
         forced.setdefault(u, []).append(w)
@@ -91,7 +91,7 @@ def is_switcher(g: GameGraph, edges: Iterable[tuple[int, int]], v: int) -> bool:
         u = stack.pop()
         if u == v:
             continue
-        allowed = forced.get(u) or g.succ[u]
+        allowed = forced.get(u) or targets[off[u] : off[u + 1]]
         if not allowed:
             return False  # maximal compatible path ends here, missing v
         for w in allowed:
@@ -109,12 +109,13 @@ def root_distances(g: GameGraph) -> list[int]:
     :func:`~coevo.graphs.build_graph` makes every vertex reachable, so
     every entry is set.
     """
+    off, targets = g.offsets.tolist(), g.targets.tolist()
     dist = [-1] * g.n
     dist[g.root] = 0
     queue = deque([g.root])
     while queue:
         u = queue.popleft()
-        for w in g.succ[u]:
+        for w in targets[off[u] : off[u + 1]]:
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -171,15 +172,14 @@ def _candidates_by_depth(
     """
     if g.edge_count > edge_limit:
         raise TooLarge(f"{g.edge_count} edges exceeds the search budget {edge_limit}")
-    branching = [v for v in g.interior if len(g.succ[v]) > 1]
+    off, targets = g.offsets.tolist(), g.targets.tolist()
+    branching = [v for v in g.interior if off[v + 1] - off[v] > 1]
+    options = [off[v + 1] - off[v] + 1 for v in branching]
     count = 1
-    for v in branching:
-        count *= len(g.succ[v]) + 1
+    for option in options:
+        count *= option
         if count > _CANDIDATE_LIMIT:
-            raise TooLarge(
-                f"{count}+ candidate edge sets; lower the edge budget or use bounds"
-            )
-    options = [len(g.succ[v]) + 1 for v in branching]
+            raise TooLarge(f"{count}+ candidate edge sets; lower the edge budget or use bounds")
     picks = np.indices(options, dtype=np.min_scalar_type(g.max_degree))
     picks = picks.reshape(len(branching), count)
     chosen = dict(zip(branching, picks))
@@ -188,7 +188,7 @@ def _candidates_by_depth(
     # limit), so int8 cannot overflow.
     best = [np.zeros(count, dtype=np.int8)] * g.n
     for u in g.reverse_topo:
-        for k, w in enumerate(g.succ[u], start=1):
+        for k, w in enumerate(targets[off[u] : off[u + 1]], start=1):
             step = best[w] + (chosen[u] == k) if u in chosen else best[w]
             best[u] = np.maximum(best[u], step)
     order = np.argsort(best[g.root], kind="stable")
@@ -198,10 +198,11 @@ def _candidates_by_depth(
 def _search(g: GameGraph, v: int, candidates, ub: int) -> SwitchabilityReport:
     """Shallowest candidate that switches ``v``, scanned up to depth ``ub``."""
     branching, picks, depths = candidates
+    off, targets = g.offsets.tolist(), g.targets.tolist()
     for c in range(np.searchsorted(depths, ub, side="right")):
         pairs = zip(branching, picks[:, c].tolist())
-        edges = frozenset((u, g.succ[u][k - 1]) for u, k in pairs if k)
-        if is_switcher(g, edges, v):
+        edges = frozenset((u, targets[off[u] + k - 1]) for u, k in pairs if k)
+        if _switches(g, off, targets, edges, v):  # candidates are edges of g by construction
             return SwitchabilityReport(
                 vertex=v, exact=int(depths[c]), upper_bound=ub, witness=edges, method="exact_search"
             )

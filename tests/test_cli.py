@@ -231,6 +231,21 @@ def test_game_file_with_non_integers_is_invalid(capsys, tmp_path, change, messag
     assert err == f"error: {message}\n"
 
 
+def test_game_file_labels(capsys, tmp_path):
+    # A label must be a JSON string, and the DOT rendering escapes it.
+    game_path, dot_path = tmp_path / "fig1.json", tmp_path / "fig1.dot"
+    run_cli(capsys, "gen", "--fixture", "fig1", "--out", str(game_path))
+    data = json.loads(game_path.read_text())
+    data["vertices"][1]["label"] = 7
+    game_path.write_text(json.dumps(data))
+    message = "error: vertex 1: label must be a JSON string, got 7\n"
+    assert run_cli(capsys, "solve", "--game", str(game_path)) == (2, "", message)
+    data["vertices"][1]["label"] = 'a"b\\c'
+    game_path.write_text(json.dumps(data))
+    assert run_cli(capsys, "gen", "--game", str(game_path), "--dot", str(dot_path))[0] == 0
+    assert '  1 [label="a\\"b\\\\c"];' in dot_path.read_text().splitlines()
+
+
 # --- usage errors at the boundary (exit 1, message names the flag) ---------
 
 def _sweep_argv(tmp_path, **overrides):

@@ -1,11 +1,13 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coevo.games import chomp, nim_decode, silver_dollar, subtraction_nim, turning_turtles
+from coevo import eda, grundy, oracles, switchability
+from coevo.games import chomp, fixture, nim_decode, silver_dollar, subtraction_nim, turning_turtles
 from coevo.graphs import (
     BadEdge,
     CycleDetected,
@@ -163,7 +165,8 @@ def test_descending_graphs_keep_the_search_order():
     games += [chomp(4), silver_dollar(7, 3), turning_turtles(5), subtraction_nim(20, 3)]
     for g in games:
         assert all(w < u for u, w in g.edges())
-        assert g.reverse_topo == _reverse_topological_order(g.succ) == tuple(range(g.n))
+        arrays = g.offsets.tolist(), g.targets.tolist()
+        assert g.reverse_topo == _reverse_topological_order(*arrays) == tuple(range(g.n))
 
 
 def test_play_worked_example():
@@ -301,6 +304,10 @@ def _apply(target, change: dict) -> None:
         ({1: [1, [2]]}, "vertex entry 1 must be an object, got list"),
         ({2: {"id": DROP}}, "vertex entry 2 has no id"),
         ({2: {"succ": DROP}}, "vertex entry 2 has no succ"),
+        # Labels used to load whatever JSON value they held.
+        ({1: {"label": 7}}, "vertex 1: label must be a JSON string, got 7"),
+        ({0: {"label": [1, 2]}}, "vertex 0: label must be a JSON string, got [1, 2]"),
+        ({4: {"label": None}}, "vertex 4: label must be a JSON string, got None"),
         ([{"root": 0, "vertices": []}], "a game must be a JSON object, got list"),
     ],
 )
@@ -320,6 +327,46 @@ def test_dot_export(fig1):
     assert "digraph" in dot
     assert "0 -> 1;" in dot
     assert "doublecircle" in dot
+
+
+def test_graphs_compare_by_root_labels_and_arrays(fig1):
+    same = csr_graph(fig1.offsets.copy(), fig1.targets.copy(), fig1.root, fig1.labels)
+    assert same == fig1 and hash(same) == hash(fig1)
+    swapped = fig1.targets.copy()
+    swapped[[0, 1]] = swapped[[1, 0]]  # vertex 0 lists its first two moves the other way round
+    assert csr_graph(fig1.offsets, swapped, fig1.root, fig1.labels) != fig1
+    assert csr_graph(fig1.offsets, fig1.targets, fig1.root) != fig1
+    assert fig1 != fig1.succ
+
+
+@pytest.mark.parametrize(
+    "make, forced",
+    [(lambda: chomp(4), False), (lambda: fixture("fig1"), False), (lambda: subtraction_nim(10, 2), True)],
+    ids=["chomp4", "fig1", "nim10-forced-start"],
+)
+def test_no_library_path_builds_the_successor_tuples(make, forced):
+    # succ is a view for outside code; the package itself reads the arrays.
+    base = make()
+    instance = eda.prepare(base)
+    g = instance.graph
+    assert (g is not base) == forced
+    cfg = eda.UmdaConfig(mu=16, gamma=float(eda.theorem_border(base)), max_generations=3, seed=4)
+    result = eda.run_umda(g, cfg, instance=instance)
+    eda.model_from_snapshot(g, {"dists": result.final_model.snapshot()})
+    oracles.analyze_model(g, result.final_model)
+    exact = {v: [Fraction(1, len(p))] * len(p) for v, p in eda.uniform_model(g, 0.0).dists.items()}
+    oracles.analyze_model(g, exact)
+    oracles.replicator_form(g, exact, g.root)
+    switchability.switchability_profile(g, gd=instance.gd)
+    switchability.depth(g, [])
+    x = grundy.canonical_optimal_strategy(g, instance.gd)
+    assert grundy.is_optimal_exact(g, x)
+    x.validate(g).key(g)
+    play(g, x, next(enumerate_strategies(g)))
+    strategy_space_size(g)
+    game_to_dict(g), to_dot(g), list(g.edges())
+    assert hash(g) == hash(g) and (g == base) != forced
+    assert "succ" not in vars(base) and "succ" not in vars(g)
 
 
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=5))
