@@ -304,11 +304,11 @@ def _apply(target, change: dict) -> None:
         ({1: [1, [2]]}, "vertex entry 1 must be an object, got list"),
         ({2: {"id": DROP}}, "vertex entry 2 has no id"),
         ({2: {"succ": DROP}}, "vertex entry 2 has no succ"),
+        ([{"root": 0, "vertices": []}], "a game must be a JSON object, got list"),
         # Labels used to load whatever JSON value they held.
         ({1: {"label": 7}}, "vertex 1: label must be a JSON string, got 7"),
         ({0: {"label": [1, 2]}}, "vertex 0: label must be a JSON string, got [1, 2]"),
         ({4: {"label": None}}, "vertex 4: label must be a JSON string, got None"),
-        ([{"root": 0, "vertices": []}], "a game must be a JSON object, got list"),
     ],
 )
 def test_game_from_dict_rejects_non_integers(fig1, change, message):
