@@ -133,7 +133,7 @@ def beta_minus(p: Sequence, gamma):
     return sum(max(gamma - x, 0 * x) for x in p)
 
 
-def restrict(p, gamma):
+def restrict(p, gamma, layout=None):
     """Clamp a distribution onto the simplex with per-entry floor ``gamma``.
 
     Entries at or below the floor become ``gamma``; the others' excess over
@@ -143,8 +143,13 @@ def restrict(p, gamma):
     array, row by row for 2-D (numpy sums each row of a C-contiguous matrix
     as it sums the row alone), and a row whose total is off 1 by more than
     1e-12 is first divided by its total (ValueError if not positive); any
-    other sequence, Fractions included, gives an exact list.
+    other sequence, Fractions included, gives an exact list. With
+    ``layout`` (an :class:`UpdateLayout`), ``p`` is a 1-D float vector
+    holding the layout's rows end to end, in ``layout.edges`` order; it is
+    restricted in place, each row as the 2-D form restricts it, and returned.
     """
+    if layout is not None:
+        return _restrict_rows(p, gamma, layout)
     size = p.shape[-1] if isinstance(p, np.ndarray) else len(p)
     if size and not gamma * size < 1:
         raise GammaTooLarge(f"gamma {gamma} too large for {size} outcomes")
@@ -164,6 +169,44 @@ def restrict(p, gamma):
         return [min(max(x, gamma), 1 - gamma) for x in p]
     scale = 1 - beta_minus(p, gamma) / beta_plus(p, gamma)
     return [gamma if x <= gamma else gamma + scale * (x - gamma) for x in p]
+
+
+def _row_sums(q: np.ndarray, gamma, layout: UpdateLayout) -> np.ndarray:
+    """Per layout row: the sum of ``q``, of its excess over ``gamma`` and of its
+    shortfall below it. Each degree's rows are summed as one C-contiguous
+    (rows × d) block, which numpy sums row by row as it sums a row alone."""
+    parts = np.empty((3, len(q)))
+    parts[0] = q
+    np.subtract(q, gamma, out=parts[1])
+    np.subtract(gamma, q, out=parts[2])
+    np.maximum(parts[1:], 0.0, out=parts[1:])
+    sums = np.empty((3, len(layout.vertices)))
+    for d, lo, hi, first, last in layout.blocks:
+        np.add.reduce(parts[:, lo:hi].reshape(3, -1, d), axis=-1, out=sums[:, first:last])
+    return sums
+
+
+def _restrict_rows(q: np.ndarray, gamma, layout: UpdateLayout) -> np.ndarray:
+    """:func:`restrict` of every row of an update layout, in place."""
+    for d, *_ in layout.blocks:
+        if not gamma * d < 1:
+            raise GammaTooLarge(f"gamma {gamma} too large for {d} outcomes")
+    total, bplus, bminus = _row_sums(q, gamma, layout)
+    off = np.abs(total - 1.0) > RENORM_TOLERANCE
+    if off.any():
+        if not (total > 0).all():
+            raise ValueError("restrict needs every row to have a positive total")
+        q[:] = np.where(np.repeat(off, layout.degrees), q / np.repeat(total, layout.degrees), q)
+        _, bplus, bminus = _row_sums(q, gamma, layout)
+    two = [(lo, hi, np.clip(q[lo:hi], gamma, 1 - gamma)) for d, lo, hi, *_ in layout.blocks if d == 2]
+    low = q <= gamma
+    q -= gamma
+    q *= np.repeat(1 - bminus / bplus, layout.degrees)
+    q += gamma
+    q[low] = gamma
+    for lo, hi, clipped in two:  # the binary rows are clamped verbatim
+        q[lo:hi] = clipped
+    return q
 
 
 def model_from_snapshot(g: GameGraph, data: Mapping) -> ProbModel:
@@ -207,27 +250,93 @@ def uniform_model(g: GameGraph, gamma: float) -> ProbModel:
     """Initial model: the uniform distribution at every interior vertex."""
     if g.max_degree and not gamma * g.max_degree < 1:
         raise GammaTooLarge(f"gamma {gamma} times max degree {g.max_degree} must stay below 1")
-    degrees = np.diff(g.offsets)[list(g.interior)].tolist()
-    dists = {v: np.full(d, 1.0 / d) for v, d in zip(g.interior, degrees)}
-    return ProbModel(graph=g, dists=dists, gamma=gamma)
+    bounds = _view_bounds(g)
+    degrees = np.diff(bounds)
+    p = np.repeat(1.0 / degrees, degrees)
+    return ProbModel(graph=g, dists=_views(g, p, bounds), gamma=gamma)
+
+
+def _view_bounds(g: GameGraph) -> list[int]:
+    """Where each interior vertex's vector starts in the edge vector, then its end."""
+    off = g.offsets
+    return [*off[:-1][off[1:] > off[:-1]].tolist(), g.edge_count]
+
+
+def _views(g: GameGraph, p: np.ndarray, bounds: list[int]) -> dict[int, np.ndarray]:
+    """Per-vertex views of the edge vector ``p``, ``dists[v] = p[offsets[v] : offsets[v + 1]]``."""
+    return {v: p[lo:hi] for v, lo, hi in zip(g.interior, bounds, bounds[1:])}
 
 
 # ---------------------------------------------------------------------------
 # Lazy engine. All randomness flows through numpy's PCG64 stream, in the
 # order a generation reads it: a uniform per entry the games read, move by
 # move, then per entry the stop check and the witness read, then one
-# multinomial per degree group. Inverse CDF over the canonical successor
+# multinomial fill over the interior vertices, by degree and then by id
+# (:class:`UpdateLayout`). Inverse CDF over the canonical successor
 # order turns a uniform into a slot.
 
-def _degree_groups(g: GameGraph) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(degree, vertex ids, a row of edge ids per vertex) per interior degree, ascending."""
+@dataclass(frozen=True, eq=False)
+class UpdateLayout:
+    """Where the update of :func:`generation_step` reads and writes each edge.
+
+    The rows are the interior vertices in draw order, by degree and then by
+    id (``vertices``, with their ``degrees``). ``edges`` lists their edge
+    ids row after row, and ``blocks`` gives each degree d present as
+    (d, first entry, end entry, first row, end row); :func:`restrict` sums
+    a block's rows as one (rows × d) matrix. The multinomial fill is a
+    table of Δ cells a row: the row's first d−1 moves, holes of probability
+    0, which draw nothing, then its last move, which takes the remainder,
+    so a row with one move draws nothing either. ``cells`` flags the cells
+    that hold a move; read row by row, they hold ``edges``. ``bounds`` gives
+    where each interior vertex's vector starts in the edge vector, then its
+    end.
+    """
+
+    vertices: np.ndarray
+    degrees: np.ndarray
+    edges: np.ndarray
+    blocks: tuple[tuple[int, int, int, int, int], ...]
+    cells: np.ndarray
+    bounds: list[int]
+
+
+def _update_layout(g: GameGraph) -> UpdateLayout:
     degree = np.diff(g.offsets)
-    order = np.argsort(degree, kind="stable")[len(g.sinks) :]  # the interior; ties stay ascending
-    degrees = degree[order]
-    starts = np.flatnonzero(degrees[1:] != degrees[:-1]) + 1
-    bounds = [0, *starts.tolist(), len(order)] if len(order) else []
-    groups = [(int(degrees[lo]), order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    return [(d, rows, g.offsets[rows][:, None] + np.arange(d)) for d, rows in groups]
+    vertices = np.argsort(degree, kind="stable")[len(g.sinks) :]  # the interior, ties ascending
+    degrees, starts = degree[vertices], g.offsets[vertices]
+    firsts = np.cumsum(degrees) - degrees  # each row's first entry
+    head = np.flatnonzero(np.diff(degrees, prepend=0))  # each degree's first row
+    rows, entries = [*head.tolist(), len(vertices)], [*firsts[head].tolist(), g.edge_count]
+    column = np.arange(g.max_degree)
+    cells = column < degrees[:, None] - 1
+    cells[:, -1:] = True
+    return UpdateLayout(
+        vertices=vertices,
+        degrees=degrees,
+        edges=np.arange(g.edge_count) + np.repeat(starts - firsts, degrees),
+        blocks=tuple(zip(degrees[head].tolist(), entries, entries[1:], rows, rows[1:])),
+        cells=cells,
+        bounds=_view_bounds(g),
+    )
+
+
+def _fill_table(layout: UpdateLayout, p: np.ndarray) -> np.ndarray:
+    """The multinomial table's probabilities: ``p`` at the cells, 0 at the holes."""
+    table = np.zeros(layout.cells.shape)
+    table[layout.cells] = p[layout.edges]
+    return table
+
+
+def _update(layout: UpdateLayout, p, counts, rest, mu: int, gamma, rng) -> np.ndarray:
+    """The next edge vector from the edge vector ``p``: each edge's ``counts``
+    plus its share of one multinomial fill of each vertex's ``rest`` entries,
+    in draw order, over ``mu``, restricted."""
+    freqs = rng.multinomial(rest[layout.vertices], _fill_table(layout, p))[layout.cells]
+    freqs = (freqs + counts[layout.edges]) / mu
+    q = restrict(freqs, gamma, layout)
+    out = np.empty(len(q))
+    out[layout.edges] = q
+    return out
 
 
 def _edge_vector(model: ProbModel) -> np.ndarray:
@@ -391,19 +500,19 @@ class Instance:
     """One game prepared for runs by :func:`prepare`: ``base`` as built; ``graph``,
     the game the runs play, ``base`` plus a forced start where its root is
     Grundy-0; and of ``graph``: Grundy data, Grundy-0 flags, critical rows in
-    ascending order and interior vertices by degree (:func:`_degree_groups`)."""
+    ascending order and the update's layout (:class:`UpdateLayout`)."""
 
     base: GameGraph
     graph: GameGraph
     gd: GrundyData
     zero: np.ndarray
     critical: np.ndarray
-    groups: list[tuple[int, np.ndarray, np.ndarray]]
+    layout: UpdateLayout
 
 
 def _instance(base: GameGraph, graph: GameGraph, gd: GrundyData) -> Instance:
     critical = np.array(sorted(gd.critical), dtype=np.int64)
-    return Instance(base, graph, gd, np.array(gd.values) == 0, critical, _degree_groups(graph))
+    return Instance(base, graph, gd, np.array(gd.values) == 0, critical, _update_layout(graph))
 
 
 def prepare(base: GameGraph) -> Instance:
@@ -431,10 +540,13 @@ def generation_step(
 
     Draws each player's choice where it moves, the winners' entries the
     stop check reads (none under the cap-only rule) and the witness's rest.
-    An edge counts the drawn winner entries on it plus a per-vertex
-    multinomial fill of the undrawn ones. ``instance`` describes
-    ``model.graph``; by default it is that graph as it stands, with no forced
-    start. Returns the next model, the winners, and the evaluations (mu).
+    An edge counts the drawn winner entries on it plus its share of one
+    multinomial fill of the undrawn ones, over the interior vertices in
+    the layout's draw order; one :func:`restrict` call then clamps every
+    vector, and the next model's vectors are views of one edge vector.
+    ``instance`` describes ``model.graph``; by default it is that graph as
+    it stands, with no forced start. Returns the next model, the winners,
+    and the evaluations (mu).
     """
     g, mu = model.graph, cfg.mu
     instance = instance or _instance(g, g, _grundy.grundy_values(g))
@@ -481,15 +593,13 @@ def generation_step(
                 column[rows] = draw(rows)
                 break
 
+    del table  # every draw is made; free it before the update, where memory peaks
     at, slots = (np.concatenate(part) for part in zip(*drawn))
     counts = np.bincount(g.offsets[at] + slots, minlength=g.edge_count)
     rest = mu - np.bincount(at, minlength=g.n)  # the winners' undrawn entries per vertex
-    for d, rows, edges in instance.groups:
-        counts[edges] += rng.multinomial(rest[rows], p[edges]) if d > 1 else mu
-        p[edges] = restrict(counts[edges] / mu, model.gamma)
-    bounds = g.offsets[list(g.interior)].tolist() + [g.edge_count]
-    dists = {v: p[lo:hi] for v, lo, hi in zip(g.interior, bounds, bounds[1:])}
-    return ProbModel(g, dists, model.gamma), Population(g, store, witness), mu
+    layout = instance.layout
+    p = _update(layout, p, counts, rest, mu, model.gamma, rng)
+    return ProbModel(g, _views(g, p, layout.bounds), model.gamma), Population(g, store, witness), mu
 
 
 def run_umda(

@@ -24,7 +24,6 @@ from coevo.eda import (
     population_sufficient_mask,
     prepare,
     restrict,
-    _degree_groups,
     _edge_vector,
     _playout,
     _sample_choice_matrix,
@@ -47,12 +46,14 @@ from coevo.oracles import selection_distribution
 from helpers import (
     all_strategies,
     choice_matrix,
+    degree_groups,
     mann_whitney_p,
     population_optimal_mask_dp,
     random_game,
     run_umda_eager,
     sample_choice_matrix,
     sample_choice_matrix_per_vertex,
+    update_per_degree_group,
     zero_mask,
 )
 
@@ -183,32 +184,116 @@ def test_restrict_renormalises_unnormalised_input():
 
 
 def test_generation_step_restriction_matches_reference(monkeypatch):
-    # Every row of the all-rows update equals the one-vector restriction of
-    # that row's winner frequencies, to the last bit, and each row's counts
-    # (drawn plus filled) add up to mu.
+    # One restriction a generation, over the whole layout: every vertex's new
+    # vector equals the one-vector restriction of its winner frequencies, to
+    # the last bit, and each row's counts (drawn plus filled) add up to mu.
     g = chomp(4)  # degrees 1 to 15
     gamma = 0.004
     cfg = UmdaConfig(mu=300, gamma=gamma, max_generations=1, seed=0, stop_rule="generation_cap_only")
-    rng = np.random.default_rng(103)
+    rng, layout = np.random.default_rng(103), prepare(g).layout
     model = uniform_model(g, gamma)
     calls = []
 
-    def spy(p, border):
+    def spy(p, border, layout=None):
         calls.append(p.copy())
-        return restrict(p, border)
+        return restrict(p, border, layout)
 
     monkeypatch.setattr(eda, "restrict", spy)
     for _ in range(10):
         calls.clear()
         new_model, _, _ = generation_step(model, cfg, rng)
-        assert len(calls) == len(_degree_groups(g))
-        for (_, rows, _), freqs in zip(_degree_groups(g), calls):
-            counts = freqs * cfg.mu
+        (freqs,) = calls
+        for d, lo, hi, first, last in layout.blocks:
+            rows = freqs[lo:hi].reshape(-1, d)
+            counts = rows * cfg.mu
             assert np.abs(counts - np.round(counts)).max() < 1e-9
             assert (np.round(counts).sum(axis=1) == cfg.mu).all()
-            for v, q in zip(rows.tolist(), freqs):
+            for v, q in zip(layout.vertices[first:last].tolist(), rows):
                 assert new_model.dists[v].tobytes() == _restrict_reference(q, gamma).tobytes()
         model = new_model
+
+
+def test_restrict_layout_form_matches_the_2d_form():
+    # In place over a whole update layout, each degree's rows get exactly the
+    # 2-D form's arithmetic, rows whose total is off 1 included; the checks
+    # name the smallest degree the border is too large for, and a row with
+    # no mass.
+    rng = np.random.default_rng(107)
+    for g in [random_game(rng) for _ in range(10)] + [chomp(4), subtraction_nim(300, 270)]:
+        layout = eda._update_layout(g)
+        row_of = np.repeat(np.arange(len(layout.vertices)), layout.degrees)
+        q = rng.random(g.edge_count)
+        q[rng.random(g.edge_count) < 0.3] = 0.0
+        q[np.searchsorted(row_of, np.arange(len(layout.vertices)))] += 0.5  # no row without mass
+        totals = np.bincount(row_of, weights=q)
+        scale = np.where(rng.random(len(totals)) < 0.8, totals, 1.0)  # a fifth stay off 1
+        q /= scale[row_of]
+        gamma = 0.5 / g.max_degree
+        expected = [restrict(q[lo:hi].reshape(-1, d), gamma).ravel() for d, lo, hi, *_ in layout.blocks]
+        out = restrict(q, gamma, layout)
+        assert out is q
+        assert out.tobytes() == np.concatenate(expected).tobytes()
+    layout = eda._update_layout(chomp(4))
+    with pytest.raises(GammaTooLarge, match="too large for 3 outcomes"):
+        restrict(np.full(chomp(4).edge_count, 0.3), 1 / 3, layout)
+    q = np.full(chomp(4).edge_count, 0.5)
+    q[np.repeat(np.arange(len(layout.vertices)), layout.degrees) == 5] = 0.0
+    with pytest.raises(ValueError, match="positive total"):
+        restrict(q, 0.01, layout)
+
+
+def _update_inputs(g, mu, gamma, rng):
+    """An edge vector on the gamma-bordered simplex (with gamma 0, some entries
+    exactly 0, last moves included), drawn winner counts by edge and the
+    winners' undrawn entries per vertex, some vertices fully drawn or not at all."""
+    p = np.empty(g.edge_count)
+    counts = np.zeros(g.edge_count, dtype=np.int64)
+    rest = np.full(g.n, mu)
+    for v in g.interior:
+        lo, hi = int(g.offsets[v]), int(g.offsets[v + 1])
+        weights = rng.random(hi - lo)
+        if gamma == 0 and hi - lo > 1:
+            zero = int(rng.integers(hi - lo))
+            weights[(rng.random(hi - lo) < 0.3) | (np.arange(hi - lo) == zero)] = 0.0
+            weights[(zero + 1) % (hi - lo)] += 0.5
+        p[lo:hi] = weights / weights.sum() if gamma == 0 else restrict(weights / weights.sum(), gamma)
+        if hi - lo > 1:
+            drawn = int(rng.choice([0, mu, int(rng.integers(mu + 1))]))
+            counts[lo:hi] = np.bincount(rng.integers(hi - lo, size=drawn), minlength=hi - lo)
+            rest[v] = mu - drawn
+    return p, counts, rest
+
+
+@pytest.mark.parametrize("mu", [37, 300])
+@pytest.mark.parametrize("border", ["zero", "theorem", "wide"])
+def test_update_equals_the_per_degree_group_reference(monkeypatch, mu, border):
+    # One multinomial fill over the layout's table, with holes of probability
+    # 0 between each row's first d-1 moves and its last, and one restriction
+    # reproduce the per-degree-group update: the same counts, the same model
+    # bytes and the same random stream consumed.
+    calls = []
+
+    def spy(p, floor, layout):
+        calls.append(p.copy())
+        return restrict(p, floor, layout)
+
+    monkeypatch.setattr(eda, "restrict", spy)
+    rng = np.random.default_rng(109)
+    games = [random_game(rng) for _ in range(20)]
+    games += [chomp(4), chomp(5), silver_dollar(7, 3), subtraction_nim(300, 270)]
+    for seed, g in enumerate(games):
+        gamma = {"zero": 0.0, "theorem": float(theorem_border(g)), "wide": 0.5 / g.max_degree}[border]
+        p, counts, rest = _update_inputs(g, mu, gamma, rng)
+        assert gamma or (p == 0).any()
+        ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want_counts, layout = counts.copy(), eda._update_layout(g)
+        want = update_per_degree_group(g, p, want_counts, rest, mu, gamma, ref_rng)
+        got = eda._update(layout, p, counts, rest, mu, gamma, new_rng)
+        (freqs,) = calls
+        assert freqs.tobytes() == (want_counts[layout.edges] / mu).tobytes()  # the same counts
+        calls.clear()
+        assert got.tobytes() == want.tobytes()
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_beta_identity():
@@ -488,20 +573,17 @@ def test_drawn_plus_filled_is_mu(stop_rule):
     # slot store) and the multinomial fill add up to mu.
     g = ensure_first_player_win(silver_dollar(7, 2))
     degrees = np.diff(g.offsets)
-    rng, mu = _CountingRng(13), 96
+    rng, mu, instance = _CountingRng(13), 96, prepare(g)
     cfg = UmdaConfig(mu=mu, gamma=0.01, max_generations=1, seed=0, stop_rule=stop_rule)
     model = uniform_model(g, 0.01)
     for _ in range(4):
         rng.fills.clear()
-        model, population, evaluations = generation_step(model, cfg, rng, prepare(g))
+        model, population, evaluations = generation_step(model, cfg, rng, instance)
         assert evaluations == mu
         choices = population.choices
         drawn = (choices != np.iinfo(choices.dtype).max).sum(axis=1)
         filled = np.zeros(g.n, dtype=np.int64)
-        for d, rows, _ in _degree_groups(g):
-            if d > 1:
-                filled[rows] = rng.fills.pop(0)
-        assert not rng.fills
+        (filled[instance.layout.vertices],) = rng.fills  # one fill a generation
         choosing = degrees > 1
         assert (drawn[choosing] + filled[choosing] == mu).all()
         assert (drawn[choosing] > 0).any() and (filled[choosing] > 0).any()
@@ -705,9 +787,16 @@ def test_prepare_describes_the_run_graph_from_one_pass(monkeypatch, n):
     assert instance.gd == grundy_values(g)
     assert np.array_equal(instance.zero, zero_mask(g))
     assert instance.critical.tolist() == sorted(instance.gd.critical)
-    assert [(d, r.tolist(), e.tolist()) for d, r, e in instance.groups] == [
-        (d, r.tolist(), e.tolist()) for d, r, e in _degree_groups(g)
-    ]
+    fresh = eda._instance(g, g, grundy_values(g)).layout
+    for name, value in vars(instance.layout).items():
+        other = getattr(fresh, name)
+        if isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype and np.array_equal(value, other), name
+        else:
+            assert value == other, name
+    groups = degree_groups(g)  # the draw order of the per-degree-group update
+    assert np.array_equal(instance.layout.vertices, np.concatenate([rows for _, rows, _ in groups]))
+    assert np.array_equal(instance.layout.edges, np.concatenate([edges.ravel() for *_, edges in groups]))
 
 
 def test_run_requires_the_instance_of_its_graph():

@@ -51,11 +51,21 @@ def test_scaling_sweep_tiny(tmp_path):
         assert (tmp_path / "sweep" / family / "plot.json").exists()
 
 
+def test_engine_timing_one_repetition(tmp_path):
+    done = run_script("engine_timing.py", "--repeat", "1", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split() == ["game", "mu", "prepare_ms", "uniform_ms", "generation_ms"]
+    assert [row.split()[0] for row in rows] == ["subtraction_nim", "chomp", "subtraction_nim"]
+    assert all(float(value) > 0 for row in rows for value in row.split()[-3:])
+
+
 @pytest.mark.parametrize(
     "name, flag, value",
     [
         ("convergence_experiment.py", "--mu-grid", "64,16"),
         ("scaling_sweep.py", "--families", "nim"),
+        ("engine_timing.py", "--repeat", "0"),
     ],
 )
 def test_script_rejects_bad_flag(tmp_path, name, flag, value):
