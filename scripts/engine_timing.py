@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from coevo import eda
-from coevo.cli import nonnegative_int, positive_int
+from coevo.cli import positive_int
 from coevo.games import GameSpec
 
 # (game, mu, stop rule): the many-degree game, the `wide` benchmark game and a path-heavy one.
@@ -27,6 +27,7 @@ GAMES = [
     (GameSpec("chomp", {"m": 6}), 4096, "exact_optimal"),
     (GameSpec("subtraction_nim", {"n": 256, "k": 2}), 1024, "exact_optimal"),
 ]
+SEED = 0
 
 
 def best_ms(repeat: int, step) -> float:
@@ -41,7 +42,6 @@ def best_ms(repeat: int, step) -> float:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeat", type=positive_int, default=7)
-    parser.add_argument("--seed", type=nonnegative_int, default=0)
     args = parser.parse_args()
 
     print(f"{'game':<28} {'mu':>5} {'prepare_ms':>11} {'uniform_ms':>11} {'generation_ms':>14}")
@@ -49,13 +49,13 @@ def main() -> None:
         base = spec.build()
         instance = eda.prepare(base)
         g, gamma = instance.graph, float(eda.theorem_border(base))
-        cfg = eda.UmdaConfig(mu, gamma, max_generations=1, seed=args.seed, stop_rule=stop_rule)
+        cfg = eda.UmdaConfig(mu, gamma, max_generations=1, seed=SEED, stop_rule=stop_rule)
         model = eda.uniform_model(g, gamma)
         prepare_ms = best_ms(args.repeat, lambda: eda.prepare(base))
         uniform_ms = best_ms(args.repeat, lambda: eda.uniform_model(g, gamma))
         generation_ms = best_ms(
             args.repeat,
-            lambda: eda.generation_step(model, cfg, np.random.default_rng(args.seed), instance),
+            lambda: eda.generation_step(model, cfg, np.random.default_rng(SEED), instance),
         )
         name = f"{spec.family} " + " ".join(f"{k}={v}" for k, v in spec.params.items())
         print(f"{name:<28} {mu:>5} {prepare_ms:>11.3f} {uniform_ms:>11.3f} {generation_ms:>14.3f}")

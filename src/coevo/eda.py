@@ -250,16 +250,16 @@ def uniform_model(g: GameGraph, gamma: float) -> ProbModel:
     """Initial model: the uniform distribution at every interior vertex."""
     if g.max_degree and not gamma * g.max_degree < 1:
         raise GammaTooLarge(f"gamma {gamma} times max degree {g.max_degree} must stay below 1")
-    bounds = _view_bounds(g)
-    degrees = np.diff(bounds)
+    degree = np.diff(g.offsets)
+    degrees = degree[degree > 0]
     p = np.repeat(1.0 / degrees, degrees)
-    return ProbModel(graph=g, dists=_views(g, p, bounds), gamma=gamma)
+    return ProbModel(graph=g, dists=_views(g, p, _view_bounds(g, degree)), gamma=gamma)
 
 
-def _view_bounds(g: GameGraph) -> list[int]:
-    """Where each interior vertex's vector starts in the edge vector, then its end."""
-    off = g.offsets
-    return [*off[:-1][off[1:] > off[:-1]].tolist(), g.edge_count]
+def _view_bounds(g: GameGraph, degree: np.ndarray) -> list[int]:
+    """Where each interior vertex's vector starts in the edge vector, then its
+    end, from the vertices' out-degrees ``degree``."""
+    return [*g.offsets[:-1][degree > 0].tolist(), g.edge_count]
 
 
 def _views(g: GameGraph, p: np.ndarray, bounds: list[int]) -> dict[int, np.ndarray]:
@@ -303,20 +303,21 @@ class UpdateLayout:
 def _update_layout(g: GameGraph) -> UpdateLayout:
     degree = np.diff(g.offsets)
     vertices = np.argsort(degree, kind="stable")[len(g.sinks) :]  # the interior, ties ascending
-    degrees, starts = degree[vertices], g.offsets[vertices]
+    degrees = degree[vertices]
     firsts = np.cumsum(degrees) - degrees  # each row's first entry
-    head = np.flatnonzero(np.diff(degrees, prepend=0))  # each degree's first row
+    new = np.ones(len(degrees), dtype=bool)
+    np.not_equal(degrees[1:], degrees[:-1], out=new[1:])
+    head = np.flatnonzero(new)  # each degree's first row
     rows, entries = [*head.tolist(), len(vertices)], [*firsts[head].tolist(), g.edge_count]
-    column = np.arange(g.max_degree)
-    cells = column < degrees[:, None] - 1
+    cells = np.arange(g.max_degree) < degrees[:, None] - 1
     cells[:, -1:] = True
     return UpdateLayout(
         vertices=vertices,
         degrees=degrees,
-        edges=np.arange(g.edge_count) + np.repeat(starts - firsts, degrees),
+        edges=np.arange(g.edge_count) + np.repeat(g.offsets[vertices] - firsts, degrees),
         blocks=tuple(zip(degrees[head].tolist(), entries, entries[1:], rows, rows[1:])),
         cells=cells,
-        bounds=_view_bounds(g),
+        bounds=_view_bounds(g, degree),
     )
 
 
