@@ -6,6 +6,8 @@ For each game, prints the minimum over ``--repeat`` runs, in ms, of
 and one ``eda.generation_step`` from that uniform model (a fresh seeded
 generator each run, so every run does the same work). The border is the
 theorem border of the game as built, as in ``harness.run_experiment``.
+``peak_mb`` is the traced peak (``tracemalloc``, in 10^6 bytes) of one more
+generation, untimed, after the timed ones.
 
 Usage:
     python scripts/engine_timing.py
@@ -14,6 +16,7 @@ Usage:
 
 import argparse
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -44,7 +47,7 @@ def main() -> None:
     parser.add_argument("--repeat", type=positive_int, default=7)
     args = parser.parse_args()
 
-    print(f"{'game':<28} {'mu':>5} {'prepare_ms':>11} {'uniform_ms':>11} {'generation_ms':>14}")
+    print(f"{'game':<28} {'mu':>5} {'prepare_ms':>11} {'uniform_ms':>11} {'generation_ms':>14} {'peak_mb':>8}")
     for spec, mu, stop_rule in GAMES:
         base = spec.build()
         instance = eda.prepare(base)
@@ -57,8 +60,15 @@ def main() -> None:
             args.repeat,
             lambda: eda.generation_step(model, cfg, np.random.default_rng(SEED), instance),
         )
+        rng = np.random.default_rng(SEED)
+        tracemalloc.start()
+        eda.generation_step(model, cfg, rng, instance)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+        tracemalloc.stop()
         name = f"{spec.family} " + " ".join(f"{k}={v}" for k, v in spec.params.items())
-        print(f"{name:<28} {mu:>5} {prepare_ms:>11.3f} {uniform_ms:>11.3f} {generation_ms:>14.3f}")
+        print(
+            f"{name:<28} {mu:>5} {prepare_ms:>11.3f} {uniform_ms:>11.3f} {generation_ms:>14.3f} {peak_mb:>8.2f}"
+        )
 
 
 if __name__ == "__main__":

@@ -82,6 +82,8 @@ class UmdaConfig:
     def __post_init__(self):
         if self.mu < 1:
             raise ValueError("mu must be at least 1")
+        if self.max_generations < 1:
+            raise ValueError(f"max_generations must be at least 1, got {self.max_generations}")
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and at least 0, got {self.gamma}")
         if self.stop_rule not in STOP_RULES.values():
@@ -133,79 +135,72 @@ def beta_minus(p: Sequence, gamma):
     return sum(max(gamma - x, 0 * x) for x in p)
 
 
-def restrict(p, gamma, layout=None):
+def restrict(p, gamma, degrees=None):
     """Clamp a distribution onto the simplex with per-entry floor ``gamma``.
 
     Entries at or below the floor become ``gamma``; the others' excess over
     ``gamma`` shrinks by the common factor ``1 - beta_minus/beta_plus``, so
     the total stays one. Two entries are clamped into ``[gamma, 1-gamma]``
-    verbatim, so the binary case agrees exactly. A float array gives an
-    array, row by row for 2-D (numpy sums each row of a C-contiguous matrix
-    as it sums the row alone), and a row whose total is off 1 by more than
-    1e-12 is first divided by its total (ValueError if not positive); any
-    other sequence, Fractions included, gives an exact list. With
-    ``layout`` (an :class:`UpdateLayout`), ``p`` is a 1-D float vector
-    holding the layout's rows end to end, in ``layout.edges`` order; it is
-    restricted in place, each row as the 2-D form restricts it, and returned.
+    verbatim, so the binary case agrees exactly. A float array gives a new
+    array, restricted row by row along its last axis, and a row whose total
+    is off 1 by more than 1e-12 is first divided by its total (ValueError if
+    not positive); any other sequence, Fractions included, gives an exact
+    list. With ``degrees``, ``p`` is a 1-D float vector holding rows of those
+    lengths end to end, as an edge vector holds its vertices' rows in
+    ``offsets``/``targets`` order; it is restricted in place, each row as the
+    1-D form restricts it alone, and returned.
     """
-    if layout is not None:
-        return _restrict_rows(p, gamma, layout)
-    size = p.shape[-1] if isinstance(p, np.ndarray) else len(p)
+    if degrees is not None:
+        return _restrict_rows(p, gamma, degrees)
+    if isinstance(p, np.ndarray):
+        q = np.array(p, dtype=float)  # a C-contiguous copy, restricted in place
+        _restrict_rows(q.reshape(-1), gamma, np.full(math.prod(q.shape[:-1]), q.shape[-1]))
+        return q
+    size = len(p)
     if size and not gamma * size < 1:
         raise GammaTooLarge(f"gamma {gamma} too large for {size} outcomes")
-    if isinstance(p, np.ndarray):
-        total = p.sum(axis=-1, keepdims=True)
-        off = np.abs(total - 1.0) > RENORM_TOLERANCE
-        if off.any():
-            if not (total > 0).all():
-                raise ValueError("restrict needs every row to have a positive total")
-            p = np.where(off, p / total, p)
-        if size == 2:
-            return np.clip(p, gamma, 1 - gamma)
-        bplus = np.maximum(p - gamma, 0.0).sum(axis=-1, keepdims=True)
-        bminus = np.maximum(gamma - p, 0.0).sum(axis=-1, keepdims=True)
-        return np.where(p <= gamma, gamma, gamma + (1 - bminus / bplus) * (p - gamma))
     if size == 2:
         return [min(max(x, gamma), 1 - gamma) for x in p]
     scale = 1 - beta_minus(p, gamma) / beta_plus(p, gamma)
     return [gamma if x <= gamma else gamma + scale * (x - gamma) for x in p]
 
 
-def _row_sums(q: np.ndarray, gamma, layout: UpdateLayout) -> np.ndarray:
-    """Per layout row: the sum of ``q``, of its excess over ``gamma`` and of its
-    shortfall below it. Each degree's rows are summed as one C-contiguous
-    (rows × d) block, which numpy sums row by row as it sums a row alone."""
-    parts = np.empty((3, len(q)))
-    parts[0] = q
-    np.subtract(q, gamma, out=parts[1])
-    np.subtract(gamma, q, out=parts[2])
-    np.maximum(parts[1:], 0.0, out=parts[1:])
-    sums = np.empty((3, len(layout.vertices)))
-    for d, lo, hi, first, last in layout.blocks:
-        np.add.reduce(parts[:, lo:hi].reshape(3, -1, d), axis=-1, out=sums[:, first:last])
-    return sums
+def _restrict_rows(q: np.ndarray, gamma, degrees: np.ndarray) -> np.ndarray:
+    """:func:`restrict` of the rows of lengths ``degrees`` laid end to end in ``q``, in place.
 
+    Each row is summed by ``np.add.reduceat`` over a copy of ``q`` with one
+    0.0 slot in front of every row: numpy then starts each row's pairwise sum
+    from 0.0, as it does for the row alone, so the sums match to the bit
+    (without the slot, most rows of more than a few entries do not).
+    """
+    fails = ~(gamma * degrees < 1)
+    if fails.any():
+        raise GammaTooLarge(f"gamma {gamma} too large for {degrees[fails].min()} outcomes")
+    slots = np.cumsum(degrees) - degrees + np.arange(len(degrees))  # each row's 0.0 slot
+    padded = np.zeros(len(q) + len(degrees))
+    entry = np.ones(len(padded), dtype=bool)
+    entry[slots] = False
 
-def _restrict_rows(q: np.ndarray, gamma, layout: UpdateLayout) -> np.ndarray:
-    """:func:`restrict` of every row of an update layout, in place."""
-    for d, *_ in layout.blocks:
-        if not gamma * d < 1:
-            raise GammaTooLarge(f"gamma {gamma} too large for {d} outcomes")
-    total, bplus, bminus = _row_sums(q, gamma, layout)
+    def row_sums(x):
+        padded[entry] = x
+        return np.add.reduceat(padded, slots)
+
+    total = row_sums(q)
     off = np.abs(total - 1.0) > RENORM_TOLERANCE
     if off.any():
         if not (total > 0).all():
             raise ValueError("restrict needs every row to have a positive total")
-        q[:] = np.where(np.repeat(off, layout.degrees), q / np.repeat(total, layout.degrees), q)
-        _, bplus, bminus = _row_sums(q, gamma, layout)
-    two = [(lo, hi, np.clip(q[lo:hi], gamma, 1 - gamma)) for d, lo, hi, *_ in layout.blocks if d == 2]
+        q[:] = np.where(np.repeat(off, degrees), q / np.repeat(total, degrees), q)
+    bplus = row_sums(np.maximum(q - gamma, 0.0))
+    bminus = row_sums(np.maximum(gamma - q, 0.0))
+    two = np.repeat(degrees == 2, degrees)
+    clipped = np.clip(q[two], gamma, 1 - gamma)  # the binary rows are clamped verbatim
     low = q <= gamma
     q -= gamma
-    q *= np.repeat(1 - bminus / bplus, layout.degrees)
+    q *= np.repeat(1 - bminus / bplus, degrees)
     q += gamma
     q[low] = gamma
-    for lo, hi, clipped in two:  # the binary rows are clamped verbatim
-        q[lo:hi] = clipped
+    q[two] = clipped
     return q
 
 
@@ -252,19 +247,14 @@ def uniform_model(g: GameGraph, gamma: float) -> ProbModel:
         raise GammaTooLarge(f"gamma {gamma} times max degree {g.max_degree} must stay below 1")
     degree = np.diff(g.offsets)
     degrees = degree[degree > 0]
-    p = np.repeat(1.0 / degrees, degrees)
-    return ProbModel(graph=g, dists=_views(g, p, _view_bounds(g, degree)), gamma=gamma)
+    return ProbModel(graph=g, dists=_views(g, np.repeat(1.0 / degrees, degrees), degrees), gamma=gamma)
 
 
-def _view_bounds(g: GameGraph, degree: np.ndarray) -> list[int]:
-    """Where each interior vertex's vector starts in the edge vector, then its
-    end, from the vertices' out-degrees ``degree``."""
-    return [*g.offsets[:-1][degree > 0].tolist(), g.edge_count]
-
-
-def _views(g: GameGraph, p: np.ndarray, bounds: list[int]) -> dict[int, np.ndarray]:
-    """Per-vertex views of the edge vector ``p``, ``dists[v] = p[offsets[v] : offsets[v + 1]]``."""
-    return {v: p[lo:hi] for v, lo, hi in zip(g.interior, bounds, bounds[1:])}
+def _views(g: GameGraph, p: np.ndarray, degrees: np.ndarray) -> dict[int, np.ndarray]:
+    """Per-vertex views of the edge vector ``p``, ``dists[v] = p[offsets[v] : offsets[v + 1]]``,
+    from the interior vertices' out-degrees ``degrees``."""
+    ends = np.cumsum(degrees).tolist()
+    return {v: p[hi - d : hi] for v, d, hi in zip(g.interior, degrees.tolist(), ends)}
 
 
 # ---------------------------------------------------------------------------
@@ -272,72 +262,22 @@ def _views(g: GameGraph, p: np.ndarray, bounds: list[int]) -> dict[int, np.ndarr
 # order a generation reads it: a uniform per entry the games read, move by
 # move, then per entry the stop check and the witness read, then one
 # multinomial fill over the interior vertices, by degree and then by id
-# (:class:`UpdateLayout`). Inverse CDF over the canonical successor
+# (``Instance.fill_order``). Inverse CDF over the canonical successor
 # order turns a uniform into a slot.
 
-@dataclass(frozen=True, eq=False)
-class UpdateLayout:
-    """Where the update of :func:`generation_step` reads and writes each edge.
-
-    The rows are the interior vertices in draw order, by degree and then by
-    id (``vertices``, with their ``degrees``). ``edges`` lists their edge
-    ids row after row, and ``blocks`` gives each degree d present as
-    (d, first entry, end entry, first row, end row); :func:`restrict` sums
-    a block's rows as one (rows × d) matrix. The multinomial fill is a
-    table of Δ cells a row: the row's first d−1 moves, holes of probability
-    0, which draw nothing, then its last move, which takes the remainder,
-    so a row with one move draws nothing either. ``cells`` flags the cells
-    that hold a move; read row by row, they hold ``edges``. ``bounds`` gives
-    where each interior vertex's vector starts in the edge vector, then its
-    end.
-    """
-
-    vertices: np.ndarray
-    degrees: np.ndarray
-    edges: np.ndarray
-    blocks: tuple[tuple[int, int, int, int, int], ...]
-    cells: np.ndarray
-    bounds: list[int]
-
-
-def _update_layout(g: GameGraph) -> UpdateLayout:
-    degree = np.diff(g.offsets)
-    vertices = np.argsort(degree, kind="stable")[len(g.sinks) :]  # the interior, ties ascending
-    degrees = degree[vertices]
-    firsts = np.cumsum(degrees) - degrees  # each row's first entry
-    new = np.ones(len(degrees), dtype=bool)
-    np.not_equal(degrees[1:], degrees[:-1], out=new[1:])
-    head = np.flatnonzero(new)  # each degree's first row
-    rows, entries = [*head.tolist(), len(vertices)], [*firsts[head].tolist(), g.edge_count]
-    cells = np.arange(g.max_degree) < degrees[:, None] - 1
-    cells[:, -1:] = True
-    return UpdateLayout(
-        vertices=vertices,
-        degrees=degrees,
-        edges=np.arange(g.edge_count) + np.repeat(g.offsets[vertices] - firsts, degrees),
-        blocks=tuple(zip(degrees[head].tolist(), entries, entries[1:], rows, rows[1:])),
-        cells=cells,
-        bounds=_view_bounds(g, degree),
-    )
-
-
-def _fill_table(layout: UpdateLayout, p: np.ndarray) -> np.ndarray:
-    """The multinomial table's probabilities: ``p`` at the cells, 0 at the holes."""
-    table = np.zeros(layout.cells.shape)
-    table[layout.cells] = p[layout.edges]
-    return table
-
-
-def _update(layout: UpdateLayout, p, counts, rest, mu: int, gamma, rng) -> np.ndarray:
+def _update(instance: Instance, p, counts, rest, mu: int, gamma, rng) -> np.ndarray:
     """The next edge vector from the edge vector ``p``: each edge's ``counts``
     plus its share of one multinomial fill of each vertex's ``rest`` entries,
-    in draw order, over ``mu``, restricted."""
-    freqs = rng.multinomial(rest[layout.vertices], _fill_table(layout, p))[layout.cells]
-    freqs = (freqs + counts[layout.edges]) / mu
-    q = restrict(freqs, gamma, layout)
-    out = np.empty(len(q))
-    out[layout.edges] = q
-    return out
+    over ``mu``, restricted. The fill table has a row of Δ cells per vertex,
+    in fill order: the row's first d−1 moves, holes of probability 0, which
+    draw nothing, then its last move, which takes the remainder."""
+    table = np.zeros((len(instance.fill_order), instance.graph.max_degree))
+    table.ravel()[instance.fill_cells] = p
+    fill = rng.multinomial(rest[instance.fill_order], table)
+    del table
+    freqs = (fill.ravel()[instance.fill_cells] + counts) / mu
+    del fill  # both tables are freed before the restriction, where memory peaks
+    return restrict(freqs, gamma, instance.degrees)
 
 
 def _edge_vector(model: ProbModel) -> np.ndarray:
@@ -501,19 +441,32 @@ class Instance:
     """One game prepared for runs by :func:`prepare`: ``base`` as built; ``graph``,
     the game the runs play, ``base`` plus a forced start where its root is
     Grundy-0; and of ``graph``: Grundy data, Grundy-0 flags, critical rows in
-    ascending order and the update's layout (:class:`UpdateLayout`)."""
+    ascending order, and the update's three arrays. ``fill_order`` lists the
+    interior vertices in the multinomial fill's draw order, by degree and then
+    by id; ``fill_cells`` gives each edge's cell in the flattened fill table
+    (see :func:`_update`), so the table's cells read back in edge order; and
+    ``degrees`` holds the interior vertices' out-degrees in vertex order."""
 
     base: GameGraph
     graph: GameGraph
     gd: GrundyData
     zero: np.ndarray
     critical: np.ndarray
-    layout: UpdateLayout
+    fill_order: np.ndarray
+    fill_cells: np.ndarray
+    degrees: np.ndarray
 
 
 def _instance(base: GameGraph, graph: GameGraph, gd: GrundyData) -> Instance:
     critical = np.array(sorted(gd.critical), dtype=np.int64)
-    return Instance(base, graph, gd, np.array(gd.values) == 0, critical, _update_layout(graph))
+    degree, width = np.diff(graph.offsets), graph.max_degree
+    interior = degree > 0
+    order = np.argsort(degree, kind="stable")[len(graph.sinks) :]  # the interior, ties ascending
+    first = np.zeros(graph.n, dtype=np.int64)
+    first[order] = np.arange(len(order)) * width  # each vertex's first cell in the fill table
+    cells = np.arange(graph.edge_count) + np.repeat(first - graph.offsets[:-1], degree)
+    cells[graph.offsets[1:][interior] - 1] = first[interior] + width - 1  # a last move: its row's last cell
+    return Instance(base, graph, gd, np.array(gd.values) == 0, critical, order, cells, degree[interior])
 
 
 def prepare(base: GameGraph) -> Instance:
@@ -543,8 +496,9 @@ def generation_step(
     stop check reads (none under the cap-only rule) and the witness's rest.
     An edge counts the drawn winner entries on it plus its share of one
     multinomial fill of the undrawn ones, over the interior vertices in
-    the layout's draw order; one :func:`restrict` call then clamps every
-    vector, and the next model's vectors are views of one edge vector.
+    ``instance.fill_order``; one :func:`restrict` call then clamps the whole
+    edge vector, row by row in edge order, and the next model's vectors are
+    views of it.
     ``instance`` describes ``model.graph``; by default it is that graph as
     it stands, with no forced start. Returns the next model, the winners,
     and the evaluations (mu).
@@ -598,9 +552,8 @@ def generation_step(
     at, slots = (np.concatenate(part) for part in zip(*drawn))
     counts = np.bincount(g.offsets[at] + slots, minlength=g.edge_count)
     rest = mu - np.bincount(at, minlength=g.n)  # the winners' undrawn entries per vertex
-    layout = instance.layout
-    p = _update(layout, p, counts, rest, mu, model.gamma, rng)
-    return ProbModel(g, _views(g, p, layout.bounds), model.gamma), Population(g, store, witness), mu
+    p = _update(instance, p, counts, rest, mu, model.gamma, rng)
+    return ProbModel(g, _views(g, p, instance.degrees), model.gamma), Population(g, store, witness), mu
 
 
 def run_umda(

@@ -56,6 +56,10 @@ class ExperimentConfig:
             raise ValueError("replicates must be at least 1")
         if not self.mu_grid or list(self.mu_grid) != sorted(self.mu_grid):
             raise ValueError("mu_grid must be non-empty and ascending")
+        if self.mu_grid[0] < 1:
+            raise ValueError(f"mu_grid entries must be at least 1, got {self.mu_grid[0]}")
+        if self.max_generations < 1:
+            raise ValueError(f"max_generations must be at least 1, got {self.max_generations}")
 
 
 @dataclass(frozen=True)

@@ -117,26 +117,16 @@ def sample_choice_matrix(model, rng: np.random.Generator, count: int) -> np.ndar
     return out
 
 
-def degree_groups(g: GameGraph) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(degree, vertex ids, a row of edge ids per vertex) per interior degree, ascending:
-    the draw order of :class:`coevo.eda.UpdateLayout`, one group per degree."""
-    degree = np.diff(g.offsets)
-    order = np.argsort(degree, kind="stable")[len(g.sinks) :]  # the interior; ties stay ascending
-    degrees = degree[order]
-    starts = np.flatnonzero(degrees[1:] != degrees[:-1]) + 1
-    bounds = [0, *starts.tolist(), len(order)] if len(order) else []
-    groups = [(int(degrees[lo]), order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-    return [(d, rows, g.offsets[rows][:, None] + np.arange(d)) for d, rows in groups]
-
-
-def update_per_degree_group(g: GameGraph, p, counts, rest, mu: int, gamma, rng) -> np.ndarray:
+def update_per_vertex(g: GameGraph, p, counts, rest, mu: int, gamma, rng) -> np.ndarray:
     """Reference for :func:`coevo.eda._update`: one multinomial fill and one
-    :func:`restrict` call per degree group, in ascending degree. ``counts``
-    (by edge) gains the fill; returns the next edge vector."""
+    1-D :func:`restrict` call per interior vertex, by degree and then by id.
+    ``counts`` (by edge) gains the fill; returns the next edge vector."""
     p = p.copy()
-    for d, rows, edges in degree_groups(g):
-        counts[edges] += rng.multinomial(rest[rows], p[edges]) if d > 1 else mu
-        p[edges] = restrict(counts[edges] / mu, gamma)
+    degree = np.diff(g.offsets)
+    for v in sorted(g.interior, key=lambda v: degree[v]):  # a stable sort keeps ties by id
+        lo, hi = g.offsets[v], g.offsets[v + 1]
+        counts[lo:hi] += rng.multinomial(rest[v], p[lo:hi])
+        p[lo:hi] = restrict(counts[lo:hi] / mu, gamma)
     return p
 
 

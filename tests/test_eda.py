@@ -46,14 +46,13 @@ from coevo.oracles import selection_distribution
 from helpers import (
     all_strategies,
     choice_matrix,
-    degree_groups,
     mann_whitney_p,
     population_optimal_mask_dp,
     random_game,
     run_umda_eager,
     sample_choice_matrix,
     sample_choice_matrix_per_vertex,
-    update_per_degree_group,
+    update_per_vertex,
     zero_mask,
 )
 
@@ -151,10 +150,12 @@ def _restrict_reference(p, gamma):
 
 
 def test_restrict_matches_reference_bit_for_bit():
-    # One vector, and each row of a matrix, get exactly the reference
-    # arithmetic, for lengths on both sides of numpy's 8-entry and
-    # 128-entry pairwise-sum thresholds.
+    # One vector, each row of a matrix, and each row of a vector holding
+    # rows of mixed lengths end to end get exactly the reference arithmetic,
+    # for lengths on both sides of numpy's 8-entry and 128-entry
+    # pairwise-sum thresholds.
     rng = np.random.default_rng(97)
+    laid = []
     for size in [*range(1, 40), 128, 129, 300]:
         rows = -np.log(rng.random((20, size)))
         rows[:, 1:][rng.random((20, size - 1)) < 0.3] = 0.0  # zeros sit below the border
@@ -164,6 +165,13 @@ def test_restrict_matches_reference_bit_for_bit():
             expected = _restrict_reference(p, gamma).tobytes()
             assert q.tobytes() == expected
             assert restrict(p, gamma).tobytes() == expected
+        laid.extend(rows[:3])
+    laid = [laid[i] for i in rng.permutation(len(laid))]
+    gamma = float(rng.random()) / 300 * 0.5
+    q = np.concatenate(laid)
+    assert restrict(q, gamma, np.array([len(p) for p in laid])) is q
+    for p, hi in zip(laid, np.cumsum([len(p) for p in laid]).tolist()):
+        assert q[hi - len(p) : hi].tobytes() == _restrict_reference(p, gamma).tobytes()
 
 
 def test_restrict_renormalises_unnormalised_input():
@@ -184,62 +192,65 @@ def test_restrict_renormalises_unnormalised_input():
 
 
 def test_generation_step_restriction_matches_reference(monkeypatch):
-    # One restriction a generation, over the whole layout: every vertex's new
-    # vector equals the one-vector restriction of its winner frequencies, to
-    # the last bit, and each row's counts (drawn plus filled) add up to mu.
+    # One restriction a generation, over the whole edge vector: every vertex's
+    # new vector equals the one-vector restriction of its winner frequencies,
+    # to the last bit, and each row's counts (drawn plus filled) add up to mu.
     g = chomp(4)  # degrees 1 to 15
     gamma = 0.004
     cfg = UmdaConfig(mu=300, gamma=gamma, max_generations=1, seed=0, stop_rule="generation_cap_only")
-    rng, layout = np.random.default_rng(103), prepare(g).layout
+    rng = np.random.default_rng(103)
     model = uniform_model(g, gamma)
     calls = []
 
-    def spy(p, border, layout=None):
+    def spy(p, border, degrees=None):
         calls.append(p.copy())
-        return restrict(p, border, layout)
+        return restrict(p, border, degrees)
 
     monkeypatch.setattr(eda, "restrict", spy)
     for _ in range(10):
         calls.clear()
         new_model, _, _ = generation_step(model, cfg, rng)
         (freqs,) = calls
-        for d, lo, hi, first, last in layout.blocks:
-            rows = freqs[lo:hi].reshape(-1, d)
-            counts = rows * cfg.mu
+        for v in g.interior:
+            q = freqs[g.offsets[v] : g.offsets[v + 1]]
+            counts = q * cfg.mu
             assert np.abs(counts - np.round(counts)).max() < 1e-9
-            assert (np.round(counts).sum(axis=1) == cfg.mu).all()
-            for v, q in zip(layout.vertices[first:last].tolist(), rows):
-                assert new_model.dists[v].tobytes() == _restrict_reference(q, gamma).tobytes()
+            assert np.round(counts).sum() == cfg.mu
+            assert new_model.dists[v].tobytes() == _restrict_reference(q, gamma).tobytes()
         model = new_model
 
 
-def test_restrict_layout_form_matches_the_2d_form():
-    # In place over a whole update layout, each degree's rows get exactly the
-    # 2-D form's arithmetic, rows whose total is off 1 included; the checks
-    # name the smallest degree the border is too large for, and a row with
-    # no mass.
+def test_restrict_degrees_form_renormalises_and_names_bad_rows():
+    # In place over an edge vector, each vertex's row gets exactly the
+    # reference arithmetic, rows whose total is off 1 first divided by it;
+    # the checks name the smallest degree the border is too large for, and
+    # a row with no mass.
     rng = np.random.default_rng(107)
     for g in [random_game(rng) for _ in range(10)] + [chomp(4), subtraction_nim(300, 270)]:
-        layout = eda._update_layout(g)
-        row_of = np.repeat(np.arange(len(layout.vertices)), layout.degrees)
+        degrees = np.diff(g.offsets)[list(g.interior)]
+        starts = g.offsets[list(g.interior)]
         q = rng.random(g.edge_count)
         q[rng.random(g.edge_count) < 0.3] = 0.0
-        q[np.searchsorted(row_of, np.arange(len(layout.vertices)))] += 0.5  # no row without mass
-        totals = np.bincount(row_of, weights=q)
+        q[starts] += 0.5  # no row without mass
+        totals = np.array([q[lo : lo + d].sum() for lo, d in zip(starts, degrees)])
         scale = np.where(rng.random(len(totals)) < 0.8, totals, 1.0)  # a fifth stay off 1
-        q /= scale[row_of]
+        q /= np.repeat(scale, degrees)
         gamma = 0.5 / g.max_degree
-        expected = [restrict(q[lo:hi].reshape(-1, d), gamma).ravel() for d, lo, hi, *_ in layout.blocks]
-        out = restrict(q, gamma, layout)
+        expected = []
+        for lo, d in zip(starts.tolist(), degrees.tolist()):
+            row = q[lo : lo + d]
+            total = row.sum()
+            expected.append(_restrict_reference(row / total if abs(total - 1) > 1e-12 else row, gamma))
+        out = restrict(q, gamma, degrees)
         assert out is q
         assert out.tobytes() == np.concatenate(expected).tobytes()
-    layout = eda._update_layout(chomp(4))
+    degrees = np.diff(chomp(4).offsets)[list(chomp(4).interior)]
     with pytest.raises(GammaTooLarge, match="too large for 3 outcomes"):
-        restrict(np.full(chomp(4).edge_count, 0.3), 1 / 3, layout)
+        restrict(np.full(chomp(4).edge_count, 0.3), 1 / 3, degrees)
     q = np.full(chomp(4).edge_count, 0.5)
-    q[np.repeat(np.arange(len(layout.vertices)), layout.degrees) == 5] = 0.0
+    q[np.repeat(np.arange(len(degrees)), degrees) == 5] = 0.0
     with pytest.raises(ValueError, match="positive total"):
-        restrict(q, 0.01, layout)
+        restrict(q, 0.01, degrees)
 
 
 def _update_inputs(g, mu, gamma, rng):
@@ -266,16 +277,17 @@ def _update_inputs(g, mu, gamma, rng):
 
 @pytest.mark.parametrize("mu", [37, 300])
 @pytest.mark.parametrize("border", ["zero", "theorem", "wide"])
-def test_update_equals_the_per_degree_group_reference(monkeypatch, mu, border):
-    # One multinomial fill over the layout's table, with holes of probability
-    # 0 between each row's first d-1 moves and its last, and one restriction
-    # reproduce the per-degree-group update: the same counts, the same model
-    # bytes and the same random stream consumed.
+def test_update_equals_the_per_vertex_reference(monkeypatch, mu, border):
+    # One multinomial fill over a table of Δ cells a vertex, with holes of
+    # probability 0 between each row's first d-1 moves and its last, and one
+    # restriction of the whole edge vector reproduce a fill and a restriction
+    # per vertex: the same counts, the same model bytes and the same random
+    # stream consumed.
     calls = []
 
-    def spy(p, floor, layout):
+    def spy(p, floor, degrees):
         calls.append(p.copy())
-        return restrict(p, floor, layout)
+        return restrict(p, floor, degrees)
 
     monkeypatch.setattr(eda, "restrict", spy)
     rng = np.random.default_rng(109)
@@ -286,11 +298,11 @@ def test_update_equals_the_per_degree_group_reference(monkeypatch, mu, border):
         p, counts, rest = _update_inputs(g, mu, gamma, rng)
         assert gamma or (p == 0).any()
         ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want_counts, layout = counts.copy(), eda._update_layout(g)
-        want = update_per_degree_group(g, p, want_counts, rest, mu, gamma, ref_rng)
-        got = eda._update(layout, p, counts, rest, mu, gamma, new_rng)
+        want_counts, instance = counts.copy(), eda._instance(g, g, grundy_values(g))
+        want = update_per_vertex(g, p, want_counts, rest, mu, gamma, ref_rng)
+        got = eda._update(instance, p, counts, rest, mu, gamma, new_rng)
         (freqs,) = calls
-        assert freqs.tobytes() == (want_counts[layout.edges] / mu).tobytes()  # the same counts
+        assert freqs.tobytes() == (want_counts / mu).tobytes()  # the same counts
         calls.clear()
         assert got.tobytes() == want.tobytes()
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -323,6 +335,12 @@ def test_uniform_model_gamma_guard(fig1):
 def test_config_rejects_bad_gamma(gamma):
     with pytest.raises(ValueError):
         UmdaConfig(mu=4, gamma=gamma, max_generations=1, seed=0)
+
+
+@pytest.mark.parametrize("max_generations", [0, -3])
+def test_config_rejects_bad_max_generations(max_generations):
+    with pytest.raises(ValueError, match="max_generations"):
+        UmdaConfig(mu=4, gamma=0.01, max_generations=max_generations, seed=0)
 
 
 def test_model_snapshot_round_trip():
@@ -583,7 +601,7 @@ def test_drawn_plus_filled_is_mu(stop_rule):
         choices = population.choices
         drawn = (choices != np.iinfo(choices.dtype).max).sum(axis=1)
         filled = np.zeros(g.n, dtype=np.int64)
-        (filled[instance.layout.vertices],) = rng.fills  # one fill a generation
+        (filled[instance.fill_order],) = rng.fills  # one fill a generation
         choosing = degrees > 1
         assert (drawn[choosing] + filled[choosing] == mu).all()
         assert (drawn[choosing] > 0).any() and (filled[choosing] > 0).any()
@@ -787,16 +805,18 @@ def test_prepare_describes_the_run_graph_from_one_pass(monkeypatch, n):
     assert instance.gd == grundy_values(g)
     assert np.array_equal(instance.zero, zero_mask(g))
     assert instance.critical.tolist() == sorted(instance.gd.critical)
-    fresh = eda._instance(g, g, grundy_values(g)).layout
-    for name, value in vars(instance.layout).items():
-        other = getattr(fresh, name)
+    fresh = eda._instance(g, g, grundy_values(g))
+    for name, value in vars(instance).items():
         if isinstance(value, np.ndarray):
+            other = getattr(fresh, name)
             assert value.dtype == other.dtype and np.array_equal(value, other), name
-        else:
-            assert value == other, name
-    groups = degree_groups(g)  # the draw order of the per-degree-group update
-    assert np.array_equal(instance.layout.vertices, np.concatenate([rows for _, rows, _ in groups]))
-    assert np.array_equal(instance.layout.edges, np.concatenate([edges.ravel() for *_, edges in groups]))
+    degree, width = np.diff(g.offsets), g.max_degree
+    order = sorted(g.interior, key=lambda v: (degree[v], v))  # the fill's draw order
+    assert instance.fill_order.tolist() == order
+    assert instance.degrees.tolist() == degree[list(g.interior)].tolist()
+    row = {v: r * width for r, v in enumerate(order)}  # a vertex's first cell; its last move in its last
+    cells = [row[v] + (i if i < degree[v] - 1 else width - 1) for v in g.interior for i in range(degree[v])]
+    assert instance.fill_cells.tolist() == cells
 
 
 def test_run_requires_the_instance_of_its_graph():

@@ -185,6 +185,12 @@ def test_config_validation():
         _chain_config(mu_grid=(8, 4))
     with pytest.raises(ValueError):
         _chain_config(replicates=0)
+    for mu_grid in [(0,), (-2, 8)]:
+        with pytest.raises(ValueError, match="mu_grid"):
+            _chain_config(mu_grid=mu_grid)
+    for max_generations in [0, -3]:
+        with pytest.raises(ValueError, match="max_generations"):
+            _chain_config(max_generations=max_generations)
 
 
 def test_sweep_scaling_nim(tmp_path):

@@ -55,9 +55,9 @@ def test_engine_timing_one_repetition(tmp_path):
     done = run_script("engine_timing.py", "--repeat", "1", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     header, *rows = done.stdout.splitlines()
-    assert header.split() == ["game", "mu", "prepare_ms", "uniform_ms", "generation_ms"]
+    assert header.split() == ["game", "mu", "prepare_ms", "uniform_ms", "generation_ms", "peak_mb"]
     assert [row.split()[0] for row in rows] == ["subtraction_nim", "chomp", "subtraction_nim"]
-    assert all(float(value) > 0 for row in rows for value in row.split()[-3:])
+    assert all(float(value) > 0 for row in rows for value in row.split()[-4:])
 
 
 @pytest.mark.parametrize(
