@@ -2,9 +2,9 @@
 """In-process timings of the engine's per-run and per-generation steps.
 
 For each game, prints the minimum over ``--repeat`` runs, in ms, of
-``eda.prepare`` on the built game, ``eda.uniform_model`` on its run graph
-and one ``eda.generation_step`` from that uniform model (a fresh seeded
-generator each run, so every run does the same work). The border is the
+``eda.prepare`` on the built game, ``eda.uniform_vector`` on its run graph
+and one ``eda.generation_step`` from that uniform edge vector (a fresh
+seeded generator each run, so every run does the same work). The border is the
 theorem border of the game as built, as in ``harness.run_experiment``.
 ``peak_mb`` is the traced peak (``tracemalloc``, in 10^6 bytes) of one more
 generation, untimed, after the timed ones.
@@ -53,16 +53,15 @@ def main() -> None:
         instance = eda.prepare(base)
         g, gamma = instance.graph, float(eda.theorem_border(base))
         cfg = eda.UmdaConfig(mu, gamma, max_generations=1, seed=SEED, stop_rule=stop_rule)
-        model = eda.uniform_model(g, gamma)
+        p = eda.uniform_vector(g, gamma)
         prepare_ms = best_ms(args.repeat, lambda: eda.prepare(base))
-        uniform_ms = best_ms(args.repeat, lambda: eda.uniform_model(g, gamma))
+        uniform_ms = best_ms(args.repeat, lambda: eda.uniform_vector(g, gamma))
         generation_ms = best_ms(
-            args.repeat,
-            lambda: eda.generation_step(model, cfg, np.random.default_rng(SEED), instance),
+            args.repeat, lambda: eda.generation_step(instance, p, cfg, np.random.default_rng(SEED))
         )
         rng = np.random.default_rng(SEED)
         tracemalloc.start()
-        eda.generation_step(model, cfg, rng, instance)
+        eda.generation_step(instance, p, cfg, rng)
         peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
         tracemalloc.stop()
         name = f"{spec.family} " + " ".join(f"{k}={v}" for k, v in spec.params.items())

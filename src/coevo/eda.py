@@ -241,20 +241,24 @@ def _is_finite_number(value) -> bool:
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def uniform_model(g: GameGraph, gamma: float) -> ProbModel:
-    """Initial model: the uniform distribution at every interior vertex."""
+def uniform_vector(g: GameGraph, gamma: float) -> np.ndarray:
+    """The uniform distribution at every interior vertex, as one edge vector."""
     if g.max_degree and not gamma * g.max_degree < 1:
         raise GammaTooLarge(f"gamma {gamma} times max degree {g.max_degree} must stay below 1")
     degree = np.diff(g.offsets)
     degrees = degree[degree > 0]
-    return ProbModel(graph=g, dists=_views(g, np.repeat(1.0 / degrees, degrees), degrees), gamma=gamma)
+    return np.repeat(1.0 / degrees, degrees)
 
 
-def _views(g: GameGraph, p: np.ndarray, degrees: np.ndarray) -> dict[int, np.ndarray]:
-    """Per-vertex views of the edge vector ``p``, ``dists[v] = p[offsets[v] : offsets[v + 1]]``,
-    from the interior vertices' out-degrees ``degrees``."""
-    ends = np.cumsum(degrees).tolist()
-    return {v: p[hi - d : hi] for v, d, hi in zip(g.interior, degrees.tolist(), ends)}
+def uniform_model(g: GameGraph, gamma: float) -> ProbModel:
+    """Initial model: the uniform distribution at every interior vertex."""
+    return ProbModel(graph=g, dists=_views(g, uniform_vector(g, gamma)), gamma=gamma)
+
+
+def _views(g: GameGraph, p: np.ndarray) -> dict[int, np.ndarray]:
+    """Per-vertex views of the edge vector ``p``, ``dists[v] = p[offsets[v] : offsets[v + 1]]``."""
+    bounds = g.offsets.tolist()
+    return {v: p[bounds[v] : bounds[v + 1]] for v in g.interior}
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +282,6 @@ def _update(instance: Instance, p, counts, rest, mu: int, gamma, rng) -> np.ndar
     freqs = (fill.ravel()[instance.fill_cells] + counts) / mu
     del fill  # both tables are freed before the restriction, where memory peaks
     return restrict(freqs, gamma, instance.degrees)
-
-
-def _edge_vector(model: ProbModel) -> np.ndarray:
-    """The model as one vector by edge: ``dists[v][i]`` at ``offsets[v] + i``."""
-    return np.concatenate([model.dists[v] for v in model.graph.interior])
 
 
 def _threshold_table(g: GameGraph, p: np.ndarray) -> np.ndarray:
@@ -488,24 +487,21 @@ def _stop_block(instance: Instance, stop_rule: str) -> int:
 
 
 def generation_step(
-    model: ProbModel, cfg: UmdaConfig, rng: np.random.Generator, instance: Instance | None = None
-) -> tuple[ProbModel, Population, int]:
-    """One generation: mu tournaments, the stop check, the update and its restriction.
+    instance: Instance, p: np.ndarray, cfg: UmdaConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, Population]:
+    """One generation on ``instance.graph`` from the edge vector ``p`` (in
+    ``offsets``/``targets`` order): mu tournaments, the stop check, the update
+    and its restriction onto the ``cfg.gamma`` border.
 
     Draws each player's choice where it moves, the winners' entries the
     stop check reads (none under the cap-only rule) and the witness's rest.
     An edge counts the drawn winner entries on it plus its share of one
     multinomial fill of the undrawn ones, over the interior vertices in
     ``instance.fill_order``; one :func:`restrict` call then clamps the whole
-    edge vector, row by row in edge order, and the next model's vectors are
-    views of it.
-    ``instance`` describes ``model.graph``; by default it is that graph as
-    it stands, with no forced start. Returns the next model, the winners,
-    and the evaluations (mu).
+    edge vector, row by row in edge order. Returns the next edge vector and
+    the winners.
     """
-    g, mu = model.graph, cfg.mu
-    instance = instance or _instance(g, g, _grundy.grundy_values(g))
-    p = _edge_vector(model)
+    g, mu = instance.graph, cfg.mu
     table = _threshold_table(g, p)
     dtype = np.min_scalar_type(g.max_degree)
     none = np.zeros(0, dtype=np.int32)
@@ -552,8 +548,7 @@ def generation_step(
     at, slots = (np.concatenate(part) for part in zip(*drawn))
     counts = np.bincount(g.offsets[at] + slots, minlength=g.edge_count)
     rest = mu - np.bincount(at, minlength=g.n)  # the winners' undrawn entries per vertex
-    p = _update(instance, p, counts, rest, mu, model.gamma, rng)
-    return ProbModel(g, _views(g, p, instance.degrees), model.gamma), Population(g, store, witness), mu
+    return _update(instance, p, counts, rest, mu, cfg.gamma, rng), Population(g, store, witness)
 
 
 def run_umda(
@@ -561,11 +556,13 @@ def run_umda(
 ) -> RunResult:
     """Iterate generations until the selected population hits the target.
 
-    The stop rule is checked on each generation's winners, never on the
-    losers. ``instance`` must be prepared with ``g`` as its run graph; without
-    one, ``g`` is prepared here and must be a first-player-win game (add a
-    forced start first if necessary). ``trace_every`` k > 0 snapshots every
-    k-th generation's model.
+    A run carries one edge vector, from the uniform one, and one prepared
+    instance; the model (per-vertex views of the vector) is built only for a
+    trace snapshot and for the result. The stop rule is checked on each
+    generation's winners, never on the losers. ``instance`` must be prepared
+    with ``g`` as its run graph; without one, ``g`` is prepared here and must
+    be a first-player-win game (add a forced start first if necessary).
+    ``trace_every`` k > 0 snapshots every k-th generation's model.
     """
     if trace_every < 0:
         raise ValueError(f"trace_every must be at least 0, got {trace_every}")
@@ -575,17 +572,19 @@ def run_umda(
             raise PreconditionViolated("root has Grundy value 0; apply ensure_first_player_win")
     elif instance.graph is not g:
         raise ValueError("the instance was prepared for another run graph")
-    model = uniform_model(g, cfg.gamma)
+    p = uniform_vector(g, cfg.gamma)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     trace: list[tuple[int, dict]] = []
+    witness = None
     for t in range(1, cfg.max_generations + 1):
-        model, population, _ = generation_step(model, cfg, rng, instance)
+        p, population = generation_step(instance, p, cfg, rng)
         if trace_every and t % trace_every == 0:
-            trace.append((t, model.snapshot()))
+            trace.append((t, ProbModel(g, _views(g, p), cfg.gamma).snapshot()))
         if population.witness is not None:
             witness = population.strategy(population.witness)
-            return RunResult(t, cfg.mu * t, True, model, witness, trace)
-    return RunResult(cfg.max_generations, cfg.mu * cfg.max_generations, False, model, None, trace)
+            break
+    model = ProbModel(g, _views(g, p), cfg.gamma)
+    return RunResult(t, cfg.mu * t, witness is not None, model, witness, trace)
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def intransitivity_search(
 
     if rng is None:
         rng = np.random.default_rng(0)
-    table = eda._threshold_table(g, eda._edge_vector(eda.uniform_model(g, gamma=0.0)))
+    table = eda._threshold_table(g, eda.uniform_vector(g, 0.0))
     interior = np.array(g.interior, dtype=np.int32)
     block = max(1, 2**16 // (3 * len(interior)))  # triples drawn and played at once
     for lo in range(0, triples, block):

@@ -13,12 +13,16 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from coevo.eda import (
+    Instance,
+    Population,
     ProbModel,
     RunResult,
-    _edge_vector,
+    _instance,
     _play_matrices,
     _sample_choice_matrix,
     _threshold_table,
+    _views,
+    generation_step,
     population_sufficient_mask,
     restrict,
     uniform_model,
@@ -110,11 +114,31 @@ def sample_choice_matrix(model, rng: np.random.Generator, count: int) -> np.ndar
     which is the stream of :func:`sample_choice_matrix_per_vertex`."""
     g = model.graph
     interior = np.array(g.interior, dtype=np.int64)
-    table = _threshold_table(g, _edge_vector(model))
+    table = _threshold_table(g, edge_vector(model))
     slots = _sample_choice_matrix(table, rng, np.repeat(interior, count))
     out = np.zeros((g.n, count), dtype=slots.dtype)
     out[interior] = slots.reshape(len(interior), count)
     return out
+
+
+def edge_vector(model: ProbModel) -> np.ndarray:
+    """The model as one vector by edge: ``dists[v][i]`` at ``offsets[v] + i``."""
+    return np.concatenate([model.dists[v] for v in model.graph.interior])
+
+
+def instance_as_is(g: GameGraph) -> Instance:
+    """The instance of ``g`` as it stands: no forced start, even where
+    :func:`coevo.eda.prepare` would add one for a Grundy-0 root."""
+    return _instance(g, g, grundy_values(g))
+
+
+def step(model: ProbModel, cfg, rng: np.random.Generator, instance: Instance | None = None):
+    """:func:`coevo.eda.generation_step` from a model, on ``instance`` or else on
+    the model's graph as it stands: the next model (views of the next edge
+    vector) and the winners."""
+    g = model.graph
+    p, population = generation_step(instance or instance_as_is(g), edge_vector(model), cfg, rng)
+    return ProbModel(g, _views(g, p), cfg.gamma), population
 
 
 def update_per_vertex(g: GameGraph, p, counts, rest, mu: int, gamma, rng) -> np.ndarray:

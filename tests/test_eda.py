@@ -24,7 +24,6 @@ from coevo.eda import (
     population_sufficient_mask,
     prepare,
     restrict,
-    _edge_vector,
     _playout,
     _sample_choice_matrix,
     _threshold_table,
@@ -46,12 +45,15 @@ from coevo.oracles import selection_distribution
 from helpers import (
     all_strategies,
     choice_matrix,
+    edge_vector,
+    instance_as_is,
     mann_whitney_p,
     population_optimal_mask_dp,
     random_game,
     run_umda_eager,
     sample_choice_matrix,
     sample_choice_matrix_per_vertex,
+    step,
     update_per_vertex,
     zero_mask,
 )
@@ -209,7 +211,7 @@ def test_generation_step_restriction_matches_reference(monkeypatch):
     monkeypatch.setattr(eda, "restrict", spy)
     for _ in range(10):
         calls.clear()
-        new_model, _, _ = generation_step(model, cfg, rng)
+        new_model, _ = step(model, cfg, rng)
         (freqs,) = calls
         for v in g.interior:
             q = freqs[g.offsets[v] : g.offsets[v + 1]]
@@ -298,7 +300,7 @@ def test_update_equals_the_per_vertex_reference(monkeypatch, mu, border):
         p, counts, rest = _update_inputs(g, mu, gamma, rng)
         assert gamma or (p == 0).any()
         ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        want_counts, instance = counts.copy(), eda._instance(g, g, grundy_values(g))
+        want_counts, instance = counts.copy(), instance_as_is(g)
         want = update_per_vertex(g, p, want_counts, rest, mu, gamma, ref_rng)
         got = eda._update(instance, p, counts, rest, mu, gamma, new_rng)
         (freqs,) = calls
@@ -398,7 +400,7 @@ def test_strategy_of_a_partly_drawn_column_is_refused():
     # A generation draws its winners' entries only where something reads them.
     g = chomp(4)
     cfg = UmdaConfig(mu=64, gamma=0.0, max_generations=1, seed=0, stop_rule="generation_cap_only")
-    _, population, _ = generation_step(uniform_model(g, 0.0), cfg, np.random.default_rng(1))
+    _, population = step(uniform_model(g, 0.0), cfg, np.random.default_rng(1))
     with pytest.raises(ValueError, match="column 3 is not drawn in full"):
         population.strategy(3)
 
@@ -470,7 +472,7 @@ def test_sampler_boundaries(sampler):
     model.dists[1] = np.array([0.25, 0.25, 0.25])  # cum 0.25, 0.5, 0.75
     stub = _StubRng([0.0, 0.25, 0.5, 0.75, 1.0] + [0.0, 0.5, 0.75, 0.9, 1.0])
     if sampler is _sample_choice_matrix:
-        table = _threshold_table(g, _edge_vector(model))
+        table = _threshold_table(g, edge_vector(model))
         choices = sampler(table, stub, np.repeat([0, 1], 5)).reshape(2, 5)
     else:
         choices = sampler(model, stub, 5)
@@ -494,7 +496,7 @@ def test_sampler_boundaries_at_every_width(degree):
     cum = np.cumsum(p)[:-1]
     uniforms = np.concatenate([[0.0], cum, np.nextafter(cum, 0), [0.999]])
     want = np.concatenate([[0], np.arange(1, degree), np.arange(degree - 1), [degree - 1]])
-    table = _threshold_table(g, _edge_vector(model))
+    table = _threshold_table(g, edge_vector(model))
     got = _sample_choice_matrix(table, _StubRng(uniforms), np.zeros(len(uniforms), dtype=np.int64))
     assert got.tolist() == want.tolist()
     assert got.dtype == np.min_scalar_type(degree)
@@ -505,7 +507,7 @@ def test_sampler_memory_stays_near_the_output():
     # the table's width: chomp m=6 has 35 moves at its root, and gathering
     # each entry's whole threshold row would take 34 floats an entry.
     g = chomp(6)
-    table = _threshold_table(g, _edge_vector(uniform_model(g, 0.0)))
+    table = _threshold_table(g, edge_vector(uniform_model(g, 0.0)))
     rows = np.repeat(np.flatnonzero(np.diff(g.offsets) > 1), 256).astype(np.int32)  # as the engine asks
     _sample_choice_matrix(table, np.random.default_rng(5), rows[:8])  # numpy's lazy set-up
     tracemalloc.start()
@@ -562,7 +564,7 @@ def test_degree_one_positions_draw_no_uniform(monkeypatch, stop_rule):
     model = uniform_model(g, 0.01)
     cfg = UmdaConfig(mu=64, gamma=0.01, max_generations=1, seed=0, stop_rule=stop_rule)
     for _ in range(5):
-        model, population, _ = generation_step(model, cfg, rng, instance)
+        model, population = step(model, cfg, rng, instance)
         assert (population.choices[degrees < 2] == 0).all()
     rows = np.concatenate(calls)
     assert len(rows) == rng.uniforms > 0
@@ -577,9 +579,9 @@ def test_draws_stay_far_below_the_population_size(monkeypatch):
     calls = _spy_draws(monkeypatch)
     rng, mu = _CountingRng(11), 512
     cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0)
-    _, population, evaluations = generation_step(uniform_model(g, 0.0), cfg, rng, prepare(g))
+    _, population = step(uniform_model(g, 0.0), cfg, rng, prepare(g))
     entries = sum(len(rows) for rows in calls)
-    assert evaluations == mu and entries == rng.uniforms
+    assert len(population) == mu and entries == rng.uniforms
     assert entries < 0.05 * g.n * mu
     undrawn = np.iinfo(population.choices.dtype).max
     assert 0 < int((population.choices != undrawn).sum()) - int((np.diff(g.offsets) < 2).sum()) * mu < entries
@@ -596,8 +598,8 @@ def test_drawn_plus_filled_is_mu(stop_rule):
     model = uniform_model(g, 0.01)
     for _ in range(4):
         rng.fills.clear()
-        model, population, evaluations = generation_step(model, cfg, rng, instance)
-        assert evaluations == mu
+        model, population = step(model, cfg, rng, instance)
+        assert len(population) == mu
         choices = population.choices
         drawn = (choices != np.iinfo(choices.dtype).max).sum(axis=1)
         filled = np.zeros(g.n, dtype=np.int64)
@@ -616,18 +618,17 @@ def test_tournament_point_mass_winner(fig1):
         p[fig1.succ[v].index(4) if 4 in fig1.succ[v] else 0] = 1.0
         model.dists[v] = p
     cfg = UmdaConfig(mu=1, gamma=0.0, max_generations=1, seed=1, stop_rule="generation_cap_only")
-    _, population, evals = generation_step(model, cfg, np.random.default_rng(1))
+    _, population = step(model, cfg, np.random.default_rng(1))
     # The first mover jumps to the sink and wins; its root entry was drawn.
     assert fig1.targets[fig1.offsets[0] + population.choices[0, 0]] == 4
-    assert evals == 1
+    assert len(population) == 1
 
 
 def test_generation_step_spends_mu_evaluations(fig1):
     model = uniform_model(fig1, 0.01)
     mu = 64
     cfg = UmdaConfig(mu=mu, gamma=0.01, max_generations=1, seed=2, stop_rule="generation_cap_only")
-    _, population, evals = generation_step(model, cfg, np.random.default_rng(2))
-    assert evals == mu
+    _, population = step(model, cfg, np.random.default_rng(2))
     assert len(population) == mu
 
 
@@ -635,7 +636,7 @@ def test_tournament_frequencies_match_dp(fig1):
     model = uniform_model(fig1, 0.0)
     trials = 200_000
     cfg = UmdaConfig(mu=trials, gamma=0.0, max_generations=1, seed=89, stop_rule="generation_cap_only")
-    new_model, _, _ = generation_step(model, cfg, np.random.default_rng(89))
+    new_model, _ = step(model, cfg, np.random.default_rng(89))
     freqs = new_model.dists[0]  # with no border, the winners' frequencies at the root
     exact = selection_distribution(fig1, model.dists, 0)
     tv = 0.5 * sum(abs(freqs[i] - float(exact[i])) for i in range(len(freqs)))
@@ -646,8 +647,7 @@ def test_generation_step_mu_one(fig1):
     gamma = 0.05
     model = uniform_model(fig1, gamma)
     cfg = UmdaConfig(mu=1, gamma=gamma, max_generations=1, seed=3, stop_rule="generation_cap_only")
-    new_model, population, evals = generation_step(model, cfg, np.random.default_rng(3))
-    assert evals == 1
+    new_model, population = step(model, cfg, np.random.default_rng(3))
     assert len(population) == 1
     # Each vector is the restriction of one point mass: the winner's drawn
     # entry where the game read it, a one-draw multinomial fill elsewhere.
@@ -664,7 +664,7 @@ def test_generation_step_forced_chain():
     gamma = 0.1
     model = uniform_model(g, gamma)
     cfg = UmdaConfig(mu=16, gamma=gamma, max_generations=1, seed=4, stop_rule="generation_cap_only")
-    new_model, _, _ = generation_step(model, cfg, np.random.default_rng(4))
+    new_model, _ = step(model, cfg, np.random.default_rng(4))
     for v in g.interior:
         assert new_model.dists[v].tolist() == [1.0]
 
@@ -674,7 +674,7 @@ def test_generation_step_expectation_matches_dp(fig1):
     model = uniform_model(fig1, gamma)
     mu = 10_000
     cfg = UmdaConfig(mu=mu, gamma=gamma, max_generations=1, seed=5, stop_rule="generation_cap_only")
-    new_model, _, _ = generation_step(model, cfg, np.random.default_rng(5))
+    new_model, _ = step(model, cfg, np.random.default_rng(5))
     exact = [float(p) for p in selection_distribution(fig1, model.dists, 0)]
     for i, p in enumerate(exact):
         sigma = np.sqrt(p * (1 - p) / mu)
@@ -689,7 +689,7 @@ def test_model_entries_stay_bounded():
     cfg = UmdaConfig(mu=50, gamma=gamma, max_generations=1, seed=6, stop_rule="generation_cap_only")
     rng = np.random.default_rng(6)
     for _ in range(30):
-        model, _, _ = generation_step(model, cfg, rng)
+        model, _ = step(model, cfg, rng)
         for v in g.interior:
             deg = len(g.succ[v])
             assert (model.dists[v] >= gamma - 1e-12).all()
@@ -720,7 +720,7 @@ def test_mean_update_matches_selection_distribution(game):
     cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0, stop_rule="generation_cap_only")
     mean = {v: np.zeros(len(g.succ[v])) for v in g.interior}
     for r in range(repeats):
-        new_model, _, _ = generation_step(model, cfg, np.random.default_rng(400 + r))
+        new_model, _ = step(model, cfg, np.random.default_rng(400 + r))
         for v in g.interior:
             mean[v] += new_model.dists[v] / repeats
     z = []
@@ -805,7 +805,7 @@ def test_prepare_describes_the_run_graph_from_one_pass(monkeypatch, n):
     assert instance.gd == grundy_values(g)
     assert np.array_equal(instance.zero, zero_mask(g))
     assert instance.critical.tolist() == sorted(instance.gd.critical)
-    fresh = eda._instance(g, g, grundy_values(g))
+    fresh = instance_as_is(g)
     for name, value in vars(instance).items():
         if isinstance(value, np.ndarray):
             other = getattr(fresh, name)
@@ -895,6 +895,22 @@ def test_trace_snapshots(fig1):
     assert set(result.trace[0][1]) == {"0", "1", "2", "3"}
     with pytest.raises(ValueError, match="trace_every"):
         run_umda(fig1, cfg, trace_every=-1)
+
+
+def test_run_builds_its_model_only_for_snapshots_and_the_result(monkeypatch, fig1):
+    # A run carries one edge vector from generation to generation; per-vertex
+    # views of it are made once per trace snapshot and once for the result.
+    calls, views = [], eda._views
+    monkeypatch.setattr(eda, "_views", lambda *args: calls.append(1) or views(*args))
+    cfg = UmdaConfig(mu=8, gamma=0.02, max_generations=9, seed=13, stop_rule="generation_cap_only")
+    for trace_every, snapshots in [(0, 0), (3, 3), (4, 2)]:
+        calls.clear()
+        result = run_umda(fig1, cfg, trace_every=trace_every)
+        assert result.generations_used == 9
+        assert len(result.trace) == snapshots and len(calls) == 1 + snapshots
+    calls.clear()
+    result = run_umda(fig1, replace(cfg, stop_rule="exact_optimal"), trace_every=1)
+    assert result.succeeded and len(calls) == 1 + result.generations_used
 
 
 # --- population masks --------------------------------------------------------
@@ -1001,13 +1017,13 @@ def _run_populations(monkeypatch, g, cfg):
     degrees = np.maximum(np.diff(g.offsets), 1)[:, None]
 
     def spy(*args):
-        step = generation_step(*args)
-        choices = step[1].choices.copy()
+        out = generation_step(*args)
+        choices = out[1].choices.copy()
         undrawn = choices == np.iinfo(choices.dtype).max
         choices[undrawn] = (fill.integers(0, 2**20, size=choices.shape) % degrees)[undrawn]
         populations.append(choices)
-        witnesses.append(step[1].witness)
-        return step
+        witnesses.append(out[1].witness)
+        return out
 
     monkeypatch.setattr(eda, "generation_step", spy)
     return run_umda(g, cfg), populations, witnesses
@@ -1085,11 +1101,11 @@ def test_stop_check_memory_stays_near_the_population(monkeypatch):
 
     monkeypatch.setattr(eda, "population_optimal_mask", spy)
     cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0)
-    generation_step(model, replace(cfg, mu=8), np.random.default_rng(5), instance)  # numpy's lazy set-up
+    step(model, replace(cfg, mu=8), np.random.default_rng(5), instance)  # numpy's lazy set-up
     widths.clear(), peaks.clear(), drawn.clear()
     tracemalloc.start()
     try:
-        _, population, _ = generation_step(model, cfg, np.random.default_rng(5), instance)
+        _, population = step(model, cfg, np.random.default_rng(5), instance)
     finally:
         tracemalloc.stop()
     assert widths == [block] and block < mu and population.witness == 0
@@ -1105,17 +1121,17 @@ def test_generation_memory_stays_near_the_store():
     model, mu = uniform_model(g, 0.0), 2048
     cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0)
     instance = prepare(g)
-    generation_step(model, replace(cfg, mu=8), np.random.default_rng(5), instance)  # numpy's lazy set-up
+    step(model, replace(cfg, mu=8), np.random.default_rng(5), instance)  # numpy's lazy set-up
     tracemalloc.start()
     try:
-        generation_step(model, cfg, np.random.default_rng(5), instance)
+        step(model, cfg, np.random.default_rng(5), instance)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # The slot store and one block's seen flags (n bytes per column each),
     # the threshold table, and the games' small records; two eager n × mu
     # choice matrices and their uniforms were 17 MB here.
-    table = _threshold_table(g, _edge_vector(model))
+    table = _threshold_table(g, edge_vector(model))
     assert peak <= 2 * g.n * mu + table.nbytes + 2 * 2**20
 
 
@@ -1133,8 +1149,8 @@ def test_generation_step_selects_winners_as_where(base):
     cfg = UmdaConfig(mu=300, gamma=0.0, max_generations=1, seed=0, stop_rule="generation_cap_only")
     rng = np.random.default_rng(19)
     replay = copy.deepcopy(rng)
-    _, population, _ = generation_step(model, cfg, rng)
-    table = _threshold_table(g, _edge_vector(model))
+    _, population = step(model, cfg, rng)
+    table = _threshold_table(g, edge_vector(model))
     stores = np.full((2, g.n, cfg.mu), np.iinfo(population.choices.dtype).max, dtype=population.choices.dtype)
     stores[:, np.diff(g.offsets) < 2] = 0
 
