@@ -80,14 +80,18 @@ class UmdaConfig:
     stop_rule: str = "exact_optimal"  # a value of STOP_RULES
 
     def __post_init__(self):
-        if self.mu < 1:
-            raise ValueError("mu must be at least 1")
-        if self.max_generations < 1:
-            raise ValueError(f"max_generations must be at least 1, got {self.max_generations}")
+        for name, low in (("mu", 1), ("max_generations", 1), ("seed", 0)):
+            _require_int(name, getattr(self, name), low)
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be finite and at least 0, got {self.gamma}")
         if self.stop_rule not in STOP_RULES.values():
             raise ValueError(f"unknown stop rule {self.stop_rule!r}")
+
+
+def _require_int(name: str, value, low: int) -> None:
+    """ValueError naming ``name`` unless ``value`` is an int, not a bool, at least ``low``."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low):
+        raise ValueError(f"{name} must be an int at least {low}, got {value!r}")
 
 
 @dataclass
@@ -246,8 +250,7 @@ def uniform_vector(g: GameGraph, gamma: float) -> np.ndarray:
     if g.max_degree and not gamma * g.max_degree < 1:
         raise GammaTooLarge(f"gamma {gamma} times max degree {g.max_degree} must stay below 1")
     degree = np.diff(g.offsets)
-    degrees = degree[degree > 0]
-    return np.repeat(1.0 / degrees, degrees)
+    return 1.0 / np.repeat(degree, degree)  # 1/d on each of a vertex's d edges
 
 
 def uniform_model(g: GameGraph, gamma: float) -> ProbModel:
@@ -262,22 +265,22 @@ def _views(g: GameGraph, p: np.ndarray) -> dict[int, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Lazy engine. All randomness flows through numpy's PCG64 stream, in the
-# order a generation reads it: a uniform per entry the games read, move by
-# move, then per entry the stop check and the witness read, then one
-# multinomial fill over the interior vertices, by degree and then by id
-# (``Instance.fill_order``). Inverse CDF over the canonical successor
-# order turns a uniform into a slot.
+# Lazy engine. A run's state is one edge vector, in ``offsets``/``targets``
+# order, and one prepared :class:`Instance`. All randomness flows through
+# numpy's PCG64 stream, in the order a generation reads it: a uniform per
+# entry the games read, move by move, then per entry the stop check and the
+# witness read, then one multinomial fill over the vertices in id order.
+# Inverse CDF over the canonical successor order turns a uniform into a slot.
 
 def _update(instance: Instance, p, counts, rest, mu: int, gamma, rng) -> np.ndarray:
     """The next edge vector from the edge vector ``p``: each edge's ``counts``
     plus its share of one multinomial fill of each vertex's ``rest`` entries,
-    over ``mu``, restricted. The fill table has a row of Δ cells per vertex,
-    in fill order: the row's first d−1 moves, holes of probability 0, which
-    draw nothing, then its last move, which takes the remainder."""
-    table = np.zeros((len(instance.fill_order), instance.graph.max_degree))
+    over ``mu``, restricted. The fill table has a row of Δ cells per vertex in
+    id order: its first d−1 moves, holes of probability 0, which draw nothing
+    (a sink's row is all holes), then its last move, which takes the rest."""
+    table = np.zeros((instance.graph.n, instance.graph.max_degree))
     table.ravel()[instance.fill_cells] = p
-    fill = rng.multinomial(rest[instance.fill_order], table)
+    fill = rng.multinomial(rest, table)
     del table
     freqs = (fill.ravel()[instance.fill_cells] + counts) / mu
     del fill  # both tables are freed before the restriction, where memory peaks
@@ -437,21 +440,18 @@ def population_sufficient_mask(g: GameGraph, critical, choices, zero, draw=None)
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """One game prepared for runs by :func:`prepare`: ``base`` as built; ``graph``,
-    the game the runs play, ``base`` plus a forced start where its root is
-    Grundy-0; and of ``graph``: Grundy data, Grundy-0 flags, critical rows in
-    ascending order, and the update's three arrays. ``fill_order`` lists the
-    interior vertices in the multinomial fill's draw order, by degree and then
-    by id; ``fill_cells`` gives each edge's cell in the flattened fill table
-    (see :func:`_update`), so the table's cells read back in edge order; and
-    ``degrees`` holds the interior vertices' out-degrees in vertex order."""
+    """One game prepared for runs by :func:`prepare`, shared read-only by every
+    run on it: ``base`` as built; ``graph``, the game the runs play, ``base``
+    plus a forced start where its root is Grundy-0; and of ``graph``: Grundy
+    data, Grundy-0 flags, critical rows in ascending order, each edge's cell
+    in the flattened fill table of :func:`_update` (so the table's cells read
+    back in edge order) and the interior vertices' out-degrees in id order."""
 
     base: GameGraph
     graph: GameGraph
     gd: GrundyData
     zero: np.ndarray
     critical: np.ndarray
-    fill_order: np.ndarray
     fill_cells: np.ndarray
     degrees: np.ndarray
 
@@ -459,13 +459,13 @@ class Instance:
 def _instance(base: GameGraph, graph: GameGraph, gd: GrundyData) -> Instance:
     critical = np.array(sorted(gd.critical), dtype=np.int64)
     degree, width = np.diff(graph.offsets), graph.max_degree
-    interior = degree > 0
-    order = np.argsort(degree, kind="stable")[len(graph.sinks) :]  # the interior, ties ascending
-    first = np.zeros(graph.n, dtype=np.int64)
-    first[order] = np.arange(len(order)) * width  # each vertex's first cell in the fill table
-    cells = np.arange(graph.edge_count) + np.repeat(first - graph.offsets[:-1], degree)
-    cells[graph.offsets[1:][interior] - 1] = first[interior] + width - 1  # a last move: its row's last cell
-    return Instance(base, graph, gd, np.array(gd.values) == 0, critical, order, cells, degree[interior])
+    degrees = degree[degree > 0]
+    cells = np.arange(graph.edge_count) + np.repeat(np.arange(graph.n) * width - graph.offsets[:-1], degree)
+    cells[np.cumsum(degrees) - 1] += width - degrees  # a last move goes to its row's last cell
+    arrays = (np.array(gd.values) == 0, critical, cells, degrees)
+    for array in arrays:
+        array.flags.writeable = False
+    return Instance(base, graph, gd, *arrays)
 
 
 def prepare(base: GameGraph) -> Instance:
@@ -496,10 +496,9 @@ def generation_step(
     Draws each player's choice where it moves, the winners' entries the
     stop check reads (none under the cap-only rule) and the witness's rest.
     An edge counts the drawn winner entries on it plus its share of one
-    multinomial fill of the undrawn ones, over the interior vertices in
-    ``instance.fill_order``; one :func:`restrict` call then clamps the whole
-    edge vector, row by row in edge order. Returns the next edge vector and
-    the winners.
+    multinomial fill of the undrawn ones, over the vertices in id order; one
+    :func:`restrict` call then clamps the whole edge vector, row by row in
+    edge order. Returns the next edge vector and the winners.
     """
     g, mu = instance.graph, cfg.mu
     table = _threshold_table(g, p)

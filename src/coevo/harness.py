@@ -14,6 +14,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -52,14 +53,16 @@ class ExperimentConfig:
     stop_rule: str = "exact_optimal"
 
     def __post_init__(self):
-        if self.replicates < 1:
-            raise ValueError("replicates must be at least 1")
+        for name, low in (("replicates", 1), ("base_seed", 0), ("max_generations", 1)):
+            eda._require_int(name, getattr(self, name), low)
+        for mu in self.mu_grid:
+            eda._require_int("mu_grid entries", mu, 1)
         if not self.mu_grid or list(self.mu_grid) != sorted(self.mu_grid):
             raise ValueError("mu_grid must be non-empty and ascending")
-        if self.mu_grid[0] < 1:
-            raise ValueError(f"mu_grid entries must be at least 1, got {self.mu_grid[0]}")
-        if self.max_generations < 1:
-            raise ValueError(f"max_generations must be at least 1, got {self.max_generations}")
+        if not (self.gamma_rule == "theorem" or eda._is_finite_number(self.gamma_rule) and self.gamma_rule >= 0):
+            raise ValueError(f"gamma_rule must be 'theorem' or a finite number >= 0, got {self.gamma_rule!r}")
+        if self.stop_rule not in eda.STOP_RULES.values():
+            raise ValueError(f"stop_rule must be one of {sorted(eda.STOP_RULES.values())}, got {self.stop_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -178,8 +181,6 @@ def sweep_scaling(games: Sequence[GameSpec], cfg_template: ExperimentConfig) -> 
 
 
 def write_sweep(out_dir, summary: SweepSummary, include_timings: bool = False) -> tuple[str, str]:
-    from pathlib import Path
-
     out = Path(out_dir)
     csv_path = out / "records.csv"
     plot_path = out / "plot.json"

@@ -143,11 +143,10 @@ def step(model: ProbModel, cfg, rng: np.random.Generator, instance: Instance | N
 
 def update_per_vertex(g: GameGraph, p, counts, rest, mu: int, gamma, rng) -> np.ndarray:
     """Reference for :func:`coevo.eda._update`: one multinomial fill and one
-    1-D :func:`restrict` call per interior vertex, by degree and then by id.
-    ``counts`` (by edge) gains the fill; returns the next edge vector."""
+    1-D :func:`restrict` call per interior vertex, in id order. ``counts``
+    (by edge) gains the fill; returns the next edge vector."""
     p = p.copy()
-    degree = np.diff(g.offsets)
-    for v in sorted(g.interior, key=lambda v: degree[v]):  # a stable sort keeps ties by id
+    for v in g.interior:
         lo, hi = g.offsets[v], g.offsets[v + 1]
         counts[lo:hi] += rng.multinomial(rest[v], p[lo:hi])
         p[lo:hi] = restrict(counts[lo:hi] / mu, gamma)

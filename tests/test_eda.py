@@ -345,6 +345,17 @@ def test_config_rejects_bad_max_generations(max_generations):
         UmdaConfig(mu=4, gamma=0.01, max_generations=max_generations, seed=0)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("mu", 0), ("mu", True), ("mu", 4.0), ("seed", -1), ("seed", True), ("seed", "3")]
+)
+def test_config_rejects_bad_mu_and_seed(field, value):
+    # Both used to reach numpy unchecked, where a negative seed or mu=True
+    # failed with a message that names no field.
+    with pytest.raises(ValueError, match=field):
+        UmdaConfig(**{"mu": 4, "gamma": 0.01, "max_generations": 1, "seed": 0, field: value})
+    assert UmdaConfig(mu=np.int64(4), gamma=0.01, max_generations=1, seed=np.uint64(2**63)).seed == 2**63
+
+
 def test_model_snapshot_round_trip():
     g = ensure_first_player_win(subtraction_nim(10, 2))
     cfg = UmdaConfig(
@@ -602,11 +613,53 @@ def test_drawn_plus_filled_is_mu(stop_rule):
         assert len(population) == mu
         choices = population.choices
         drawn = (choices != np.iinfo(choices.dtype).max).sum(axis=1)
-        filled = np.zeros(g.n, dtype=np.int64)
-        (filled[instance.fill_order],) = rng.fills  # one fill a generation
+        (filled,) = rng.fills  # one fill a generation, a row per vertex
         choosing = degrees > 1
         assert (drawn[choosing] + filled[choosing] == mu).all()
         assert (drawn[choosing] > 0).any() and (filled[choosing] > 0).any()
+
+
+class _FillStateRng(_CountingRng):
+    """A counting generator that keeps a copy of its state from just before each fill."""
+
+    def multinomial(self, n, pvals):
+        self.before_fill = copy.deepcopy(self.inner)
+        return super().multinomial(n, pvals)
+
+
+@pytest.mark.parametrize("stop_rule", ["exact_optimal", "sufficient_optimal", "generation_cap_only"])
+def test_generation_step_update_equals_the_per_vertex_reference(monkeypatch, stop_rule):
+    # A whole generation's next edge vector is the per-vertex reference's,
+    # in vertex order, from the counts its slot store holds: the same
+    # frequencies restricted, the same bytes, the same random stream.
+    calls = []
+
+    def spy(p, floor, degrees):
+        calls.append(p.copy())
+        return restrict(p, floor, degrees)
+
+    monkeypatch.setattr(eda, "restrict", spy)
+    rng = np.random.default_rng(113)
+    bases = [random_game(rng, n_min=8) for _ in range(6)] + [chomp(4), silver_dollar(7, 3)]
+    for seed, base in enumerate(bases):
+        instance = prepare(base)
+        g, mu = instance.graph, 97
+        cfg = UmdaConfig(mu=mu, gamma=float(theorem_border(base)), max_generations=1, seed=0, stop_rule=stop_rule)
+        p = edge_vector(_random_float_model(g, rng))
+        calls.clear()
+        step_rng = _FillStateRng(seed)
+        got, population = generation_step(instance, p, cfg, step_rng)
+        choices = population.choices
+        drawn = (choices != np.iinfo(choices.dtype).max) & (np.diff(g.offsets) > 1)[:, None]
+        v, j = np.nonzero(drawn)
+        counts = np.bincount(g.offsets[v] + choices[v, j], minlength=g.edge_count)
+        rest = mu - drawn.sum(axis=1)
+        ref_rng = step_rng.before_fill
+        want = update_per_vertex(g, p, counts, rest, mu, cfg.gamma, ref_rng)
+        (freqs,) = calls
+        assert freqs.tobytes() == (counts / mu).tobytes()
+        assert got.tobytes() == want.tobytes()
+        assert step_rng.inner.bit_generator.state == ref_rng.bit_generator.state
 
 
 # --- tournaments and generations --------------------------------------------
@@ -811,12 +864,19 @@ def test_prepare_describes_the_run_graph_from_one_pass(monkeypatch, n):
             other = getattr(fresh, name)
             assert value.dtype == other.dtype and np.array_equal(value, other), name
     degree, width = np.diff(g.offsets), g.max_degree
-    order = sorted(g.interior, key=lambda v: (degree[v], v))  # the fill's draw order
-    assert instance.fill_order.tolist() == order
     assert instance.degrees.tolist() == degree[list(g.interior)].tolist()
-    row = {v: r * width for r, v in enumerate(order)}  # a vertex's first cell; its last move in its last
-    cells = [row[v] + (i if i < degree[v] - 1 else width - 1) for v in g.interior for i in range(degree[v])]
+    # Vertex v's row of the fill table starts at cell v * width; its last move sits in the row's last cell.
+    cells = [v * width + (i if i < degree[v] - 1 else width - 1) for v in g.interior for i in range(degree[v])]
     assert instance.fill_cells.tolist() == cells
+
+
+def test_instance_arrays_are_read_only():
+    # Every run of an experiment or a sweep shares one instance.
+    instance = prepare(chomp(3))
+    for name, value in vars(instance).items():
+        if isinstance(value, np.ndarray):
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = value[0]
 
 
 def test_run_requires_the_instance_of_its_graph():
@@ -1047,7 +1107,7 @@ def test_optimal_mask_equals_reference_up_to_the_first_hit(monkeypatch, base, mu
 
 @pytest.mark.parametrize("stop_rule", ["exact_optimal", "sufficient_optimal"])
 @pytest.mark.parametrize("columns", [1, 3])
-@pytest.mark.parametrize("seed", [2, 3])  # first hits in columns 3 to 65, each past the third block
+@pytest.mark.parametrize("seed", [2, 6])  # first hits in columns 12 to 64, each past the third block
 def test_witness_is_the_first_hit_across_blocks(monkeypatch, stop_rule, columns, seed):
     base = silver_dollar(7, 2)
     g = ensure_first_player_win(base)

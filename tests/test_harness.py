@@ -191,6 +191,21 @@ def test_config_validation():
     for max_generations in [0, -3]:
         with pytest.raises(ValueError, match="max_generations"):
             _chain_config(max_generations=max_generations)
+    # Refused at construction, each naming its field, before any instance is
+    # built: "Theorem" used to fail only at the first run.
+    bad = {
+        "gamma_rule": ["Theorem", "0.1", -0.1, float("nan"), float("inf"), True, None],
+        "stop_rule": ["exact", "Exact_optimal", None],
+        "base_seed": [-1, True, 1.5, "5"],
+        "mu_grid": [(True,), (2.0,)],
+    }
+    for field, values in bad.items():
+        for value in values:
+            with pytest.raises(ValueError, match=field):
+                _chain_config(**{field: value})
+    for gamma_rule in ["theorem", 0, 0.0, 0.25]:
+        assert _chain_config(gamma_rule=gamma_rule).gamma_rule == gamma_rule
+    assert _chain_config(base_seed=0, stop_rule="sufficient_optimal").base_seed == 0
 
 
 def test_sweep_scaling_nim(tmp_path):
