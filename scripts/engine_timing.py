@@ -4,8 +4,8 @@
 For each game, prints the minimum over ``--repeat`` runs, in ms, of
 ``eda.prepare`` on the built game, ``eda.uniform_vector`` on its run graph
 and one ``eda.generation_step`` from that uniform edge vector (a fresh
-seeded generator each run, so every run does the same work). The border is the
-theorem border of the game as built, as in ``harness.run_experiment``.
+seeded generator each run, so every run does the same work). The border is
+the theorem border of the game as built, as in ``harness.run_experiment``.
 ``peak_mb`` is the traced peak (``tracemalloc``, in 10^6 bytes) of one more
 generation, untimed, after the timed ones.
 

@@ -241,8 +241,8 @@ def model_from_snapshot(g: GameGraph, data: Mapping) -> ProbModel:
 
 
 def _is_finite_number(value) -> bool:
-    """A JSON number, not a bool, that a float holds finite (no NaN, no huge int)."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    """An int or a float, not a bool, that a float holds finite (no NaN, no huge int)."""
+    return isinstance(value, (int, float)) and type(value) is not bool and abs(value) <= sys.float_info.max
 
 
 def uniform_vector(g: GameGraph, gamma: float) -> np.ndarray:
@@ -457,12 +457,11 @@ class Instance:
 
 
 def _instance(base: GameGraph, graph: GameGraph, gd: GrundyData) -> Instance:
-    critical = np.array(sorted(gd.critical), dtype=np.int64)
     degree, width = np.diff(graph.offsets), graph.max_degree
     degrees = degree[degree > 0]
     cells = np.arange(graph.edge_count) + np.repeat(np.arange(graph.n) * width - graph.offsets[:-1], degree)
     cells[np.cumsum(degrees) - 1] += width - degrees  # a last move goes to its row's last cell
-    arrays = (np.array(gd.values) == 0, critical, cells, degrees)
+    arrays = (np.array(gd.values) == 0, np.array(sorted(gd.critical), dtype=np.int64), cells, degrees)
     for array in arrays:
         array.flags.writeable = False
     return Instance(base, graph, gd, *arrays)

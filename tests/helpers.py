@@ -14,7 +14,6 @@ import numpy as np
 
 from coevo.eda import (
     Instance,
-    Population,
     ProbModel,
     RunResult,
     _instance,

@@ -203,7 +203,7 @@ def test_config_validation():
         for value in values:
             with pytest.raises(ValueError, match=field):
                 _chain_config(**{field: value})
-    for gamma_rule in ["theorem", 0, 0.0, 0.25]:
+    for gamma_rule in ["theorem", 0, 0.0, 0.25, np.float64(0.25)]:
         assert _chain_config(gamma_rule=gamma_rule).gamma_rule == gamma_rule
     assert _chain_config(base_seed=0, stop_rule="sufficient_optimal").base_seed == 0
 
