@@ -16,7 +16,8 @@ alone. The multinomial fill draws the vertices in id order. It drew them by
 degree and then by id until the digests of chomp m=4, chomp m=5 mu=3000 and
 silver dollar m=7 k=3 were recorded again for the id order; on the nim cases
 the two orders agree, and the experiment CSV and the ``run`` JSON, both on
-nim, kept their digests.
+nim, kept their digests. The three ``converge`` rungs of the benchmark run
+on the lazy engine only; the eager reference would take seconds each.
 """
 
 import hashlib
@@ -74,6 +75,17 @@ CASES = {
         subtraction_nim(300, 270), 40, _theorem_gamma(subtraction_nim(300, 270)), 4, 2,
         "generation_cap_only", 2,
     ),
+    # The benchmark's `converge` rungs: long game paths at a large mu, run
+    # to a verified optimum, so every move of the playout and every level of
+    # the exact stop check is pinned where they cost the most.
+    **{
+        name: (base, 1024, _theorem_gamma(base), 2000, 0, "exact_optimal", 0)
+        for name, base in (
+            ("nim n=64 k=2", subtraction_nim(64, 2)),
+            ("nim n=48 k=3", subtraction_nim(48, 3)),
+            ("silver dollar m=8 k=3", silver_dollar(8, 3)),
+        )
+    },
 }
 EAGER_RUNS = {
     "nim n=10 k=2": "3390e596934532a051a4bed98dac3044a4a961bb2e574a0bd145ec47b26a37a2",
@@ -88,6 +100,9 @@ GOLDEN_RUNS = {
     "silver dollar m=7 k=3": "3f2a035d770e24f0e10a4ed1c4d4f00588b6361149dd8942a26f53816fb61472",
     "chomp m=5 mu=3000": "f5e7a0f19a3c25a6757c854d78a71c387d81cf21f98abc5870ff834f948acdd3",
     "nim n=300 k=270": "756d00c7e8e5ca04534f7fa84514b7641c3d45784e41fff08d7f2eb63bd14e06",
+    "nim n=64 k=2": "0010490050a7632dfcbd6a01fc43352721285c195799990db1e20ff7ff3021ef",
+    "nim n=48 k=3": "584ec57062174809102350d2102d3a4aa23f6f05c803901cef9a4b32f1e4ee0c",
+    "silver dollar m=8 k=3": "f9552752a8b646e86437a7e807f9ad205688d4b9677f278b61a57b8ef0a2bc4b",
 }
 
 
