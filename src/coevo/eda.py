@@ -300,15 +300,18 @@ def _sample_choice_matrix(table: np.ndarray, rng, rows: np.ndarray) -> np.ndarra
     """Draw a slot at each vertex of ``rows``, one uniform ``u`` each, in order.
 
     The slot counts the row's thresholds at most ``u`` (``u == cum[i]``
-    picks slot i + 1). Its dtype keeps the largest value free. Int32
-    ``rows`` keep the binary search's index arrays at 4 bytes.
+    picks slot i + 1). Its dtype keeps the largest value free. ``rows`` may
+    be int32 (the stop check's, which keep the binary search's index arrays
+    at 4 bytes) or intp (the playout's); the slots are the same.
     """
     u = rng.random(len(rows))
     width = table.shape[1]
     dtype = np.min_scalar_type(width + 1)
     if width < 10:  # one pass per threshold column beats the search below 10 (timed at 1-20)
-        slots = np.zeros(len(rows), dtype)
-        for i in range(width):
+        if width == 0:
+            return np.zeros(len(rows), dtype)
+        slots = (table[:, 0][rows] <= u).view(dtype)  # the first column's count: bools as 0/1
+        for i in range(1, width):
             slots += table[:, i][rows] <= u
         return slots
     # With 2^k <= width < 2^(k+1): do the last 2^k thresholds start at or
@@ -327,28 +330,30 @@ def _playout(g: GameGraph, draw, count: int) -> np.ndarray:
 
     Move by move, ``draw(side, at, columns)`` returns the slots x (side 0)
     or y (side 1) picks at positions ``at`` of the live games ``columns``,
-    where the position has more than one move."""
+    where the position has more than one move. Positions and columns are
+    intp, the type numpy indexes with, so no gather casts them."""
     offsets, targets = g.offsets, g.targets
     degrees = offsets[1:] - offsets[:-1]
     free, sink = degrees > 1, degrees == 0
     result = np.full(count, -1, dtype=np.int8)  # x loses at a sink root
-    cols = np.arange(0 if sink[g.root] else count, dtype=np.int32)
-    at = np.full(len(cols), g.root)
+    cols = np.arange(0 if sink[g.root] else count, dtype=np.intp)
+    at = np.full(len(cols), g.root, dtype=np.intp)
     moves = 0
     while len(cols):
-        chosen = np.flatnonzero(free[at])
-        if len(chosen) == len(cols):
+        chosen = free[at]
+        if np.count_nonzero(chosen) == len(cols):
             slots = draw(moves % 2, at, cols)
-        else:
-            slots = np.zeros(len(cols), dtype=np.int64)
+        else:  # some game sits on a one-move position
+            slots = np.zeros(len(cols), dtype=np.intp)
+            chosen = np.flatnonzero(chosen)
             slots[chosen] = draw(moves % 2, at[chosen], cols[chosen])
         at = targets[offsets[at] + slots]
         moves += 1
         over = sink[at]
-        if over.any():
+        if np.count_nonzero(over):
             # After `moves` moves the player now to act is x iff moves is even.
             result[cols[over]] = -1 if moves % 2 == 0 else 1
-            live = np.flatnonzero(~over)
+            live = ~over
             cols, at = cols[live], at[live]
     return result
 
@@ -366,16 +371,19 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[first]
 
 
-def _read_slots(slots: np.ndarray, at: np.ndarray, n: int, draw) -> np.ndarray:
+def _read_slots(slots: np.ndarray, at: np.ndarray, n: int, draw, undrawn: int) -> np.ndarray:
     """``slots[at]`` of a flat column-major store of n rows; with ``draw``,
-    each distinct undrawn entry among them is drawn first and written back."""
+    each distinct entry among them that holds ``undrawn`` is drawn first and
+    written back."""
     read = slots[at]
-    key = at[read == np.iinfo(slots.dtype).max] if draw is not None else []
-    if len(key):
-        key = _distinct(key)
-        slots[key] = draw((key % n).astype(np.int32))
-        read = slots[at]
-    return read
+    if draw is None:
+        return read
+    missing = read == undrawn
+    if not np.count_nonzero(missing):
+        return read
+    key = _distinct(at[missing])
+    slots[key] = draw((key % n).astype(np.int32))
+    return slots[at]
 
 
 def _replies(g: GameGraph, col: np.ndarray, at: np.ndarray, seen: np.ndarray):
@@ -385,12 +393,13 @@ def _replies(g: GameGraph, col: np.ndarray, at: np.ndarray, seen: np.ndarray):
     key = at * count + col
     key = _distinct(key[~seen[key]])
     seen[key] = True
-    moved = key // count
+    moved, col = np.divmod(key, count)
     starts = g.offsets[moved]
     degrees = g.offsets[moved + 1] - starts
-    first = np.cumsum(degrees) - degrees
-    pos = g.targets[np.arange(int(degrees.sum())) + np.repeat(starts - first, degrees)]
-    return np.repeat(key - moved * count, degrees), pos
+    ends = np.cumsum(degrees)
+    total = int(ends[-1]) if len(ends) else 0
+    pos = g.targets[np.arange(total) + np.repeat(starts - ends + degrees, degrees)]
+    return np.repeat(col, degrees), pos
 
 
 def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray, draw=None):
@@ -410,16 +419,19 @@ def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray,
     if draw is not None and not choices.flags.f_contiguous:
         raise ValueError("drawing into a choice matrix needs it column-major")
     slots = choices.ravel(order="F")  # slot of (v, j) at j * n + v
+    undrawn = np.iinfo(slots.dtype).max
     ok = np.full(count, offsets[g.root + 1] > offsets[g.root])  # a sink root loses
     seen = np.zeros(n * count, dtype=bool)  # (Grundy-0 vertex w, column j) at w * count + j
     col = np.flatnonzero(ok)
     pos = np.full(len(col), g.root)
     while len(col):
-        read = _read_slots(slots, col * n + pos, n, draw)
+        read = _read_slots(slots, col * n + pos, n, draw, undrawn)
         pos = targets[offsets[pos] + read]  # where each column moves
-        ok[col[~zero[pos]]] = False
-        live = ok[col]
-        col, pos = col[live], pos[live]  # dropped before the expansion, which lowers its peak
+        to_zero = zero[pos]
+        if np.count_nonzero(to_zero) < len(pos):  # some column drops out
+            ok[col[~to_zero]] = False
+            live = ok[col]
+            col, pos = col[live], pos[live]  # dropped before the expansion, which lowers its peak
         col, pos = _replies(g, col, pos, seen)
     return ok
 
@@ -494,6 +506,8 @@ def generation_step(
 
     Draws each player's choice where it moves, the winners' entries the
     stop check reads (none under the cap-only rule) and the witness's rest.
+    The games' draws are recorded as the playout's own intp position and
+    column arrays, one per move, joined once the games end and then freed.
     An edge counts the drawn winner entries on it plus its share of one
     multinomial fill of the undrawn ones, over the vertices in id order; one
     :func:`restrict` call then clamps the whole edge vector, row by row in
@@ -502,20 +516,23 @@ def generation_step(
     g, mu = instance.graph, cfg.mu
     table = _threshold_table(g, p)
     dtype = np.min_scalar_type(g.max_degree)
-    none = np.zeros(0, dtype=np.int32)
+    none = np.zeros(0, dtype=np.intp)
     steps, wins = [(none, none, none.astype(dtype))], [1]  # (positions, games, slots) per move
 
     def move(side, at, cols):
         slots = _sample_choice_matrix(table, rng, at)
-        steps.append((at.astype(np.int32), cols, slots))  # int32 halves the record
+        steps.append((at, cols, slots))  # the playout's own intp arrays, not copied
         wins.append(1 - 2 * side)  # the outcome that makes this mover the winner
         return slots
 
     outcome = _playout(g, move, mu)
     at, cols, slots = (np.concatenate(part) for part in zip(*steps))
     wins = np.repeat(np.int8(wins), [len(step[0]) for step in steps])
+    del steps[:]  # free the per-move arrays before the record is filtered
     won = np.flatnonzero(outcome[cols] == wins)
-    at, cols, slots = at[won], cols[won], slots[won]
+    at = at[won]  # one array at a time, each freed before the next is gathered
+    cols = cols[won]
+    slots = slots[won]
     drawn = [(at, slots)]  # every winner entry drawn, each once
 
     def draw(rows):
@@ -525,7 +542,7 @@ def generation_step(
     undrawn = np.iinfo(dtype).max
     store = np.full((g.n, mu), undrawn, dtype=dtype, order="F")
     store[g.offsets[1:] - g.offsets[:-1] < 2] = 0  # no choice to draw
-    store.ravel(order="F")[cols * np.int64(g.n) + at] = slots
+    store.ravel(order="F")[cols * g.n + at] = slots
     witness = None
     if cfg.stop_rule != "generation_cap_only":
         block = _stop_block(instance, cfg.stop_rule)

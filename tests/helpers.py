@@ -176,6 +176,36 @@ def playout_eager(g: GameGraph, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     return result
 
 
+def playout_reference(g: GameGraph, draw, count: int) -> np.ndarray:
+    """Reference for :func:`coevo.eda._playout`: the playout as it stood
+    before its positions and game columns became intp, verbatim. It finds the
+    games at a free position with one ``flatnonzero`` a move, hands ``draw``
+    int64 positions and int32 columns, and compacts by index."""
+    offsets, targets = g.offsets, g.targets
+    degrees = offsets[1:] - offsets[:-1]
+    free, sink = degrees > 1, degrees == 0
+    result = np.full(count, -1, dtype=np.int8)  # x loses at a sink root
+    cols = np.arange(0 if sink[g.root] else count, dtype=np.int32)
+    at = np.full(len(cols), g.root)
+    moves = 0
+    while len(cols):
+        chosen = np.flatnonzero(free[at])
+        if len(chosen) == len(cols):
+            slots = draw(moves % 2, at, cols)
+        else:
+            slots = np.zeros(len(cols), dtype=np.int64)
+            slots[chosen] = draw(moves % 2, at[chosen], cols[chosen])
+        at = targets[offsets[at] + slots]
+        moves += 1
+        over = sink[at]
+        if over.any():
+            # After `moves` moves the player now to act is x iff moves is even.
+            result[cols[over]] = -1 if moves % 2 == 0 else 1
+            live = np.flatnonzero(~over)
+            cols, at = cols[live], at[live]
+    return result
+
+
 def run_umda_eager(g: GameGraph, cfg, trace_every: int = 0) -> RunResult:
     """Reference for :func:`coevo.eda.run_umda`: the eager engine.
 

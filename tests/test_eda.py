@@ -32,7 +32,7 @@ from coevo.eda import (
     theorem_parameters,
     uniform_model,
 )
-from coevo.games import chomp, fixture, silver_dollar, subtraction_nim, turning_turtles
+from coevo.games import FIXTURE_NAMES, chomp, fixture, silver_dollar, subtraction_nim, turning_turtles
 from coevo.graphs import build_graph
 from coevo.grundy import (
     PreconditionViolated,
@@ -48,6 +48,7 @@ from helpers import (
     edge_vector,
     instance_as_is,
     mann_whitney_p,
+    playout_reference,
     population_optimal_mask_dp,
     random_game,
     run_umda_eager,
@@ -493,8 +494,15 @@ def test_sampler_boundaries(sampler):
     assert stub.values == []
 
 
-@pytest.mark.parametrize("degree", [2, 3, 4, 5, 9, 10, 12, 16, 17, 300])
-def test_sampler_boundaries_at_every_width(degree):
+SAMPLER_WIDTHS = (2, 3, 4, 5, 9, 10, 12, 16, 17, 300)
+
+
+@pytest.mark.parametrize(
+    "degree, row_dtype",  # the playout's intp rows, then the stop check's int32 rows
+    [pytest.param(d, np.int64, id=str(d)) for d in SAMPLER_WIDTHS]
+    + [pytest.param(d, np.int32, id=f"{d}-int32") for d in SAMPLER_WIDTHS],
+)
+def test_sampler_boundaries_at_every_width(degree, row_dtype):
     # Both paths of the draw routine: a pass per threshold column below 10
     # thresholds a row, the binary search from 10 (powers of two and their
     # neighbours); dyadic entries make every running sum exact, so a
@@ -508,7 +516,7 @@ def test_sampler_boundaries_at_every_width(degree):
     uniforms = np.concatenate([[0.0], cum, np.nextafter(cum, 0), [0.999]])
     want = np.concatenate([[0], np.arange(1, degree), np.arange(degree - 1), [degree - 1]])
     table = _threshold_table(g, edge_vector(model))
-    got = _sample_choice_matrix(table, _StubRng(uniforms), np.zeros(len(uniforms), dtype=np.int64))
+    got = _sample_choice_matrix(table, _StubRng(uniforms), np.zeros(len(uniforms), dtype=row_dtype))
     assert got.tolist() == want.tolist()
     assert got.dtype == np.min_scalar_type(degree)
 
@@ -1217,6 +1225,42 @@ def test_generation_step_selects_winners_as_where(base):
     assert 0 < (outcome == 1).sum() < cfg.mu  # both players win some games
     assert population.choices.dtype == want.dtype
     assert np.array_equal(population.choices, want)
+
+
+# --- the playout -----------------------------------------------------------
+
+def _playout_games():
+    rng = np.random.default_rng(23)
+    games = {name: fixture(name) for name in FIXTURE_NAMES}
+    games.update({f"random game {i}": random_game(rng, n_min=6, n_max=14) for i in range(12)})
+    games["forced start"] = ensure_first_player_win(subtraction_nim(10, 2))  # the root has one move
+    games["sink root"] = build_graph({0: []}, root=0)
+    games["nim n=12 k=2"] = subtraction_nim(12, 2)  # position 1 has one move, to the sink 0
+    return games
+
+
+@pytest.mark.parametrize("count", [1, 40])
+def test_playout_draws_as_the_reference(count):
+    # A seeded spy draw, replayed: the playout asks for the same (side,
+    # positions, columns) as the reference, in order, hands draw intp arrays
+    # and returns the same outcomes.
+    for name, g in _playout_games().items():
+        degree = np.diff(g.offsets)
+        dtype = np.min_scalar_type(g.max_degree)
+        runs = []
+        for playout in (_playout, playout_reference):
+            rng, calls = np.random.default_rng(29), []
+
+            def draw(side, at, cols):
+                calls.append((side, at.tolist(), cols.tolist(), at.dtype, cols.dtype))
+                assert (degree[at] > 1).all()
+                return (rng.random(len(at)) * degree[at]).astype(dtype)
+
+            runs.append((playout(g, draw, count).tolist(), calls))
+        (outcome, calls), (want_outcome, want_calls) = runs
+        assert outcome == want_outcome, name
+        assert [call[:3] for call in calls] == [call[:3] for call in want_calls], name
+        assert all(call[3] == call[4] == np.intp for call in calls), name
 
 
 # --- theorem parameters -------------------------------------------------------
