@@ -306,11 +306,10 @@ def _sample_choice_matrix(table: np.ndarray, rng, rows: np.ndarray) -> np.ndarra
     """
     u = rng.random(len(rows))
     width = table.shape[1]
-    dtype = np.min_scalar_type(width + 1)
-    if width < 10:  # one pass per threshold column beats the search below 10 (timed at 1-20)
+    if width < 10:  # one pass per threshold column beats the search below 10 (timed at 1-20); slots fit uint8
         if width == 0:
-            return np.zeros(len(rows), dtype)
-        slots = (table[:, 0][rows] <= u).view(dtype)  # the first column's count: bools as 0/1
+            return np.zeros(len(rows), np.uint8)
+        slots = (table[:, 0][rows] <= u).view(np.uint8)  # the first column's count: bools as 0/1
         for i in range(1, width):
             slots += table[:, i][rows] <= u
         return slots
@@ -322,7 +321,7 @@ def _sample_choice_matrix(table: np.ndarray, rng, rows: np.ndarray) -> np.ndarra
     while half > 1:
         half >>= 1
         np.copyto(count, count + half, where=flat[base + count + half] <= u)
-    return count.astype(dtype)
+    return count.astype(np.min_scalar_type(width + 1))
 
 
 def _playout(g: GameGraph, draw, count: int) -> np.ndarray:
@@ -345,7 +344,6 @@ def _playout(g: GameGraph, draw, count: int) -> np.ndarray:
             slots = draw(moves % 2, at, cols)
         else:  # some game sits on a one-move position
             slots = np.zeros(len(cols), dtype=np.intp)
-            chosen = np.flatnonzero(chosen)
             slots[chosen] = draw(moves % 2, at[chosen], cols[chosen])
         at = targets[offsets[at] + slots]
         moves += 1
