@@ -384,16 +384,16 @@ def _read_slots(slots: np.ndarray, at: np.ndarray, n: int, draw, undrawn: int) -
     return slots[at]
 
 
-def _replies(g: GameGraph, col: np.ndarray, at: np.ndarray, seen: np.ndarray):
+def _replies(g: GameGraph, col: np.ndarray, at: np.ndarray, seen: np.ndarray, degree: np.ndarray):
     """The (column, position) pairs faced next: a column j that moved to Grundy-0
-    vertex w faces every reply from w, once (``seen`` flags w * count + j)."""
+    vertex w faces every reply from w, once (``seen`` flags w * count + j).
+    ``degree`` holds every vertex's out-degree."""
     count = len(seen) // g.n
     key = at * count + col
     key = _distinct(key[~seen[key]])
     seen[key] = True
     moved, col = np.divmod(key, count)
-    starts = g.offsets[moved]
-    degrees = g.offsets[moved + 1] - starts
+    starts, degrees = g.offsets[moved], degree[moved]
     ends = np.cumsum(degrees)
     total = int(ends[-1]) if len(ends) else 0
     pos = g.targets[np.arange(total) + np.repeat(starts - ends + degrees, degrees)]
@@ -417,7 +417,7 @@ def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray,
     if draw is not None and not choices.flags.f_contiguous:
         raise ValueError("drawing into a choice matrix needs it column-major")
     slots = choices.ravel(order="F")  # slot of (v, j) at j * n + v
-    undrawn = np.iinfo(slots.dtype).max
+    undrawn, degree = np.iinfo(slots.dtype).max, offsets[1:] - offsets[:-1]
     ok = np.full(count, offsets[g.root + 1] > offsets[g.root])  # a sink root loses
     seen = np.zeros(n * count, dtype=bool)  # (Grundy-0 vertex w, column j) at w * count + j
     col = np.flatnonzero(ok)
@@ -430,7 +430,7 @@ def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray,
             ok[col[~to_zero]] = False
             live = ok[col]
             col, pos = col[live], pos[live]  # dropped before the expansion, which lowers its peak
-        col, pos = _replies(g, col, pos, seen)
+        col, pos = _replies(g, col, pos, seen, degree)
     return ok
 
 
@@ -560,7 +560,8 @@ def generation_step(
     del table  # every draw is made; free it before the update, where memory peaks
     at, slots = (np.concatenate(part) for part in zip(*drawn))
     counts = np.bincount(g.offsets[at] + slots, minlength=g.edge_count)
-    rest = mu - np.bincount(at, minlength=g.n)  # the winners' undrawn entries per vertex
+    through = np.concatenate(([0], np.cumsum(counts)))  # drawn entries on the edges before each
+    rest = mu - (through[g.offsets[1:]] - through[g.offsets[:-1]])  # the winners' undrawn entries per vertex
     return _update(instance, p, counts, rest, mu, cfg.gamma, rng), Population(g, store, witness)
 
 
