@@ -560,8 +560,7 @@ def generation_step(
     del table  # every draw is made; free it before the update, where memory peaks
     at, slots = (np.concatenate(part) for part in zip(*drawn))
     counts = np.bincount(g.offsets[at] + slots, minlength=g.edge_count)
-    # The winners' undrawn entries per vertex: mu less the drawn entries on its edges.
-    rest = mu - np.diff(np.concatenate(([0], np.cumsum(counts)))[g.offsets])
+    rest = mu - np.bincount(at, minlength=g.n)  # the winners' undrawn entries per vertex
     return _update(instance, p, counts, rest, mu, cfg.gamma, rng), Population(g, store, witness)
 
 
