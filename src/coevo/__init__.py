@@ -19,15 +19,12 @@ from .grundy import (
     grundy_values,
     is_optimal_exact,
     is_optimal_sufficient,
-    mex,
 )
 from .switchability import (
     SwitchabilityReport,
     depth,
-    exact_switchability,
     is_switcher,
     switchability_profile,
-    upper_bound_switchability,
 )
 
 __version__ = "0.1.0"
@@ -49,13 +46,11 @@ __all__ = [
     "csr_graph",
     "depth",
     "ensure_first_player_win",
-    "exact_switchability",
     "fixture",
     "grundy_values",
     "is_optimal_exact",
     "is_optimal_sufficient",
     "is_switcher",
-    "mex",
     "play",
     "restrict",
     "run_umda",
@@ -64,5 +59,4 @@ __all__ = [
     "switchability_profile",
     "turning_turtles",
     "uniform_model",
-    "upper_bound_switchability",
 ]

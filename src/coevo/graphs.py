@@ -59,7 +59,6 @@ class GameGraph:
     reverse_topo: tuple[int, ...]
     max_degree: int
     interior: tuple[int, ...]
-    sinks: tuple[int, ...]
     edge_count: int
     offsets: np.ndarray = field(repr=False)
     targets: np.ndarray = field(repr=False)
@@ -85,9 +84,6 @@ class GameGraph:
     @property
     def n(self) -> int:
         return len(self.offsets) - 1
-
-    def is_sink(self, v: int) -> bool:
-        return bool(self.offsets[v] == self.offsets[v + 1])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         sources = np.repeat(np.arange(self.n), np.diff(self.offsets))
@@ -174,7 +170,6 @@ def _assemble(offsets, targets, root, labels, shown=None) -> GameGraph:
         reverse_topo=reverse_topo,
         max_degree=int(degree.max(initial=0)),
         interior=tuple(np.flatnonzero(degree).tolist()),
-        sinks=tuple(np.flatnonzero(degree == 0).tolist()),
         edge_count=len(targets),
         offsets=offsets,
         targets=targets,
@@ -247,9 +242,6 @@ class Strategy:
     """Total choice of one successor per interior vertex."""
 
     choice: dict[int, int]
-
-    def __getitem__(self, v: int) -> int:
-        return self.choice[v]
 
     def validate(self, g: GameGraph) -> "Strategy":
         if set(self.choice) != set(g.interior):

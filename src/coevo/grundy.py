@@ -10,8 +10,6 @@ inspects critical positions, and an exact best-response test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
 from .graphs import GameGraph, Strategy, csr_graph
@@ -34,15 +32,6 @@ class GrundyData:
     values: tuple[int, ...]
     zero_set: frozenset[int]
     critical: frozenset[int]
-
-
-def mex(values: Iterable[int]) -> int:
-    """Smallest non-negative integer absent from ``values``."""
-    seen = set(values)
-    m = 0
-    while m in seen:
-        m += 1
-    return m
 
 
 def grundy_values(g: GameGraph) -> GrundyData:

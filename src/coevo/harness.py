@@ -151,13 +151,13 @@ def sweep_scaling(games: Sequence[GameSpec], cfg_template: ExperimentConfig) -> 
     """Run one experiment per instance and summarise scaling against n.
 
     Instance ``i`` runs ``cfg_template`` on ``games[i]`` with a base seed
-    derived from the template's and ``i``. The plot description carries
-    one series of median evaluations per population size (failed
-    replicates count at their capped cost) plus the theorem-shaped
-    evaluation budget curve, on log-log axes, with one point per instance
-    from that instance's own records. Every instance is built and prepared
-    once (:func:`eda.prepare`) before the first run, so a bad one fails
-    before any work is spent, and its experiment runs on that record.
+    derived from the template's and ``i``. The plot description carries one
+    series of median evaluations per population size (failed replicates
+    count at their capped cost) plus the theorem-shaped evaluation budget
+    curve, null where a budget overflows a float, on log-log axes, with one
+    point per instance from its own records. Every instance is built and
+    prepared once (:func:`eda.prepare`) before the first run, so a bad one
+    fails before any work is spent, and its experiment runs on that record.
     """
     instances = [eda.prepare(spec.build()) for spec in games]
     runs = []
@@ -170,7 +170,7 @@ def sweep_scaling(games: Sequence[GameSpec], cfg_template: ExperimentConfig) -> 
         ys = [float(np.median([r.evaluations for r in records if r.mu == mu])) for records in runs]
         series.append({"name": f"median-evaluations-mu{mu}", "x": xs, "y": ys})
     budgets = [records[0].theorem_eval_budget for records in runs]
-    series.append({"name": "theorem-budget", "x": xs, "y": budgets})
+    series.append({"name": "theorem-budget", "x": xs, "y": [b if np.isfinite(b) else None for b in budgets]})
     plot = {
         "series": series,
         "xlabel": "n",
@@ -186,7 +186,7 @@ def write_sweep(out_dir, summary: SweepSummary, include_timings: bool = False) -
     csv_path = out / "records.csv"
     plot_path = out / "plot.json"
     write_records(csv_path, summary.records, include_timings=include_timings)
-    atomic_write_text(plot_path, json.dumps(summary.plot, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(plot_path, json.dumps(summary.plot, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return str(csv_path), str(plot_path)
 
 

@@ -65,17 +65,22 @@ def win_probabilities(g: GameGraph, model) -> dict:
     return win
 
 
+def _at(g: GameGraph, model, u: int) -> tuple[list, list, object, dict]:
+    """The moves and distribution at ``u``, its reach, and every win probability."""
+    dists, moves = _dists(model), g.targets[g.offsets[u] : g.offsets[u + 1]].tolist()
+    if not moves:
+        raise ValueError(f"vertex {u} has no moves")
+    return moves, list(dists[u]), reach_probabilities(g, dists)[u], win_probabilities(g, dists)
+
+
 def selection_distribution(g: GameGraph, model, u: int) -> list:
     """Distribution of the tournament winner's choice at vertex ``u``.
 
     Closed form: the sampling probability of each move, rescaled by
     ``1 + reach(u) * (1 - win(move) - win(u))``. Sums to one identically.
     """
-    dists, moves = _dists(model), g.targets[g.offsets[u] : g.offsets[u + 1]].tolist()
-    if not moves:
-        raise ValueError(f"vertex {u} has no moves")
-    r, win = reach_probabilities(g, dists)[u], win_probabilities(g, dists)
-    return [p * (1 + r * (1 - win[w] - win[u])) for w, p in zip(moves, dists[u])]
+    moves, q, r, win = _at(g, model, u)
+    return [p * (1 + r * (1 - win[w] - win[u])) for w, p in zip(moves, q)]
 
 
 def replicator_form(g: GameGraph, model, u: int) -> tuple[list, list, list]:
@@ -86,11 +91,7 @@ def replicator_form(g: GameGraph, model, u: int) -> tuple[list, list, list]:
     fitness, and ``q_next[i] = q[i] * (1 + a[i] - sum_j q[j] a[j])``.
     Must agree with :func:`selection_distribution` entry by entry.
     """
-    dists, moves = _dists(model), g.targets[g.offsets[u] : g.offsets[u + 1]].tolist()
-    if not moves:
-        raise ValueError(f"vertex {u} has no moves")
-    r, win = reach_probabilities(g, dists)[u], win_probabilities(g, dists)
-    q = list(dists[u])
+    moves, q, r, win = _at(g, model, u)
     a = [r * (1 - win[w]) for w in moves]
     mean_fitness = sum(qj * aj for qj, aj in zip(q, a))
     q_next = [qi * (1 + ai - mean_fitness) for qi, ai in zip(q, a)]

@@ -122,30 +122,6 @@ def root_distances(g: GameGraph) -> list[int]:
     return dist
 
 
-def _check_vertices(g: GameGraph, vertices: Iterable[int]) -> list[int]:
-    vertices = list(vertices)
-    for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
-    return vertices
-
-
-def upper_bound_switchability(g: GameGraph, v: int) -> int:
-    """Shortest root-to-v path length; its edge set is always a v-switcher.
-
-    Raises ValueError for a vertex outside ``0..n-1``.
-    """
-    _check_vertices(g, [v])
-    return root_distances(g)[v]
-
-
-def path_bound_report(v: int, bound: int) -> SwitchabilityReport:
-    """Report carrying only the shortest-root-path bound ``bound`` of ``v``."""
-    return SwitchabilityReport(
-        vertex=v, exact=None, upper_bound=bound, witness=None, method="path_bound"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Exact search.
 #
@@ -196,30 +172,20 @@ def _candidates_by_depth(
 
 
 def _search(g: GameGraph, v: int, candidates, ub: int) -> SwitchabilityReport:
-    """Shallowest candidate that switches ``v``, scanned up to depth ``ub``."""
+    """Shallowest candidate that switches ``v``, whose path bound is ``ub``.
+
+    One always does: picking a shortest root path's edge at each branching
+    vertex on it forces every compatible path into ``v`` at depth <= ``ub``.
+    """
     branching, picks, depths = candidates
     off, targets = g.offsets.tolist(), g.targets.tolist()
-    for c in range(np.searchsorted(depths, ub, side="right")):
-        pairs = zip(branching, picks[:, c].tolist())
-        edges = frozenset((u, targets[off[u] + k - 1]) for u, k in pairs if k)
-        if _switches(g, off, targets, edges, v):  # candidates are edges of g by construction
-            return SwitchabilityReport(
-                vertex=v, exact=int(depths[c]), upper_bound=ub, witness=edges, method="exact_search"
-            )
-    return path_bound_report(v, ub)
-
-
-def exact_switchability(
-    g: GameGraph, v: int, edge_limit: int = 20
-) -> SwitchabilityReport:
-    """Smallest witness depth by iterative deepening over candidate sets.
-
-    Candidates are scanned in depth order (enumeration order breaks
-    ties, so the witness is deterministic). The shortest root path
-    guarantees a hit for every reachable vertex; the path-bound fallback
-    only covers defensive completeness.
-    """
-    return _search(g, v, _candidates_by_depth(g, edge_limit), upper_bound_switchability(g, v))
+    edge_sets = (
+        frozenset((u, targets[off[u] + k - 1]) for u, k in zip(branching, column.tolist()) if k)
+        for column in picks.T
+    )
+    # candidates are edges of g by construction
+    c, edges = next((c, e) for c, e in enumerate(edge_sets) if _switches(g, off, targets, e, v))
+    return SwitchabilityReport(v, int(depths[c]), ub, edges, "exact_search")
 
 
 def switchability_reports(
@@ -236,7 +202,10 @@ def switchability_reports(
     """
     if mode not in ("exact", "bound", "hybrid"):
         raise ValueError(f"unknown mode {mode!r}")
-    vertices = _check_vertices(g, vertices)
+    vertices = list(vertices)
+    for v in vertices:
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
     dist = root_distances(g)
     if mode != "bound":
         try:
@@ -246,7 +215,7 @@ def switchability_reports(
                 raise
         else:
             return {v: _search(g, v, candidates, dist[v]) for v in vertices}, "exact_search"
-    return {v: path_bound_report(v, dist[v]) for v in vertices}, "path_bound"
+    return {v: SwitchabilityReport(v, None, dist[v], None, "path_bound") for v in vertices}, "path_bound"
 
 
 def switchability_profile(

@@ -44,9 +44,9 @@ from coevo.oracles import (
 )
 from coevo.switchability import (
     depth,
-    exact_switchability,
     is_switcher,
     switchability_profile,
+    switchability_reports,
 )
 from helpers import (
     all_strategies,
@@ -203,12 +203,11 @@ def test_selection_distribution_law():
 # --- criterion 5: switchability fixtures ------------------------------------------
 
 def test_switchability_fixtures():
-    top = exact_switchability(fixture("fig3_top"), FIXTURE_MARKED["fig3_top"])
-    assert top.exact == 1
-    bottom = exact_switchability(
-        fixture("fig3_bottom"), FIXTURE_MARKED["fig3_bottom"], edge_limit=32
-    )
-    assert bottom.exact == 2
+    top_vertex, bottom_vertex = FIXTURE_MARKED["fig3_top"], FIXTURE_MARKED["fig3_bottom"]
+    top, _ = switchability_reports(fixture("fig3_top"), [top_vertex], "exact")
+    assert top[top_vertex].exact == 1
+    bottom, _ = switchability_reports(fixture("fig3_bottom"), [bottom_vertex], "exact", edge_limit=32)
+    assert bottom[bottom_vertex].exact == 2
 
     nim = subtraction_nim(12, 3)
     for v in range(12):

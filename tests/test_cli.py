@@ -454,3 +454,9 @@ def test_analyze_rejects_wrong_keys(capsys, tmp_path):
     code, _, err = _analyze_with(capsys, tmp_path, FIG1_OK | {"4": [1]})
     assert code == 2
     assert "vertex 4" in err
+    model_path = tmp_path / "model.json"
+    for snapshot in ({"gamma": 0}, {"dists": [0.5, 0.5]}):
+        model_path.write_text(json.dumps(snapshot))
+        code, _, err = run_cli(capsys, "analyze", "--fixture", "fig1", "--model", str(model_path))
+        assert code == 2
+        assert "dists" in err

@@ -42,6 +42,7 @@ from coevo.grundy import (
     is_optimal_sufficient,
 )
 from coevo.oracles import selection_distribution
+from coevo.switchability import root_distances
 from helpers import (
     all_strategies,
     choice_matrix,
@@ -355,6 +356,11 @@ def test_config_rejects_bad_mu_and_seed(field, value):
     with pytest.raises(ValueError, match=field):
         UmdaConfig(**{"mu": 4, "gamma": 0.01, "max_generations": 1, "seed": 0, field: value})
     assert UmdaConfig(mu=np.int64(4), gamma=0.01, max_generations=1, seed=np.uint64(2**63)).seed == 2**63
+
+
+def test_config_rejects_unknown_stop_rule():
+    with pytest.raises(ValueError, match="unknown stop rule 'bogus'"):
+        UmdaConfig(mu=4, gamma=0.01, max_generations=1, seed=0, stop_rule="bogus")
 
 
 def test_model_snapshot_round_trip():
@@ -1302,6 +1308,19 @@ def test_theorem_fig1_budget(fig1):
     # generation budget sums over the critical positions only
     assert budget.generation_budget_base == 300**0 + 300**1
     assert budget.eval_budget_base == 300 ** (2 + 3 * 2)
+
+
+def test_theorem_budget_past_a_float_is_inf():
+    # nim n=64 k=2: s_bar = 32, so the evaluation budget's base 2560**98
+    # overflows a float while the population bound still fits.
+    g = subtraction_nim(64, 2)
+    gd = grundy_values(g)
+    s_values = dict(enumerate(root_distances(g)))
+    budget = theorem_parameters(g, gd, s_values)
+    assert budget.s_bar == 32
+    assert budget.eval_budget == float("inf")
+    assert np.isfinite(budget.mu_min)
+    assert budget.eval_budget_base == 2560**98 and type(budget.eval_budget_base) is int
 
 
 def test_theorem_missing_switchability(fig1):

@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from coevo.cli import cli
-from coevo.eda import UmdaConfig, run_umda
+from coevo.eda import UmdaConfig, run_umda, theorem_border
 from coevo.games import GameSpec, chomp, nim_encode, silver_dollar, subtraction_nim
 from coevo.grundy import ensure_first_player_win
 from coevo.harness import ExperimentConfig, intransitivity_search, records_to_csv, run_experiment
@@ -36,10 +36,6 @@ from helpers import run_umda_eager
 
 def _digest(payload) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-def _theorem_gamma(g) -> float:
-    return 1 / (20 * g.max_degree * g.n)
 
 
 def _run_digest(base, mu, gamma, max_generations, seed, stop_rule, trace_every, run=run_umda):
@@ -64,22 +60,22 @@ def _run_digest(base, mu, gamma, max_generations, seed, stop_rule, trace_every, 
 CASES = {
     # name: (game, mu, gamma, max_generations, seed, stop_rule, trace_every)
     "nim n=10 k=2": (subtraction_nim(10, 2), 5, 1 / 400, 300, 0, "exact_optimal", 10),
-    "chomp m=4": (chomp(4), 200, _theorem_gamma(chomp(4)), 60, 1, "exact_optimal", 2),
+    "chomp m=4": (chomp(4), 200, float(theorem_border(chomp(4))), 60, 1, "exact_optimal", 2),
     "silver dollar m=7 k=3": (
-        silver_dollar(7, 3), 96, _theorem_gamma(silver_dollar(7, 3)), 40, 3, "sufficient_optimal", 4
+        silver_dollar(7, 3), 96, float(theorem_border(silver_dollar(7, 3))), 40, 3, "sufficient_optimal", 4
     ),
     # At mu=3000 one eager choice matrix spanned several of the eager
     # sampler's row blocks, and a degree of 270 makes the slots uint16.
-    "chomp m=5 mu=3000": (chomp(5), 3000, _theorem_gamma(chomp(5)), 3, 5, "generation_cap_only", 1),
+    "chomp m=5 mu=3000": (chomp(5), 3000, float(theorem_border(chomp(5))), 3, 5, "generation_cap_only", 1),
     "nim n=300 k=270": (
-        subtraction_nim(300, 270), 40, _theorem_gamma(subtraction_nim(300, 270)), 4, 2,
+        subtraction_nim(300, 270), 40, float(theorem_border(subtraction_nim(300, 270))), 4, 2,
         "generation_cap_only", 2,
     ),
     # The benchmark's `converge` rungs: long game paths at a large mu, run
     # to a verified optimum, so every move of the playout and every level of
     # the exact stop check is pinned where they cost the most.
     **{
-        name: (base, 1024, _theorem_gamma(base), 2000, 0, "exact_optimal", 0)
+        name: (base, 1024, float(theorem_border(base)), 2000, 0, "exact_optimal", 0)
         for name, base in (
             ("nim n=64 k=2", subtraction_nim(64, 2)),
             ("nim n=48 k=3", subtraction_nim(48, 3)),

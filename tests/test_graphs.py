@@ -35,7 +35,7 @@ def test_build_fig1():
     assert g.max_degree == 3
     assert g.edge_count == 7
     assert g.interior == (0, 1, 2, 3)
-    assert g.sinks == (4,)
+    assert np.flatnonzero(np.diff(g.offsets) == 0).tolist() == [4]
 
 
 def test_build_single_vertex():
@@ -113,7 +113,7 @@ def test_csr_graph_matches_build_graph(fig1, fig2, fig3_bottom, fig4):
     for g in [fig1, fig2, fig3_bottom, fig4] + [random_game(rng) for _ in range(30)]:
         again = csr_graph(g.offsets, g.targets, g.root, g.labels)
         assert again == g
-        assert (again.reverse_topo, again.interior, again.sinks) == (g.reverse_topo, g.interior, g.sinks)
+        assert (again.reverse_topo, again.interior) == (g.reverse_topo, g.interior)
         assert (again.max_degree, again.edge_count) == (g.max_degree, g.edge_count)
         assert all(type(w) is int for ws in again.succ for w in ws)
         assert np.array_equal(again.offsets, np.cumsum([0, *map(len, g.succ)]))
@@ -191,7 +191,7 @@ def test_play_self_play_total(fig1):
     for x in all_strategies(fig1):
         t = play(fig1, x, x)
         assert t.winner in (-1, 1)
-        assert fig1.is_sink(t.visited[-1])
+        assert fig1.offsets[t.visited[-1]] == fig1.offsets[t.visited[-1] + 1]
 
 
 def test_play_from_sink(fig1):
@@ -228,7 +228,7 @@ def test_transcript_invariants():
         assert len(set(t.visited)) == len(t.visited)
         for a, b in zip(t.visited, t.visited[1:]):
             assert b in g.succ[a]
-        assert g.is_sink(t.visited[-1])
+        assert g.offsets[t.visited[-1]] == g.offsets[t.visited[-1] + 1]
 
 
 def test_off_path_choices_do_not_matter():

@@ -12,17 +12,8 @@ from coevo.grundy import (
     grundy_values,
     is_optimal_exact,
     is_optimal_sufficient,
-    mex,
 )
 from helpers import all_strategies, critical_positions_inclusive, outcome_matrix_scalar, random_game
-
-
-@pytest.mark.parametrize(
-    "values,expected",
-    [((), 0), ((0, 1, 3), 2), ((1, 2, 3), 0), ((0, 1, 2, 3), 4)],
-)
-def test_mex(values, expected):
-    assert mex(values) == expected
 
 
 def test_fig1_values(fig1):

@@ -209,28 +209,38 @@ def test_config_validation():
 
 
 def test_sweep_scaling_nim(tmp_path):
+    # nim n=64 k=2 overflows a float in its theorem budget and does not
+    # solve within the cap; n=8 and n=16 solve within 6 generations.
     template = ExperimentConfig(
         game=GameSpec("subtraction_nim", {"n": 8, "k": 2}),
         mu_grid=(32,),
         gamma_rule="theorem",
         replicates=2,
         base_seed=9,
-        max_generations=2000,
+        max_generations=20,
     )
     summary = sweep_scaling(
-        [GameSpec("subtraction_nim", {"n": n, "k": 2}) for n in (8, 16)], template
+        [GameSpec("subtraction_nim", {"n": n, "k": 2}) for n in (8, 16, 64)], template
     )
-    assert sorted({r.n for r in summary.records}) == [8, 16]
+    assert sorted({r.n for r in summary.records}) == [8, 16, 64]
     assert {r.delta for r in summary.records} == {2}
     names = [s["name"] for s in summary.plot["series"]]
     assert names == ["median-evaluations-mu32", "theorem-budget"]
-    assert summary.plot["series"][0]["x"] == [8, 16]
+    assert summary.plot["series"][0]["x"] == [8, 16, 64]
     assert summary.plot["xscale"] == "log"
 
     csv_path, plot_path = write_sweep(tmp_path, summary)
-    data = json.loads(Path(plot_path).read_text())
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    data = json.loads(Path(plot_path).read_text(), parse_constant=refuse)
     assert data["ylabel"] == "evaluations"
+    budgets = data["series"][1]["y"]
+    assert all(math.isfinite(b) for b in budgets[:2]) and budgets[2] is None
     assert Path(csv_path).read_text().startswith(",".join(CSV_COLUMNS))
+    parsed = records_from_csv(Path(csv_path).read_text())
+    assert [r.theorem_eval_budget for r in parsed if r.n == 64] == [math.inf, math.inf]
 
 
 def test_sweep_census_columns():

@@ -13,7 +13,7 @@ from coevo.oracles import (
     selection_distribution,
     win_probabilities,
 )
-from coevo.switchability import exact_switchability
+from coevo.switchability import switchability_reports
 from helpers import (
     TooLarge,
     all_strategies,
@@ -64,6 +64,13 @@ def test_selection_fig1(fig1):
 def test_selection_forced_move(fig1):
     sel = selection_distribution(fig1, uniform_rational_model(fig1), 1)
     assert sel == [Fraction(1)]
+
+
+def test_selection_at_a_sink_has_no_moves(fig1):
+    model = uniform_rational_model(fig1)
+    for oracle in (selection_distribution, replicator_form):
+        with pytest.raises(ValueError, match="vertex 4 has no moves"):
+            oracle(fig1, model, 4)
 
 
 def test_selection_sums_to_one_exactly():
@@ -181,7 +188,8 @@ def test_reach_lower_bound_by_switchability():
     rng = np.random.default_rng(61)
     for name in ("fig1", "fig2"):
         g = fixture(name)
-        s_exact = {v: exact_switchability(g, v).exact for v in range(g.n)}
+        reports, _ = switchability_reports(g, range(g.n), "exact")
+        s_exact = {v: r.exact for v, r in reports.items()}
         gamma = Fraction(1, 5 * g.max_degree)
         for _ in range(10):
             model = random_rational_model(g, rng, gamma)

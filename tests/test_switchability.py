@@ -14,12 +14,10 @@ from coevo.switchability import (
     ForeignEdge,
     TooLarge,
     depth,
-    exact_switchability,
     is_switcher,
     root_distances,
     switchability_profile,
     switchability_reports,
-    upper_bound_switchability,
 )
 from helpers import (
     is_switcher_by_enumeration,
@@ -75,9 +73,10 @@ def test_fig3_bottom_blue_set(fig3_bottom):
 
 
 def test_exact_on_marked_vertices(fig3_top, fig3_bottom):
-    top = exact_switchability(fig3_top, FIXTURE_MARKED["fig3_top"])
+    top_vertex, bottom_vertex = FIXTURE_MARKED["fig3_top"], FIXTURE_MARKED["fig3_bottom"]
+    top = switchability_reports(fig3_top, [top_vertex], "exact")[0][top_vertex]
     assert top.exact == 1
-    bottom = exact_switchability(fig3_bottom, FIXTURE_MARKED["fig3_bottom"], edge_limit=32)
+    bottom = switchability_reports(fig3_bottom, [bottom_vertex], "exact", edge_limit=32)[0][bottom_vertex]
     assert bottom.exact == 2
     for report, g in ((top, fig3_top), (bottom, fig3_bottom)):
         assert report.method == "exact_search"
@@ -86,8 +85,9 @@ def test_exact_on_marked_vertices(fig3_top, fig3_bottom):
 
 
 def test_root_switchability_zero(fig1, fig2):
-    assert exact_switchability(fig1, fig1.root).exact == 0
-    assert exact_switchability(fig2, fig2.root).exact == 0
+    for g in (fig1, fig2):
+        reports, _ = switchability_reports(g, [g.root], "exact")
+        assert reports[g.root].exact == 0
 
 
 def test_fig1_profile(fig1):
@@ -114,7 +114,8 @@ def test_fig4_chain_growth(fig4):
 
 
 def test_fig2_marked(fig2):
-    assert exact_switchability(fig2, FIXTURE_MARKED["fig2"]).exact == 1
+    marked = FIXTURE_MARKED["fig2"]
+    assert switchability_reports(fig2, [marked], "exact")[0][marked].exact == 1
 
 
 def test_witnesses_valid_across_random_graphs():
@@ -123,8 +124,8 @@ def test_witnesses_valid_across_random_graphs():
         g = random_game(rng, n_max=7)
         if g.edge_count > 20:
             continue
-        for v in range(g.n):
-            report = exact_switchability(g, v)
+        reports, _ = switchability_reports(g, range(g.n), "exact")
+        for v, report in reports.items():
             assert report.exact is not None
             assert report.exact <= report.upper_bound
             assert is_switcher(g, report.witness, v)
@@ -133,15 +134,15 @@ def test_witnesses_valid_across_random_graphs():
 
 def test_upper_bound():
     g = subtraction_nim(12, 3)
-    assert upper_bound_switchability(g, g.root) == 0
-    for v in range(12):
-        assert upper_bound_switchability(g, v) == -(-(11 - v) // 3)
+    dist = root_distances(g)
+    assert dist[g.root] == 0
+    assert dist == [-(-(11 - v) // 3) for v in range(12)]
 
 
 def test_one_bfs_bounds_match_per_vertex_reference():
-    # One root BFS serves every path bound: each of its distances, the
-    # single-vertex lookup and the bound-mode reports must equal a BFS
-    # that runs from the root to that vertex alone.
+    # One root BFS serves every path bound: each of its distances and the
+    # bound-mode reports must equal a BFS that runs from the root to that
+    # vertex alone.
     rng = np.random.default_rng(59)
     corpus = [fixture(name) for name in FIXTURE_NAMES]
     corpus += [subtraction_nim(8, 2), subtraction_nim(12, 3), subtraction_nim(14, 2)]
@@ -150,7 +151,6 @@ def test_one_bfs_bounds_match_per_vertex_reference():
     for g in corpus:
         expected = [upper_bound_switchability_per_vertex(g, v) for v in range(g.n)]
         assert root_distances(g) == expected
-        assert [upper_bound_switchability(g, v) for v in range(g.n)] == expected
         reports, used = switchability_reports(g, range(g.n), mode="bound")
         assert used == "path_bound"
         assert [reports[v].upper_bound for v in range(g.n)] == expected
@@ -158,8 +158,6 @@ def test_one_bfs_bounds_match_per_vertex_reference():
 
 @pytest.mark.parametrize("vertex", [-1, 5, 99])
 def test_vertex_outside_the_graph_is_rejected(fig1, vertex):
-    with pytest.raises(ValueError, match=f"vertex {vertex} outside 0..4"):
-        upper_bound_switchability(fig1, vertex)
     for mode in ("exact", "bound", "hybrid"):
         with pytest.raises(ValueError, match=f"vertex {vertex} outside 0..4"):
             switchability_reports(fig1, [0, vertex], mode)
@@ -167,7 +165,7 @@ def test_vertex_outside_the_graph_is_rejected(fig1, vertex):
 
 def test_upper_bound_chomp_row_by_row():
     g = chomp(3)
-    assert all(upper_bound_switchability(g, v) <= 3 for v in range(g.n))
+    assert max(root_distances(g)) <= 3
 
 
 def test_root_path_edges_always_switch():
@@ -192,7 +190,7 @@ def test_root_path_edges_always_switch():
             path_edges.add((parents[node], node))
             node = parents[node]
         assert is_switcher(g, frozenset(path_edges), v)
-        assert depth(g, path_edges) == len(path_edges) == upper_bound_switchability(g, v)
+        assert depth(g, path_edges) == len(path_edges) == root_distances(g)[v]
 
 
 def test_nim_construction_is_depth1_switcher():
@@ -228,7 +226,7 @@ def test_forced_reachability_matches_enumeration():
 
 def test_too_large(fig3_bottom):
     with pytest.raises(TooLarge):
-        exact_switchability(fig3_bottom, 9)  # 21 edges over the default budget
+        switchability_reports(fig3_bottom, [9], "exact")  # 21 edges over the default budget
 
 
 def test_hybrid_profile_falls_back():
@@ -236,7 +234,7 @@ def test_hybrid_profile_falls_back():
     profile = switchability_profile(g, mode="hybrid")
     assert profile.mode_used == "path_bound"
     assert all(r.exact is None for r in profile.reports.values())
-    assert profile.s_bar == upper_bound_switchability(g, 0)
+    assert profile.s_bar == root_distances(g)[0]
 
 
 def test_exact_le_bound_everywhere():
@@ -245,9 +243,9 @@ def test_exact_le_bound_everywhere():
         g = random_game(rng, n_max=8)
         if g.edge_count > 20:
             continue
-        for v in range(g.n):
-            report = exact_switchability(g, v)
-            assert report.exact <= upper_bound_switchability(g, v)
+        reports, _ = switchability_reports(g, range(g.n), "exact")
+        dist = root_distances(g)
+        assert all(reports[v].exact <= dist[v] for v in range(g.n))
 
 
 def test_vertex_reports_match_profile_in_every_mode(fig1, fig2, fig3_top, fig3_bottom, fig4):
