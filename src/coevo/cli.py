@@ -35,10 +35,13 @@ def _add_game_arguments(parser: argparse.ArgumentParser):
     parser.add_argument("--out", help="output path (stdout when omitted)")
 
 
-def _add_gamma_arguments(parser: argparse.ArgumentParser):
+def _add_run_arguments(parser: argparse.ArgumentParser):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--gamma", type=_border)
     group.add_argument("--gamma-theorem", action="store_true")
+    parser.add_argument("--max-gen", type=positive_int, default=10_000)
+    parser.add_argument("--seed", type=nonnegative_int, default=0)
+    parser.add_argument("--stop", choices=tuple(eda.STOP_RULES), default="exact")
 
 
 def _spec(family: str, params: dict, source: str) -> GameSpec:
@@ -287,10 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the self-play optimiser once")
     _add_game_arguments(p)
     p.add_argument("--mu", type=positive_int, required=True)
-    _add_gamma_arguments(p)
-    p.add_argument("--max-gen", type=positive_int, default=10_000)
-    p.add_argument("--seed", type=nonnegative_int, default=0)
-    p.add_argument("--stop", choices=tuple(eda.STOP_RULES), default="exact")
+    _add_run_arguments(p)
     p.add_argument("--trace-every", type=nonnegative_int, default=0)
     p.set_defaults(handler=_cmd_run)
 
@@ -299,10 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=_instances, required=True, help='e.g. "n=8,k=2;n=16,k=2"')
     p.add_argument("--mu-grid", type=mu_grid, required=True, help='e.g. "256,1024"')
     p.add_argument("--replicates", type=positive_int, default=5)
-    _add_gamma_arguments(p)
-    p.add_argument("--max-gen", type=positive_int, default=10_000)
-    p.add_argument("--seed", type=nonnegative_int, default=0)
-    p.add_argument("--stop", choices=tuple(eda.STOP_RULES), default="exact")
+    _add_run_arguments(p)
     p.add_argument("--timings", action="store_true", help="include wall_ms in the CSV")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(handler=_cmd_sweep)

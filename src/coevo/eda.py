@@ -82,8 +82,7 @@ class UmdaConfig:
     def __post_init__(self):
         for name, low in (("mu", 1), ("max_generations", 1), ("seed", 0)):
             _require_int(name, getattr(self, name), low)
-        if not 0 <= self.gamma < math.inf:
-            raise ValueError(f"gamma must be finite and at least 0, got {self.gamma}")
+        _require_border("gamma", self.gamma)
         if self.stop_rule not in STOP_RULES.values():
             raise ValueError(f"unknown stop rule {self.stop_rule!r}")
 
@@ -92,6 +91,13 @@ def _require_int(name: str, value, low: int) -> None:
     """ValueError naming ``name`` unless ``value`` is an int, not a bool, at least ``low``."""
     if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= low):
         raise ValueError(f"{name} must be an int at least {low}, got {value!r}")
+
+
+def _require_border(name: str, value) -> None:
+    """ValueError naming ``name`` unless ``value`` is a finite number at least 0
+    (see :func:`_is_finite_number`)."""
+    if not (_is_finite_number(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number at least 0, got {value!r}")
 
 
 @dataclass
@@ -218,8 +224,7 @@ def model_from_snapshot(g: GameGraph, data: Mapping) -> ProbModel:
     if not isinstance(raw, Mapping):
         raise ValueError("model snapshot needs a 'dists' object")
     gamma = data.get("gamma", 0.0)
-    if not (_is_finite_number(gamma) and gamma >= 0):
-        raise ValueError(f"model snapshot: gamma must be a finite JSON number >= 0, got {gamma!r}")
+    _require_border("model snapshot: gamma", gamma)
     expected = {str(v) for v in g.interior}
     for key in sorted(set(raw) ^ expected):
         problem = "has no vector" if key in expected else "is not an interior vertex"

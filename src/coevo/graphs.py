@@ -157,14 +157,9 @@ def _assemble(offsets, targets, root, labels, shown=None) -> GameGraph:
         reverse_topo = tuple(range(n))
     else:
         reverse_topo = _reverse_topological_order(offsets.tolist(), targets.tolist())
-    # In a DAG every vertex is reachable iff every non-root one has an in-edge.
-    indegree = np.bincount(targets, minlength=n)
-    indegree[root] += 1
-    if not indegree.all():
-        raise Unreachable(_first_unreachable(offsets.tolist(), targets.tolist(), root))
     for array in (offsets, targets):
         array.flags.writeable = False
-    return GameGraph(
+    g = GameGraph(
         root=int(root),
         labels=labels,
         reverse_topo=reverse_topo,
@@ -174,6 +169,12 @@ def _assemble(offsets, targets, root, labels, shown=None) -> GameGraph:
         offsets=offsets,
         targets=targets,
     )
+    # In a DAG every vertex is reachable iff every non-root one has an in-edge.
+    indegree = np.bincount(targets, minlength=n)
+    indegree[root] += 1
+    if not indegree.all():
+        raise Unreachable(root_distances(g).index(-1))
+    return g
 
 
 def _check_edges(sources: np.ndarray, targets: np.ndarray, n: int, shown: Sequence | None) -> None:
@@ -224,17 +225,24 @@ def _reverse_topological_order(off: list[int], targets: list[int]) -> tuple[int,
     return tuple(order)
 
 
-def _first_unreachable(off: list[int], targets: list[int], root: int) -> int:
-    seen = [False] * (len(off) - 1)
-    seen[root] = True
-    queue = deque([root])
+def root_distances(g: GameGraph) -> list[int]:
+    """Shortest root-to-vertex path length of every vertex, by one BFS, or -1
+    where the root cannot reach it (never, on a graph that was assembled).
+
+    The edge set of a shortest root-to-v path is always a v-switcher, so
+    ``root_distances(g)[v]`` is the path bound on v's switchability.
+    """
+    off, targets = g.offsets.tolist(), g.targets.tolist()
+    dist = [-1] * g.n
+    dist[g.root] = 0
+    queue = deque([g.root])
     while queue:
-        v = queue.popleft()
-        for w in targets[off[v] : off[v + 1]]:
-            if not seen[w]:
-                seen[w] = True
+        u = queue.popleft()
+        for w in targets[off[u] : off[u + 1]]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
                 queue.append(w)
-    return seen.index(False)
+    return dist
 
 
 @dataclass(frozen=True)

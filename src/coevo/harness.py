@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -23,23 +23,6 @@ from . import eda, switchability
 from .games import GameSpec, nim_encode
 from .graphs import GameGraph, Strategy, enumerate_strategies, strategy_space_size
 from .ioutil import atomic_write_text
-
-CSV_COLUMNS = [
-    "family",
-    "params",
-    "n",
-    "delta",
-    "s_bar",
-    "s_mode",
-    "mu",
-    "gamma",
-    "seed",
-    "replicate",
-    "generations",
-    "evaluations",
-    "success",
-    "theorem_eval_budget",
-]
 
 
 @dataclass(frozen=True)
@@ -59,9 +42,8 @@ class ExperimentConfig:
             eda._require_int("mu_grid entries", mu, 1)
         if not self.mu_grid or list(self.mu_grid) != sorted(self.mu_grid):
             raise ValueError("mu_grid must be non-empty and ascending")
-        rule = self.gamma_rule
-        if rule != "theorem" and not (eda._is_finite_number(rule) and rule >= 0):
-            raise ValueError(f"gamma_rule must be 'theorem' or a finite number >= 0, got {rule!r}")
+        if self.gamma_rule != "theorem":
+            eda._require_border("gamma_rule, if not 'theorem',", self.gamma_rule)
         if self.stop_rule not in eda.STOP_RULES.values():
             raise ValueError(f"unknown stop_rule {self.stop_rule!r}")
 
@@ -83,6 +65,9 @@ class ExperimentRecord:
     success: int
     theorem_eval_budget: float
     wall_ms: float
+
+
+CSV_COLUMNS = [f.name for f in fields(ExperimentRecord) if f.name != "wall_ms"]
 
 
 def _derive_seed(base_seed: int, *path: int) -> int:

@@ -11,14 +11,13 @@ border-restricted self-play visits ``v``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from . import grundy as _grundy
-from .graphs import GameGraph
+from .graphs import GameGraph, root_distances
 
 
 class ForeignEdge(ValueError):
@@ -99,27 +98,6 @@ def _switches(g: GameGraph, off: list[int], targets: list[int], edges: frozenset
                 seen[w] = True
                 stack.append(w)
     return True
-
-
-def root_distances(g: GameGraph) -> list[int]:
-    """Shortest root-to-vertex path length of every vertex, by one BFS.
-
-    The edge set of a shortest root-to-v path is always a v-switcher, so
-    ``root_distances(g)[v]`` is the path bound on v's switchability.
-    :func:`~coevo.graphs.build_graph` makes every vertex reachable, so
-    every entry is set.
-    """
-    off, targets = g.offsets.tolist(), g.targets.tolist()
-    dist = [-1] * g.n
-    dist[g.root] = 0
-    queue = deque([g.root])
-    while queue:
-        u = queue.popleft()
-        for w in targets[off[u] : off[u + 1]]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
 
 
 # ---------------------------------------------------------------------------

@@ -432,7 +432,7 @@ def is_switcher_by_enumeration(
 
 def upper_bound_switchability_per_vertex(g: GameGraph, v: int) -> int:
     """Shortest root-to-v path length by a BFS that stops at ``v``: the
-    per-vertex reference for :func:`coevo.switchability.root_distances`."""
+    per-vertex reference for :func:`coevo.graphs.root_distances`."""
     if v == g.root:
         return 0
     dist = {g.root: 0}

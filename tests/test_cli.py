@@ -3,6 +3,7 @@ import json
 import pytest
 
 from coevo.cli import cli
+from coevo.ioutil import atomic_write_text
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +44,10 @@ def test_gen_writes_game_and_dot(capsys, tmp_path):
     data = json.loads(game_path.read_text())
     assert len(data["vertices"]) == 5
     assert "digraph" in dot_path.read_text()
+    # A failed write re-raises and takes its temporary file with it.
+    with pytest.raises(TypeError):
+        atomic_write_text(tmp_path / "bad.txt", 5)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["game.dot", "game.json"]
 
 
 def test_gen_then_solve_file(capsys, tmp_path):

@@ -335,10 +335,15 @@ def test_uniform_model_gamma_guard(fig1):
         uniform_model(fig1, 0.34)
 
 
-@pytest.mark.parametrize("gamma", [-0.5, float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "gamma", [-0.5, float("nan"), float("inf"), True, pytest.param(10**400, id="huge"), "0.1", None]
+)
 def test_config_rejects_bad_gamma(gamma):
-    with pytest.raises(ValueError):
+    # ExperimentConfig's and model_from_snapshot's border rule: a bool, a
+    # number no float holds and a non-number are each a ValueError naming gamma.
+    with pytest.raises(ValueError, match="gamma"):
         UmdaConfig(mu=4, gamma=gamma, max_generations=1, seed=0)
+    assert UmdaConfig(mu=4, gamma=np.float64(0.01), max_generations=1, seed=0).gamma == 0.01
 
 
 @pytest.mark.parametrize("max_generations", [0, -3])
@@ -374,6 +379,10 @@ def test_model_snapshot_round_trip():
     assert rebuilt.gamma == model.gamma
     for v in g.interior:
         assert np.array_equal(rebuilt.dists[v], model.dists[v])
+    copied = model.copy()  # vectors of its own, sharing no memory with the model's
+    for v in g.interior:
+        assert np.array_equal(copied.dists[v], model.dists[v])
+        assert not np.shares_memory(copied.dists[v], model.dists[v])
 
 
 def test_uniform_model_respects_border():
@@ -1039,6 +1048,12 @@ def test_optimal_mask_of_a_sink_root_is_false():
     choices = np.zeros((1, 4), dtype=np.uint8)
     assert not population_optimal_mask(g, choices, zero_mask(g)).any()
     assert not population_optimal_mask_dp(g, choices).any()
+
+
+def test_optimal_mask_draws_only_into_a_column_major_store(fig1):
+    choices = np.zeros((fig1.n, 4), dtype=np.uint8)  # C-ordered
+    with pytest.raises(ValueError, match="column-major"):
+        population_optimal_mask(fig1, choices, zero_mask(fig1), draw=lambda *args: None)
 
 
 def test_optimal_mask_equals_reference_on_uint16_slots():

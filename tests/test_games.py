@@ -23,6 +23,7 @@ from coevo.games import (
     subtraction_nim,
     turning_turtles,
 )
+from coevo.graphs import Strategy
 from coevo.grundy import ensure_first_player_win, grundy_values
 from helpers import chomp_reference, silver_dollar_reference, subtraction_nim_reference, turning_turtles_reference
 
@@ -95,6 +96,8 @@ def test_silver_dollar_bad_params():
         silver_dollar(2, 3)
     with pytest.raises(BadParams):
         silver_dollar(4, 2, start=(4, 2))
+    with pytest.raises(BadParams, match="start squares must lie in 1..m"):
+        silver_dollar(5, 2, start=(0, 3))
 
 
 # --- turning turtles -------------------------------------------------------
@@ -222,6 +225,8 @@ def test_family_equals_its_loop_reference(make, reference, args):
 def test_desk_scale_guard():
     with pytest.raises(BadParams):
         turning_turtles(23)
+    with pytest.raises(BadParams):
+        turning_turtles(0)
 
 
 # --- census and degree bounds across parameter sweeps ----------------------
@@ -314,6 +319,11 @@ def test_decode_errors():
         nim_decode("322111", 7, 2)
     with pytest.raises(IllegalMove):
         nim_decode("222111", 7, 2)
+    # The encoder refuses the same faults: a missing heap, and a move past k.
+    with pytest.raises(BadLength):
+        nim_encode(Strategy({1: 0}), 4, 2)
+    with pytest.raises(IllegalMove):
+        nim_encode(Strategy({1: 0, 2: 1, 3: 0}), 4, 2)
 
 
 def test_codec_round_trip_random():

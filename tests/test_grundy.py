@@ -155,6 +155,9 @@ def test_optimal_iff_zero_move_at_every_faced_position():
 def test_canonical_fig1(fig1):
     gd = grundy_values(fig1)
     assert canonical_optimal_strategy(fig1, gd).choice == {0: 1, 1: 2, 2: 4, 3: 4}
+    second_player_win = subtraction_nim(4, 2)
+    with pytest.raises(PreconditionViolated):
+        canonical_optimal_strategy(second_player_win, grundy_values(second_player_win))
 
 
 def test_canonical_nim_string():

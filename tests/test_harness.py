@@ -315,6 +315,11 @@ def test_intransitivity_none_on_trivial_games():
     assert intransitivity_search(chain) is None
     tiny = build_graph({0: [1], 1: []}, root=0)
     assert intransitivity_search(tiny) is None
+    # fig4's 128 strategies take the sampled path, here with its default
+    # generator; the scalar search finds no cycle among them either.
+    fig4 = fixture("fig4")
+    assert intransitivity_search(fig4, triples=200) is None
+    assert intransitivity_search_scalar(fig4) is None
 
 
 def test_intransitivity_sampled_mode():

@@ -161,6 +161,8 @@ def test_vertex_outside_the_graph_is_rejected(fig1, vertex):
     for mode in ("exact", "bound", "hybrid"):
         with pytest.raises(ValueError, match=f"vertex {vertex} outside 0..4"):
             switchability_reports(fig1, [0, vertex], mode)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        switchability_reports(fig1, [0], mode="bogus")
 
 
 def test_upper_bound_chomp_row_by_row():
