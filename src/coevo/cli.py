@@ -88,8 +88,8 @@ def nonnegative_int(text: str) -> int:
 
 def mu_grid(text: str) -> tuple[int, ...]:
     grid = tuple(positive_int(m) for m in text.split(","))
-    if list(grid) != sorted(grid):
-        raise argparse.ArgumentTypeError(f"expected ascending values, got {text!r}")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise argparse.ArgumentTypeError(f"expected strictly ascending values, got {text!r}")
     return grid
 
 

@@ -151,24 +151,24 @@ def restrict(p, gamma, degrees=None):
     Entries at or below the floor become ``gamma``; the others' excess over
     ``gamma`` shrinks by the common factor ``1 - beta_minus/beta_plus``, so
     the total stays one. Two entries are clamped into ``[gamma, 1-gamma]``
-    verbatim, so the binary case agrees exactly. A float array gives a new
-    array, restricted row by row along its last axis, and a row whose total
-    is off 1 by more than 1e-12 is first divided by its total (ValueError if
-    not positive); any other sequence, Fractions included, gives an exact
-    list. With ``degrees``, ``p`` is a 1-D float vector holding rows of those
+    verbatim, so the binary case agrees exactly. Two forms, one contract:
+    with ``degrees``, ``p`` is a 1-D float vector holding rows of those
     lengths end to end, as an edge vector holds its vertices' rows in
-    ``offsets``/``targets`` order; it is restricted in place, each row as the
-    1-D form restricts it alone, and returned.
+    ``offsets``/``targets`` order, restricted in place and returned; without,
+    ``p`` is one row, any sequence, Fractions included, and the result is an
+    exact list. Either way a row whose total is off 1 by more than 1e-12 is
+    first divided by its total (ValueError if not positive).
     """
     if degrees is not None:
         return _restrict_rows(p, gamma, degrees)
-    if isinstance(p, np.ndarray):
-        q = np.array(p, dtype=float)  # a C-contiguous copy, restricted in place
-        _restrict_rows(q.reshape(-1), gamma, np.full(math.prod(q.shape[:-1]), q.shape[-1]))
-        return q
     size = len(p)
     if size and not gamma * size < 1:
         raise GammaTooLarge(f"gamma {gamma} too large for {size} outcomes")
+    total = sum(p)
+    if abs(total - 1) > RENORM_TOLERANCE:
+        if not total > 0:
+            raise ValueError("restrict needs every row to have a positive total")
+        p = [x / total for x in p]
     if size == 2:
         return [min(max(x, gamma), 1 - gamma) for x in p]
     scale = 1 - beta_minus(p, gamma) / beta_plus(p, gamma)
@@ -375,12 +375,10 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def _read_slots(slots: np.ndarray, at: np.ndarray, n: int, draw, undrawn: int) -> np.ndarray:
-    """``slots[at]`` of a flat column-major store of n rows; with ``draw``,
-    each distinct entry among them that holds ``undrawn`` is drawn first and
-    written back."""
+    """``slots[at]`` of a flat column-major store of n rows, each distinct entry
+    among them that holds ``undrawn`` drawn first, by ``draw`` of its rows as
+    int32 in ascending order of ``at``, and written back."""
     read = slots[at]
-    if draw is None:
-        return read
     missing = read == undrawn
     if not np.count_nonzero(missing):
         return read
@@ -405,8 +403,8 @@ def _replies(g: GameGraph, col: np.ndarray, at: np.ndarray, seen: np.ndarray, de
     return np.repeat(col, degrees), pos
 
 
-def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray, draw=None):
-    """Exact-optimality flags for every column of a choice matrix.
+def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray, draw):
+    """Exact-optimality flags for every column of a column-major slot store.
 
     ``zero`` flags the Grundy-0 vertices. Column j is optimal iff it beats
     every opponent as first mover, which holds iff it moves to a Grundy-0
@@ -415,12 +413,12 @@ def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray,
     breadth-first from the root; a column drops out at its first move to a
     nonzero vertex, and each (column, Grundy-0 vertex) pair is expanded at
     most once: at most Z + 1 pair steps a column, Z the edges out of
-    Grundy-0 vertices. With ``draw``, ``choices`` is a column-major slot
-    store, and an undrawn entry the walk reads is drawn and written back.
+    Grundy-0 vertices. An undrawn entry the walk reads (one holding the
+    dtype's largest value) is drawn by ``draw`` and written back.
     """
     offsets, targets, n, count = g.offsets, g.targets, g.n, choices.shape[1]
-    if draw is not None and not choices.flags.f_contiguous:
-        raise ValueError("drawing into a choice matrix needs it column-major")
+    if not choices.flags.f_contiguous:
+        raise ValueError("the stop check needs a column-major slot store")
     slots = choices.ravel(order="F")  # slot of (v, j) at j * n + v
     undrawn, degree = np.iinfo(slots.dtype).max, offsets[1:] - offsets[:-1]
     ok = np.full(count, offsets[g.root + 1] > offsets[g.root])  # a sink root loses
@@ -439,14 +437,15 @@ def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray,
     return ok
 
 
-def population_sufficient_mask(g: GameGraph, critical, choices, zero, draw=None):
-    """Critical-position certificate flags for every column: ``critical`` holds
-    the critical rows in ascending order, ``zero`` flags the Grundy-0 vertices.
-    With ``draw``, each critical row's undrawn entries are drawn first."""
+def population_sufficient_mask(g: GameGraph, critical, choices, zero, draw):
+    """Critical-position certificate flags for every column of a column-major
+    slot store: ``critical`` holds the critical rows in ascending order, ``zero``
+    flags the Grundy-0 vertices. Each critical row's undrawn entries are drawn
+    by ``draw`` first, row by row."""
     ok = np.ones(choices.shape[1], dtype=bool)
     for v in critical:
         row = choices[v]
-        miss = np.flatnonzero(row == np.iinfo(row.dtype).max) if draw is not None else []
+        miss = np.flatnonzero(row == np.iinfo(row.dtype).max)
         if len(miss):
             row[miss] = draw(np.full(len(miss), v, dtype=np.int32))
         ok &= zero[g.targets[g.offsets[v] + row]]
@@ -557,9 +556,7 @@ def generation_step(
                 mask = population_sufficient_mask(g, instance.critical, part, instance.zero, draw)
             if mask.any():
                 witness = lo + int(np.argmax(mask))
-                column = store[:, witness]
-                rows = np.flatnonzero(column == undrawn).astype(np.int32)
-                column[rows] = draw(rows)
+                _read_slots(store.ravel(order="F"), witness * g.n + np.arange(g.n), g.n, draw, undrawn)
                 break
 
     del table  # every draw is made; free it before the update, where memory peaks

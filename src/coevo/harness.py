@@ -40,8 +40,8 @@ class ExperimentConfig:
             eda._require_int(name, getattr(self, name), low)
         for mu in self.mu_grid:
             eda._require_int("mu_grid entries", mu, 1)
-        if not self.mu_grid or list(self.mu_grid) != sorted(self.mu_grid):
-            raise ValueError("mu_grid must be non-empty and ascending")
+        if not self.mu_grid or any(a >= b for a, b in zip(self.mu_grid, self.mu_grid[1:])):
+            raise ValueError(f"mu_grid must be non-empty and strictly ascending, got {self.mu_grid!r}")
         if self.gamma_rule != "theorem":
             eda._require_border("gamma_rule, if not 'theorem',", self.gamma_rule)
         if self.stop_rule not in eda.STOP_RULES.values():

@@ -87,9 +87,10 @@ def random_rational_model(
 
 
 def choice_matrix(g: GameGraph, strategies: list[Strategy]) -> np.ndarray:
-    """The engine's population layout: column j holds strategy j's
-    successor slot at every interior vertex; sink rows stay 0."""
-    out = np.zeros((g.n, len(strategies)), dtype=np.min_scalar_type(g.max_degree - 1))
+    """The engine's population layout, a column-major slot store: column j
+    holds strategy j's successor slot at every interior vertex; sink rows
+    stay 0."""
+    out = np.zeros((g.n, len(strategies)), dtype=np.min_scalar_type(g.max_degree), order="F")
     out[list(g.interior)] = np.array([x.key(g) for x in strategies], dtype=out.dtype).T
     return out
 
@@ -98,7 +99,7 @@ def sample_choice_matrix_per_vertex(model, rng: np.random.Generator, count: int)
     """Reference for :func:`coevo.eda._sample_choice_matrix`: one
     ``rng.random(count)`` and one ``searchsorted`` per interior vertex."""
     g = model.graph
-    out = np.zeros((g.n, count), dtype=np.min_scalar_type(g.max_degree - 1))
+    out = np.zeros((g.n, count), dtype=np.min_scalar_type(g.max_degree))
     for v in g.interior:
         cum = np.cumsum(model.dists[v])
         idx = np.searchsorted(cum, rng.random(count), side="right")
@@ -118,6 +119,12 @@ def sample_choice_matrix(model, rng: np.random.Generator, count: int) -> np.ndar
     out = np.zeros((g.n, count), dtype=slots.dtype)
     out[interior] = slots.reshape(len(interior), count)
     return out
+
+
+def no_draw(rows):
+    """The ``draw`` of a stop-check mask over a complete store, which has no
+    undrawn entry to draw."""
+    raise AssertionError(f"a complete store has no undrawn entry, yet {len(rows)} were drawn")
 
 
 def edge_vector(model: ProbModel) -> np.ndarray:
@@ -142,13 +149,13 @@ def step(model: ProbModel, cfg, rng: np.random.Generator, instance: Instance | N
 
 def update_per_vertex(g: GameGraph, p, counts, rest, mu: int, gamma, rng) -> np.ndarray:
     """Reference for :func:`coevo.eda._update`: one multinomial fill and one
-    1-D :func:`restrict` call per interior vertex, in id order. ``counts``
+    one-row :func:`restrict` call per interior vertex, in id order. ``counts``
     (by edge) gains the fill; returns the next edge vector."""
     p = p.copy()
     for v in g.interior:
         lo, hi = g.offsets[v], g.offsets[v + 1]
         counts[lo:hi] += rng.multinomial(rest[v], p[lo:hi])
-        p[lo:hi] = restrict(counts[lo:hi] / mu, gamma)
+        p[lo:hi] = restrict(counts[lo:hi] / mu, gamma, np.array([hi - lo]))
     return p
 
 
@@ -212,9 +219,9 @@ def run_umda_eager(g: GameGraph, cfg, trace_every: int = 0) -> RunResult:
     Each generation draws two complete choice matrices with
     :func:`sample_choice_matrix_per_vertex`, plays them column by column,
     keeps each game's winner, counts every winner's choice at every vertex
-    and restricts each degree group; the stop rule then checks the
-    complete winners (:func:`population_optimal_mask_dp` for the exact
-    rule). This is the engine the first golden digests were pinned on.
+    and restricts the edge vector; the stop rule then checks the complete
+    winners (:func:`population_optimal_mask_dp` for the exact rule). This
+    is the engine the first golden digests were pinned on.
     """
     gd = grundy_values(g)
     if gd.values[g.root] == 0:
@@ -231,10 +238,7 @@ def run_umda_eager(g: GameGraph, cfg, trace_every: int = 0) -> RunResult:
         cy = sample_choice_matrix_per_vertex(model, rng, cfg.mu)
         winners = np.where(playout_eager(g, cx, cy) == 1, cx, cy)
         edges = starts[:, None] + winners[interior]
-        flat = np.bincount(edges.ravel(), minlength=g.edge_count) / cfg.mu
-        for size in np.unique(degrees):
-            rows = starts[degrees == size][:, None] + np.arange(size)
-            flat[rows] = restrict(flat[rows], model.gamma)
+        flat = restrict(np.bincount(edges.ravel(), minlength=g.edge_count) / cfg.mu, model.gamma, degrees)
         model = ProbModel(g, dict(zip(g.interior, np.split(flat, starts[1:]))), model.gamma)
         if trace_every and t % trace_every == 0:
             trace.append((t, model.snapshot()))
@@ -243,7 +247,7 @@ def run_umda_eager(g: GameGraph, cfg, trace_every: int = 0) -> RunResult:
         if cfg.stop_rule == "exact_optimal":
             mask = population_optimal_mask_dp(g, winners)
         else:
-            mask = population_sufficient_mask(g, sorted(gd.critical), winners, zero)
+            mask = population_sufficient_mask(g, sorted(gd.critical), winners, zero, no_draw)
         if mask.any():
             j = int(np.argmax(mask))
             witness = Strategy({v: int(g.targets[g.offsets[v] + winners[v, j]]) for v in g.interior})

@@ -304,6 +304,7 @@ def test_sweep_bad_later_instance_fails_before_any_run(capsys, tmp_path, monkeyp
     [
         ("--mu-grid", "0"),
         ("--mu-grid", "64,32"),
+        ("--mu-grid", "8,8"),  # two series both named median-evaluations-mu8
         ("--replicates", "0"),
         ("--max-gen", "0"),
         ("--seed", "-1"),

@@ -49,6 +49,7 @@ from helpers import (
     edge_vector,
     instance_as_is,
     mann_whitney_p,
+    no_draw,
     playout_reference,
     population_optimal_mask_dp,
     random_game,
@@ -154,10 +155,10 @@ def _restrict_reference(p, gamma):
 
 
 def test_restrict_matches_reference_bit_for_bit():
-    # One vector, each row of a matrix, and each row of a vector holding
-    # rows of mixed lengths end to end get exactly the reference arithmetic,
-    # for lengths on both sides of numpy's 8-entry and 128-entry
-    # pairwise-sum thresholds.
+    # One row alone, rows of one length laid end to end, and rows of mixed
+    # lengths laid end to end get exactly the reference arithmetic, for
+    # lengths on both sides of numpy's 8-entry and 128-entry pairwise-sum
+    # thresholds.
     rng = np.random.default_rng(97)
     laid = []
     for size in [*range(1, 40), 128, 129, 300]:
@@ -165,10 +166,10 @@ def test_restrict_matches_reference_bit_for_bit():
         rows[:, 1:][rng.random((20, size - 1)) < 0.3] = 0.0  # zeros sit below the border
         rows /= rows.sum(axis=1, keepdims=True)
         gamma = float(rng.random()) / size * 0.5
-        for p, q in zip(rows, restrict(rows, gamma)):
+        for p, q in zip(rows, restrict(rows.flatten(), gamma, np.full(20, size)).reshape(20, size)):
             expected = _restrict_reference(p, gamma).tobytes()
             assert q.tobytes() == expected
-            assert restrict(p, gamma).tobytes() == expected
+            assert restrict(p.copy(), gamma, np.array([size])).tobytes() == expected
         laid.extend(rows[:3])
     laid = [laid[i] for i in rng.permutation(len(laid))]
     gamma = float(rng.random()) / 300 * 0.5
@@ -180,19 +181,29 @@ def test_restrict_matches_reference_bit_for_bit():
 
 def test_restrict_renormalises_unnormalised_input():
     # The result lies on the gamma-bordered simplex: sum 1, every entry at
-    # least gamma, also where the input's total is off 1.
+    # least gamma, also where the input's total is off 1, in both forms:
+    # the one-row form agrees with the edge-vector form and stays exact on
+    # Fractions, and a row with no mass is refused by both.
     gamma = 0.01
     for p in ([0.2, 0.2], [0.2, 0.2, 0.2], [3.0, 1.0, 0.0, 0.0]):
-        out = restrict(np.array(p), gamma)
+        out = restrict(np.array(p), gamma, np.array([len(p)]))
         assert abs(out.sum() - 1.0) <= 1e-12
         assert np.all(out >= gamma)
+        row = restrict(p, gamma)
+        assert abs(sum(row) - 1.0) <= 1e-12
+        assert np.abs(np.array(row) - out).max() <= 1e-15
     rows = np.array([[0.2, 0.2, 0.2], [2.0, 0.5, 0.0], [0.5, 0.25, 0.25], [3.0, 0.0, 0.0]])
-    out = restrict(rows, gamma)
+    out = restrict(rows.flatten(), gamma, np.full(4, 3)).reshape(4, 3)
     assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-12)
     assert np.all(out >= gamma)
-    for p in ([0.0, 0.0, 0.0], [[0.5, 0.5], [0.0, 0.0]]):
+    assert restrict([Fraction(1, 5)] * 2, Fraction(1, 100)) == [Fraction(1, 2)] * 2
+    row = restrict([0.05] * 3, 0.1)  # every entry below the border until divided by the total
+    assert np.abs(np.array(row) - 1 / 3).max() <= 1e-15
+    for p, degrees in [([0.0, 0.0, 0.0], [3]), ([0.5, 0.5, 0.0, 0.0], [2, 2])]:
         with pytest.raises(ValueError, match="positive total"):
-            restrict(np.array(p), gamma)
+            restrict(np.array(p), gamma, np.array(degrees))
+    with pytest.raises(ValueError, match="positive total"):
+        restrict([0.0, 0.0, 0.0], gamma)
 
 
 def test_generation_step_restriction_matches_reference(monkeypatch):
@@ -1003,9 +1014,9 @@ def test_population_masks_match_scalar_checks():
         strategies = all_strategies(g)
         choices = choice_matrix(g, strategies)
         zero = zero_mask(g)
-        opt_mask = population_optimal_mask(g, choices, zero)
+        opt_mask = population_optimal_mask(g, choices, zero, no_draw)
         ref_mask = population_optimal_mask_dp(g, choices)
-        suf_mask = population_sufficient_mask(g, sorted(gd.critical), choices, zero)
+        suf_mask = population_sufficient_mask(g, sorted(gd.critical), choices, zero, no_draw)
         for j, x in enumerate(strategies):
             assert opt_mask[j] == ref_mask[j] == is_optimal_exact(g, x)
             assert suf_mask[j] == is_optimal_sufficient(g, gd, x)
@@ -1014,7 +1025,7 @@ def test_population_masks_match_scalar_checks():
 def _population(g, zero, rng, count, bias):
     """Random slots; at a vertex with a Grundy-0 successor, each column
     moves to one of those with probability ``bias``."""
-    choices = np.zeros((g.n, count), dtype=np.min_scalar_type(g.max_degree - 1))
+    choices = np.zeros((g.n, count), dtype=np.min_scalar_type(g.max_degree), order="F")
     for v in g.interior:
         good = np.flatnonzero(zero[list(g.succ[v])])
         choices[v] = rng.integers(len(g.succ[v]), size=count)
@@ -1025,7 +1036,7 @@ def _population(g, zero, rng, count, bias):
 
 
 def _check_mask_against_reference(g, choices):
-    got = population_optimal_mask(g, choices, zero_mask(g))
+    got = population_optimal_mask(g, np.asfortranarray(choices), zero_mask(g), no_draw)
     want = population_optimal_mask_dp(g, choices)
     assert got.dtype == bool and np.array_equal(got, want)
     return int(want.sum())
@@ -1045,26 +1056,29 @@ def test_optimal_mask_equals_reference_on_random_games():
 
 def test_optimal_mask_of_a_sink_root_is_false():
     g = build_graph({0: []}, root=0)
-    choices = np.zeros((1, 4), dtype=np.uint8)
-    assert not population_optimal_mask(g, choices, zero_mask(g)).any()
+    choices = np.zeros((1, 4), dtype=np.uint8, order="F")
+    assert not population_optimal_mask(g, choices, zero_mask(g), no_draw).any()
     assert not population_optimal_mask_dp(g, choices).any()
 
 
 def test_optimal_mask_draws_only_into_a_column_major_store(fig1):
     choices = np.zeros((fig1.n, 4), dtype=np.uint8)  # C-ordered
     with pytest.raises(ValueError, match="column-major"):
-        population_optimal_mask(fig1, choices, zero_mask(fig1), draw=lambda *args: None)
+        population_optimal_mask(fig1, choices, zero_mask(fig1), no_draw)
 
 
 def test_optimal_mask_equals_reference_on_uint16_slots():
-    g = ensure_first_player_win(subtraction_nim(300, 270))
-    zero, rng = zero_mask(g), np.random.default_rng(5)
-    optimal = 0
-    for bias in (0.0, 0.8, 1.0):
-        choices = _population(g, zero, rng, 64, bias)
-        assert choices.dtype == np.uint16
-        optimal += _check_mask_against_reference(g, choices)
-    assert 0 < optimal < 3 * 64
+    # At Δ = 256 the largest slot, 255, is a uint8's largest value, the
+    # undrawn marker; the store takes uint16 from Δ = 256 on.
+    for k in (256, 270):
+        g = ensure_first_player_win(subtraction_nim(300, k))
+        zero, rng = zero_mask(g), np.random.default_rng(5)
+        optimal = 0
+        for bias in (0.0, 0.8, 1.0):
+            choices = _population(g, zero, rng, 64, bias)
+            assert choices.dtype == np.uint16
+            optimal += _check_mask_against_reference(g, choices)
+        assert 0 < optimal < 3 * 64
 
 
 class _ReadCounter(np.ndarray):
@@ -1082,7 +1096,7 @@ def test_optimal_mask_steps_through_each_pair_once():
     targets = g.targets.view(_ReadCounter)
     targets.reads = 0
     counted = SimpleNamespace(offsets=g.offsets, targets=targets, root=g.root, n=g.n)
-    assert population_optimal_mask(counted, choices, zero).all()
+    assert population_optimal_mask(counted, choices, zero, no_draw).all()
     # A pair step reads one move and at most one reply; expanding a
     # (column, Grundy-0 vertex) pair twice makes about 19,000 reads here.
     zero_edges = int(np.diff(g.offsets)[zero].sum())
@@ -1144,7 +1158,8 @@ def test_witness_is_the_first_hit_across_blocks(monkeypatch, stop_rule, columns,
     if stop_rule == "exact_optimal":
         masks = [population_optimal_mask_dp(g, choices) for choices in populations]
     else:
-        masks = [population_sufficient_mask(g, sorted(gd.critical), choices, zero) for choices in populations]
+        critical = sorted(gd.critical)
+        masks = [population_sufficient_mask(g, critical, choices, zero, no_draw) for choices in populations]
     assert result.succeeded and not any(mask.any() for mask in masks[:-1])
     first = int(np.argmax(masks[-1]))
     assert first >= 3 * columns  # past the first blocks

@@ -181,8 +181,9 @@ def test_csv_round_trip():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        _chain_config(mu_grid=(8, 4))
+    for mu_grid in [(8, 4), (8, 8), (4, 8, 8)]:  # a repeated mu would merge two series
+        with pytest.raises(ValueError, match="mu_grid"):
+            _chain_config(mu_grid=mu_grid)
     with pytest.raises(ValueError):
         _chain_config(replicates=0)
     for mu_grid in [(0,), (-2, 8)]:
