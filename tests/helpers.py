@@ -247,7 +247,7 @@ def run_umda_eager(g: GameGraph, cfg, trace_every: int = 0) -> RunResult:
         if cfg.stop_rule == "exact_optimal":
             mask = population_optimal_mask_dp(g, winners)
         else:
-            mask = population_sufficient_mask(g, sorted(gd.critical), winners, zero, no_draw)
+            mask = population_sufficient_mask(g, sorted(gd.critical), np.asfortranarray(winners), zero, no_draw)
         if mask.any():
             j = int(np.argmax(mask))
             witness = Strategy({v: int(g.targets[g.offsets[v] + winners[v, j]]) for v in g.interior})

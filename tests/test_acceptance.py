@@ -152,17 +152,18 @@ def test_restriction_property_suite():
         w = -np.log(rng.random(size))
         p = w / w.sum()
         gamma = float(rng.random()) / size * 0.999
-        out = np.asarray(restrict(p, gamma))
-        assert abs(out.sum() - 1) <= 1e-12  # A1
         bminus = beta_minus(p, gamma)
         lower = 1 - bminus / (1 - gamma * size)
-        for i in range(size):
-            if p[i] >= gamma:  # A2
-                assert lower * p[i] <= out[i] + 1e-12
-                assert out[i] <= p[i] + 1e-12
-            assert out[i] <= max(gamma, p[i]) + 1e-12  # A3
-        subset = rng.random(size) < 0.5  # A4
-        assert out[subset].sum() <= p[subset].sum() + gamma * size + 1e-12
+        subset = rng.random(size) < 0.5
+        # The engine's edge-vector form and the one-row list form.
+        for out in (restrict(p.copy(), gamma, np.array([size])), np.asarray(restrict(p, gamma))):
+            assert abs(out.sum() - 1) <= 1e-12  # A1
+            for i in range(size):
+                if p[i] >= gamma:  # A2
+                    assert lower * p[i] <= out[i] + 1e-12
+                    assert out[i] <= p[i] + 1e-12
+                assert out[i] <= max(gamma, p[i]) + 1e-12  # A3
+            assert out[subset].sum() <= p[subset].sum() + gamma * size + 1e-12  # A4
     _report("restriction-properties", True, "10000 random (p, gamma, |S|<=8) triples")
 
 

@@ -96,9 +96,9 @@ def test_restrict_binary_equals_clamp():
         a = rng.random()
         gamma = rng.random() * 0.49
         p = np.array([a, 1 - a])
-        out = restrict(p, gamma)
         clamp = np.clip(p, gamma, 1 - gamma)
-        assert (out == clamp).all()
+        assert (restrict(p.copy(), gamma, np.array([2])) == clamp).all()
+        assert (np.asarray(restrict(p, gamma)) == clamp).all()
 
 
 def _random_simplex(rng, size):
@@ -115,18 +115,19 @@ def test_restrict_properties_bulk():
         size = int(rng.integers(1, 9))
         p = _random_simplex(rng, size)
         gamma = float(rng.random()) / size * 0.999
-        out = np.asarray(restrict(p, gamma))
-        assert abs(out.sum() - 1) <= 1e-12
-        assert (out >= gamma - 1e-15).all()
         bminus = beta_minus(p, gamma)
         lower_scale = 1 - bminus / (1 - gamma * size)
-        for i in range(size):
-            assert out[i] <= max(gamma, p[i]) + 1e-12
-            if p[i] >= gamma:
-                assert out[i] <= p[i] + 1e-12
-                assert out[i] >= lower_scale * p[i] - 1e-12
         subset = rng.random(size) < 0.5
-        assert out[subset].sum() <= p[subset].sum() + gamma * size + 1e-12
+        # The engine's edge-vector form and the one-row list form.
+        for out in (restrict(p.copy(), gamma, np.array([size])), np.asarray(restrict(p, gamma))):
+            assert abs(out.sum() - 1) <= 1e-12
+            assert (out >= gamma - 1e-15).all()
+            for i in range(size):
+                assert out[i] <= max(gamma, p[i]) + 1e-12
+                if p[i] >= gamma:
+                    assert out[i] <= p[i] + 1e-12
+                    assert out[i] >= lower_scale * p[i] - 1e-12
+            assert out[subset].sum() <= p[subset].sum() + gamma * size + 1e-12
 
 
 @given(
@@ -136,10 +137,10 @@ def test_restrict_properties_bulk():
 def test_restrict_properties_hypothesis(weights, border_frac):
     p = np.array(weights) / sum(weights)
     gamma = border_frac / len(p)
-    out = np.asarray(restrict(p, gamma))
-    assert abs(out.sum() - 1) <= 1e-9
-    assert (out >= gamma - 1e-12).all()
-    assert (out <= np.maximum(gamma, p) + 1e-9).all()
+    for out in (restrict(p.copy(), gamma, np.array([len(p)])), np.asarray(restrict(p, gamma))):
+        assert abs(out.sum() - 1) <= 1e-9
+        assert (out >= gamma - 1e-12).all()
+        assert (out <= np.maximum(gamma, p) + 1e-9).all()
 
 
 def _restrict_reference(p, gamma):
@@ -282,7 +283,9 @@ def _update_inputs(g, mu, gamma, rng):
             zero = int(rng.integers(hi - lo))
             weights[(rng.random(hi - lo) < 0.3) | (np.arange(hi - lo) == zero)] = 0.0
             weights[(zero + 1) % (hi - lo)] += 0.5
-        p[lo:hi] = weights / weights.sum() if gamma == 0 else restrict(weights / weights.sum(), gamma)
+        p[lo:hi] = weights / weights.sum()
+        if gamma:
+            restrict(p[lo:hi], gamma, np.array([hi - lo]))
         if hi - lo > 1:
             drawn = int(rng.choice([0, mu, int(rng.integers(mu + 1))]))
             counts[lo:hi] = np.bincount(rng.integers(hi - lo, size=drawn), minlength=hi - lo)
@@ -1114,7 +1117,7 @@ def _run_populations(monkeypatch, g, cfg):
 
     def spy(*args):
         out = generation_step(*args)
-        choices = out[1].choices.copy()
+        choices = out[1].choices.copy(order="F")  # a column-major slot store, as the engine's
         undrawn = choices == np.iinfo(choices.dtype).max
         choices[undrawn] = (fill.integers(0, 2**20, size=choices.shape) % degrees)[undrawn]
         populations.append(choices)
