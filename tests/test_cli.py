@@ -1,8 +1,11 @@
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from coevo.cli import cli
+from coevo.games import fixture
 from coevo.ioutil import atomic_write_text
 
 
@@ -152,6 +155,28 @@ def test_analyze_model_file(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["reach"]["4"] == 1.0
     assert payload["win"]["0"] == 1.0
+
+
+def test_analyze_output_is_pinned(capsys, tmp_path):
+    # Digests of the whole JSON, recorded when analyze still ran one reach
+    # and one win pass per interior vertex; the single pass must match them.
+    code, out, _ = run_cli(capsys, "analyze", "--family", "chomp", "--m", "4")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3728003a68159cd504b9450b6b8ed00882d82358ef0e54433fede230265a288b"
+    )
+    g, rng = fixture("fig1"), np.random.default_rng(11)
+    dists = {}
+    for v in g.interior:
+        w = rng.random(int(g.offsets[v + 1] - g.offsets[v])) + 0.05
+        dists[str(v)] = (w / w.sum()).tolist()
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"gamma": 0.0, "dists": dists}))
+    code, out, _ = run_cli(capsys, "analyze", "--fixture", "fig1", "--model", str(model_path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "2b3ce184a7f3abf658b541119d77716c61e620d5912a76e5dd28a9c147552f0b"
+    )
 
 
 def test_switch_hybrid_falls_back_past_the_candidate_limit(capsys):
