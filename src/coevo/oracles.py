@@ -13,6 +13,7 @@ players owns the consulted entry. A model gives each interior vertex ``v``
 one probability per move, entry ``i`` for the move to
 ``targets[offsets[v] + i]``. The DPs walk the graph's two arrays, read as
 lists, in plain arithmetic, so they stay exact on Fraction-valued models.
+An analysis of all n vertices and m moves is one O(n + m) reach-and-win pass.
 """
 
 from __future__ import annotations
@@ -30,10 +31,15 @@ class ModelAnalysis:
     selection: dict[int, list]
 
 
-def _dists(model) -> Mapping[int, Sequence]:
-    # A ProbModel's vectors as lists: the DPs' float arithmetic on list entries
-    # gives the same IEEE doubles as on numpy scalars, and runs faster.
-    return {v: p.tolist() for v, p in model.dists.items()} if hasattr(model, "dists") else model
+def _vectors(g: GameGraph, model) -> Mapping[int, Sequence]:
+    """A model's vectors, checked: one per interior vertex, as long as its degree."""
+    # ProbModel vectors become lists: the same IEEE doubles as numpy scalars, faster.
+    dists = {v: p.tolist() for v, p in model.dists.items()} if hasattr(model, "dists") else model
+    off = g.offsets.tolist()
+    for v in g.interior:
+        if (got := len(dists[v]) if v in dists else "none") != off[v + 1] - off[v]:
+            raise ValueError(f"vertex {v}: expected {off[v + 1] - off[v]} entries, got {got}")
+    return dists
 
 
 def reach_probabilities(g: GameGraph, model) -> dict:
@@ -43,7 +49,7 @@ def reach_probabilities(g: GameGraph, model) -> dict:
     collects, over its in-edges, the probability of visiting the tail
     times the tail's chance of stepping here.
     """
-    dists, off, targets = _dists(model), g.offsets.tolist(), g.targets.tolist()
+    dists, off, targets = _vectors(g, model), g.offsets.tolist(), g.targets.tolist()
     reach = {v: 0 for v in range(g.n)}
     reach[g.root] = 1
     for u in reversed(g.reverse_topo):  # forward topological order
@@ -57,7 +63,7 @@ def reach_probabilities(g: GameGraph, model) -> dict:
 
 def win_probabilities(g: GameGraph, model) -> dict:
     """Probability the player about to move at each vertex wins the game."""
-    dists, off, targets = _dists(model), g.offsets.tolist(), g.targets.tolist()
+    dists, off, targets = _vectors(g, model), g.offsets.tolist(), g.targets.tolist()
     win = {}
     for v in g.reverse_topo:
         lo, hi = off[v], off[v + 1]
@@ -65,12 +71,16 @@ def win_probabilities(g: GameGraph, model) -> dict:
     return win
 
 
-def _at(g: GameGraph, model, u: int) -> tuple[list, list, object, dict]:
-    """The moves and distribution at ``u``, its reach, and every win probability."""
-    dists, moves = _dists(model), g.targets[g.offsets[u] : g.offsets[u + 1]].tolist()
-    if not moves:
+def _moves(g: GameGraph, u) -> list:
+    if not 0 <= u < g.n:
+        raise ValueError(f"vertex {u} is not in 0..{g.n - 1}")
+    if not (moves := g.targets[g.offsets[u] : g.offsets[u + 1]].tolist()):
         raise ValueError(f"vertex {u} has no moves")
-    return moves, list(dists[u]), reach_probabilities(g, dists)[u], win_probabilities(g, dists)
+    return moves
+
+
+def _selection(moves: list, dists: Mapping, reach: dict, win: dict, u: int) -> list:
+    return [p * (1 + reach[u] * (1 - win[w] - win[u])) for w, p in zip(moves, dists[u])]
 
 
 def selection_distribution(g: GameGraph, model, u: int) -> list:
@@ -78,9 +88,10 @@ def selection_distribution(g: GameGraph, model, u: int) -> list:
 
     Closed form: the sampling probability of each move, rescaled by
     ``1 + reach(u) * (1 - win(move) - win(u))``. Sums to one identically.
+    O(n + m) per call; :func:`analyze_model` gives every vertex's law at once.
     """
-    moves, q, r, win = _at(g, model, u)
-    return [p * (1 + r * (1 - win[w] - win[u])) for w, p in zip(moves, q)]
+    moves, dists = _moves(g, u), _vectors(g, model)
+    return _selection(moves, dists, reach_probabilities(g, dists), win_probabilities(g, dists), u)
 
 
 def replicator_form(g: GameGraph, model, u: int) -> tuple[list, list, list]:
@@ -90,8 +101,10 @@ def replicator_form(g: GameGraph, model, u: int) -> tuple[list, list, list]:
     ``u``, ``a[i] = reach(u) * (1 - win(move_i))`` plays the role of a
     fitness, and ``q_next[i] = q[i] * (1 + a[i] - sum_j q[j] a[j])``.
     Must agree with :func:`selection_distribution` entry by entry.
+    O(n + m) per call; :func:`analyze_model` gives every vertex's law at once.
     """
-    moves, q, r, win = _at(g, model, u)
+    moves, dists = _moves(g, u), _vectors(g, model)
+    q, r, win = list(dists[u]), reach_probabilities(g, dists)[u], win_probabilities(g, dists)
     a = [r * (1 - win[w]) for w in moves]
     mean_fitness = sum(qj * aj for qj, aj in zip(q, a))
     q_next = [qi * (1 + ai - mean_fitness) for qi, ai in zip(q, a)]
@@ -99,9 +112,8 @@ def replicator_form(g: GameGraph, model, u: int) -> tuple[list, list, list]:
 
 
 def analyze_model(g: GameGraph, model) -> ModelAnalysis:
-    dists = _dists(model)
-    return ModelAnalysis(
-        reach=reach_probabilities(g, dists),
-        win=win_probabilities(g, dists),
-        selection={u: selection_distribution(g, dists, u) for u in g.interior},
-    )
+    """One reach pass and one win pass, O(n + m), then every vertex's selection law."""
+    dists, off, targets = _vectors(g, model), g.offsets.tolist(), g.targets.tolist()
+    reach, win = reach_probabilities(g, dists), win_probabilities(g, dists)
+    selection = {u: _selection(targets[off[u] : off[u + 1]], dists, reach, win, u) for u in g.interior}
+    return ModelAnalysis(reach=reach, win=win, selection=selection)

@@ -158,8 +158,9 @@ def test_analyze_model_file(capsys, tmp_path):
 
 
 def test_analyze_output_is_pinned(capsys, tmp_path):
-    # Digests of the whole JSON, recorded when analyze still ran one reach
-    # and one win pass per interior vertex; the single pass must match them.
+    # Digests of the whole JSON, recorded from the per-vertex analysis (one
+    # reach and one win pass per interior vertex): the single pass must
+    # reproduce its output byte for byte.
     code, out, _ = run_cli(capsys, "analyze", "--family", "chomp", "--m", "4")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (

@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from coevo.eda import uniform_model
-from coevo.games import fixture, subtraction_nim
+from coevo import oracles
+from coevo.eda import ProbModel, uniform_model
+from coevo.games import FIXTURE_NAMES, chomp, fixture, silver_dollar, subtraction_nim
 from coevo.graphs import build_graph
 from coevo.oracles import (
     analyze_model,
@@ -237,3 +238,93 @@ def test_analyze_model_bundles_everything(fig1):
     analysis = analyze_model(fig1, uniform_rational_model(fig1))
     assert analysis.reach[fig1.root] == 1
     assert set(analysis.selection) == set(fig1.interior)
+
+
+def _assert_analysis_is_per_vertex(g, model):
+    # repr tells every Fraction apart and every IEEE double, -0.0 included,
+    # so equal reprs mean exact equality on Fractions and bit for bit on floats.
+    analysis = analyze_model(g, model)
+    assert repr(analysis.reach) == repr(reach_probabilities(g, model))
+    assert repr(analysis.win) == repr(win_probabilities(g, model))
+    assert list(analysis.selection) == list(g.interior)
+    for u in g.interior:
+        assert repr(analysis.selection[u]) == repr(selection_distribution(g, model, u)), u
+
+
+def _float_model(g, rng):
+    dists = {}
+    for v in g.interior:
+        p = rng.random(len(g.succ[v])) + 0.01
+        dists[v] = p / p.sum()
+    return ProbModel(graph=g, dists=dists, gamma=0.0)
+
+
+def test_analysis_equals_the_per_vertex_oracles_on_fractions():
+    rng = np.random.default_rng(67)
+    for name in FIXTURE_NAMES:
+        g = fixture(name)
+        _assert_analysis_is_per_vertex(g, uniform_rational_model(g))
+        _assert_analysis_is_per_vertex(g, random_rational_model(g, rng, Fraction(1, 8 * g.max_degree)))
+    for _ in range(30):
+        g = random_game(rng)
+        _assert_analysis_is_per_vertex(g, random_rational_model(g, rng, Fraction(1, 4 * g.max_degree)))
+
+
+def test_analysis_equals_the_per_vertex_oracles_bit_for_bit_on_floats():
+    rng = np.random.default_rng(71)
+    for g in (chomp(4), silver_dollar(9, 3), fixture("fig2")):
+        model = _float_model(g, rng)
+        _assert_analysis_is_per_vertex(g, model)
+        _assert_analysis_is_per_vertex(g, {v: list(p) for v, p in model.dists.items()})
+
+
+def test_analysis_makes_one_reach_pass_and_one_win_pass(monkeypatch):
+    g = silver_dollar(7, 3)
+    calls = {"reach": 0, "win": 0}
+    for name, dp in (("reach", reach_probabilities), ("win", win_probabilities)):
+        def counted(graph, model, name=name, dp=dp):
+            calls[name] += 1
+            return dp(graph, model)
+
+        monkeypatch.setattr(oracles, f"{name}_probabilities", counted)
+    oracles.analyze_model(g, uniform_rational_model(g))
+    assert len(g.interior) > 1
+    assert calls == {"reach": 1, "win": 1}
+
+
+def _every_oracle(g, model):
+    return [
+        lambda: reach_probabilities(g, model),
+        lambda: win_probabilities(g, model),
+        lambda: selection_distribution(g, model, g.root),
+        lambda: replicator_form(g, model, g.root),
+        lambda: analyze_model(g, model),
+    ]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({2: [0.25, 0.25, 0.5]}, "vertex 2: expected 2 entries, got 3"),  # was cut to the degree
+        ({2: [1.0]}, "vertex 2: expected 2 entries, got 1"),  # was a bare IndexError
+        ({2: None}, "vertex 2: expected 2 entries, got none"),
+    ],
+    ids=["too long", "too short", "missing"],
+)
+def test_oracles_refuse_a_vector_of_the_wrong_length(change, message):
+    g = subtraction_nim(6, 2)
+    dists = {v: [1 / len(g.succ[v])] * len(g.succ[v]) for v in g.interior} | change
+    dists = {v: p for v, p in dists.items() if p is not None}
+    for model in (dists, ProbModel(graph=g, dists={v: np.array(p) for v, p in dists.items()}, gamma=0.0)):
+        for oracle in _every_oracle(g, model):
+            with pytest.raises(ValueError, match=message):
+                oracle()
+
+
+@pytest.mark.parametrize("u", [-2, -1, 6, 7])
+def test_one_vertex_oracles_refuse_a_vertex_out_of_range(u):
+    g = subtraction_nim(6, 2)
+    model = uniform_rational_model(g)
+    for oracle in (selection_distribution, replicator_form):
+        with pytest.raises(ValueError, match=rf"vertex {u} is not in 0\.\.5"):
+            oracle(g, model, u)
