@@ -71,7 +71,7 @@ def win_probabilities(g: GameGraph, model) -> dict:
     return win
 
 
-def _moves(g: GameGraph, u) -> list:
+def _moves(g: GameGraph, u: int) -> list:
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} is not in 0..{g.n - 1}")
     if not (moves := g.targets[g.offsets[u] : g.offsets[u + 1]].tolist()):
