@@ -329,35 +329,72 @@ def _sample_choice_matrix(table: np.ndarray, rng, rows: np.ndarray) -> np.ndarra
     return count.astype(np.min_scalar_type(width + 1))
 
 
-def _playout(g: GameGraph, draw, count: int) -> np.ndarray:
+class Record:
+    """The entries one generation's games draw, move after move, in arrays every
+    generation of a run writes over: rows of ``ints`` (intp) for each entry's
+    position, game column and edge, and ``slots``; ``moves`` holds each move's
+    number of entries. :meth:`reserve` grows the arrays on demand, doubling,
+    keeping the first ``kept`` entries, and returns the rows and ``slots``."""
+
+    def __init__(self, g: GameGraph):
+        self.ints, self.slots = np.empty((3, 0), np.intp), np.empty(0, np.min_scalar_type(g.max_degree))
+        self.moves = []
+
+    def reserve(self, size: int, kept: int = 0):
+        if size > len(self.slots):
+            size = max(size, 2 * len(self.slots))
+            ints, slots = np.empty((3, size), np.intp), np.empty(size, self.slots.dtype)
+            ints[:, :kept], slots[:kept] = self.ints[:, :kept], self.slots[:kept]
+            self.ints, self.slots = ints, slots
+        return (*self.ints, self.slots)
+
+
+def _playout(g: GameGraph, draw, count: int, record: Record | None = None) -> np.ndarray:
     """Outcomes (+1/-1 for the first mover) of ``count`` games from the root.
 
     Move by move, ``draw(side, at, columns)`` returns the slots x (side 0)
     or y (side 1) picks at positions ``at`` of the live games ``columns``,
-    where the position has more than one move. Positions and columns are
-    intp, the type numpy indexes with, so no gather casts them."""
+    where the position has more than one move (a one-move position takes
+    slot 0). Each move's live games are the next entries of ``record`` (a
+    fresh one if None), whose intp rows ``at`` and ``columns`` view, so no
+    gather casts them; no per-move array outlives its move."""
     offsets, targets = g.offsets, g.targets
     degrees = offsets[1:] - offsets[:-1]
     free, sink = degrees > 1, degrees == 0
+    record = Record(g) if record is None else record
     result = np.full(count, -1, dtype=np.int8)  # x loses at a sink root
-    cols = np.arange(0 if sink[g.root] else count, dtype=np.intp)
-    at = np.full(len(cols), g.root, dtype=np.intp)
-    moves = 0
-    while len(cols):
+    live = 0 if sink[g.root] else count
+    record.moves = []
+    at_, cols_, edges_, slots_ = record.reserve(16 * live)  # room for games of 16 moves before any growth
+    at_[:live], cols_[:live] = g.root, np.arange(live)
+    lo = 0
+    while live:
+        hi = lo + live
+        if hi + live > len(at_):  # no room for the next move's entries
+            at_, cols_, edges_, slots_ = record.reserve(hi + live, hi)
+        at, cols, slots = at_[lo:hi], cols_[lo:hi], slots_[lo:hi]
+        side = len(record.moves) % 2
+        record.moves.append(live)
         chosen = free[at]
-        if np.count_nonzero(chosen) == len(cols):
-            slots = draw(moves % 2, at, cols)
+        if np.count_nonzero(chosen) == live:
+            slots[:] = draw(side, at, cols)
         else:  # some game sits on a one-move position
-            slots = np.zeros(len(cols), dtype=np.intp)
-            slots[chosen] = draw(moves % 2, at[chosen], cols[chosen])
-        at = targets[offsets[at] + slots]
-        moves += 1
-        over = sink[at]
-        if np.count_nonzero(over):
-            # After `moves` moves the player now to act is x iff moves is even.
-            result[cols[over]] = -1 if moves % 2 == 0 else 1
-            live = ~over
-            cols, at = cols[live], at[live]
+            slots[:] = 0
+            slots[chosen] = draw(side, at[chosen], cols[chosen])
+        # out by position (a keyword costs a µs a move); "clip", as "raise" fills a copy first
+        after = at_[hi : hi + live]
+        targets.take(np.add(offsets[at], slots, edges_[lo:hi]), None, after, "clip")
+        over = sink[after]
+        ended = np.count_nonzero(over)
+        if ended:
+            result[cols[over]] = 1 - 2 * side  # the mover wins: the player now to act has no move
+            keep = (~over).nonzero()[0]
+            live -= ended
+            at_[hi : hi + live] = after[keep]
+            cols.take(keep, None, cols_[hi : hi + live], "clip")
+        else:
+            cols_[hi : hi + live] = cols
+        lo = hi
     return result
 
 
@@ -500,7 +537,7 @@ def _stop_block(instance: Instance, stop_rule: str) -> int:
 
 
 def generation_step(
-    instance: Instance, p: np.ndarray, cfg: UmdaConfig, rng: np.random.Generator
+    instance: Instance, p: np.ndarray, cfg: UmdaConfig, rng: np.random.Generator, record: Record | None = None
 ) -> tuple[np.ndarray, Population]:
     """One generation on ``instance.graph`` from the edge vector ``p`` (in
     ``offsets``/``targets`` order): mu tournaments, the stop check, the update
@@ -508,43 +545,41 @@ def generation_step(
 
     Draws each player's choice where it moves, the winners' entries the
     stop check reads (none under the cap-only rule) and the witness's rest.
-    The games' draws are recorded as the playout's own intp position and
-    column arrays, one per move, joined once the games end and then freed.
-    An edge counts the drawn winner entries on it plus its share of one
-    multinomial fill of the undrawn ones, over the vertices in id order; one
-    :func:`restrict` call then clamps the whole edge vector, row by row in
-    edge order. Returns the next edge vector and the winners.
+    The games' draws go into ``record`` (a fresh one if None; a run passes
+    one to all its generations) and are filtered in its memory: a loser's
+    entry gets the undrawn slot and count bin 0, so one scatter writes the
+    slot store and one ``bincount`` counts the winners' edges (one-move
+    positions too: their fill rows draw nothing either way). An edge counts
+    those plus its share of one multinomial fill of the rest, per vertex from
+    the counts' cumulative sums; one :func:`restrict` call then clamps the
+    whole edge vector. Returns the next edge vector and the winners.
     """
     g, mu = instance.graph, cfg.mu
+    record = Record(g) if record is None else record
     table = _threshold_table(g, p)
-    dtype = np.min_scalar_type(g.max_degree)
-    none = np.zeros(0, dtype=np.intp)
-    steps, wins = [(none, none, none.astype(dtype))], [1]  # (positions, games, slots) per move
+    outcome = _playout(g, lambda side, at, cols: _sample_choice_matrix(table, rng, at), mu, record)
+    size = sum(record.moves)
+    (at, cols, edges), slots = record.ints[:, :size], record.slots[:size]
+    undrawn = np.iinfo(slots.dtype).max
+    mover = np.int8([1, -1] * len(record.moves))[: len(record.moves)]  # x makes the first move, y the next, ...
+    won = np.repeat(mover, record.moves) == outcome[cols]
+    slots |= np.subtract(won, 1, dtype=slots.dtype)  # a loser's slot: every bit set, undrawn
+    edges += 1
+    edges *= won  # a winner's edge e is counted in bin e + 1, a loser's in bin 0
+    del won  # freed before the stop check, whose peak it would raise
+    counts = np.bincount(edges, minlength=g.edge_count + 1)
+    cols *= g.n
+    cols += at  # each entry's index in the column-major slot store
+    store = np.full((g.n, mu), undrawn, dtype=slots.dtype, order="F")
+    store.ravel(order="F")[cols] = slots
+    store[g.offsets[1:] - g.offsets[:-1] < 2] = 0  # no choice to draw
 
-    def move(side, at, cols):
-        slots = _sample_choice_matrix(table, rng, at)
-        steps.append((at, cols, slots))  # the playout's own intp arrays, not copied
-        wins.append(1 - 2 * side)  # the outcome that makes this mover the winner
-        return slots
-
-    outcome = _playout(g, move, mu)
-    at, cols, slots = (np.concatenate(part) for part in zip(*steps))
-    wins = np.repeat(np.int8(wins), [len(step[0]) for step in steps])
-    del steps[:]  # free the per-move arrays before the record is filtered
-    won = np.flatnonzero(outcome[cols] == wins)
-    at = at[won]  # one array at a time, each freed before the next is gathered
-    cols = cols[won]
-    slots = slots[won]
-    drawn = [(at, slots)]  # every winner entry drawn, each once
+    drawn = []  # the stop check's and the witness's draws: (positions, slots)
 
     def draw(rows):
         drawn.append((rows, _sample_choice_matrix(table, rng, rows)))
         return drawn[-1][1]
 
-    undrawn = np.iinfo(dtype).max
-    store = np.full((g.n, mu), undrawn, dtype=dtype, order="F")
-    store[g.offsets[1:] - g.offsets[:-1] < 2] = 0  # no choice to draw
-    store.ravel(order="F")[cols * g.n + at] = slots
     witness = None
     if cfg.stop_rule != "generation_cap_only":
         block = _stop_block(instance, cfg.stop_rule)
@@ -560,10 +595,11 @@ def generation_step(
                 break
 
     del table  # every draw is made; free it before the update, where memory peaks
-    at, slots = (np.concatenate(part) for part in zip(*drawn))
-    counts = np.bincount(g.offsets[at] + slots, minlength=g.edge_count)
-    rest = mu - np.bincount(at, minlength=g.n)  # the winners' undrawn entries per vertex
-    return _update(instance, p, counts, rest, mu, cfg.gamma, rng), Population(g, store, witness)
+    if drawn:
+        rows, slots = (np.concatenate(part) for part in zip(*drawn))
+        counts[1:] += np.bincount(g.offsets[rows] + slots, minlength=g.edge_count)
+    rest = mu - np.diff(np.cumsum(counts)[g.offsets])  # the winners' undrawn entries per vertex
+    return _update(instance, p, counts[1:], rest, mu, cfg.gamma, rng), Population(g, store, witness)
 
 
 def run_umda(
@@ -579,8 +615,7 @@ def run_umda(
     be a first-player-win game (add a forced start first if necessary).
     ``trace_every`` k > 0 snapshots every k-th generation's model.
     """
-    if trace_every < 0:
-        raise ValueError(f"trace_every must be at least 0, got {trace_every}")
+    _require_int("trace_every", trace_every, 0)
     if instance is None:
         instance = prepare(g)
         if instance.graph is not g:
@@ -590,9 +625,9 @@ def run_umda(
     p = uniform_vector(g, cfg.gamma)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     trace: list[tuple[int, dict]] = []
-    witness = None
+    witness, record = None, Record(g)
     for t in range(1, cfg.max_generations + 1):
-        p, population = generation_step(instance, p, cfg, rng)
+        p, population = generation_step(instance, p, cfg, rng, record)
         if trace_every and t % trace_every == 0:
             trace.append((t, ProbModel(g, _views(g, p), cfg.gamma).snapshot()))
         if population.witness is not None:

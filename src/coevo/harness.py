@@ -194,6 +194,7 @@ def intransitivity_search(
     samples ``triples`` random triples from the uniform model, each drawn
     at every interior vertex in turn, and returns the first that cycles.
     """
+    eda._require_int("triples", triples, 1)
     if strategy_space_size(g) <= 64:
         strategies = list(enumerate_strategies(g))
         m = len(strategies)

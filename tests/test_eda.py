@@ -31,6 +31,7 @@ from coevo.eda import (
     theorem_border,
     theorem_parameters,
     uniform_model,
+    uniform_vector,
 )
 from coevo.games import FIXTURE_NAMES, chomp, fixture, silver_dollar, subtraction_nim, turning_turtles
 from coevo.graphs import build_graph
@@ -987,6 +988,15 @@ def test_trace_snapshots(fig1):
         run_umda(fig1, cfg, trace_every=-1)
 
 
+@pytest.mark.parametrize("trace_every", [1.5, True, "2", None])
+def test_run_refuses_a_trace_interval_that_is_not_an_int(fig1, trace_every):
+    # 1.5 used to snapshot generations 3 and 6, True acted as 1, and "2"
+    # raised a bare TypeError.
+    cfg = UmdaConfig(mu=8, gamma=0.02, max_generations=9, seed=13, stop_rule="generation_cap_only")
+    with pytest.raises(ValueError, match="trace_every must be an int at least 0"):
+        run_umda(fig1, cfg, trace_every=trace_every)
+
+
 def test_run_builds_its_model_only_for_snapshots_and_the_result(monkeypatch, fig1):
     # A run carries one edge vector from generation to generation; per-vertex
     # views of it are made once per trace snapshot and once for the result.
@@ -1233,6 +1243,67 @@ def test_generation_memory_stays_near_the_store():
     # choice matrices and their uniforms were 17 MB here.
     table = _threshold_table(g, edge_vector(model))
     assert peak <= 2 * g.n * mu + table.nbytes + 2 * 2**20
+
+
+@pytest.mark.parametrize(
+    "stop_rule", ["exact_optimal", "sufficient_optimal", "generation_cap_only"]
+)
+@pytest.mark.parametrize(
+    "base, mu",
+    [(subtraction_nim(64, 2), 1024), (silver_dollar(8, 3), 256), (chomp(4), 256)],
+    ids=["nim n=64 k=2", "silver_dollar m=8 k=3", "chomp m=4"],
+)
+def test_a_reused_record_steps_as_a_fresh_one(base, mu, stop_rule):
+    # A run writes every generation over one record; stepping the same run
+    # with a fresh record each generation gives the same bytes: edge vector,
+    # slot store, witness and random stream.
+    instance = prepare(base)
+    g = instance.graph
+    cfg = UmdaConfig(mu=mu, gamma=float(theorem_border(base)), max_generations=1, seed=0, stop_rule=stop_rule)
+    record = eda.Record(g)
+    reused = uniform_vector(g, cfg.gamma)
+    fresh = reused.copy()
+    rngs = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(12):
+        reused, kept = generation_step(instance, reused, cfg, rngs[0], record)
+        fresh, made = generation_step(instance, fresh, cfg, rngs[1])
+        assert reused.tobytes() == fresh.tobytes()
+        assert kept.choices.tobytes() == made.choices.tobytes() and kept.witness == made.witness
+        assert not np.shares_memory(kept.choices, record.ints) and not np.shares_memory(kept.choices, record.slots)
+        if made.witness is not None:
+            break
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+def test_generations_after_the_first_reuse_the_record(monkeypatch):
+    # On nim n=64 k=2 at mu=1024 a generation's games draw about 43,000
+    # entries. The first generation of a run allocates the record that holds
+    # them; every later one writes over it, so its traced peak stays below
+    # one intp array of that many entries.
+    base = subtraction_nim(64, 2)
+    instance = prepare(base)
+    peaks = []
+
+    def spy(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = generation_step(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
+
+    monkeypatch.setattr(eda, "generation_step", spy)
+    cfg = UmdaConfig(mu=1024, gamma=float(theorem_border(base)), max_generations=2000, seed=0)
+    run_umda(instance.graph, replace(cfg, mu=8), instance=instance)  # numpy's lazy set-up
+    peaks.clear()
+    tracemalloc.start()
+    try:
+        result = run_umda(instance.graph, cfg, instance=instance)
+    finally:
+        tracemalloc.stop()
+    record_bytes = 43_000 * np.dtype(np.intp).itemsize
+    assert result.succeeded and len(peaks) == result.generations_used > 10
+    assert peaks[0] > record_bytes  # the first generation allocates the record
+    assert max(peaks[1:]) < record_bytes
 
 
 # --- the winner select -------------------------------------------------------

@@ -323,6 +323,15 @@ def test_intransitivity_none_on_trivial_games():
     assert intransitivity_search_scalar(fig4) is None
 
 
+@pytest.mark.parametrize("triples", [-5, 0, 2.5, True, "100"])
+def test_intransitivity_refuses_a_bad_triple_count(triples):
+    # nim n=12 k=3 is searched by sampling, where -5 and 0 used to return
+    # None ("no cycle") without playing a game.
+    g = subtraction_nim(12, 3)
+    with pytest.raises(ValueError, match="triples must be an int at least 1"):
+        intransitivity_search(g, triples=triples)
+
+
 def test_intransitivity_sampled_mode():
     g = subtraction_nim(10, 2)  # 256 strategies: above the exhaustive limit of 64
     rng = np.random.default_rng(7)

@@ -1,6 +1,7 @@
 """The experiment scripts end to end, at tiny sizes, in a fresh interpreter."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -55,9 +56,10 @@ def test_engine_timing_one_repetition(tmp_path):
     done = run_script("engine_timing.py", "--repeat", "1", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     header, *rows = done.stdout.splitlines()
-    assert header.split() == ["game", "mu", "prepare_ms", "uniform_ms", "generation_ms", "peak_mb"]
-    assert [row.split()[0] for row in rows] == ["subtraction_nim", "chomp", "subtraction_nim"]
-    assert all(float(value) > 0 for row in rows for value in row.split()[-4:])
+    assert header.split() == ["game", "mu", "prepare_ms", "uniform_ms", "generation_ms", "peak_mb", "faults_per_gen"]
+    assert [row.split()[0] for row in rows] == ["subtraction_nim", "subtraction_nim", "chomp", "subtraction_nim"]
+    assert all(float(value) > 0 for row in rows for value in row.split()[-5:-1])
+    assert all(math.isfinite(float(row.split()[-1])) for row in rows)  # a difference of fault counts
 
 
 @pytest.mark.parametrize(
