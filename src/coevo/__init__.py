@@ -14,7 +14,7 @@ from .graphs import GameGraph, Strategy, Transcript, build_graph, csr_graph, pla
 from .grundy import (
     GrundyData,
     canonical_optimal_strategy,
-    critical_positions,
+    critical_rows,
     ensure_first_player_win,
     grundy_values,
     is_optimal_exact,
@@ -42,7 +42,7 @@ __all__ = [
     "build_graph",
     "canonical_optimal_strategy",
     "chomp",
-    "critical_positions",
+    "critical_rows",
     "csr_graph",
     "depth",
     "ensure_first_player_win",

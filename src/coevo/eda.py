@@ -24,13 +24,13 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import grundy as _grundy
 from .graphs import GameGraph, Strategy
-from .grundy import GrundyData, PreconditionViolated
+from .grundy import PreconditionViolated
 
 
 class GammaTooLarge(ValueError):
@@ -318,15 +318,17 @@ def _sample_choice_matrix(table: np.ndarray, rng, rows: np.ndarray) -> np.ndarra
         for i in range(1, width):
             slots += table[:, i][rows] <= u
         return slots
-    # With 2^k <= width < 2^(k+1): do the last 2^k thresholds start at or
-    # below u? Then k halving steps over the 2^k - 1 left to search.
+    # With 2^k <= width < 2^(k+1): do the last 2^k thresholds start at or below u? Then k
+    # halving steps over the 2^k - 1 left, each on the flat index ``at`` = base + count.
     flat, base = table.ravel(), rows * width - 1
     half = 1 << (width.bit_length() - 1)
-    count = (flat[base + width - half + 1] <= u) * np.int32(width - half + 1)
+    at = base + (flat[base + width - half + 1] <= u) * base.dtype.type(width - half + 1)
     while half > 1:
         half >>= 1
-        np.copyto(count, count + half, where=flat[base + count + half] <= u)
-    return count.astype(np.min_scalar_type(width + 1))
+        step = at + half
+        np.copyto(at, step, where=flat[step] <= u)
+    at -= base
+    return at.astype(np.min_scalar_type(width + 1))
 
 
 class Record:
@@ -493,37 +495,35 @@ def population_sufficient_mask(g: GameGraph, critical, choices, zero, draw):
 class Instance:
     """One game prepared for runs by :func:`prepare`, shared read-only by every
     run on it: ``base`` as built; ``graph``, the game the runs play, ``base``
-    plus a forced start where its root is Grundy-0; and of ``graph``: Grundy
-    data, Grundy-0 flags, critical rows in ascending order, each edge's cell
-    in the flattened fill table of :func:`_update` (so the table's cells read
-    back in edge order) and the interior vertices' out-degrees in id order."""
+    plus a forced start where its root is Grundy-0; and of ``graph``: Grundy-0
+    flags, critical rows in ascending order, each edge's cell in the flattened
+    fill table of :func:`_update` (so the table's cells read back in edge
+    order) and the interior vertices' out-degrees in id order."""
 
     base: GameGraph
     graph: GameGraph
-    gd: GrundyData
     zero: np.ndarray
     critical: np.ndarray
     fill_cells: np.ndarray
     degrees: np.ndarray
 
 
-def _instance(base: GameGraph, graph: GameGraph, gd: GrundyData) -> Instance:
+def prepare(base: GameGraph) -> Instance:
+    """The instance of ``base``, from one win/lose pass (:func:`grundy.zero_flags`),
+    not the full Grundy numbering: the stop check reads only Grundy-0 flags. A
+    second-player-win game gets the forced start vertex, which is not Grundy-0."""
+    zero = _grundy.zero_flags(base)
+    graph = _grundy.ensure_first_player_win(base, zero)
+    if graph is not base:
+        zero = np.append(zero, False)
     degree, width = np.diff(graph.offsets), graph.max_degree
     degrees = degree[degree > 0]
     cells = np.arange(graph.edge_count) + np.repeat(np.arange(graph.n) * width - graph.offsets[:-1], degree)
     cells[np.cumsum(degrees) - 1] += width - degrees  # a last move goes to its row's last cell
-    arrays = (np.array(gd.values) == 0, np.array(sorted(gd.critical), dtype=np.int64), cells, degrees)
+    arrays = (zero, _grundy.critical_rows(graph, zero), cells, degrees)
     for array in arrays:
         array.flags.writeable = False
-    return Instance(base, graph, gd, *arrays)
-
-
-def prepare(base: GameGraph) -> Instance:
-    """The instance of ``base``, from one Grundy pass: a second-player-win game
-    gets the forced start vertex, whose values follow from ``base``'s."""
-    gd = _grundy.grundy_values(base)
-    graph = _grundy.ensure_first_player_win(base, gd)
-    return _instance(base, graph, gd if graph is base else _grundy.forced_start_values(gd))
+    return Instance(base, graph, *arrays)
 
 
 def _stop_block(instance: Instance, stop_rule: str) -> int:
@@ -677,25 +677,26 @@ def theorem_border(g: GameGraph) -> Fraction:
 
 
 def theorem_parameters(
-    g: GameGraph, gd: GrundyData, s_values: Mapping[int, int], K: float = 1.0, C: float = 1.0
+    g: GameGraph, critical: Iterable[int], s_values: Mapping[int, int], K: float = 1.0, C: float = 1.0
 ) -> TheoremBudget:
     """Instantiate the runtime guarantee's parameter formulas.
 
     ``s_values`` maps vertices to switchability values or upper bounds (the
-    budgets are monotone in them) and must cover every critical position;
-    ``s_hat`` is their maximum over critical positions, ``s_bar`` over all.
+    budgets are monotone in them) and must cover each of ``g``'s ``critical``
+    positions; ``s_hat`` is their maximum over those, ``s_bar`` over all.
     The denominator of :func:`theorem_border` is every budget's power base.
     """
     gamma = theorem_border(g)
-    missing = [v for v in gd.critical if v not in s_values]
+    critical = sorted(int(v) for v in critical)
+    missing = [v for v in critical if v not in s_values]
     if missing:
         raise MissingSwitchability(f"no switchability value for vertices {missing}")
     base = gamma.denominator
     log_n = math.log(g.n)
-    s_hat = max((int(s_values[v]) for v in gd.critical), default=0)
+    s_hat = max((int(s_values[v]) for v in critical), default=0)
     s_bar = max((int(s) for s in s_values.values()), default=0)
     mu_base = base ** (1 + 2 * s_hat)
-    gen_base = sum(base ** int(s_values[v]) for v in gd.critical)
+    gen_base = sum(base ** int(s_values[v]) for v in critical)
     eval_base = base ** (2 + 3 * s_bar)
     return TheoremBudget(
         gamma=gamma, s_hat=s_hat, s_bar=s_bar,

@@ -2,6 +2,7 @@
 
 Computes the classical Grundy numbering of a game graph (sinks take value
 0, interior vertices take the mex of their successors' values), the
+cheaper Grundy-0 flags alone by win/lose retrograde analysis, the
 critical positions where a winning mover could still blunder, and two
 optimality checks for strategies: a sufficient certificate that only
 inspects critical positions, and an exact best-response test.
@@ -53,21 +54,37 @@ def grundy_values(g: GameGraph) -> GrundyData:
                 present[val] = 1
         h[v] = present.index(0)
     values = tuple(h)
-    zero = frozenset(v for v in range(g.n) if values[v] == 0)
+    zero = np.array(values) == 0
     return GrundyData(
         values=values,
-        zero_set=zero,
-        critical=critical_positions(g, values),
+        zero_set=frozenset(np.flatnonzero(zero).tolist()),
+        critical=frozenset(critical_rows(g, zero).tolist()),
     )
 
 
-def critical_positions(g: GameGraph, values: tuple[int, ...]) -> frozenset[int]:
-    """Interior positions where optimal play must be learned: nonzero
-    Grundy value and at least one successor of nonzero value (a wrong
-    move exists)."""
-    nonzero = np.array(values) != 0
+def zero_flags(g: GameGraph) -> np.ndarray:
+    """``g``'s Grundy-0 flags, read-only, by win/lose retrograde analysis: a vertex is
+    Grundy-0 iff no move reaches one, so each scan stops at a Grundy-0 successor."""
+    off, targets = g.offsets.tolist(), memoryview(g.targets)
+    zero = [False] * g.n
+    for v in g.reverse_topo:
+        for w in targets[off[v] : off[v + 1]]:
+            if zero[w]:
+                break
+        else:
+            zero[v] = True
+    flags = np.array(zero)
+    flags.flags.writeable = False
+    return flags
+
+
+def critical_rows(g: GameGraph, zero: np.ndarray) -> np.ndarray:
+    """The critical positions in ascending order, from the Grundy-0 flags: interior
+    positions where optimal play must be learned, not Grundy-0 and with at least
+    one successor that is not Grundy-0 either (a wrong move exists)."""
+    nonzero = ~zero
     before = np.concatenate(([0], np.cumsum(nonzero[g.targets])))[g.offsets]  # nonzero targets before v's edges
-    return frozenset(np.flatnonzero(nonzero & (np.diff(before) > 0)).tolist())
+    return np.flatnonzero(nonzero & (np.diff(before) > 0))
 
 
 def is_optimal_sufficient(g: GameGraph, gd: GrundyData, x: Strategy) -> bool:
@@ -115,24 +132,20 @@ def canonical_optimal_strategy(g: GameGraph, gd: GrundyData) -> Strategy:
     return Strategy({v: next((w for w in ws if values[w] == 0), ws[0]) for v, ws in moves.items()})
 
 
-def ensure_first_player_win(g: GameGraph, gd: GrundyData | None = None) -> GameGraph:
+def ensure_first_player_win(g: GameGraph, zero: np.ndarray | None = None) -> GameGraph:
     """Return ``g``, or ``g`` plus a forced-move start vertex.
 
-    When the root already has nonzero Grundy value the graph is returned
+    ``zero`` holds ``g``'s Grundy-0 flags (:func:`zero_flags`, computed here
+    when None). When the root is not Grundy-0 the graph is returned
     unchanged, which makes the operation idempotent. Otherwise a fresh
     vertex ``n`` becomes the new root with the old root as its only move;
     the new root's value is then mex{0} = 1.
     """
-    if gd is None:
-        gd = grundy_values(g)
-    if gd.values[g.root] != 0:
+    if zero is None:
+        zero = zero_flags(g)
+    elif not (isinstance(zero, np.ndarray) and zero.dtype == bool and zero.shape == (g.n,)):
+        raise ValueError(f"zero must be a bool array of length {g.n}, one Grundy-0 flag per vertex")
+    if not zero[g.root]:
         return g
     offsets = np.append(g.offsets, g.edge_count + 1)
     return csr_graph(offsets, np.append(g.targets, g.root), g.n, g.labels + ("start",))
-
-
-def forced_start_values(gd: GrundyData) -> GrundyData:
-    """The Grundy data of the graph :func:`ensure_first_player_win` extends, from
-    the base graph's: the start vertex takes value 1 and, with one move, is never
-    critical, so the zero and critical sets stay as they are."""
-    return GrundyData(values=gd.values + (1,), zero_set=gd.zero_set, critical=gd.critical)

@@ -81,20 +81,20 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
     The game is built and prepared once (:func:`eda.prepare`), and every run
     shares that record. The ``n`` and ``delta`` columns and the theorem
     border describe the record's base game, as parameterised; the
-    switchability profile and the budget describe its run graph, which
+    switchability reports and the budget describe its run graph, which
     carries the forced start of a second-player-win game.
     """
     return _experiment(cfg, eda.prepare(cfg.game.build()))
 
 
 def _experiment(cfg: ExperimentConfig, instance: eda.Instance) -> list[ExperimentRecord]:
-    base, graph, gd = instance.base, instance.graph, instance.gd
-    profile = switchability.switchability_profile(graph, gd=gd)
+    base, graph = instance.base, instance.graph
+    reports, mode = switchability.switchability_reports(graph, range(graph.n))
     gamma = float(eda.theorem_border(base) if cfg.gamma_rule == "theorem" else cfg.gamma_rule)
-    budget = eda.theorem_parameters(graph, gd, {v: r.value for v, r in profile.reports.items()})
+    budget = eda.theorem_parameters(graph, instance.critical, {v: r.value for v, r in reports.items()})
     columns = dict(
         family=cfg.game.family, params=cfg.game.params_string(), n=base.n, delta=base.max_degree,
-        s_bar=profile.s_bar, s_mode=profile.mode_used, gamma=gamma,
+        s_bar=budget.s_bar, s_mode=mode, gamma=gamma,
         theorem_eval_budget=budget.eval_budget,
     )
     records = []

@@ -204,8 +204,7 @@ def switchability_profile(
 ) -> SwitchabilityProfile:
     """Per-vertex reports plus the two aggregates used by runtime budgets."""
     reports, mode_used = switchability_reports(g, range(g.n), mode, edge_limit)
-    if gd is None:
-        gd = _grundy.grundy_values(g)
+    critical = _grundy.critical_rows(g, _grundy.zero_flags(g)).tolist() if gd is None else gd.critical
     s_bar = max(r.value for r in reports.values())
-    s_hat = max((reports[v].value for v in gd.critical), default=0)
+    s_hat = max((reports[v].value for v in critical), default=0)
     return SwitchabilityProfile(reports=reports, s_bar=s_bar, s_hat=s_hat, mode_used=mode_used)

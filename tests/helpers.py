@@ -16,7 +16,6 @@ from coevo.eda import (
     Instance,
     ProbModel,
     RunResult,
-    _instance,
     _play_matrices,
     _sample_choice_matrix,
     _threshold_table,
@@ -34,7 +33,13 @@ from coevo.graphs import (
     play,
     strategy_space_size,
 )
-from coevo.grundy import PreconditionViolated, grundy_values, is_optimal_exact
+from coevo.grundy import (
+    GrundyData,
+    PreconditionViolated,
+    ensure_first_player_win,
+    grundy_values,
+    is_optimal_exact,
+)
 from coevo.harness import ExperimentRecord
 
 
@@ -132,10 +137,30 @@ def edge_vector(model: ProbModel) -> np.ndarray:
     return np.concatenate([model.dists[v] for v in model.graph.interior])
 
 
+def instance_from_grundy(base: GameGraph, graph: GameGraph, gd: GrundyData) -> Instance:
+    """Reference for :func:`coevo.eda.prepare`'s arrays, from ``graph``'s full
+    Grundy data ``gd`` instead of its Grundy-0 flags."""
+    degree, width = np.diff(graph.offsets), graph.max_degree
+    degrees = degree[degree > 0]
+    cells = np.arange(graph.edge_count) + np.repeat(np.arange(graph.n) * width - graph.offsets[:-1], degree)
+    cells[np.cumsum(degrees) - 1] += width - degrees  # a last move goes to its row's last cell
+    arrays = (np.array(gd.values) == 0, np.array(sorted(gd.critical), dtype=np.int64), cells, degrees)
+    for array in arrays:
+        array.flags.writeable = False
+    return Instance(base, graph, *arrays)
+
+
+def prepare_from_grundy(base: GameGraph) -> Instance:
+    """Reference for :func:`coevo.eda.prepare`: the run graph's instance from a
+    full Grundy pass over it."""
+    graph = ensure_first_player_win(base)
+    return instance_from_grundy(base, graph, grundy_values(graph))
+
+
 def instance_as_is(g: GameGraph) -> Instance:
     """The instance of ``g`` as it stands: no forced start, even where
     :func:`coevo.eda.prepare` would add one for a Grundy-0 root."""
-    return _instance(g, g, grundy_values(g))
+    return instance_from_grundy(g, g, grundy_values(g))
 
 
 def step(model: ProbModel, cfg, rng: np.random.Generator, instance: Instance | None = None):
@@ -397,7 +422,7 @@ def play_from(g: GameGraph, v: int, x: Strategy, y: Strategy) -> int:
 def critical_positions_inclusive(g: GameGraph, values: tuple[int, ...]) -> frozenset[int]:
     """Alternative reading of the critical set: nonzero vertices with a
     zero-valued successor and more than one move. It differs from
-    :func:`coevo.grundy.critical_positions` only on vertices whose moves
+    :func:`coevo.grundy.critical_rows` only on vertices whose moves
     are all winning."""
     return frozenset(
         v

@@ -81,14 +81,15 @@ def test_run_solves_the_game_once(capsys, monkeypatch):
     from coevo import grundy
 
     calls = []
-    inner = grundy.grundy_values
-    monkeypatch.setattr(grundy, "grundy_values", lambda g: calls.append(g.n) or inner(g))
+    inner_flags, inner_values = grundy.zero_flags, grundy.grundy_values
+    monkeypatch.setattr(grundy, "zero_flags", lambda g: calls.append(("flags", g.n)) or inner_flags(g))
+    monkeypatch.setattr(grundy, "grundy_values", lambda g: calls.append(("values", g.n)) or inner_values(g))
     argv = [
         "run", "--family", "subtraction_nim", "--n", "10", "--k", "2",
         "--mu", "8", "--gamma-theorem", "--max-gen", "20",
     ]
     assert run_cli(capsys, *argv)[0] == 0
-    assert calls == [10]  # the base game; the forced start's values follow from it
+    assert calls == [("flags", 10)]  # the base game; the forced start's flag follows from it
 
 
 def test_run_fixed_gamma_on_a_game_without_moves(capsys):

@@ -567,8 +567,8 @@ def test_sampler_memory_stays_near_the_output():
         tracemalloc.stop()
     assert len(slots) == len(rows)
     # The output plus at most 40 bytes an entry: 8-byte uniforms and gathered
-    # thresholds, and 4-byte row offsets, counts, a halving step's index and
-    # next counts (31 bytes at the measured peak; int64 rows made it 39).
+    # thresholds, and 4-byte row offsets, running indices and a halving step's
+    # indices (28 bytes at the measured peak; int64 rows made it 40).
     assert peak <= slots.nbytes + 5 * 8 * len(rows)
 
 
@@ -885,17 +885,16 @@ def test_run_requires_first_player_win():
 def test_prepare_describes_the_run_graph_from_one_pass(monkeypatch, n):
     base = subtraction_nim(n, 2)
     calls = []
-    monkeypatch.setattr(
-        eda._grundy, "grundy_values", lambda g: calls.append(g) or grundy_values(g)
-    )
+    inner = eda._grundy.zero_flags
+    monkeypatch.setattr(eda._grundy, "zero_flags", lambda g: calls.append(g) or inner(g))
+    monkeypatch.setattr(eda._grundy, "grundy_values", lambda g: calls.append(("values", g)))
     instance = prepare(base)
     assert calls == [base]
     g = instance.graph
     assert instance.base is base and (g is base) == (n == 11)
     assert g == ensure_first_player_win(base)
-    assert instance.gd == grundy_values(g)
     assert np.array_equal(instance.zero, zero_mask(g))
-    assert instance.critical.tolist() == sorted(instance.gd.critical)
+    assert instance.critical.tolist() == sorted(grundy_values(g).critical)
     fresh = instance_as_is(g)
     for name, value in vars(instance).items():
         if isinstance(value, np.ndarray):
@@ -1379,7 +1378,7 @@ def test_theorem_gamma_formula():
     g = subtraction_nim(9, 3)
     gd = grundy_values(g)
     s_values = {v: 1 for v in range(g.n)}
-    budget = theorem_parameters(g, gd, s_values)
+    budget = theorem_parameters(g, gd.critical, s_values)
     assert budget.gamma == theorem_border(g) == Fraction(1, 20 * 3 * 9)
     assert float(theorem_border(g)) == 1.0 / (20 * 3 * 9)
 
@@ -1394,7 +1393,7 @@ def test_theorem_trivial_instantiation():
 
     g = build_graph({0: [1, 2], 1: [], 2: []}, root=0)
     gd = grundy_values(g)
-    budget = theorem_parameters(g, gd, {v: 0 for v in range(g.n)}, K=0.0, C=1.0)
+    budget = theorem_parameters(g, gd.critical, {v: 0 for v in range(g.n)}, K=0.0, C=1.0)
     base = 20 * 2 * 3
     assert budget.mu_min == pytest.approx(base * math.log(3))
     assert budget.mu_min_base == base
@@ -1404,7 +1403,7 @@ def test_theorem_fig1_budget(fig1):
     import math
 
     gd = grundy_values(fig1)
-    budget = theorem_parameters(fig1, gd, {0: 0, 1: 1, 2: 1, 3: 2, 4: 0}, K=1.0, C=1.0)
+    budget = theorem_parameters(fig1, gd.critical, {0: 0, 1: 1, 2: 1, 3: 2, 4: 0}, K=1.0, C=1.0)
     assert budget.s_hat == 1
     assert budget.s_bar == 2
     assert budget.mu_min == pytest.approx(3 * 300**3 * math.log(5))
@@ -1420,7 +1419,7 @@ def test_theorem_budget_past_a_float_is_inf():
     g = subtraction_nim(64, 2)
     gd = grundy_values(g)
     s_values = dict(enumerate(root_distances(g)))
-    budget = theorem_parameters(g, gd, s_values)
+    budget = theorem_parameters(g, gd.critical, s_values)
     assert budget.s_bar == 32
     assert budget.eval_budget == float("inf")
     assert np.isfinite(budget.mu_min)
@@ -1430,4 +1429,4 @@ def test_theorem_budget_past_a_float_is_inf():
 def test_theorem_missing_switchability(fig1):
     gd = grundy_values(fig1)
     with pytest.raises(MissingSwitchability):
-        theorem_parameters(fig1, gd, {0: 0})
+        theorem_parameters(fig1, gd.critical, {0: 0})

@@ -357,9 +357,10 @@ def test_no_library_path_builds_the_successor_tuples(make, forced):
     exact = {v: [Fraction(1, len(p))] * len(p) for v, p in eda.uniform_model(g, 0.0).dists.items()}
     oracles.analyze_model(g, exact)
     oracles.replicator_form(g, exact, g.root)
-    switchability.switchability_profile(g, gd=instance.gd)
+    gd = grundy.grundy_values(g)
+    switchability.switchability_profile(g, gd=gd)
     switchability.depth(g, [])
-    x = grundy.canonical_optimal_strategy(g, instance.gd)
+    x = grundy.canonical_optimal_strategy(g, gd)
     assert grundy.is_optimal_exact(g, x)
     x.validate(g).key(g)
     play(g, x, next(enumerate_strategies(g)))

@@ -1,19 +1,37 @@
 import numpy as np
 import pytest
 
-from coevo.games import nim_decode, silver_dollar, subtraction_nim
+from coevo import grundy
+from coevo.eda import prepare
+from coevo.games import fixture, nim_decode, silver_dollar, subtraction_nim
 from coevo.graphs import Strategy, build_graph
 from coevo.grundy import (
     PreconditionViolated,
     canonical_optimal_strategy,
-    critical_positions,
+    critical_rows,
     ensure_first_player_win,
-    forced_start_values,
     grundy_values,
     is_optimal_exact,
     is_optimal_sufficient,
+    zero_flags,
 )
-from helpers import all_strategies, critical_positions_inclusive, outcome_matrix_scalar, random_game
+from helpers import (
+    all_strategies,
+    critical_positions_inclusive,
+    outcome_matrix_scalar,
+    prepare_from_grundy,
+    random_game,
+)
+from test_games import FAMILY_GRAPHS, REFERENCE_CASES
+
+FIXTURES = ("fig1", "fig2", "fig3_top", "fig3_bottom", "fig4", "chain3")
+# Every family rung the game tests build, every fixture (fig1's moves raise the
+# vertex id, so its order comes from the depth-first search) and the pinned graphs.
+FLAG_GRAPHS = {
+    **{f"{make.__name__}{args}": (make, args) for make, _, args in REFERENCE_CASES},
+    **{f"fixture {name}": (fixture, (name,)) for name in FIXTURES},
+    **{name: (make, ()) for name, make in FAMILY_GRAPHS.items()},
+}
 
 
 def test_fig1_values(fig1):
@@ -56,7 +74,7 @@ def test_critical_variant_flag():
     g = build_graph({2: [0, 1], 1: [], 0: []}, root=2)
     gd = grundy_values(g)
     assert gd.values == (0, 0, 1)
-    assert critical_positions(g, gd.values) == frozenset()
+    assert critical_rows(g, np.array(gd.values) == 0).tolist() == []
     assert critical_positions_inclusive(g, gd.values) == frozenset({2})
 
 
@@ -171,17 +189,68 @@ def test_canonical_nim_string():
     assert nim_encode(trimmed, 7, 2) == "121121"
 
 
-def test_forced_start_values_equal_a_fresh_pass():
+def test_prepared_flags_on_a_forced_start_equal_a_fresh_pass():
     rng = np.random.default_rng(21)
     games = [subtraction_nim(64, 2), silver_dollar(7, 2)] + [random_game(rng) for _ in range(60)]
     extended = 0
     for g in games:
-        gd = grundy_values(g)
-        run_game = ensure_first_player_win(g, gd)
-        if run_game is not g:
+        instance = prepare(g)
+        if instance.graph is not g:
             extended += 1
-            assert forced_start_values(gd) == grundy_values(run_game)
+            fresh = zero_flags(instance.graph)
+            assert np.array_equal(instance.zero, fresh)
+            assert np.array_equal(instance.critical, critical_rows(instance.graph, fresh))
     assert extended >= 10
+
+
+def _check_flags_against_the_numbering(g):
+    gd, zero = grundy_values(g), zero_flags(g)
+    assert zero.dtype == bool and not zero.flags.writeable
+    assert np.array_equal(zero, np.array(gd.values) == 0)
+    critical = critical_rows(g, zero)
+    assert critical.dtype == np.int64 and critical.tolist() == sorted(gd.critical)
+    got, want = prepare(g), prepare_from_grundy(g)
+    assert got.base is g and got.graph == want.graph
+    for name in ("zero", "critical", "fill_cells", "degrees"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_GRAPHS))
+def test_zero_flags_and_critical_rows_match_the_grundy_numbering(name):
+    make, args = FLAG_GRAPHS[name]
+    _check_flags_against_the_numbering(make(*args))
+
+
+def test_zero_flags_match_the_grundy_numbering_on_random_games():
+    rng = np.random.default_rng(29)
+    extended = 0
+    for _ in range(60):
+        g = random_game(rng)
+        run_game = ensure_first_player_win(g)
+        extended += run_game is not g
+        _check_flags_against_the_numbering(g)
+        _check_flags_against_the_numbering(run_game)
+    assert extended >= 10
+
+
+def test_ensure_first_player_win_refuses_malformed_flags(fig1):
+    flags, other = zero_flags(fig1), subtraction_nim(7, 2)
+    wrong = [grundy_values(fig1), grundy_values(other), flags.tolist(), flags.astype(int)]
+    for zero in wrong + [zero_flags(other), flags[None]]:  # another graph's data, then misshapen flags
+        with pytest.raises(ValueError, match="zero must be a bool array of length 5"):
+            ensure_first_player_win(fig1, zero)
+    assert ensure_first_player_win(fig1, flags) is fig1
+
+
+def test_ensure_first_player_win_runs_the_win_lose_pass(monkeypatch):
+    def values(g):
+        raise AssertionError("a forced start needs only the root's Grundy-0 flag")
+
+    monkeypatch.setattr(grundy, "grundy_values", values)
+    base = subtraction_nim(10, 2)
+    extended = ensure_first_player_win(base)
+    assert extended.n == 11 and ensure_first_player_win(extended) is extended
 
 
 def test_canonical_chain():

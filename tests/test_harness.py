@@ -49,12 +49,15 @@ def test_single_row_forced_game():
 @pytest.mark.parametrize("n", [10, 11])  # n=10 needs the forced start, n=11 does not
 def test_one_grundy_pass_per_experiment_outside_the_runs(monkeypatch, n):
     calls = {"outside": 0, "inside": 0}
-    inner_values, inner_run = grundy.grundy_values, eda.run_umda
+    inner_flags, inner_run = grundy.zero_flags, eda.run_umda
     where = ["outside"]
 
-    def values(g):
+    def flags(g):
         calls[where[0]] += 1
-        return inner_values(g)
+        return inner_flags(g)
+
+    def values(g):
+        raise AssertionError("the experiment needs no full Grundy numbering")
 
     def run(*args, **kwargs):
         where[0] = "inside"
@@ -63,6 +66,7 @@ def test_one_grundy_pass_per_experiment_outside_the_runs(monkeypatch, n):
         finally:
             where[0] = "outside"
 
+    monkeypatch.setattr(grundy, "zero_flags", flags)
     monkeypatch.setattr(grundy, "grundy_values", values)
     monkeypatch.setattr(eda, "run_umda", run)
     cfg = ExperimentConfig(
@@ -79,9 +83,10 @@ def test_one_grundy_pass_per_experiment_outside_the_runs(monkeypatch, n):
 
 def test_sweep_builds_and_solves_each_instance_once(monkeypatch):
     builds, passes = [], []
-    inner_build, inner_values = GameSpec.build, grundy.grundy_values
+    inner_build, inner_flags, inner_values = GameSpec.build, grundy.zero_flags, grundy.grundy_values
     monkeypatch.setattr(GameSpec, "build", lambda spec: builds.append(spec) or inner_build(spec))
-    monkeypatch.setattr(grundy, "grundy_values", lambda g: passes.append(g.n) or inner_values(g))
+    monkeypatch.setattr(grundy, "zero_flags", lambda g: passes.append(g.n) or inner_flags(g))
+    monkeypatch.setattr(grundy, "grundy_values", lambda g: passes.append(("values", g.n)) or inner_values(g))
     games = [GameSpec("subtraction_nim", {"n": n, "k": 2}) for n in (10, 11)]
     template = ExperimentConfig(
         game=games[0], mu_grid=(8, 16), gamma_rule="theorem", replicates=2, max_generations=5
