@@ -1,16 +1,17 @@
 """Coevolutionary self-play on impartial combinatorial games.
 
-Game graphs and playouts live in :mod:`coevo.graphs`, the Sprague-Grundy
+Game graphs and strategies live in :mod:`coevo.graphs`, the Sprague-Grundy
 solver in :mod:`coevo.grundy`, benchmark constructors in
 :mod:`coevo.games`, the distribution-based optimiser in :mod:`coevo.eda`,
 forced-visit analysis in :mod:`coevo.switchability`, exact validation
 oracles in :mod:`coevo.oracles`, and the experiment harness in
-:mod:`coevo.harness`.
+:mod:`coevo.harness`. References that only the tests run, such as the scalar
+playout and the sufficient optimality certificate, live in ``tests/helpers.py``.
 """
 
 from .eda import ProbModel, RunResult, UmdaConfig, restrict, run_umda, uniform_model
 from .games import GameSpec, chomp, fixture, silver_dollar, subtraction_nim, turning_turtles
-from .graphs import GameGraph, Strategy, Transcript, build_graph, csr_graph, play
+from .graphs import GameGraph, Strategy, build_graph, csr_graph
 from .grundy import (
     GrundyData,
     canonical_optimal_strategy,
@@ -18,14 +19,8 @@ from .grundy import (
     ensure_first_player_win,
     grundy_values,
     is_optimal_exact,
-    is_optimal_sufficient,
 )
-from .switchability import (
-    SwitchabilityReport,
-    depth,
-    is_switcher,
-    switchability_profile,
-)
+from .switchability import SwitchabilityReport, depth, switchability_profile
 
 __version__ = "0.1.0"
 
@@ -37,7 +32,6 @@ __all__ = [
     "RunResult",
     "Strategy",
     "SwitchabilityReport",
-    "Transcript",
     "UmdaConfig",
     "build_graph",
     "canonical_optimal_strategy",
@@ -49,9 +43,6 @@ __all__ = [
     "fixture",
     "grundy_values",
     "is_optimal_exact",
-    "is_optimal_sufficient",
-    "is_switcher",
-    "play",
     "restrict",
     "run_umda",
     "silver_dollar",

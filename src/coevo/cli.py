@@ -267,7 +267,7 @@ def _cmd_intrans(args) -> int:
     nim_params = None
     if spec and spec.family == "subtraction_nim":
         nim_params = (spec.params["n"], spec.params["k"])
-    _emit(harness.describe_intransitivity_witness(g, witness, nim_params), args.out)
+    _emit(harness.describe_intransitivity_witness(witness, nim_params), args.out)
     return 0
 
 

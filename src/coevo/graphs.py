@@ -1,4 +1,4 @@
-"""Rooted acyclic game graphs, strategies, and playouts.
+"""Rooted acyclic game graphs and strategies.
 
 An impartial game is a rooted DAG whose vertices are positions and whose
 edges are legal moves. Both players share the move set; the player who
@@ -251,46 +251,10 @@ class Strategy:
 
     choice: dict[int, int]
 
-    def validate(self, g: GameGraph) -> "Strategy":
-        if set(self.choice) != set(g.interior):
-            raise ValueError("strategy domain must be exactly the interior vertices")
-        off, targets = g.offsets.tolist(), g.targets.tolist()
-        for v, w in self.choice.items():
-            if w not in targets[off[v] : off[v + 1]]:
-                raise ValueError(f"choice {v} -> {w} is not a legal move")
-        return self
-
     def key(self, g: GameGraph) -> tuple[int, ...]:
         """Canonical tuple of successor indices, for set membership."""
         off, targets = g.offsets.tolist(), g.targets.tolist()
         return tuple(targets[off[v] : off[v + 1]].index(self.choice[v]) for v in g.interior)
-
-
-@dataclass(frozen=True)
-class Transcript:
-    """One played-out game: the realised position path and the outcome."""
-
-    visited: tuple[int, ...]
-    winner: int  # +1 first mover wins, -1 second mover wins
-
-
-def play(g: GameGraph, x: Strategy, y: Strategy) -> Transcript:
-    """Play ``x`` against ``y`` from the root, ``x`` moving first.
-
-    Iterative, so arbitrarily long paths are fine. The winner is +1 exactly
-    when the player stuck at the final sink is ``y``.
-    """
-    off = g.offsets.tolist()
-    cur = g.root
-    visited = [cur]
-    moves = 0
-    while off[cur] < off[cur + 1]:
-        mover = x if moves % 2 == 0 else y
-        cur = mover.choice[cur]
-        visited.append(cur)
-        moves += 1
-    winner = -1 if moves % 2 == 0 else 1
-    return Transcript(visited=tuple(visited), winner=winner)
 
 
 def strategy_space_size(g: GameGraph) -> int:

@@ -3,9 +3,8 @@
 Computes the classical Grundy numbering of a game graph (sinks take value
 0, interior vertices take the mex of their successors' values), the
 cheaper Grundy-0 flags alone by win/lose retrograde analysis, the
-critical positions where a winning mover could still blunder, and two
-optimality checks for strategies: a sufficient certificate that only
-inspects critical positions, and an exact best-response test.
+critical positions where a winning mover could still blunder, and the
+exact best-response test of a strategy's optimality.
 """
 
 from __future__ import annotations
@@ -78,6 +77,12 @@ def zero_flags(g: GameGraph) -> np.ndarray:
     return flags
 
 
+def check_grundy_data(g: GameGraph, gd: GrundyData) -> None:
+    """Raise ValueError unless ``gd`` holds one Grundy value per vertex of ``g``."""
+    if len(gd.values) != g.n:
+        raise ValueError(f"gd holds {len(gd.values)} Grundy values for a graph of {g.n} vertices")
+
+
 def critical_rows(g: GameGraph, zero: np.ndarray) -> np.ndarray:
     """The critical positions in ascending order, from the Grundy-0 flags: interior
     positions where optimal play must be learned, not Grundy-0 and with at least
@@ -85,17 +90,6 @@ def critical_rows(g: GameGraph, zero: np.ndarray) -> np.ndarray:
     nonzero = ~zero
     before = np.concatenate(([0], np.cumsum(nonzero[g.targets])))[g.offsets]  # nonzero targets before v's edges
     return np.flatnonzero(nonzero & (np.diff(before) > 0))
-
-
-def is_optimal_sufficient(g: GameGraph, gd: GrundyData, x: Strategy) -> bool:
-    """Certificate: every critical position moves to a zero-valued vertex.
-
-    Sufficient but not necessary for membership in the optimal set. Only
-    meaningful on first-player-win games, hence the precondition.
-    """
-    if gd.values[g.root] == 0:
-        raise PreconditionViolated("root has Grundy value 0; first player cannot win")
-    return all(gd.values[x.choice[v]] == 0 for v in gd.critical)
 
 
 def is_optimal_exact(g: GameGraph, x: Strategy) -> bool:
@@ -125,6 +119,7 @@ def is_optimal_exact(g: GameGraph, x: Strategy) -> bool:
 
 def canonical_optimal_strategy(g: GameGraph, gd: GrundyData) -> Strategy:
     """First zero-valued successor where one exists, else first successor."""
+    check_grundy_data(g, gd)
     if gd.values[g.root] == 0:
         raise PreconditionViolated("root has Grundy value 0; first player cannot win")
     values, off, targets = gd.values, g.offsets.tolist(), g.targets.tolist()

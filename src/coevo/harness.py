@@ -227,9 +227,7 @@ def intransitivity_search(
     return None
 
 
-def describe_intransitivity_witness(
-    g: GameGraph, witness, nim_params: tuple[int, int] | None = None
-) -> dict:
+def describe_intransitivity_witness(witness, nim_params: tuple[int, int] | None = None) -> dict:
     if witness is None:
         return {"found": False, "strategies": None}
     payload: dict = {

@@ -68,17 +68,10 @@ def depth(g: GameGraph, edges: Iterable[tuple[int, int]]) -> int:
     return max(best, default=0)
 
 
-def is_switcher(g: GameGraph, edges: Iterable[tuple[int, int]], v: int) -> bool:
-    """Forced-graph reachability test, linear in the graph size.
-
-    Constrained vertices keep only their ``A``-successors; a set fails to
-    be a v-switcher exactly when some sink other than ``v`` stays
-    reachable from the root without expanding ``v``.
-    """
-    return _switches(g, g.offsets.tolist(), g.targets.tolist(), _check_edges(g, edges), v)
-
-
 def _switches(g: GameGraph, off: list[int], targets: list[int], edges: frozenset, v: int) -> bool:
+    """Whether ``edges``, edges of ``g``, form a v-switcher, by forced-graph reachability:
+    constrained vertices keep only their ``A``-successors, and the set fails exactly
+    when some sink other than ``v`` stays reachable from the root without expanding ``v``."""
     forced: dict[int, list[int]] = {}
     for u, w in edges:
         forced.setdefault(u, []).append(w)
@@ -202,7 +195,9 @@ def switchability_profile(
     edge_limit: int = 20,
     gd: _grundy.GrundyData | None = None,
 ) -> SwitchabilityProfile:
-    """Per-vertex reports plus the two aggregates used by runtime budgets."""
+    """Per-vertex reports plus the two aggregates used by runtime budgets; ``gd``, if given, is ``g``'s."""
+    if gd is not None:
+        _grundy.check_grundy_data(g, gd)
     reports, mode_used = switchability_reports(g, range(g.n), mode, edge_limit)
     critical = _grundy.critical_rows(g, _grundy.zero_flags(g)).tolist() if gd is None else gd.critical
     s_bar = max(r.value for r in reports.values())

@@ -7,6 +7,7 @@ import io
 import itertools
 import math
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -30,7 +31,6 @@ from coevo.graphs import (
     Strategy,
     build_graph,
     enumerate_strategies,
-    play,
     strategy_space_size,
 )
 from coevo.grundy import (
@@ -41,10 +41,73 @@ from coevo.grundy import (
     is_optimal_exact,
 )
 from coevo.harness import ExperimentRecord
+from coevo.switchability import _check_edges, _switches
 
 
 class TooLarge(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# References that only the tests run: the scalar playout, the strategy check,
+# the sufficient optimality certificate and the checked switcher test.
+
+@dataclass(frozen=True)
+class Transcript:
+    """One played-out game: the realised position path and the outcome."""
+
+    visited: tuple[int, ...]
+    winner: int  # +1 first mover wins, -1 second mover wins
+
+
+def play(g: GameGraph, x: Strategy, y: Strategy) -> Transcript:
+    """Play ``x`` against ``y`` from the root, ``x`` moving first.
+
+    Iterative, so arbitrarily long paths are fine. The winner is +1 exactly
+    when the player stuck at the final sink is ``y``. Reference for
+    :func:`coevo.eda._playout`.
+    """
+    off = g.offsets.tolist()
+    cur = g.root
+    visited = [cur]
+    moves = 0
+    while off[cur] < off[cur + 1]:
+        mover = x if moves % 2 == 0 else y
+        cur = mover.choice[cur]
+        visited.append(cur)
+        moves += 1
+    winner = -1 if moves % 2 == 0 else 1
+    return Transcript(visited=tuple(visited), winner=winner)
+
+
+def validate_strategy(g: GameGraph, x: Strategy) -> Strategy:
+    """``x``, once checked to choose one legal move at every interior vertex of ``g``."""
+    if set(x.choice) != set(g.interior):
+        raise ValueError("strategy domain must be exactly the interior vertices")
+    off, targets = g.offsets.tolist(), g.targets.tolist()
+    for v, w in x.choice.items():
+        if w not in targets[off[v] : off[v + 1]]:
+            raise ValueError(f"choice {v} -> {w} is not a legal move")
+    return x
+
+
+def is_optimal_sufficient(g: GameGraph, gd: GrundyData, x: Strategy) -> bool:
+    """Certificate: every critical position moves to a zero-valued vertex.
+
+    Sufficient but not necessary for membership in the optimal set. Only
+    meaningful on first-player-win games, hence the precondition. The scalar
+    reference for :func:`coevo.eda.population_sufficient_mask`.
+    """
+    if gd.values[g.root] == 0:
+        raise PreconditionViolated("root has Grundy value 0; first player cannot win")
+    return all(gd.values[x.choice[v]] == 0 for v in gd.critical)
+
+
+def is_switcher(g: GameGraph, edges: Iterable[tuple[int, int]], v: int) -> bool:
+    """Whether ``edges`` form a v-switcher, by :func:`coevo.switchability._switches`'s
+    forced-graph reachability; :class:`coevo.switchability.ForeignEdge` for an edge
+    not in ``g``."""
+    return _switches(g, g.offsets.tolist(), g.targets.tolist(), _check_edges(g, edges), v)
 
 
 def random_game(
@@ -412,7 +475,7 @@ def play_from(g: GameGraph, v: int, x: Strategy, y: Strategy) -> int:
 
     Recursive reference implementation: -1 at a sink, otherwise the
     negation of the outcome at ``x``'s choice with roles swapped. Used for
-    cross-checking :func:`coevo.graphs.play` on small graphs.
+    cross-checking :func:`play` on small graphs.
     """
     if not g.succ[v]:
         return -1

@@ -26,7 +26,6 @@ from coevo.games import (
     subtraction_nim,
     turning_turtles,
 )
-from coevo.graphs import play
 from coevo.grundy import (
     canonical_optimal_strategy,
     grundy_values,
@@ -44,16 +43,17 @@ from coevo.oracles import (
 )
 from coevo.switchability import (
     depth,
-    is_switcher,
     switchability_profile,
     switchability_reports,
 )
 from helpers import (
     all_strategies,
     choice_matrix,
+    is_switcher,
     is_switcher_by_enumeration,
     monte_carlo_selection,
     outcome_matrix_scalar,
+    play,
     random_game,
     random_rational_model,
     uniform_rational_model,

@@ -40,7 +40,6 @@ from coevo.grundy import (
     ensure_first_player_win,
     grundy_values,
     is_optimal_exact,
-    is_optimal_sufficient,
 )
 from coevo.oracles import selection_distribution
 from coevo.switchability import root_distances
@@ -49,6 +48,7 @@ from helpers import (
     choice_matrix,
     edge_vector,
     instance_as_is,
+    is_optimal_sufficient,
     mann_whitney_p,
     no_draw,
     playout_reference,
@@ -59,6 +59,7 @@ from helpers import (
     sample_choice_matrix_per_vertex,
     step,
     update_per_vertex,
+    validate_strategy,
     zero_mask,
 )
 
@@ -435,7 +436,7 @@ def test_sampled_strategies_valid():
     for _ in range(10):
         g = random_game(rng)
         model = uniform_model(g, 0.0)
-        Population(g, sample_choice_matrix(model, rng, 1)).strategy(0).validate(g)
+        validate_strategy(g, Population(g, sample_choice_matrix(model, rng, 1)).strategy(0))
 
 
 def test_strategy_of_a_partly_drawn_column_is_refused():

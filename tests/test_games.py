@@ -25,7 +25,13 @@ from coevo.games import (
 )
 from coevo.graphs import Strategy
 from coevo.grundy import ensure_first_player_win, grundy_values
-from helpers import chomp_reference, silver_dollar_reference, subtraction_nim_reference, turning_turtles_reference
+from helpers import (
+    chomp_reference,
+    silver_dollar_reference,
+    subtraction_nim_reference,
+    turning_turtles_reference,
+    validate_strategy,
+)
 
 
 # --- subtraction nim -------------------------------------------------------
@@ -339,4 +345,4 @@ def test_codec_round_trip_random():
 def test_decoded_strategies_are_valid(n, k):
     g = subtraction_nim(n, k)
     payload = "".join(str(min(i, 1)) for i in range(1, n))
-    nim_decode(payload, n, k).validate(g)
+    validate_strategy(g, nim_decode(payload, n, k))

@@ -20,11 +20,10 @@ from coevo.graphs import (
     enumerate_strategies,
     game_from_dict,
     game_to_dict,
-    play,
     strategy_space_size,
     to_dot,
 )
-from helpers import all_strategies, play_from, random_game
+from helpers import all_strategies, play, play_from, random_game, validate_strategy
 
 FIG1_ADJ = {0: [1, 2, 4], 1: [2], 2: [3, 4], 3: [4], 4: []}
 
@@ -249,11 +248,11 @@ def test_off_path_choices_do_not_matter():
 
 
 def test_strategy_validation(fig1):
-    Strategy({0: 1, 1: 2, 2: 3, 3: 4}).validate(fig1)
+    validate_strategy(fig1, Strategy({0: 1, 1: 2, 2: 3, 3: 4}))
     with pytest.raises(ValueError):
-        Strategy({0: 1}).validate(fig1)
+        validate_strategy(fig1, Strategy({0: 1}))
     with pytest.raises(ValueError):
-        Strategy({0: 3, 1: 2, 2: 3, 3: 4}).validate(fig1)
+        validate_strategy(fig1, Strategy({0: 3, 1: 2, 2: 3, 3: 4}))
 
 
 def test_enumerate_strategies_counts():
@@ -362,7 +361,7 @@ def test_no_library_path_builds_the_successor_tuples(make, forced):
     switchability.depth(g, [])
     x = grundy.canonical_optimal_strategy(g, gd)
     assert grundy.is_optimal_exact(g, x)
-    x.validate(g).key(g)
+    validate_strategy(g, x).key(g)
     play(g, x, next(enumerate_strategies(g)))
     strategy_space_size(g)
     game_to_dict(g), to_dot(g), list(g.edges())

@@ -12,12 +12,12 @@ from coevo.grundy import (
     ensure_first_player_win,
     grundy_values,
     is_optimal_exact,
-    is_optimal_sufficient,
     zero_flags,
 )
 from helpers import (
     all_strategies,
     critical_positions_inclusive,
+    is_optimal_sufficient,
     outcome_matrix_scalar,
     prepare_from_grundy,
     random_game,
@@ -176,6 +176,13 @@ def test_canonical_fig1(fig1):
     second_player_win = subtraction_nim(4, 2)
     with pytest.raises(PreconditionViolated):
         canonical_optimal_strategy(second_player_win, grundy_values(second_player_win))
+
+
+@pytest.mark.parametrize("n, k", [(8, 2), (12, 3)], ids=["smaller", "larger"])
+def test_canonical_refuses_another_graphs_grundy_data(n, k):
+    # nim n=10 k=2 is a second-player win; read through other data, its root may look winnable.
+    with pytest.raises(ValueError, match=f"gd holds {n} Grundy values for a graph of 10 vertices"):
+        canonical_optimal_strategy(subtraction_nim(10, 2), grundy_values(subtraction_nim(n, k)))
 
 
 def test_canonical_nim_string():

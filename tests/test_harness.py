@@ -9,7 +9,7 @@ import pytest
 
 from coevo import eda, grundy
 from coevo.games import GameSpec, fixture, nim_encode, subtraction_nim
-from coevo.graphs import build_graph, play, strategy_space_size
+from coevo.graphs import build_graph, strategy_space_size
 from coevo.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -20,7 +20,7 @@ from coevo.harness import (
     sweep_scaling,
     write_sweep,
 )
-from helpers import intransitivity_search_scalar, random_game, records_from_csv
+from helpers import intransitivity_search_scalar, play, random_game, records_from_csv
 
 
 def _chain_config(**overrides):
@@ -351,12 +351,12 @@ def test_intransitivity_sampled_mode():
 def test_describe_witness_with_nim_strings():
     g = subtraction_nim(7, 2)
     witness = intransitivity_search(g)
-    payload = describe_intransitivity_witness(g, witness, nim_params=(7, 2))
+    payload = describe_intransitivity_witness(witness, nim_params=(7, 2))
     assert payload["found"]
     assert len(payload["nim_strings"]) == 3
     for s, x in zip(payload["nim_strings"], witness):
         assert s == nim_encode(x, 7, 2)
-    assert describe_intransitivity_witness(g, None) == {
+    assert describe_intransitivity_witness(None) == {
         "found": False,
         "strategies": None,
     }

@@ -10,16 +10,17 @@ from coevo.games import (
     subtraction_nim,
     turning_turtles,
 )
+from coevo.grundy import grundy_values
 from coevo.switchability import (
     ForeignEdge,
     TooLarge,
     depth,
-    is_switcher,
     root_distances,
     switchability_profile,
     switchability_reports,
 )
 from helpers import (
+    is_switcher,
     is_switcher_by_enumeration,
     random_game,
     upper_bound_switchability_per_vertex,
@@ -212,6 +213,14 @@ def test_nim_profile_all_at_most_one():
     profile = switchability_profile(g, mode="exact")
     assert all(r.exact <= 1 for r in profile.reports.values())
     assert profile.s_bar <= 1
+
+
+@pytest.mark.parametrize("n", [8, 40], ids=["smaller", "larger"])
+def test_profile_refuses_another_graphs_grundy_data(n):
+    g = subtraction_nim(11, 2)
+    assert switchability_profile(g, gd=grundy_values(g)) == switchability_profile(g)
+    with pytest.raises(ValueError, match=f"gd holds {n} Grundy values for a graph of 11 vertices"):
+        switchability_profile(g, gd=grundy_values(subtraction_nim(n, 2)))
 
 
 def test_forced_reachability_matches_enumeration():
