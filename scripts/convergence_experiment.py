@@ -11,6 +11,7 @@ Usage:
 """
 
 import argparse
+import statistics
 from collections import defaultdict
 
 from coevo.cli import mu_grid, nonnegative_int, positive_int
@@ -51,13 +52,10 @@ def main() -> None:
     print(f"{'mu':>8} {'success':>9} {'median gens':>12} {'median evals':>13}")
     for mu in sorted(by_mu):
         rows = by_mu[mu]
-        gens = sorted(r.generations for r in rows)
-        evals = sorted(r.evaluations for r in rows)
+        gens = statistics.median(r.generations for r in rows)
+        evals = statistics.median(r.evaluations for r in rows)
         wins = sum(r.success for r in rows)
-        print(
-            f"{mu:>8} {wins:>4}/{len(rows):<4} {gens[len(gens) // 2]:>12} "
-            f"{evals[len(evals) // 2]:>13}"
-        )
+        print(f"{mu:>8} {wins:>4}/{len(rows):<4} {gens:>12} {evals:>13}")
     failures = [(r.mu, r.seed) for r in records if not r.success]
     if failures:
         print(f"failed runs (mu, seed): {failures}")

@@ -232,7 +232,7 @@ def root_distances(g: GameGraph) -> list[int]:
     The edge set of a shortest root-to-v path is always a v-switcher, so
     ``root_distances(g)[v]`` is the path bound on v's switchability.
     """
-    off, targets = g.offsets.tolist(), g.targets.tolist()
+    off, targets = g.offsets.tolist(), memoryview(g.targets)
     dist = [-1] * g.n
     dist[g.root] = 0
     queue = deque([g.root])
@@ -251,21 +251,9 @@ class Strategy:
 
     choice: dict[int, int]
 
-    def key(self, g: GameGraph) -> tuple[int, ...]:
-        """Canonical tuple of successor indices, for set membership."""
-        off, targets = g.offsets.tolist(), g.targets.tolist()
-        return tuple(targets[off[v] : off[v + 1]].index(self.choice[v]) for v in g.interior)
-
 
 def strategy_space_size(g: GameGraph) -> int:
     return math.prod(d for d in np.diff(g.offsets).tolist() if d)
-
-
-def enumerate_strategies(g: GameGraph) -> Iterator[Strategy]:
-    """All strategies in lexicographic order of successor indices."""
-    interior, off, targets = g.interior, g.offsets.tolist(), g.targets.tolist()
-    for combo in itertools.product(*(targets[off[v] : off[v + 1]] for v in interior)):
-        yield Strategy(dict(zip(interior, combo)))
 
 
 # ---------------------------------------------------------------------------

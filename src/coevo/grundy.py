@@ -40,7 +40,7 @@ def grundy_values(g: GameGraph) -> GrundyData:
     Per-vertex mex uses a presence bitmap of size ``deg+1``; the value of a
     vertex never exceeds its out-degree, so no sorting is needed.
     """
-    off, targets = g.offsets.tolist(), g.targets.tolist()
+    off, targets = g.offsets.tolist(), memoryview(g.targets)
     h = [0] * g.n
     for v in g.reverse_topo:
         deg = off[v + 1] - off[v]
@@ -77,19 +77,30 @@ def zero_flags(g: GameGraph) -> np.ndarray:
     return flags
 
 
-def check_grundy_data(g: GameGraph, gd: GrundyData) -> None:
-    """Raise ValueError unless ``gd`` holds one Grundy value per vertex of ``g``."""
+def check_grundy_data(g: GameGraph, gd: GrundyData) -> np.ndarray:
+    """``gd``'s Grundy-0 flags, checked against ``g``: ValueError unless ``gd`` has one value per vertex
+    and a vertex is Grundy-0 iff none of its moves reaches one, the recurrence that fixes them on a DAG."""
     if len(gd.values) != g.n:
         raise ValueError(f"gd holds {len(gd.values)} Grundy values for a graph of {g.n} vertices")
+    zero = np.fromiter(gd.values, np.int64, g.n) == 0
+    wrong = np.flatnonzero(zero == _some_move_into(g, zero))
+    if len(wrong):
+        raise ValueError(f"gd's Grundy-0 set breaks the win/lose recurrence at vertex {wrong[0]}")
+    return zero
 
 
 def critical_rows(g: GameGraph, zero: np.ndarray) -> np.ndarray:
     """The critical positions in ascending order, from the Grundy-0 flags: interior
     positions where optimal play must be learned, not Grundy-0 and with at least
     one successor that is not Grundy-0 either (a wrong move exists)."""
-    nonzero = ~zero
-    before = np.concatenate(([0], np.cumsum(nonzero[g.targets])))[g.offsets]  # nonzero targets before v's edges
-    return np.flatnonzero(nonzero & (np.diff(before) > 0))
+    return np.flatnonzero(~zero & _some_move_into(g, ~zero))
+
+
+def _some_move_into(g: GameGraph, flags: np.ndarray) -> np.ndarray:
+    """Per vertex, whether one of its moves reaches a vertex that ``flags`` marks."""
+    some, moves = np.zeros(g.n, dtype=bool), g.offsets[1:] > g.offsets[:-1]
+    some[moves] = np.logical_or.reduceat(flags[g.targets], g.offsets[:-1][moves])  # sinks stay False
+    return some
 
 
 def is_optimal_exact(g: GameGraph, x: Strategy) -> bool:
@@ -119,12 +130,12 @@ def is_optimal_exact(g: GameGraph, x: Strategy) -> bool:
 
 def canonical_optimal_strategy(g: GameGraph, gd: GrundyData) -> Strategy:
     """First zero-valued successor where one exists, else first successor."""
-    check_grundy_data(g, gd)
-    if gd.values[g.root] == 0:
+    zero = check_grundy_data(g, gd).tolist()
+    if zero[g.root]:
         raise PreconditionViolated("root has Grundy value 0; first player cannot win")
-    values, off, targets = gd.values, g.offsets.tolist(), g.targets.tolist()
+    off, targets = g.offsets.tolist(), g.targets.tolist()
     moves = {v: targets[off[v] : off[v + 1]] for v in g.interior}
-    return Strategy({v: next((w for w in ws if values[w] == 0), ws[0]) for v, ws in moves.items()})
+    return Strategy({v: next((w for w in ws if zero[w]), ws[0]) for v, ws in moves.items()})
 
 
 def ensure_first_player_win(g: GameGraph, zero: np.ndarray | None = None) -> GameGraph:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import eda, switchability
 from .games import GameSpec, nim_encode
-from .graphs import GameGraph, Strategy, enumerate_strategies, strategy_space_size
+from .graphs import GameGraph, Strategy, strategy_space_size
 from .ioutil import atomic_write_text
 
 
@@ -178,49 +178,49 @@ def write_sweep(out_dir, summary: SweepSummary, include_timings: bool = False) -
 # ---------------------------------------------------------------------------
 # Intransitivity.
 
-def _beats(g: GameGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per column: strategy ``a`` beats ``b`` both as first and as second mover."""
-    return (eda._play_matrices(g, a, b) == 1) & (eda._play_matrices(g, b, a) == -1)
-
-
 def intransitivity_search(
     g: GameGraph, triples: int = 1000, rng: np.random.Generator | None = None
 ) -> tuple[Strategy, Strategy, Strategy] | None:
     """Find strategies a, b, c with a > b > c > a, each dominance meaning
-    a win both as first and as second mover.
+    a win both as first and as second mover; each pairing is played once.
 
-    Exhaustive over the whole strategy space when it has at most 64
-    members, returning the first cycle in (a, b, c) index order; otherwise
-    samples ``triples`` random triples from the uniform model, each drawn
-    at every interior vertex in turn, and returns the first that cycles.
+    Exhaustive over the whole strategy space, as slot columns in
+    lexicographic order, when it has at most 64 members, returning the
+    first cycle in (a, b, c) index order; otherwise samples ``triples``
+    random triples from the uniform model, each drawn at every interior
+    vertex in turn, and returns the first that cycles.
     """
     eda._require_int("triples", triples, 1)
-    if strategy_space_size(g) <= 64:
-        strategies = list(enumerate_strategies(g))
-        m = len(strategies)
-        choices = np.zeros((g.n, m), dtype=np.min_scalar_type(g.max_degree))
-        choices[list(g.interior)] = np.array([x.key(g) for x in strategies]).T
-        first, second = np.repeat(np.arange(m), m), np.tile(np.arange(m), m)
-        beats = _beats(g, choices[:, first], choices[:, second]).reshape(m, m)
-        for i in range(m):
-            for j in np.flatnonzero(beats[i]).tolist():
-                k = np.flatnonzero(beats[j] & beats[:, i])
-                if len(k):
-                    return strategies[i], strategies[j], strategies[int(k[0])]
-        return None
+    dtype, m = np.min_scalar_type(g.max_degree), strategy_space_size(g)
+    if m <= 64:
+        branching = np.flatnonzero(np.diff(g.offsets) > 1)  # one-move vertices keep slot 0: at most 6 axes
+        choices = np.zeros((g.n, m), dtype=dtype)
+        choices[branching] = np.indices(np.diff(g.offsets)[branching], dtype=dtype).reshape(len(branching), m)
+        first, second = np.indices((m, m)).reshape(2, m * m)
+        outcome = eda._play_matrices(g, choices[:, first], choices[:, second]).reshape(m, m)
+        beats = (outcome == 1) & (outcome.T == -1)  # i beats j as first and as second mover
+        closes = beats & (beats @ beats).T  # ... and j beats some k that beats i
+        if not closes.any():
+            return None
+        i, j = divmod(int(np.argmax(closes)), m)
+        k = int(np.argmax(beats[j] & beats[:, i]))
+        return tuple(map(eda.Population(g, choices).strategy, (i, j, k)))
 
     if rng is None:
         rng = np.random.default_rng(0)
     table = eda._threshold_table(g, eda.uniform_vector(g, 0.0))
     interior = np.array(g.interior, dtype=np.int32)
     block = max(1, 2**16 // (3 * len(interior)))  # triples drawn and played at once
+    # Triple t is columns 3t + (0, 1, 2), a, b and c; it plays a-b, b-a, b-c, c-b, c-a and a-c.
+    pairs = np.array([[0, 1, 1, 2, 2, 0], [1, 0, 2, 1, 0, 2]])
     for lo in range(0, triples, block):
         size = min(block, triples - lo)
-        choices = np.zeros((g.n, 3 * size), dtype=np.min_scalar_type(g.max_degree))
+        choices = np.zeros((g.n, 3 * size), dtype=dtype)
         slots = eda._sample_choice_matrix(table, rng, np.tile(interior, 3 * size))
         choices[interior] = slots.reshape(3 * size, len(interior)).T
-        a, b, c = choices[:, 0::3], choices[:, 1::3], choices[:, 2::3]
-        hit = np.flatnonzero(_beats(g, a, b) & _beats(g, b, c) & _beats(g, c, a))
+        first, second = (pairs[:, :, None] + 3 * np.arange(size)).reshape(2, 6 * size)
+        outcome = eda._play_matrices(g, choices[:, first], choices[:, second]).reshape(3, 2, size)
+        hit = np.flatnonzero(((outcome[:, 0] == 1) & (outcome[:, 1] == -1)).all(axis=0))
         if len(hit):
             population = eda.Population(g, choices)
             return tuple(population.strategy(3 * int(hit[0]) + i) for i in range(3))

@@ -195,11 +195,11 @@ def switchability_profile(
     edge_limit: int = 20,
     gd: _grundy.GrundyData | None = None,
 ) -> SwitchabilityProfile:
-    """Per-vertex reports plus the two aggregates used by runtime budgets; ``gd``, if given, is ``g``'s."""
-    if gd is not None:
-        _grundy.check_grundy_data(g, gd)
+    """Per-vertex reports plus the two aggregates used by runtime budgets, with the critical
+    positions read from ``gd`` once checked against ``g``, else from a win/lose pass."""
+    zero = _grundy.zero_flags(g) if gd is None else _grundy.check_grundy_data(g, gd)
     reports, mode_used = switchability_reports(g, range(g.n), mode, edge_limit)
-    critical = _grundy.critical_rows(g, _grundy.zero_flags(g)).tolist() if gd is None else gd.critical
+    critical = _grundy.critical_rows(g, zero).tolist()
     s_bar = max(r.value for r in reports.values())
     s_hat = max((reports[v].value for v in critical), default=0)
     return SwitchabilityProfile(reports=reports, s_bar=s_bar, s_hat=s_hat, mode_used=mode_used)

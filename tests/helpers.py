@@ -26,13 +26,7 @@ from coevo.eda import (
     restrict,
     uniform_model,
 )
-from coevo.graphs import (
-    GameGraph,
-    Strategy,
-    build_graph,
-    enumerate_strategies,
-    strategy_space_size,
-)
+from coevo.graphs import GameGraph, Strategy, build_graph, strategy_space_size
 from coevo.grundy import (
     GrundyData,
     PreconditionViolated,
@@ -50,7 +44,8 @@ class TooLarge(ValueError):
 
 # ---------------------------------------------------------------------------
 # References that only the tests run: the scalar playout, the strategy check,
-# the sufficient optimality certificate and the checked switcher test.
+# key and enumeration, the sufficient optimality certificate and the checked
+# switcher test.
 
 @dataclass(frozen=True)
 class Transcript:
@@ -89,6 +84,19 @@ def validate_strategy(g: GameGraph, x: Strategy) -> Strategy:
         if w not in targets[off[v] : off[v + 1]]:
             raise ValueError(f"choice {v} -> {w} is not a legal move")
     return x
+
+
+def strategy_key(g: GameGraph, x: Strategy) -> tuple[int, ...]:
+    """``x``'s canonical tuple of successor indices, for set membership."""
+    off, targets = g.offsets.tolist(), g.targets.tolist()
+    return tuple(targets[off[v] : off[v + 1]].index(x.choice[v]) for v in g.interior)
+
+
+def enumerate_strategies(g: GameGraph) -> Iterator[Strategy]:
+    """All strategies in lexicographic order of successor indices."""
+    interior, off, targets = g.interior, g.offsets.tolist(), g.targets.tolist()
+    for combo in itertools.product(*(targets[off[v] : off[v + 1]] for v in interior)):
+        yield Strategy(dict(zip(interior, combo)))
 
 
 def is_optimal_sufficient(g: GameGraph, gd: GrundyData, x: Strategy) -> bool:
@@ -159,7 +167,7 @@ def choice_matrix(g: GameGraph, strategies: list[Strategy]) -> np.ndarray:
     holds strategy j's successor slot at every interior vertex; sink rows
     stay 0."""
     out = np.zeros((g.n, len(strategies)), dtype=np.min_scalar_type(g.max_degree), order="F")
-    out[list(g.interior)] = np.array([x.key(g) for x in strategies], dtype=out.dtype).T
+    out[list(g.interior)] = np.array([strategy_key(g, x) for x in strategies], dtype=out.dtype).T
     return out
 
 

@@ -206,6 +206,41 @@ def test_intrans_nim(capsys):
     assert len(payload["nim_strings"]) == 3
 
 
+def test_intrans_on_a_game_of_forced_moves(capsys):
+    # 64 interior vertices, each with one move: a single strategy, no cycle.
+    code, out, _ = run_cli(capsys, "intrans", "--family", "subtraction_nim", "--n", "65", "--k", "1")
+    assert code == 0
+    assert json.loads(out)["found"] is False
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--fixture", "fig1"], "7ff08e63cd52f49504d8536beaaed9e0b21e1ac700d1787c1edc8b564dccec46"),
+        (
+            ["--family", "subtraction_nim", "--n", "7", "--k", "2"],
+            "79649d429d52bb76ad93aa77b732d9b960c2353395fdee22bd8665eeacba66ce",
+        ),
+        (
+            ["--family", "subtraction_nim", "--n", "10", "--k", "2", "--triples", "50"],
+            "db15bb69824d472b52ac97cb4b95dbb292519b2313d34e699ca5909628510607",
+        ),
+        (
+            ["--family", "subtraction_nim", "--n", "14", "--k", "2", "--triples", "500", "--seed", "3"],
+            "73178372a7fd9a4b7186a8ea2b66a9c24d37b0308446d0bd5b7204541abfab54",
+        ),
+    ],
+    ids=["fig1-none", "nim7-exhaustive", "nim10-sampled", "nim14-sampled"],
+)
+def test_intrans_output_is_pinned(capsys, argv, digest):
+    # Digests of the whole JSON, recorded from the search that played every
+    # pairing twice through Strategy dicts: the slot-column search must
+    # reproduce its output byte for byte.
+    code, out, _ = run_cli(capsys, "intrans", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sweep_outputs(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys,

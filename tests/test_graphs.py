@@ -17,13 +17,20 @@ from coevo.graphs import (
     _reverse_topological_order,
     build_graph,
     csr_graph,
-    enumerate_strategies,
     game_from_dict,
     game_to_dict,
     strategy_space_size,
     to_dot,
 )
-from helpers import all_strategies, play, play_from, random_game, validate_strategy
+from helpers import (
+    all_strategies,
+    enumerate_strategies,
+    play,
+    play_from,
+    random_game,
+    strategy_key,
+    validate_strategy,
+)
 
 FIG1_ADJ = {0: [1, 2, 4], 1: [2], 2: [3, 4], 3: [4], 4: []}
 
@@ -361,7 +368,7 @@ def test_no_library_path_builds_the_successor_tuples(make, forced):
     switchability.depth(g, [])
     x = grundy.canonical_optimal_strategy(g, gd)
     assert grundy.is_optimal_exact(g, x)
-    validate_strategy(g, x).key(g)
+    strategy_key(g, validate_strategy(g, x))
     play(g, x, next(enumerate_strategies(g)))
     strategy_space_size(g)
     game_to_dict(g), to_dot(g), list(g.edges())

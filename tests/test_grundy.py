@@ -6,6 +6,7 @@ from coevo.eda import prepare
 from coevo.games import fixture, nim_decode, silver_dollar, subtraction_nim
 from coevo.graphs import Strategy, build_graph
 from coevo.grundy import (
+    GrundyData,
     PreconditionViolated,
     canonical_optimal_strategy,
     critical_rows,
@@ -185,6 +186,27 @@ def test_canonical_refuses_another_graphs_grundy_data(n, k):
         canonical_optimal_strategy(subtraction_nim(10, 2), grundy_values(subtraction_nim(n, k)))
 
 
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_canonical_refuses_same_sized_grundy_data_of_another_graph(k):
+    # Of the same length, nim n=10 k=3's data reads the root of the second-player-win
+    # nim n=10 k=2 as 1; a length check alone returned a strategy is_optimal_exact rejects.
+    with pytest.raises(ValueError, match="Grundy-0 set breaks the win/lose recurrence"):
+        canonical_optimal_strategy(subtraction_nim(10, 2), grundy_values(subtraction_nim(10, k)))
+
+
+def test_check_grundy_data_refuses_any_changed_zero_set():
+    # On a DAG the recurrence fixes the zero set, so moving any one vertex into
+    # or out of it breaks the recurrence somewhere.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        g = random_game(rng)
+        values = list(grundy_values(g).values)
+        v = int(rng.integers(g.n))
+        values[v] = 0 if values[v] else 1
+        with pytest.raises(ValueError, match="Grundy-0 set breaks the win/lose recurrence"):
+            grundy.check_grundy_data(g, GrundyData(tuple(values), frozenset(), frozenset()))
+
+
 def test_canonical_nim_string():
     from coevo.games import nim_encode
 
@@ -214,6 +236,7 @@ def _check_flags_against_the_numbering(g):
     gd, zero = grundy_values(g), zero_flags(g)
     assert zero.dtype == bool and not zero.flags.writeable
     assert np.array_equal(zero, np.array(gd.values) == 0)
+    assert np.array_equal(grundy.check_grundy_data(g, gd), zero)
     critical = critical_rows(g, zero)
     assert critical.dtype == np.int64 and critical.tolist() == sorted(gd.critical)
     got, want = prepare(g), prepare_from_grundy(g)

@@ -328,6 +328,45 @@ def test_intransitivity_none_on_trivial_games():
     assert intransitivity_search_scalar(fig4) is None
 
 
+def test_intransitivity_exhaustive_search_skips_one_move_vertices():
+    # Only vertices with two or more moves are enumerated: 64 or more
+    # interior vertices used to overflow numpy's 64-dimension limit.
+    g = subtraction_nim(70, 1)  # 69 interior vertices, one strategy
+    assert intransitivity_search(g) is None
+    assert intransitivity_search_scalar(g) is None
+    # A forced 70-move chain into nim n=7 k=2 has that game's cycle.
+    nim = subtraction_nim(7, 2)
+    off, targets = nim.offsets.tolist(), nim.targets.tolist()
+    adjacency = {v: [v + 1] for v in range(69)}
+    adjacency[69] = [70 + nim.root]
+    adjacency.update({70 + v: [70 + w for w in targets[off[v] : off[v + 1]]] for v in range(nim.n)})
+    chained = build_graph(adjacency, root=0)
+    got, want = intransitivity_search(chained), intransitivity_search_scalar(chained)
+    assert got is not None
+    assert [x.choice for x in got] == [x.choice for x in want]
+
+
+def test_intransitivity_plays_each_pairing_once(monkeypatch):
+    # The exhaustive search plays all m * m ordered pairings in one call; the
+    # sampled one plays each block's six pairings per triple in one call.
+    calls = []
+    play_matrices = eda._play_matrices
+
+    def spy(g, cx, cy):
+        calls.append(cx.shape[1])
+        return play_matrices(g, cx, cy)
+
+    monkeypatch.setattr(eda, "_play_matrices", spy)
+    g = subtraction_nim(7, 2)
+    assert intransitivity_search(g) is not None
+    assert calls == [strategy_space_size(g) ** 2]
+    calls.clear()
+    fig4 = fixture("fig4")  # 128 strategies and no cycle, so every block is played
+    block = 2**16 // (3 * len(fig4.interior))
+    assert intransitivity_search(fig4, triples=2 * block + 5) is None
+    assert calls == [6 * block, 6 * block, 6 * 5]
+
+
 @pytest.mark.parametrize("triples", [-5, 0, 2.5, True, "100"])
 def test_intransitivity_refuses_a_bad_triple_count(triples):
     # nim n=12 k=3 is searched by sampling, where -5 and 0 used to return

@@ -16,10 +16,10 @@ RUN_PY = Path(__file__).resolve().parents[1] / "benchmark" / "run.py"
 # Reference code that only the tests run lives in tests/helpers.py, not in the package.
 MOVED = {
     coevo: ("play", "Transcript", "is_optimal_sufficient", "is_switcher"),
-    graphs: ("play", "Transcript"),
+    graphs: ("play", "Transcript", "enumerate_strategies"),
     grundy: ("is_optimal_sufficient",),
     switchability: ("is_switcher",),
-    graphs.Strategy: ("validate",),
+    graphs.Strategy: ("validate", "key"),
 }
 
 

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +38,17 @@ def test_convergence_experiment_tiny(tmp_path):
     assert done.returncode == 0, done.stderr
     assert header(tmp_path / "conv.csv") == CSV_COLUMNS
     assert "wrote conv.csv" in done.stdout
+    # With two replicates the printed median is the mean of both, not the upper one.
+    with open(tmp_path / "conv.csv", newline="") as fh:
+        records = list(csv.DictReader(fh))
+    printed = {line.split()[0]: line.split()[2:4] for line in done.stdout.splitlines()[2:4]}
+    differing = 0
+    for mu in ("8", "16"):
+        gens = [int(r["generations"]) for r in records if r["mu"] == mu]
+        evals = [int(r["evaluations"]) for r in records if r["mu"] == mu]
+        differing += gens[0] != gens[1]
+        assert [float(value) for value in printed[mu]] == [statistics.median(gens), statistics.median(evals)]
+    assert differing  # some mu whose two generation counts differ
 
 
 def test_scaling_sweep_tiny(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,22 @@ def test_profile_refuses_another_graphs_grundy_data(n):
     assert switchability_profile(g, gd=grundy_values(g)) == switchability_profile(g)
     with pytest.raises(ValueError, match=f"gd holds {n} Grundy values for a graph of 11 vertices"):
         switchability_profile(g, gd=grundy_values(subtraction_nim(n, 2)))
+
+
+@pytest.mark.parametrize("k", [1, 3, 4])
+def test_profile_refuses_same_sized_grundy_data_of_another_graph(k):
+    with pytest.raises(ValueError, match="Grundy-0 set breaks the win/lose recurrence"):
+        switchability_profile(subtraction_nim(11, 2), gd=grundy_values(subtraction_nim(11, k)))
+
+
+def test_profile_reads_critical_positions_from_the_checked_flags():
+    # The critical positions come from gd's checked Grundy-0 flags, never from
+    # its critical field, so both branches agree whatever that field holds.
+    g = chomp(3)
+    gd = grundy_values(g)
+    assert switchability_profile(g).s_hat == 2
+    assert switchability_profile(g, gd=replace(gd, critical=frozenset())).s_hat == 2
+    assert switchability_profile(g, gd=replace(gd, critical=frozenset(range(g.n)))).s_hat == 2
 
 
 def test_forced_reachability_matches_enumeration():
