@@ -68,29 +68,23 @@ def depth(g: GameGraph, edges: Iterable[tuple[int, int]]) -> int:
     return max(best, default=0)
 
 
-def _switches(g: GameGraph, off: list[int], targets: list[int], edges: frozenset, v: int) -> bool:
-    """Whether ``edges``, edges of ``g``, form a v-switcher, by forced-graph reachability:
-    constrained vertices keep only their ``A``-successors, and the set fails exactly
-    when some sink other than ``v`` stays reachable from the root without expanding ``v``."""
-    forced: dict[int, list[int]] = {}
-    for u, w in edges:
-        forced.setdefault(u, []).append(w)
-
-    seen = [False] * g.n
-    seen[g.root] = True
-    stack = [g.root]
-    while stack:
-        u = stack.pop()
+def _misses(g: GameGraph, v: int, passable: np.ndarray) -> np.ndarray:
+    """Per column of ``passable`` (edges x candidates, whether play may pass along
+    each edge), whether some sink other than ``v`` stays reachable from the root
+    when ``v`` passes nothing on: exactly when that column's set is no v-switcher."""
+    off, targets = g.offsets.tolist(), g.targets.tolist()
+    none = np.zeros(passable.shape[1], dtype=bool)
+    reach = [none] * g.n
+    reach[g.root] = ~none
+    missed = none
+    for u in reversed(g.reverse_topo):
         if u == v:
             continue
-        allowed = forced.get(u) or targets[off[u] : off[u + 1]]
-        if not allowed:
-            return False  # maximal compatible path ends here, missing v
-        for w in allowed:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return True
+        if off[u] == off[u + 1]:
+            missed = missed | reach[u]  # maximal compatible path ends here, missing v
+        for e in range(off[u], off[u + 1]):
+            reach[targets[e]] = reach[targets[e]] | (reach[u] & passable[e])
+    return missed
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +101,14 @@ def _switches(g: GameGraph, off: list[int], targets: list[int], edges: frozenset
 _CANDIDATE_LIMIT = 500_000
 
 
-def _candidates_by_depth(
-    g: GameGraph, edge_limit: int
-) -> tuple[list[int], np.ndarray, np.ndarray]:
+def _candidates_by_depth(g: GameGraph, edge_limit: int) -> tuple[np.ndarray, ...]:
     """Every functional assignment, stably sorted by depth.
 
-    Returns the branching vertices, a matrix whose column ``c`` picks
-    option ``k`` at each of them (0 assigns nothing, ``k`` the ``k``-th
-    successor), and each column's depth. Columns start in
-    ``itertools.product`` order, so equal depths keep enumeration order.
+    Returns a matrix whose column ``c`` picks option ``k`` at each branching
+    vertex (0 assigns nothing, ``k`` the ``k``-th successor) above a row of
+    zeros; per edge, the row its tail reads and the option that chooses it;
+    and each column's depth. Columns start in ``itertools.product`` order,
+    so equal depths keep enumeration order.
     """
     if g.edge_count > edge_limit:
         raise TooLarge(f"{g.edge_count} edges exceeds the search budget {edge_limit}")
@@ -127,36 +120,42 @@ def _candidates_by_depth(
         count *= option
         if count > _CANDIDATE_LIMIT:
             raise TooLarge(f"{count}+ candidate edge sets; lower the edge budget or use bounds")
-    picks = np.indices(options, dtype=np.min_scalar_type(g.max_degree))
-    picks = picks.reshape(len(branching), count)
-    chosen = dict(zip(branching, picks))
+    # One row per branching vertex, plus a last row of zeros: a trailing axis of one option.
+    picks = np.indices([*options, 1], dtype=np.min_scalar_type(g.max_degree))
+    picks = picks.reshape(len(branching) + 1, count)
+    # Edges whose tail does not branch read the row of zeros: never chosen, always passable.
+    tails = np.repeat(np.arange(g.n), np.diff(g.offsets))
+    rows = np.full(g.n, len(branching))
+    rows[branching] = range(len(branching))
+    rows, slots = rows[tails], (np.arange(g.edge_count) - g.offsets[tails] + 1).astype(picks.dtype)
     # Depth of every assignment at once: the most chosen edges on a path
     # from each vertex. At most 11 vertices branch (3**12 > the candidate
     # limit), so int8 cannot overflow.
     best = [np.zeros(count, dtype=np.int8)] * g.n
     for u in g.reverse_topo:
-        for k, w in enumerate(targets[off[u] : off[u + 1]], start=1):
-            step = best[w] + (chosen[u] == k) if u in chosen else best[w]
-            best[u] = np.maximum(best[u], step)
+        for e in range(off[u], off[u + 1]):
+            best[u] = np.maximum(best[u], best[targets[e]] + (picks[rows[e]] == slots[e]))
     order = np.argsort(best[g.root], kind="stable")
-    return branching, picks[:, order], best[g.root][order]
+    return picks[:, order], rows, slots, best[g.root][order]
 
 
 def _search(g: GameGraph, v: int, candidates, ub: int) -> SwitchabilityReport:
-    """Shallowest candidate that switches ``v``, whose path bound is ``ub``.
+    """Shallowest candidate that switches ``v``, whose path bound is ``ub``: the
+    first in depth order, found with one reachability pass per depth layer.
 
     One always does: picking a shortest root path's edge at each branching
     vertex on it forces every compatible path into ``v`` at depth <= ``ub``.
     """
-    branching, picks, depths = candidates
-    off, targets = g.offsets.tolist(), g.targets.tolist()
-    edge_sets = (
-        frozenset((u, targets[off[u] + k - 1]) for u, k in zip(branching, column.tolist()) if k)
-        for column in picks.T
-    )
-    # candidates are edges of g by construction
-    c, edges = next((c, e) for c, e in enumerate(edge_sets) if _switches(g, off, targets, e, v))
-    return SwitchabilityReport(v, int(depths[c]), ub, edges, "exact_search")
+    picks, rows, slots, depths = candidates
+    bounds = np.searchsorted(depths, range(ub + 2)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        layer = picks[rows, lo:hi]  # edges x candidates: the option each edge's tail picks
+        switches = ~_misses(g, v, (layer == 0) | (layer == slots[:, None]))
+        if switches.any():
+            c = int(switches.argmax())
+            witness = frozenset(e for e, hit in zip(g.edges(), layer[:, c] == slots) if hit)
+            return SwitchabilityReport(v, int(depths[lo + c]), ub, witness, "exact_search")
+    raise AssertionError(f"no candidate up to depth {ub} switches {v}")
 
 
 def switchability_reports(

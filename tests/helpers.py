@@ -35,7 +35,7 @@ from coevo.grundy import (
     is_optimal_exact,
 )
 from coevo.harness import ExperimentRecord
-from coevo.switchability import _check_edges, _switches
+from coevo.switchability import _check_edges, _misses
 
 
 class TooLarge(ValueError):
@@ -111,11 +111,20 @@ def is_optimal_sufficient(g: GameGraph, gd: GrundyData, x: Strategy) -> bool:
     return all(gd.values[x.choice[v]] == 0 for v in gd.critical)
 
 
+def successors(g: GameGraph, v: int) -> tuple[int, ...]:
+    """``v``'s successors in canonical order, read from the flat arrays."""
+    return tuple(g.targets[g.offsets[v] : g.offsets[v + 1]].tolist())
+
+
 def is_switcher(g: GameGraph, edges: Iterable[tuple[int, int]], v: int) -> bool:
-    """Whether ``edges`` form a v-switcher, by :func:`coevo.switchability._switches`'s
-    forced-graph reachability; :class:`coevo.switchability.ForeignEdge` for an edge
-    not in ``g``."""
-    return _switches(g, g.offsets.tolist(), g.targets.tolist(), _check_edges(g, edges), v)
+    """Whether ``edges`` form a v-switcher, as one column of the package's forced
+    reachability pass :func:`coevo.switchability._misses`: play passes along an edge
+    in ``edges`` and along every move of a vertex with none.
+    :class:`coevo.switchability.ForeignEdge` for an edge not in ``g``."""
+    edges = _check_edges(g, edges)
+    constrained = {u for u, _ in edges}
+    passable = [u not in constrained or (u, w) in edges for u, w in g.edges()]
+    return not _misses(g, v, np.array(passable, dtype=bool).reshape(-1, 1))[0]
 
 
 def random_game(
@@ -144,7 +153,7 @@ def random_game(
 
 def uniform_rational_model(g: GameGraph) -> dict[int, list[Fraction]]:
     return {
-        v: [Fraction(1, len(g.succ[v]))] * len(g.succ[v]) for v in g.interior
+        v: [Fraction(1, len(successors(g, v)))] * len(successors(g, v)) for v in g.interior
     }
 
 
@@ -155,7 +164,7 @@ def random_rational_model(
     entry is at least gamma and each vector sums to exactly one."""
     dists = {}
     for v in g.interior:
-        weights = [Fraction(int(w)) for w in rng.integers(1, 1000, size=len(g.succ[v]))]
+        weights = [Fraction(int(w)) for w in rng.integers(1, 1000, size=len(successors(g, v)))]
         total = sum(weights)
         p = [w / total for w in weights]
         dists[v] = restrict(p, gamma)
@@ -400,7 +409,7 @@ def population_optimal_mask_dp(g: GameGraph, choices: np.ndarray) -> np.ndarray:
     win = np.zeros((g.n, count), dtype=bool)
     safe = np.zeros((g.n, count), dtype=bool)
     for u in g.reverse_topo:
-        succs = g.succ[u]
+        succs = successors(g, u)
         if not succs:
             safe[u] = True
             continue
@@ -467,13 +476,13 @@ def monte_carlo_selection(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not g.succ[u]:
+    if not successors(g, u):
         raise ValueError(f"vertex {u} has no moves")
     cx = sample_choice_matrix(model, rng, trials)
     cy = sample_choice_matrix(model, rng, trials)
     outcome = _play_matrices(g, cx, cy)
     winner_slots = np.where(outcome == 1, cx[u], cy[u])
-    freqs = np.bincount(winner_slots, minlength=len(g.succ[u])) / trials
+    freqs = np.bincount(winner_slots, minlength=len(successors(g, u))) / trials
     stderr = np.sqrt(freqs * (1 - freqs) / trials)
     return freqs, stderr
 
@@ -485,7 +494,7 @@ def play_from(g: GameGraph, v: int, x: Strategy, y: Strategy) -> int:
     negation of the outcome at ``x``'s choice with roles swapped. Used for
     cross-checking :func:`play` on small graphs.
     """
-    if not g.succ[v]:
+    if not successors(g, v):
         return -1
     return -play_from(g, x.choice[v], y, x)
 
@@ -498,7 +507,9 @@ def critical_positions_inclusive(g: GameGraph, values: tuple[int, ...]) -> froze
     return frozenset(
         v
         for v in g.interior
-        if values[v] != 0 and len(g.succ[v]) > 1 and any(values[w] == 0 for w in g.succ[v])
+        if values[v] != 0
+        and len(successors(g, v)) > 1
+        and any(values[w] == 0 for w in successors(g, v))
     )
 
 
@@ -514,7 +525,7 @@ def compatible_sink_paths(
 
     def rec(path: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         u = path[-1]
-        nexts = forced.get(u) or g.succ[u]
+        nexts = forced.get(u) or successors(g, u)
         if not nexts:
             yield path
             return
@@ -539,7 +550,7 @@ def upper_bound_switchability_per_vertex(g: GameGraph, v: int) -> int:
     queue = deque([g.root])
     while queue:
         u = queue.popleft()
-        for w in g.succ[u]:
+        for w in successors(g, u):
             if w not in dist:
                 dist[w] = dist[u] + 1
                 if w == v:

@@ -56,6 +56,7 @@ from helpers import (
     play,
     random_game,
     random_rational_model,
+    successors,
     uniform_rational_model,
 )
 
@@ -187,7 +188,7 @@ def test_selection_distribution_law():
     for _ in range(100):
         dists = {}
         for v in g.interior:
-            w = rng.random(len(g.succ[v])) + 1e-3
+            w = rng.random(len(successors(g, v))) + 1e-3
             dists[v] = list(w / w.sum())
         for u in g.interior:
             _, _, q_next = replicator_form(g, dists, u)

@@ -196,6 +196,46 @@ def test_switch_hybrid_falls_back_past_the_candidate_limit(capsys):
     assert report["value"] == profile["reports"]["3"]["value"]
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--fixture", "fig2", "--mode", "exact"],
+            "b25c06425afcbcfea71828750a7ede2b0addc8a5743d537950cee3ec781865aa",
+        ),
+        (
+            ["--fixture", "fig4", "--mode", "exact"],
+            "78f6ce1ffeef57bb45559d24687204248879777a5b5e26df694fb32abcdb676d",
+        ),
+        (
+            ["--family", "silver_dollar", "--m", "5", "--k", "2", "--mode", "exact"],
+            "e66156528fd2d5f4f26797ca38a4a7d9b1b04f33cbdea20dfdc8a3df7bdca3cf",
+        ),
+        (
+            ["--fixture", "fig4", "--vertex", "7", "--mode", "exact"],
+            "342552a3548f9df3ca9b606972ff04e5859bc35b5dcfcc99861e1c48eda8f07d",
+        ),
+        (
+            ["--fixture", "fig3_bottom", "--vertex", "9", "--mode", "exact", "--edge-limit", "32"],
+            "f05c1c2e866a6921e0b510cdf582572cb3e463e4956d1b6e5aea773f60f71884",
+        ),
+        (
+            ["--family", "subtraction_nim", "--n", "12", "--k", "2", "--edge-limit", "25"],
+            "7b2b8c391f7c8e379ecd45e834873b2112e9e9fb0a10744b6d2afcf3f171850e",
+        ),
+    ],
+    ids=["fig2", "fig4", "silver5-2", "fig4-vertex7", "fig3_bottom-vertex9", "nim12-hybrid"],
+)
+def test_switch_output_is_pinned(capsys, argv, digest):
+    # Digests of the whole JSON, recorded from the search that ran a DFS per
+    # candidate edge set: the per-depth column pass must reproduce its values,
+    # bounds and witnesses byte for byte.
+    code, out, _ = run_cli(capsys, "switch", *argv)
+    assert code == 0
+    assert '"exact_search"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_intrans_nim(capsys):
     code, out, _ = run_cli(
         capsys, "intrans", "--family", "subtraction_nim", "--n", "7", "--k", "2"

@@ -58,6 +58,7 @@ from helpers import (
     sample_choice_matrix,
     sample_choice_matrix_per_vertex,
     step,
+    successors,
     update_per_vertex,
     validate_strategy,
     zero_mask,
@@ -412,14 +413,14 @@ def test_uniform_model_respects_border():
 def test_sample_point_mass(fig1):
     model = uniform_model(fig1, 0.0)
     for v in fig1.interior:
-        p = np.zeros(len(fig1.succ[v]))
+        p = np.zeros(len(successors(fig1, v)))
         p[0] = 1.0
         model.dists[v] = p
     rng = np.random.default_rng(0)
     population = Population(fig1, sample_choice_matrix(model, rng, 20))
     for j in range(20):
         x = population.strategy(j)
-        assert x.choice == {v: fig1.succ[v][0] for v in fig1.interior}
+        assert x.choice == {v: successors(fig1, v)[0] for v in fig1.interior}
 
 
 def test_sample_marginals_match_model(fig1):
@@ -453,7 +454,7 @@ def _awkward_model(g, rng):
     cumulative sum ends below one (the clip to the last slot)."""
     model = uniform_model(g, 0.0)
     for v in g.interior:
-        p = rng.random(len(g.succ[v]))
+        p = rng.random(len(successors(g, v)))
         kind = int(rng.integers(4))
         if kind == 1:
             p[rng.random(len(p)) < 0.5] = 0.0
@@ -706,8 +707,8 @@ def test_generation_step_update_equals_the_per_vertex_reference(monkeypatch, sto
 def test_tournament_point_mass_winner(fig1):
     model = uniform_model(fig1, 0.0)
     for v in fig1.interior:
-        p = np.zeros(len(fig1.succ[v]))
-        p[fig1.succ[v].index(4) if 4 in fig1.succ[v] else 0] = 1.0
+        p = np.zeros(len(successors(fig1, v)))
+        p[successors(fig1, v).index(4) if 4 in successors(fig1, v) else 0] = 1.0
         model.dists[v] = p
     cfg = UmdaConfig(mu=1, gamma=0.0, max_generations=1, seed=1, stop_rule="generation_cap_only")
     _, population = step(model, cfg, np.random.default_rng(1))
@@ -745,7 +746,7 @@ def test_generation_step_mu_one(fig1):
     # entry where the game read it, a one-draw multinomial fill elsewhere.
     undrawn = np.iinfo(population.choices.dtype).max
     for v in fig1.interior:
-        points = np.eye(len(fig1.succ[v]))
+        points = np.eye(len(successors(fig1, v)))
         hits = [i for i, point in enumerate(points) if np.allclose(new_model.dists[v], restrict(point, gamma))]
         assert len(hits) == 1
         assert population.choices[v, 0] in (hits[0], undrawn)
@@ -783,7 +784,7 @@ def test_model_entries_stay_bounded():
     for _ in range(30):
         model, _ = step(model, cfg, rng)
         for v in g.interior:
-            deg = len(g.succ[v])
+            deg = len(successors(g, v))
             assert (model.dists[v] >= gamma - 1e-12).all()
             assert (model.dists[v] <= 1 - (deg - 1) * gamma + 1e-12).all()
             assert abs(model.dists[v].sum() - 1) <= 1e-12
@@ -794,7 +795,7 @@ def test_model_entries_stay_bounded():
 def _random_float_model(g, rng):
     model = uniform_model(g, 0.0)
     for v in g.interior:
-        p = rng.random(len(g.succ[v])) + 0.2
+        p = rng.random(len(successors(g, v))) + 0.2
         model.dists[v] = p / p.sum()
     return model
 
@@ -810,7 +811,7 @@ def test_mean_update_matches_selection_distribution(game):
     model = _random_float_model(g, rng)
     mu, repeats = 20_000, 10
     cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0, stop_rule="generation_cap_only")
-    mean = {v: np.zeros(len(g.succ[v])) for v in g.interior}
+    mean = {v: np.zeros(len(successors(g, v))) for v in g.interior}
     for r in range(repeats):
         new_model, _ = step(model, cfg, np.random.default_rng(400 + r))
         for v in g.interior:
@@ -1040,8 +1041,8 @@ def _population(g, zero, rng, count, bias):
     moves to one of those with probability ``bias``."""
     choices = np.zeros((g.n, count), dtype=np.min_scalar_type(g.max_degree), order="F")
     for v in g.interior:
-        good = np.flatnonzero(zero[list(g.succ[v])])
-        choices[v] = rng.integers(len(g.succ[v]), size=count)
+        good = np.flatnonzero(zero[list(successors(g, v))])
+        choices[v] = rng.integers(len(successors(g, v)), size=count)
         if len(good):
             pick = rng.random(count) < bias
             choices[v, pick] = good[rng.integers(len(good), size=int(pick.sum()))]
@@ -1192,9 +1193,9 @@ def test_stop_check_memory_stays_near_the_population(monkeypatch):
     block = eda._stop_block(instance, "exact_optimal")
     model = uniform_model(g, 0.0)
     for v in g.interior:
-        good = np.flatnonzero(zero[list(g.succ[v])])
+        good = np.flatnonzero(zero[list(successors(g, v))])
         if len(good):
-            model.dists[v] = np.eye(len(g.succ[v]))[good[0]]
+            model.dists[v] = np.eye(len(successors(g, v)))[good[0]]
     widths, peaks, drawn = [], [], []
 
     def spy(g, part, zero, draw):

@@ -22,6 +22,7 @@ from helpers import (
     outcome_matrix_scalar,
     prepare_from_grundy,
     random_game,
+    successors,
 )
 from test_games import FAMILY_GRAPHS, REFERENCE_CASES
 
@@ -63,7 +64,7 @@ def test_mex_definition_per_vertex():
         g = random_game(rng)
         gd = grundy_values(g)
         for v in g.interior:
-            succ_values = {gd.values[w] for w in g.succ[v]}
+            succ_values = {gd.values[w] for w in successors(g, v)}
             assert gd.values[v] not in succ_values
             for below in range(gd.values[v]):
                 assert below in succ_values
@@ -156,15 +157,15 @@ def test_optimal_iff_zero_move_at_every_faced_position():
         for _ in range(20):
             choice = {}
             for v in g.interior:
-                good = [w for w in g.succ[v] if w in zero]
-                pool = good if good and rng.random() < 0.8 else g.succ[v]
+                good = [w for w in successors(g, v) if w in zero]
+                pool = good if good and rng.random() < 0.8 else successors(g, v)
                 choice[v] = pool[int(rng.integers(len(pool)))]
             faced, stack = set(), [g.root]
             while stack:
                 v = stack.pop()
-                if v not in faced and g.succ[v]:
+                if v not in faced and successors(g, v):
                     faced.add(v)
-                    stack.extend(g.succ[choice[v]])
+                    stack.extend(successors(g, choice[v]))
             lemma = all(choice[v] in zero for v in faced)
             assert lemma == is_optimal_exact(g, Strategy(choice))
             optimal += lemma

@@ -23,6 +23,7 @@ from helpers import (
     random_game,
     random_rational_model,
     sample_choice_matrix,
+    successors,
     uniform_rational_model,
 )
 
@@ -87,7 +88,7 @@ def test_selection_sums_float_models(fig1):
     for _ in range(50):
         dists = {}
         for v in fig1.interior:
-            w = rng.random(len(fig1.succ[v])) + 1e-3
+            w = rng.random(len(successors(fig1, v))) + 1e-3
             dists[v] = list(w / w.sum())
         for u in fig1.interior:
             assert abs(sum(selection_distribution(fig1, dists, u)) - 1) <= 1e-12
@@ -123,7 +124,7 @@ def test_replicator_fixed_point():
 def test_monte_carlo_point_mass(fig1):
     model = uniform_model(fig1, 0.0)
     for v in fig1.interior:
-        p = np.zeros(len(fig1.succ[v]))
+        p = np.zeros(len(successors(fig1, v)))
         p[0] = 1.0
         model.dists[v] = p
     freqs, stderr = monte_carlo_selection(fig1, model, 0, 2000, np.random.default_rng(1))
@@ -167,7 +168,7 @@ def test_reach_and_win_match_simulation():
         while alive.any():
             np.add.at(visits, pos[alive], 1)
             idx = np.flatnonzero(alive)
-            interior = np.array([bool(g.succ[p]) for p in pos[idx]])
+            interior = np.array([bool(successors(g, p)) for p in pos[idx]])
             idx = idx[interior]
             if idx.size == 0:
                 break

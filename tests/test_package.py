@@ -13,12 +13,13 @@ from coevo import graphs, grundy, switchability
 
 RUN_PY = Path(__file__).resolve().parents[1] / "benchmark" / "run.py"
 
-# Reference code that only the tests run lives in tests/helpers.py, not in the package.
+# Reference code that only the tests run lives in tests/helpers.py, not in the package;
+# switchability._switches is deleted, not moved.
 MOVED = {
     coevo: ("play", "Transcript", "is_optimal_sufficient", "is_switcher"),
     graphs: ("play", "Transcript", "enumerate_strategies"),
     grundy: ("is_optimal_sufficient",),
-    switchability: ("is_switcher",),
+    switchability: ("is_switcher", "_switches"),
     graphs.Strategy: ("validate", "key"),
 }
 

@@ -1,8 +1,10 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from coevo import switchability
 from coevo.games import (
     FIXTURE_MARKED,
     FIXTURE_NAMES,
@@ -25,6 +27,7 @@ from helpers import (
     is_switcher,
     is_switcher_by_enumeration,
     random_game,
+    successors,
     upper_bound_switchability_per_vertex,
 )
 
@@ -185,7 +188,7 @@ def test_root_path_edges_always_switch():
             u = queue.pop(0)
             if u == v:
                 break
-            for w in g.succ[u]:
+            for w in successors(g, u):
                 if w not in parents:
                     parents[w] = u
                     queue.append(w)
@@ -251,6 +254,51 @@ def test_forced_reachability_matches_enumeration():
             edges = frozenset(e for e, keep in zip(edge_list, take) if keep)
             v = int(rng.integers(g.n))
             assert is_switcher(g, edges, v) == is_switcher_by_enumeration(g, edges, v)
+
+
+def test_exact_search_is_minimal_over_every_edge_subset():
+    # The search tries functional assignments only; on tiny games every edge
+    # subset is checked by path enumeration, so no shallower switcher exists and
+    # the witness is one of the shallowest.
+    rng = np.random.default_rng(61)
+    games = [g for g in (random_game(rng, n_max=7) for _ in range(40)) if g.edge_count <= 10]
+    assert len(games) >= 10
+    for g in games:
+        subsets = [
+            frozenset(itertools.compress(g.edges(), keep))
+            for keep in itertools.product((False, True), repeat=g.edge_count)
+        ]
+        depths = [depth(g, edges) for edges in subsets]
+        reports, _ = switchability_reports(g, range(g.n), "exact")
+        for v, report in reports.items():
+            switchers = [
+                (d, edges) for d, edges in zip(depths, subsets) if is_switcher_by_enumeration(g, edges, v)
+            ]
+            least = min(d for d, _ in switchers)
+            assert report.exact == least
+            assert report.witness in {edges for d, edges in switchers if d == least}
+
+
+def test_a_vertex_of_switchability_s_costs_at_most_s_plus_one_passes(monkeypatch, fig4):
+    # One reachability pass per depth layer, shallowest first, and none after
+    # the layer that switches.
+    widths = []
+    misses = switchability._misses
+
+    def spy(g, v, passable):
+        widths.append(passable.shape[1])
+        return misses(g, v, passable)
+
+    monkeypatch.setattr(switchability, "_misses", spy)
+    rng = np.random.default_rng(67)
+    for g in [fig4, subtraction_nim(11, 2), silver_dollar(5, 2)] + [random_game(rng) for _ in range(10)]:
+        if g.edge_count > 20:
+            continue
+        for v in range(g.n):
+            widths.clear()
+            report = switchability_reports(g, [v], "exact")[0][v]
+            assert 1 <= len(widths) <= report.exact + 1
+            assert widths[0] == 1  # depth 0 holds only the empty set
 
 
 def test_too_large(fig3_bottom):
