@@ -20,7 +20,7 @@ from .grundy import (
     grundy_values,
     is_optimal_exact,
 )
-from .switchability import SwitchabilityReport, depth, switchability_profile
+from .switchability import SwitchabilityReport, switchability_profile
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,6 @@ __all__ = [
     "chomp",
     "critical_rows",
     "csr_graph",
-    "depth",
     "ensure_first_player_win",
     "fixture",
     "grundy_values",

@@ -100,28 +100,14 @@ def _require_border(name: str, value) -> None:
         raise ValueError(f"{name} must be a finite number at least 0, got {value!r}")
 
 
-@dataclass
-class Population:
-    """The selected individuals of one generation as a slot store.
-
-    ``choices[v, j]`` is winner j's slot at vertex v (its move is
-    ``targets[offsets[v] + slot]``), 0 where v has under two moves, or the
-    dtype's largest value where it was never drawn. ``witness`` is the
-    first column that met the stop rule, drawn in full, or None.
-    """
-
-    graph: GameGraph
-    choices: np.ndarray
-    witness: int | None = None
-
-    def __len__(self) -> int:
-        return self.choices.shape[1]
-
-    def strategy(self, j: int) -> Strategy:
-        g, column = self.graph, self.choices[:, j]
-        if (column[list(g.interior)] == np.iinfo(column.dtype).max).any():
-            raise ValueError(f"column {j} is not drawn in full; only a generation's witness is")
-        return Strategy({v: int(g.targets[g.offsets[v] + column[v]]) for v in g.interior})
+def column_strategy(g: GameGraph, choices: np.ndarray, j: int) -> Strategy:
+    """Column ``j`` of the slot store ``choices`` as a strategy: ``choices[v, j]``
+    is its slot at v (its move is ``targets[offsets[v] + slot]``), 0 where v has
+    under two moves, or the dtype's largest value where it was never drawn."""
+    column = choices[:, j]
+    if (column[list(g.interior)] == np.iinfo(column.dtype).max).any():
+        raise ValueError(f"column {j} is not drawn in full; only a generation's witness is")
+    return Strategy({v: int(g.targets[g.offsets[v] + column[v]]) for v in g.interior})
 
 
 @dataclass
@@ -538,7 +524,7 @@ def _stop_block(instance: Instance, stop_rule: str) -> int:
 
 def generation_step(
     instance: Instance, p: np.ndarray, cfg: UmdaConfig, rng: np.random.Generator, record: Record | None = None
-) -> tuple[np.ndarray, Population]:
+) -> tuple[np.ndarray, np.ndarray, int | None]:
     """One generation on ``instance.graph`` from the edge vector ``p`` (in
     ``offsets``/``targets`` order): mu tournaments, the stop check, the update
     and its restriction onto the ``cfg.gamma`` border.
@@ -552,7 +538,9 @@ def generation_step(
     positions too: their fill rows draw nothing either way). An edge counts
     those plus its share of one multinomial fill of the rest, per vertex from
     the counts' cumulative sums; one :func:`restrict` call then clamps the
-    whole edge vector. Returns the next edge vector and the winners.
+    whole edge vector. Returns the next edge vector, the winners' n × mu slot
+    store (see :func:`column_strategy`) and the witness: the first column that
+    met the stop rule, drawn in full, or None.
     """
     g, mu = instance.graph, cfg.mu
     record = Record(g) if record is None else record
@@ -599,7 +587,7 @@ def generation_step(
         rows, slots = (np.concatenate(part) for part in zip(*drawn))
         counts[1:] += np.bincount(g.offsets[rows] + slots, minlength=g.edge_count)
     rest = mu - np.diff(np.cumsum(counts)[g.offsets])  # the winners' undrawn entries per vertex
-    return _update(instance, p, counts[1:], rest, mu, cfg.gamma, rng), Population(g, store, witness)
+    return _update(instance, p, counts[1:], rest, mu, cfg.gamma, rng), store, witness
 
 
 def run_umda(
@@ -627,11 +615,11 @@ def run_umda(
     trace: list[tuple[int, dict]] = []
     witness, record = None, Record(g)
     for t in range(1, cfg.max_generations + 1):
-        p, population = generation_step(instance, p, cfg, rng, record)
+        p, store, column = generation_step(instance, p, cfg, rng, record)
         if trace_every and t % trace_every == 0:
             trace.append((t, ProbModel(g, _views(g, p), cfg.gamma).snapshot()))
-        if population.witness is not None:
-            witness = population.strategy(population.witness)
+        if column is not None:
+            witness = column_strategy(g, store, column)
             break
     model = ProbModel(g, _views(g, p), cfg.gamma)
     return RunResult(t, cfg.mu * t, witness is not None, model, witness, trace)

@@ -1,4 +1,4 @@
-"""Benchmark game constructors, figure fixtures, and the heap-strategy codec.
+"""Benchmark game constructors, figure fixtures, and the heap-strategy encoder.
 
 Every generator materialises the full explicit graph with documented
 position-to-integer encodings, so vertex ids are stable across runs and
@@ -29,10 +29,6 @@ class UnknownFixture(ValueError):
 
 
 class BadLength(ValueError):
-    pass
-
-
-class BadChar(ValueError):
     pass
 
 
@@ -235,9 +231,6 @@ def chomp(m: int) -> GameGraph:
 # ---------------------------------------------------------------------------
 # Paper-figure style fixtures with pinned vertex numbering.
 
-#: Vertex singled out in each fixture's diagram, where one exists.
-FIXTURE_MARKED = {"fig2": 6, "fig3_top": 5, "fig3_bottom": 9, "fig4": 8}
-
 FIXTURE_NAMES = ("fig1", "fig2", "fig3_top", "fig3_bottom", "fig4", "chain3")
 
 
@@ -313,27 +306,11 @@ FAMILIES = {
 
 
 # ---------------------------------------------------------------------------
-# Strategy codec for the heap game.
-
-def nim_decode(payload: str, n: int, k: int) -> Strategy:
-    """String of length ``n-1`` to a strategy; entry ``i`` (1-based,
-    leftmost first) is the amount subtracted at heap size ``i``."""
-    if len(payload) != n - 1:
-        raise BadLength(f"need {n - 1} characters, got {len(payload)}")
-    choice = {}
-    for i in range(1, n):
-        ch = payload[i - 1]
-        if not ch.isdigit() or not 1 <= int(ch) <= k:
-            raise BadChar(f"character {ch!r} at position {i} outside 1..{k}")
-        amount = int(ch)
-        if amount > i:
-            raise IllegalMove(f"cannot subtract {amount} from heap {i}")
-        choice[i] = i - amount
-    return Strategy(choice)
-
+# Strategy encoder for the heap game.
 
 def nim_encode(x: Strategy, n: int, k: int) -> str:
-    """Inverse of :func:`nim_decode`."""
+    """``x`` as a string of length ``n-1``: character ``i`` (1-based, leftmost
+    first) is the amount, 1..``k``, that ``x`` subtracts at heap size ``i``."""
     chars = []
     for i in range(1, n):
         if i not in x.choice:

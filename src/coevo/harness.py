@@ -204,7 +204,7 @@ def intransitivity_search(
             return None
         i, j = divmod(int(np.argmax(closes)), m)
         k = int(np.argmax(beats[j] & beats[:, i]))
-        return tuple(map(eda.Population(g, choices).strategy, (i, j, k)))
+        return tuple(eda.column_strategy(g, choices, c) for c in (i, j, k))
 
     if rng is None:
         rng = np.random.default_rng(0)
@@ -222,8 +222,7 @@ def intransitivity_search(
         outcome = eda._play_matrices(g, choices[:, first], choices[:, second]).reshape(3, 2, size)
         hit = np.flatnonzero(((outcome[:, 0] == 1) & (outcome[:, 1] == -1)).all(axis=0))
         if len(hit):
-            population = eda.Population(g, choices)
-            return tuple(population.strategy(3 * int(hit[0]) + i) for i in range(3))
+            return tuple(eda.column_strategy(g, choices, 3 * int(hit[0]) + i) for i in range(3))
     return None
 
 

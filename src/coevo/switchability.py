@@ -1,4 +1,4 @@
-"""Edge-set depth, forced visits, and per-vertex switchability.
+"""Forced visits and per-vertex switchability.
 
 An edge set ``A`` constrains play: whenever the current vertex has an
 outgoing ``A``-edge, a compatible continuation must follow one of them;
@@ -18,10 +18,6 @@ import numpy as np
 
 from . import grundy as _grundy
 from .graphs import GameGraph, root_distances
-
-
-class ForeignEdge(ValueError):
-    pass
 
 
 class TooLarge(ValueError):
@@ -47,25 +43,6 @@ class SwitchabilityProfile:
     s_bar: int  # max over all vertices
     s_hat: int  # max over critical positions (0 when there are none)
     mode_used: str
-
-
-def _check_edges(g: GameGraph, edges: Iterable[tuple[int, int]]) -> frozenset:
-    edges = frozenset(edges)
-    off, targets = g.offsets.tolist(), g.targets.tolist()
-    for u, w in edges:
-        if not (0 <= u < g.n) or w not in targets[off[u] : off[u + 1]]:
-            raise ForeignEdge(f"({u}, {w}) is not an edge of the graph")
-    return edges
-
-
-def depth(g: GameGraph, edges: Iterable[tuple[int, int]]) -> int:
-    """Maximum number of ``edges`` members met along one directed path."""
-    edges = _check_edges(g, edges)
-    off, targets = g.offsets.tolist(), g.targets.tolist()
-    best = [0] * g.n
-    for u in g.reverse_topo:
-        best[u] = max((best[w] + ((u, w) in edges) for w in targets[off[u] : off[u + 1]]), default=0)
-    return max(best, default=0)
 
 
 def _misses(g: GameGraph, v: int, passable: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from coevo.eda import (
     restrict,
     uniform_model,
 )
+from coevo.games import BadLength, IllegalMove
 from coevo.graphs import GameGraph, Strategy, build_graph, strategy_space_size
 from coevo.grundy import (
     GrundyData,
@@ -35,17 +36,25 @@ from coevo.grundy import (
     is_optimal_exact,
 )
 from coevo.harness import ExperimentRecord
-from coevo.switchability import _check_edges, _misses
+from coevo.switchability import _misses
 
 
 class TooLarge(ValueError):
     pass
 
 
+class ForeignEdge(ValueError):
+    pass
+
+
+class BadChar(ValueError):
+    pass
+
+
 # ---------------------------------------------------------------------------
 # References that only the tests run: the scalar playout, the strategy check,
-# key and enumeration, the sufficient optimality certificate and the checked
-# switcher test.
+# key and enumeration, the sufficient optimality certificate, the edge-set
+# depth, the checked switcher test and the heap-strategy decoder.
 
 @dataclass(frozen=True)
 class Transcript:
@@ -116,15 +125,56 @@ def successors(g: GameGraph, v: int) -> tuple[int, ...]:
     return tuple(g.targets[g.offsets[v] : g.offsets[v + 1]].tolist())
 
 
+def _check_edges(g: GameGraph, edges: Iterable[tuple[int, int]]) -> frozenset:
+    edges = frozenset(edges)
+    off, targets = g.offsets.tolist(), g.targets.tolist()
+    for u, w in edges:
+        if not (0 <= u < g.n) or w not in targets[off[u] : off[u + 1]]:
+            raise ForeignEdge(f"({u}, {w}) is not an edge of the graph")
+    return edges
+
+
+def depth(g: GameGraph, edges: Iterable[tuple[int, int]]) -> int:
+    """Maximum number of ``edges`` members met along one directed path."""
+    edges = _check_edges(g, edges)
+    off, targets = g.offsets.tolist(), g.targets.tolist()
+    best = [0] * g.n
+    for u in g.reverse_topo:
+        best[u] = max((best[w] + ((u, w) in edges) for w in targets[off[u] : off[u + 1]]), default=0)
+    return max(best, default=0)
+
+
 def is_switcher(g: GameGraph, edges: Iterable[tuple[int, int]], v: int) -> bool:
     """Whether ``edges`` form a v-switcher, as one column of the package's forced
     reachability pass :func:`coevo.switchability._misses`: play passes along an edge
     in ``edges`` and along every move of a vertex with none.
-    :class:`coevo.switchability.ForeignEdge` for an edge not in ``g``."""
+    :class:`ForeignEdge` for an edge not in ``g``."""
     edges = _check_edges(g, edges)
     constrained = {u for u, _ in edges}
     passable = [u not in constrained or (u, w) in edges for u, w in g.edges()]
     return not _misses(g, v, np.array(passable, dtype=bool).reshape(-1, 1))[0]
+
+
+#: Vertex singled out in each fixture's diagram, where one exists.
+FIXTURE_MARKED = {"fig2": 6, "fig3_top": 5, "fig3_bottom": 9, "fig4": 8}
+
+
+def nim_decode(payload: str, n: int, k: int) -> Strategy:
+    """String of length ``n-1`` to a strategy; entry ``i`` (1-based,
+    leftmost first) is the amount subtracted at heap size ``i``. The
+    inverse of :func:`coevo.games.nim_encode`."""
+    if len(payload) != n - 1:
+        raise BadLength(f"need {n - 1} characters, got {len(payload)}")
+    choice = {}
+    for i in range(1, n):
+        ch = payload[i - 1]
+        if not ch.isdigit() or not 1 <= int(ch) <= k:
+            raise BadChar(f"character {ch!r} at position {i} outside 1..{k}")
+        amount = int(ch)
+        if amount > i:
+            raise IllegalMove(f"cannot subtract {amount} from heap {i}")
+        choice[i] = i - amount
+    return Strategy(choice)
 
 
 def random_game(
@@ -246,10 +296,10 @@ def instance_as_is(g: GameGraph) -> Instance:
 def step(model: ProbModel, cfg, rng: np.random.Generator, instance: Instance | None = None):
     """:func:`coevo.eda.generation_step` from a model, on ``instance`` or else on
     the model's graph as it stands: the next model (views of the next edge
-    vector) and the winners."""
+    vector), the winners' slot store and the witness column or None."""
     g = model.graph
-    p, population = generation_step(instance or instance_as_is(g), edge_vector(model), cfg, rng)
-    return ProbModel(g, _views(g, p), cfg.gamma), population
+    p, store, witness = generation_step(instance or instance_as_is(g), edge_vector(model), cfg, rng)
+    return ProbModel(g, _views(g, p), cfg.gamma), store, witness
 
 
 def update_per_vertex(g: GameGraph, p, counts, rest, mu: int, gamma, rng) -> np.ndarray:

@@ -21,7 +21,6 @@ from coevo.games import (
     GameSpec,
     chomp,
     fixture,
-    FIXTURE_MARKED,
     silver_dollar,
     subtraction_nim,
     turning_turtles,
@@ -42,13 +41,14 @@ from coevo.oracles import (
     selection_distribution,
 )
 from coevo.switchability import (
-    depth,
     switchability_profile,
     switchability_reports,
 )
 from helpers import (
+    FIXTURE_MARKED,
     all_strategies,
     choice_matrix,
+    depth,
     is_switcher,
     is_switcher_by_enumeration,
     monte_carlo_selection,

@@ -13,11 +13,11 @@ from coevo import eda
 from coevo.eda import (
     GammaTooLarge,
     MissingSwitchability,
-    Population,
     ProbModel,
     UmdaConfig,
     beta_minus,
     beta_plus,
+    column_strategy,
     generation_step,
     model_from_snapshot,
     population_optimal_mask,
@@ -228,7 +228,7 @@ def test_generation_step_restriction_matches_reference(monkeypatch):
     monkeypatch.setattr(eda, "restrict", spy)
     for _ in range(10):
         calls.clear()
-        new_model, _ = step(model, cfg, rng)
+        new_model, *_ = step(model, cfg, rng)
         (freqs,) = calls
         for v in g.interior:
             q = freqs[g.offsets[v] : g.offsets[v + 1]]
@@ -417,9 +417,9 @@ def test_sample_point_mass(fig1):
         p[0] = 1.0
         model.dists[v] = p
     rng = np.random.default_rng(0)
-    population = Population(fig1, sample_choice_matrix(model, rng, 20))
+    choices = sample_choice_matrix(model, rng, 20)
     for j in range(20):
-        x = population.strategy(j)
+        x = column_strategy(fig1, choices, j)
         assert x.choice == {v: successors(fig1, v)[0] for v in fig1.interior}
 
 
@@ -437,16 +437,16 @@ def test_sampled_strategies_valid():
     for _ in range(10):
         g = random_game(rng)
         model = uniform_model(g, 0.0)
-        validate_strategy(g, Population(g, sample_choice_matrix(model, rng, 1)).strategy(0))
+        validate_strategy(g, column_strategy(g, sample_choice_matrix(model, rng, 1), 0))
 
 
 def test_strategy_of_a_partly_drawn_column_is_refused():
     # A generation draws its winners' entries only where something reads them.
     g = chomp(4)
     cfg = UmdaConfig(mu=64, gamma=0.0, max_generations=1, seed=0, stop_rule="generation_cap_only")
-    _, population = step(uniform_model(g, 0.0), cfg, np.random.default_rng(1))
+    _, store, _ = step(uniform_model(g, 0.0), cfg, np.random.default_rng(1))
     with pytest.raises(ValueError, match="column 3 is not drawn in full"):
-        population.strategy(3)
+        column_strategy(g, store, 3)
 
 
 def _awkward_model(g, rng):
@@ -615,8 +615,8 @@ def test_degree_one_positions_draw_no_uniform(monkeypatch, stop_rule):
     model = uniform_model(g, 0.01)
     cfg = UmdaConfig(mu=64, gamma=0.01, max_generations=1, seed=0, stop_rule=stop_rule)
     for _ in range(5):
-        model, population = step(model, cfg, rng, instance)
-        assert (population.choices[degrees < 2] == 0).all()
+        model, store, _ = step(model, cfg, rng, instance)
+        assert (store[degrees < 2] == 0).all()
     rows = np.concatenate(calls)
     assert len(rows) == rng.uniforms > 0
     assert (degrees[rows] > 1).all()
@@ -630,12 +630,12 @@ def test_draws_stay_far_below_the_population_size(monkeypatch):
     calls = _spy_draws(monkeypatch)
     rng, mu = _CountingRng(11), 512
     cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0)
-    _, population = step(uniform_model(g, 0.0), cfg, rng, prepare(g))
+    _, store, _ = step(uniform_model(g, 0.0), cfg, rng, prepare(g))
     entries = sum(len(rows) for rows in calls)
-    assert len(population) == mu and entries == rng.uniforms
+    assert store.shape[1] == mu and entries == rng.uniforms
     assert entries < 0.05 * g.n * mu
-    undrawn = np.iinfo(population.choices.dtype).max
-    assert 0 < int((population.choices != undrawn).sum()) - int((np.diff(g.offsets) < 2).sum()) * mu < entries
+    undrawn = np.iinfo(store.dtype).max
+    assert 0 < int((store != undrawn).sum()) - int((np.diff(g.offsets) < 2).sum()) * mu < entries
 
 
 @pytest.mark.parametrize("stop_rule", ["exact_optimal", "sufficient_optimal", "generation_cap_only"])
@@ -649,9 +649,8 @@ def test_drawn_plus_filled_is_mu(stop_rule):
     model = uniform_model(g, 0.01)
     for _ in range(4):
         rng.fills.clear()
-        model, population = step(model, cfg, rng, instance)
-        assert len(population) == mu
-        choices = population.choices
+        model, choices, _ = step(model, cfg, rng, instance)
+        assert choices.shape[1] == mu
         drawn = (choices != np.iinfo(choices.dtype).max).sum(axis=1)
         (filled,) = rng.fills  # one fill a generation, a row per vertex
         choosing = degrees > 1
@@ -688,8 +687,7 @@ def test_generation_step_update_equals_the_per_vertex_reference(monkeypatch, sto
         p = edge_vector(_random_float_model(g, rng))
         calls.clear()
         step_rng = _FillStateRng(seed)
-        got, population = generation_step(instance, p, cfg, step_rng)
-        choices = population.choices
+        got, choices, _ = generation_step(instance, p, cfg, step_rng)
         drawn = (choices != np.iinfo(choices.dtype).max) & (np.diff(g.offsets) > 1)[:, None]
         v, j = np.nonzero(drawn)
         counts = np.bincount(g.offsets[v] + choices[v, j], minlength=g.edge_count)
@@ -711,25 +709,25 @@ def test_tournament_point_mass_winner(fig1):
         p[successors(fig1, v).index(4) if 4 in successors(fig1, v) else 0] = 1.0
         model.dists[v] = p
     cfg = UmdaConfig(mu=1, gamma=0.0, max_generations=1, seed=1, stop_rule="generation_cap_only")
-    _, population = step(model, cfg, np.random.default_rng(1))
+    _, store, _ = step(model, cfg, np.random.default_rng(1))
     # The first mover jumps to the sink and wins; its root entry was drawn.
-    assert fig1.targets[fig1.offsets[0] + population.choices[0, 0]] == 4
-    assert len(population) == 1
+    assert fig1.targets[fig1.offsets[0] + store[0, 0]] == 4
+    assert store.shape[1] == 1
 
 
 def test_generation_step_spends_mu_evaluations(fig1):
     model = uniform_model(fig1, 0.01)
     mu = 64
     cfg = UmdaConfig(mu=mu, gamma=0.01, max_generations=1, seed=2, stop_rule="generation_cap_only")
-    _, population = step(model, cfg, np.random.default_rng(2))
-    assert len(population) == mu
+    _, store, _ = step(model, cfg, np.random.default_rng(2))
+    assert store.shape[1] == mu
 
 
 def test_tournament_frequencies_match_dp(fig1):
     model = uniform_model(fig1, 0.0)
     trials = 200_000
     cfg = UmdaConfig(mu=trials, gamma=0.0, max_generations=1, seed=89, stop_rule="generation_cap_only")
-    new_model, _ = step(model, cfg, np.random.default_rng(89))
+    new_model, *_ = step(model, cfg, np.random.default_rng(89))
     freqs = new_model.dists[0]  # with no border, the winners' frequencies at the root
     exact = selection_distribution(fig1, model.dists, 0)
     tv = 0.5 * sum(abs(freqs[i] - float(exact[i])) for i in range(len(freqs)))
@@ -740,16 +738,16 @@ def test_generation_step_mu_one(fig1):
     gamma = 0.05
     model = uniform_model(fig1, gamma)
     cfg = UmdaConfig(mu=1, gamma=gamma, max_generations=1, seed=3, stop_rule="generation_cap_only")
-    new_model, population = step(model, cfg, np.random.default_rng(3))
-    assert len(population) == 1
+    new_model, store, _ = step(model, cfg, np.random.default_rng(3))
+    assert store.shape[1] == 1
     # Each vector is the restriction of one point mass: the winner's drawn
     # entry where the game read it, a one-draw multinomial fill elsewhere.
-    undrawn = np.iinfo(population.choices.dtype).max
+    undrawn = np.iinfo(store.dtype).max
     for v in fig1.interior:
         points = np.eye(len(successors(fig1, v)))
         hits = [i for i, point in enumerate(points) if np.allclose(new_model.dists[v], restrict(point, gamma))]
         assert len(hits) == 1
-        assert population.choices[v, 0] in (hits[0], undrawn)
+        assert store[v, 0] in (hits[0], undrawn)
 
 
 def test_generation_step_forced_chain():
@@ -757,7 +755,7 @@ def test_generation_step_forced_chain():
     gamma = 0.1
     model = uniform_model(g, gamma)
     cfg = UmdaConfig(mu=16, gamma=gamma, max_generations=1, seed=4, stop_rule="generation_cap_only")
-    new_model, _ = step(model, cfg, np.random.default_rng(4))
+    new_model, *_ = step(model, cfg, np.random.default_rng(4))
     for v in g.interior:
         assert new_model.dists[v].tolist() == [1.0]
 
@@ -767,7 +765,7 @@ def test_generation_step_expectation_matches_dp(fig1):
     model = uniform_model(fig1, gamma)
     mu = 10_000
     cfg = UmdaConfig(mu=mu, gamma=gamma, max_generations=1, seed=5, stop_rule="generation_cap_only")
-    new_model, _ = step(model, cfg, np.random.default_rng(5))
+    new_model, *_ = step(model, cfg, np.random.default_rng(5))
     exact = [float(p) for p in selection_distribution(fig1, model.dists, 0)]
     for i, p in enumerate(exact):
         sigma = np.sqrt(p * (1 - p) / mu)
@@ -782,7 +780,7 @@ def test_model_entries_stay_bounded():
     cfg = UmdaConfig(mu=50, gamma=gamma, max_generations=1, seed=6, stop_rule="generation_cap_only")
     rng = np.random.default_rng(6)
     for _ in range(30):
-        model, _ = step(model, cfg, rng)
+        model, *_ = step(model, cfg, rng)
         for v in g.interior:
             deg = len(successors(g, v))
             assert (model.dists[v] >= gamma - 1e-12).all()
@@ -813,7 +811,7 @@ def test_mean_update_matches_selection_distribution(game):
     cfg = UmdaConfig(mu=mu, gamma=0.0, max_generations=1, seed=0, stop_rule="generation_cap_only")
     mean = {v: np.zeros(len(successors(g, v))) for v in g.interior}
     for r in range(repeats):
-        new_model, _ = step(model, cfg, np.random.default_rng(400 + r))
+        new_model, *_ = step(model, cfg, np.random.default_rng(400 + r))
         for v in g.interior:
             mean[v] += new_model.dists[v] / repeats
     z = []
@@ -1128,11 +1126,11 @@ def _run_populations(monkeypatch, g, cfg):
 
     def spy(*args):
         out = generation_step(*args)
-        choices = out[1].choices.copy(order="F")  # a column-major slot store, as the engine's
+        choices = out[1].copy(order="F")  # a column-major slot store, as the engine's
         undrawn = choices == np.iinfo(choices.dtype).max
         choices[undrawn] = (fill.integers(0, 2**20, size=choices.shape) % degrees)[undrawn]
         populations.append(choices)
-        witnesses.append(out[1].witness)
+        witnesses.append(out[2])
         return out
 
     monkeypatch.setattr(eda, "generation_step", spy)
@@ -1178,7 +1176,7 @@ def test_witness_is_the_first_hit_across_blocks(monkeypatch, stop_rule, columns,
     first = int(np.argmax(masks[-1]))
     assert first >= 3 * columns  # past the first blocks
     assert witnesses[-1] == first
-    assert result.optimal_witness.choice == Population(g, populations[-1]).strategy(first).choice
+    assert result.optimal_witness.choice == column_strategy(g, populations[-1], first).choice
 
 
 def test_stop_check_memory_stays_near_the_population(monkeypatch):
@@ -1216,10 +1214,10 @@ def test_stop_check_memory_stays_near_the_population(monkeypatch):
     widths.clear(), peaks.clear(), drawn.clear()
     tracemalloc.start()
     try:
-        _, population = step(model, cfg, np.random.default_rng(5), instance)
+        *_, witness = step(model, cfg, np.random.default_rng(5), instance)
     finally:
         tracemalloc.stop()
-    assert widths == [block] and block < mu and population.witness == 0
+    assert widths == [block] and block < mu and witness == 0
     assert sum(drawn) > g.n * block // 2  # the walk drew most of the block
     # One pass over all 2048 columns at once reached 560 MB; with the drawn
     # rows as int64 and the walk's step temporaries held into the next
@@ -1266,12 +1264,12 @@ def test_a_reused_record_steps_as_a_fresh_one(base, mu, stop_rule):
     fresh = reused.copy()
     rngs = np.random.default_rng(3), np.random.default_rng(3)
     for _ in range(12):
-        reused, kept = generation_step(instance, reused, cfg, rngs[0], record)
-        fresh, made = generation_step(instance, fresh, cfg, rngs[1])
+        reused, kept, kept_witness = generation_step(instance, reused, cfg, rngs[0], record)
+        fresh, made, made_witness = generation_step(instance, fresh, cfg, rngs[1])
         assert reused.tobytes() == fresh.tobytes()
-        assert kept.choices.tobytes() == made.choices.tobytes() and kept.witness == made.witness
-        assert not np.shares_memory(kept.choices, record.ints) and not np.shares_memory(kept.choices, record.slots)
-        if made.witness is not None:
+        assert kept.tobytes() == made.tobytes() and kept_witness == made_witness
+        assert not np.shares_memory(kept, record.ints) and not np.shares_memory(kept, record.slots)
+        if made_witness is not None:
             break
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
@@ -1321,9 +1319,9 @@ def test_generation_step_selects_winners_as_where(base):
     cfg = UmdaConfig(mu=300, gamma=0.0, max_generations=1, seed=0, stop_rule="generation_cap_only")
     rng = np.random.default_rng(19)
     replay = copy.deepcopy(rng)
-    _, population = step(model, cfg, rng)
+    _, store, _ = step(model, cfg, rng)
     table = _threshold_table(g, edge_vector(model))
-    stores = np.full((2, g.n, cfg.mu), np.iinfo(population.choices.dtype).max, dtype=population.choices.dtype)
+    stores = np.full((2, g.n, cfg.mu), np.iinfo(store.dtype).max, dtype=store.dtype)
     stores[:, np.diff(g.offsets) < 2] = 0
 
     def draw(side, at, cols):
@@ -1334,8 +1332,8 @@ def test_generation_step_selects_winners_as_where(base):
     outcome = _playout(g, draw, cfg.mu)
     want = np.where(outcome == 1, stores[0], stores[1])
     assert 0 < (outcome == 1).sum() < cfg.mu  # both players win some games
-    assert population.choices.dtype == want.dtype
-    assert np.array_equal(population.choices, want)
+    assert store.dtype == want.dtype
+    assert np.array_equal(store, want)
 
 
 # --- the playout -----------------------------------------------------------

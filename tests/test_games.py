@@ -7,17 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coevo.games import (
-    BadChar,
     BadLength,
     FAMILIES,
     BadParams,
-    FIXTURE_MARKED,
     GameSpec,
     IllegalMove,
     UnknownFixture,
     chomp,
     fixture,
-    nim_decode,
     nim_encode,
     silver_dollar,
     subtraction_nim,
@@ -26,7 +23,10 @@ from coevo.games import (
 from coevo.graphs import Strategy
 from coevo.grundy import ensure_first_player_win, grundy_values
 from helpers import (
+    FIXTURE_MARKED,
+    BadChar,
     chomp_reference,
+    nim_decode,
     silver_dollar_reference,
     subtraction_nim_reference,
     successors,

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coevo import eda, grundy, oracles, switchability
-from coevo.games import chomp, fixture, nim_decode, silver_dollar, subtraction_nim, turning_turtles
+from coevo import eda, grundy, harness, oracles, switchability
+from coevo.games import chomp, fixture, silver_dollar, subtraction_nim, turning_turtles
 from coevo.graphs import (
     BadEdge,
     CycleDetected,
@@ -25,6 +25,7 @@ from coevo.graphs import (
 from helpers import (
     all_strategies,
     enumerate_strategies,
+    nim_decode,
     play,
     play_from,
     random_game,
@@ -367,7 +368,7 @@ def test_no_library_path_builds_the_successor_tuples(make, forced):
     oracles.replicator_form(g, exact, g.root)
     gd = grundy.grundy_values(g)
     switchability.switchability_profile(g, gd=gd)
-    switchability.depth(g, [])
+    harness.intransitivity_search(g, triples=200)  # finds a triple on chomp4 and nim10
     x = grundy.canonical_optimal_strategy(g, gd)
     assert grundy.is_optimal_exact(g, x)
     strategy_key(g, validate_strategy(g, x))

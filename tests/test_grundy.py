@@ -3,7 +3,7 @@ import pytest
 
 from coevo import grundy
 from coevo.eda import prepare
-from coevo.games import fixture, nim_decode, silver_dollar, subtraction_nim
+from coevo.games import fixture, silver_dollar, subtraction_nim
 from coevo.graphs import Strategy, build_graph
 from coevo.grundy import (
     GrundyData,
@@ -19,6 +19,7 @@ from helpers import (
     all_strategies,
     critical_positions_inclusive,
     is_optimal_sufficient,
+    nim_decode,
     outcome_matrix_scalar,
     prepare_from_grundy,
     random_game,

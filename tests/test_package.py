@@ -9,23 +9,26 @@ import pytest
 import coevo
 import coevo.harness  # traced owners the package itself does not import
 import coevo.oracles
-from coevo import graphs, grundy, switchability
+from coevo import eda, games, graphs, grundy, switchability
 
-RUN_PY = Path(__file__).resolve().parents[1] / "benchmark" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+RUN_PY = ROOT / "benchmark" / "run.py"
 
 # Reference code that only the tests run lives in tests/helpers.py, not in the package;
-# switchability._switches is deleted, not moved.
+# switchability._switches and eda.Population are deleted, not moved.
 MOVED = {
-    coevo: ("play", "Transcript", "is_optimal_sufficient", "is_switcher"),
+    coevo: ("play", "Transcript", "is_optimal_sufficient", "is_switcher", "depth"),
+    eda: ("Population",),
+    games: ("nim_decode", "BadChar", "FIXTURE_MARKED"),
     graphs: ("play", "Transcript", "enumerate_strategies"),
     grundy: ("is_optimal_sufficient",),
-    switchability: ("is_switcher", "_switches"),
+    switchability: ("is_switcher", "_switches", "depth", "_check_edges", "ForeignEdge"),
     graphs.Strategy: ("validate", "key"),
 }
 
 
 def test_every_exported_name_resolves_once():
-    assert len(set(coevo.__all__)) == len(coevo.__all__)
+    assert len(set(coevo.__all__)) == len(coevo.__all__) == 24
     for name in coevo.__all__:
         assert getattr(coevo, name) is not None, name
 
@@ -35,6 +38,22 @@ def test_test_only_references_are_not_in_the_package(module):
     for name in MOVED[module]:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
         assert name not in getattr(module, "__all__", ())
+
+
+def test_the_package_imports_nothing_from_the_tests():
+    # The references under tests/ check the package; the package must run without them.
+    sources = sorted((ROOT / "src" / "coevo").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] not in ("helpers", "tests"), f"{path.name} imports {name}"
 
 
 def traced_pairs() -> list[tuple[str, str]]:

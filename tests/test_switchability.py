@@ -6,7 +6,6 @@ import pytest
 
 from coevo import switchability
 from coevo.games import (
-    FIXTURE_MARKED,
     FIXTURE_NAMES,
     chomp,
     fixture,
@@ -16,14 +15,15 @@ from coevo.games import (
 )
 from coevo.grundy import grundy_values
 from coevo.switchability import (
-    ForeignEdge,
     TooLarge,
-    depth,
     root_distances,
     switchability_profile,
     switchability_reports,
 )
 from helpers import (
+    FIXTURE_MARKED,
+    ForeignEdge,
+    depth,
     is_switcher,
     is_switcher_by_enumeration,
     random_game,
@@ -254,6 +254,25 @@ def test_forced_reachability_matches_enumeration():
             edges = frozenset(e for e, keep in zip(edge_list, take) if keep)
             v = int(rng.integers(g.n))
             assert is_switcher(g, edges, v) == is_switcher_by_enumeration(g, edges, v)
+
+
+def test_every_candidate_has_its_reference_depth():
+    # The search reads depth order off the candidate matrix: every column's
+    # depth is the reference depth of the edges it chooses, in ascending order.
+    rng = np.random.default_rng(71)
+    fixtures = [fixture(name) for name in FIXTURE_NAMES]
+    randoms = [g for g in (random_game(rng, n_max=8) for _ in range(60)) if g.edge_count <= 14]
+    games = [g for g in fixtures if g.edge_count <= 20] + randoms
+    assert len(randoms) >= 30
+    checked = 0
+    for g in games:
+        picks, rows, slots, depths = switchability._candidates_by_depth(g, edge_limit=20)
+        assert (np.diff(depths) >= 0).all()
+        chosen = picks[rows] == slots[:, None]  # edges x candidates
+        for c in range(picks.shape[1]):
+            assert depths[c] == depth(g, itertools.compress(g.edges(), chosen[:, c]))
+        checked += picks.shape[1]
+    assert checked > 1000
 
 
 def test_exact_search_is_minimal_over_every_edge_subset():
