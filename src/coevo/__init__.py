@@ -1,12 +1,12 @@
 """Coevolutionary self-play on impartial combinatorial games.
 
-Game graphs and strategies live in :mod:`coevo.graphs`, the Sprague-Grundy
-solver in :mod:`coevo.grundy`, benchmark constructors in
-:mod:`coevo.games`, the distribution-based optimiser in :mod:`coevo.eda`,
-forced-visit analysis in :mod:`coevo.switchability`, exact validation
-oracles in :mod:`coevo.oracles`, and the experiment harness in
-:mod:`coevo.harness`. References that only the tests run, such as the scalar
-playout and the sufficient optimality certificate, live in ``tests/helpers.py``.
+Game graphs and strategies live in :mod:`coevo.graphs`, the Sprague-Grundy solver
+in :mod:`coevo.grundy`, benchmark constructors in :mod:`coevo.games`, the
+distribution-based optimiser in :mod:`coevo.eda`, forced-visit analysis in
+:mod:`coevo.switchability`, exact validation oracles in :mod:`coevo.oracles`, and
+the experiment harness in :mod:`coevo.harness`. References that only the tests run,
+such as the scalar playout and the one-row border restriction ``restrict_row`` with
+``beta_plus`` and ``beta_minus``, live in ``tests/helpers.py``.
 """
 
 from .eda import ProbModel, RunResult, UmdaConfig, restrict, run_umda, uniform_model

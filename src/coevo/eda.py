@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -123,46 +123,16 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # The border restriction.
 
-def beta_plus(p: Sequence, gamma):
-    return sum(max(x - gamma, 0 * x) for x in p)
+def restrict(q: np.ndarray, gamma, degrees: np.ndarray) -> np.ndarray:
+    """Clamp the rows of lengths ``degrees`` laid end to end in ``q`` (as an edge
+    vector holds its vertices' rows) onto the simplex with floor ``gamma``, in place.
 
-
-def beta_minus(p: Sequence, gamma):
-    return sum(max(gamma - x, 0 * x) for x in p)
-
-
-def restrict(p, gamma, degrees=None):
-    """Clamp a distribution onto the simplex with per-entry floor ``gamma``.
-
-    Entries at or below the floor become ``gamma``; the others' excess over
-    ``gamma`` shrinks by the common factor ``1 - beta_minus/beta_plus``, so
-    the total stays one. Two entries are clamped into ``[gamma, 1-gamma]``
-    verbatim, so the binary case agrees exactly. Two forms, one contract:
-    with ``degrees``, ``p`` is a 1-D float vector holding rows of those
-    lengths end to end, as an edge vector holds its vertices' rows in
-    ``offsets``/``targets`` order, restricted in place and returned; without,
-    ``p`` is one row, any sequence, Fractions included, and the result is an
-    exact list. Either way a row whose total is off 1 by more than 1e-12 is
-    first divided by its total (ValueError if not positive).
-    """
-    if degrees is not None:
-        return _restrict_rows(p, gamma, degrees)
-    size = len(p)
-    if size and not gamma * size < 1:
-        raise GammaTooLarge(f"gamma {gamma} too large for {size} outcomes")
-    total = sum(p)
-    if abs(total - 1) > RENORM_TOLERANCE:
-        if not total > 0:
-            raise ValueError("restrict needs every row to have a positive total")
-        p = [x / total for x in p]
-    if size == 2:
-        return [min(max(x, gamma), 1 - gamma) for x in p]
-    scale = 1 - beta_minus(p, gamma) / beta_plus(p, gamma)
-    return [gamma if x <= gamma else gamma + scale * (x - gamma) for x in p]
-
-
-def _restrict_rows(q: np.ndarray, gamma, degrees: np.ndarray) -> np.ndarray:
-    """:func:`restrict` of the rows of lengths ``degrees`` laid end to end in ``q``, in place.
+    A row whose total is off 1 by more than 1e-12 is first divided by its
+    total (ValueError if not positive). Entries at or below the floor become
+    ``gamma``; the others' excess over it shrinks by the row's factor
+    ``1 - bminus/bplus`` (summed shortfall below the floor over summed excess
+    above), so the total stays one. Rows of two are clamped into
+    ``[gamma, 1-gamma]`` verbatim. Returns ``q``.
 
     Each row is summed by ``np.add.reduceat`` over a copy of ``q`` with one
     0.0 slot in front of every row: numpy then starts each row's pairwise sum

@@ -109,42 +109,33 @@ def subtraction_nim(n: int, k: int) -> GameGraph:
     return csr_graph(offsets, targets, n - 1, list(map(str, range(n))))
 
 
-def silver_dollar(m: int, k: int, start: tuple[int, ...] | None = None) -> GameGraph:
+def silver_dollar(m: int, k: int) -> GameGraph:
     """``k`` coins on a strip of ``m`` squares, each moving only leftwards.
 
     A position is the strictly increasing tuple of occupied squares
     (1-based). A move slides one coin to any square strictly between its
     left neighbour (or square 0) and itself; the game ends with the coins
-    packed on squares ``1..k``. By default the coins start on the
-    rightmost ``k`` squares, making every one of the ``C(m, k)`` positions
-    reachable; a custom ``start`` keeps only the positions pointwise <= it.
+    packed on squares ``1..k``. The coins start on the rightmost ``k``
+    squares, so every one of the ``C(m, k)`` positions is reachable.
 
-    Ids are assigned by lexicographic order of the reachable position
-    tuples, so the sink ``(1, .., k)`` is always id 0. Moves are listed by
-    coin from left to right, target squares ascending.
+    Ids are assigned by lexicographic order of the position tuples, so the
+    sink ``(1, .., k)`` is id 0 and the start ``(m-k+1, .., m)`` is id
+    ``C(m, k) - 1``. Moves are listed by coin from left to right, target
+    squares ascending.
     """
     if k < 1 or m < k:
         raise BadParams("silver_dollar needs m >= k >= 1")
-    if start is None:
-        start = tuple(range(m - k + 1, m + 1))
-    else:
-        start = tuple(start)
-        if len(start) != k or list(start) != sorted(set(start)):
-            raise BadParams("start must be a strictly increasing k-tuple")
-        if start[0] < 1 or start[-1] > m:
-            raise BadParams("start squares must lie in 1..m")
-    _guard_size(comb(m, k))
+    n = comb(m, k)
+    _guard_size(n)
 
     squares = np.array(list(itertools.combinations(range(1, m + 1), k)), dtype=np.int64)
-    squares = squares[(squares <= start).all(axis=1)]
-    n = len(squares)
     # Combinatorial number system: coin c on square s adds C(s - 1, c + 1),
     # and the sum ranks the position among all C(m, k) without collision
     # (base-(m + 1) digits would overflow int64 for k near m). Every term a
     # position uses is below C(m, k), so the table can be capped.
     term = np.array([[min(comb(s, c + 1), MAX_VERTICES) for c in range(k)] for s in range(m)])
     rank = term[squares - 1, np.arange(k)].sum(axis=1)
-    ids = np.zeros(comb(m, k), dtype=np.int64)
+    ids = np.zeros(n, dtype=np.int64)
     ids[rank] = np.arange(n)
     sources, targets = [], []
     for coin in range(k):
@@ -155,8 +146,7 @@ def silver_dollar(m: int, k: int, start: tuple[int, ...] | None = None) -> GameG
         sources.append(src)
         targets.append(ids[rank[src] - term[squares[src, coin] - 1, coin] + term[to - 1, coin]])
     labels = [",".join(map(str, combo)) for combo in squares.tolist()]
-    root = int(ids[term[np.array(start) - 1, np.arange(k)].sum()])
-    return _from_moves(n, sources, targets, root, labels)
+    return _from_moves(n, sources, targets, n - 1, labels)
 
 
 def turning_turtles(m: int) -> GameGraph:

@@ -14,6 +14,8 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from coevo.eda import (
+    RENORM_TOLERANCE,
+    GammaTooLarge,
     Instance,
     ProbModel,
     RunResult,
@@ -54,7 +56,8 @@ class BadChar(ValueError):
 # ---------------------------------------------------------------------------
 # References that only the tests run: the scalar playout, the strategy check,
 # key and enumeration, the sufficient optimality certificate, the edge-set
-# depth, the checked switcher test and the heap-strategy decoder.
+# depth, the checked switcher test, the heap-strategy decoder and the one-row
+# border restriction.
 
 @dataclass(frozen=True)
 class Transcript:
@@ -177,6 +180,36 @@ def nim_decode(payload: str, n: int, k: int) -> Strategy:
     return Strategy(choice)
 
 
+def beta_plus(p, gamma):
+    return sum(max(x - gamma, 0 * x) for x in p)
+
+
+def beta_minus(p, gamma):
+    return sum(max(gamma - x, 0 * x) for x in p)
+
+
+def restrict_row(p, gamma) -> list:
+    """One row clamped onto the simplex with per-entry floor ``gamma``, as an
+    exact list: the one-row reference for :func:`coevo.eda.restrict`. ``p`` is
+    any sequence, Fractions included. A row whose total is off 1 by more than
+    1e-12 is first divided by its total (ValueError if not positive). Entries
+    at or below the floor become ``gamma``; the others' excess over ``gamma``
+    shrinks by the common factor ``1 - beta_minus/beta_plus``, so the total
+    stays one. Two entries are clamped into ``[gamma, 1-gamma]`` verbatim."""
+    size = len(p)
+    if size and not gamma * size < 1:
+        raise GammaTooLarge(f"gamma {gamma} too large for {size} outcomes")
+    total = sum(p)
+    if abs(total - 1) > RENORM_TOLERANCE:
+        if not total > 0:
+            raise ValueError("restrict needs every row to have a positive total")
+        p = [x / total for x in p]
+    if size == 2:
+        return [min(max(x, gamma), 1 - gamma) for x in p]
+    scale = 1 - beta_minus(p, gamma) / beta_plus(p, gamma)
+    return [gamma if x <= gamma else gamma + scale * (x - gamma) for x in p]
+
+
 def random_game(
     rng: np.random.Generator,
     n_min: int = 4,
@@ -217,7 +250,7 @@ def random_rational_model(
         weights = [Fraction(int(w)) for w in rng.integers(1, 1000, size=len(successors(g, v)))]
         total = sum(weights)
         p = [w / total for w in weights]
-        dists[v] = restrict(p, gamma)
+        dists[v] = restrict_row(p, gamma)
     return dists
 
 
@@ -304,7 +337,7 @@ def step(model: ProbModel, cfg, rng: np.random.Generator, instance: Instance | N
 
 def update_per_vertex(g: GameGraph, p, counts, rest, mu: int, gamma, rng) -> np.ndarray:
     """Reference for :func:`coevo.eda._update`: one multinomial fill and one
-    one-row :func:`restrict` call per interior vertex, in id order. ``counts``
+    :func:`restrict` call on each interior vertex's row alone, in id order. ``counts``
     (by edge) gains the fill; returns the next edge vector."""
     p = p.copy()
     for v in g.interior:
@@ -641,10 +674,8 @@ def subtraction_nim_reference(n: int, k: int) -> GameGraph:
     return build_graph(adjacency, root=n - 1, labels={v: str(v) for v in range(n)})
 
 
-def silver_dollar_reference(m: int, k: int, start: tuple[int, ...] | None = None) -> GameGraph:
-    start = tuple(range(m - k + 1, m + 1)) if start is None else tuple(start)
-    positions = [c for c in itertools.combinations(range(1, m + 1), k) if all(a <= s for a, s in zip(c, start))]
-    index = {combo: i for i, combo in enumerate(positions)}
+def silver_dollar_reference(m: int, k: int) -> GameGraph:
+    index = {combo: i for i, combo in enumerate(itertools.combinations(range(1, m + 1), k))}
     adjacency = {}
     for combo, i in index.items():
         moves = []
@@ -654,7 +685,7 @@ def silver_dollar_reference(m: int, k: int, start: tuple[int, ...] | None = None
                 moves.append(index[combo[:coin] + (target,) + combo[coin + 1 :]])
         adjacency[i] = moves
     labels = {i: ",".join(map(str, combo)) for combo, i in index.items()}
-    return build_graph(adjacency, root=index[start], labels=labels)
+    return build_graph(adjacency, root=index[tuple(range(m - k + 1, m + 1))], labels=labels)
 
 
 def turning_turtles_reference(m: int) -> GameGraph:

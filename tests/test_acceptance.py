@@ -12,11 +12,7 @@ import numpy as np
 import pytest
 
 from coevo.cli import cli
-from coevo.eda import (
-    beta_minus,
-    restrict,
-    uniform_model,
-)
+from coevo.eda import restrict, uniform_model
 from coevo.games import (
     GameSpec,
     chomp,
@@ -47,6 +43,7 @@ from coevo.switchability import (
 from helpers import (
     FIXTURE_MARKED,
     all_strategies,
+    beta_minus,
     choice_matrix,
     depth,
     is_switcher,
@@ -56,6 +53,7 @@ from helpers import (
     play,
     random_game,
     random_rational_model,
+    restrict_row,
     successors,
     uniform_rational_model,
 )
@@ -156,8 +154,8 @@ def test_restriction_property_suite():
         bminus = beta_minus(p, gamma)
         lower = 1 - bminus / (1 - gamma * size)
         subset = rng.random(size) < 0.5
-        # The engine's edge-vector form and the one-row list form.
-        for out in (restrict(p.copy(), gamma, np.array([size])), np.asarray(restrict(p, gamma))):
+        # The engine's edge-vector form and the one-row reference form.
+        for out in (restrict(p.copy(), gamma, np.array([size])), np.asarray(restrict_row(p, gamma))):
             assert abs(out.sum() - 1) <= 1e-12  # A1
             for i in range(size):
                 if p[i] >= gamma:  # A2

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -308,6 +310,19 @@ def test_runtime_errors(capsys):
     code, _, err = run_cli(capsys, "solve", "--game", "/nonexistent/game.json")
     assert code == 2
     assert "error" in err
+
+
+class ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone, as when the output is piped into ``head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_pipe_exits_2_quietly(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert cli(["solve", "--fixture", "fig1"]) == 2
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

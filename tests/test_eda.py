@@ -15,8 +15,6 @@ from coevo.eda import (
     MissingSwitchability,
     ProbModel,
     UmdaConfig,
-    beta_minus,
-    beta_plus,
     column_strategy,
     generation_step,
     model_from_snapshot,
@@ -45,6 +43,8 @@ from coevo.oracles import selection_distribution
 from coevo.switchability import root_distances
 from helpers import (
     all_strategies,
+    beta_minus,
+    beta_plus,
     choice_matrix,
     edge_vector,
     instance_as_is,
@@ -54,6 +54,7 @@ from helpers import (
     playout_reference,
     population_optimal_mask_dp,
     random_game,
+    restrict_row,
     run_umda_eager,
     sample_choice_matrix,
     sample_choice_matrix_per_vertex,
@@ -68,27 +69,27 @@ from helpers import (
 # --- restriction -----------------------------------------------------------
 
 def test_restrict_binary_spec_value():
-    assert restrict([0.995, 0.005], 0.01) == [0.99, 0.01]
+    assert restrict_row([0.995, 0.005], 0.01) == [0.99, 0.01]
 
 
 def test_restrict_three_value_spec_value():
-    out = restrict([0.9, 0.05, 0.05], 0.1)
+    out = restrict_row([0.9, 0.05, 0.05], 0.1)
     assert out == [0.8, 0.1, 0.1]
 
 
 def test_restrict_uniform_fixed_point():
     p = [0.25, 0.25, 0.25, 0.25]
-    assert restrict(p, 0.05) == p
+    assert restrict_row(p, 0.05) == p
 
 
 def test_restrict_gamma_too_large():
     with pytest.raises(GammaTooLarge):
-        restrict([0.5, 0.25, 0.25], 0.4)
+        restrict_row([0.5, 0.25, 0.25], 0.4)
 
 
 def test_restrict_exact_with_fractions():
     p = [Fraction(9, 10), Fraction(1, 20), Fraction(1, 20)]
-    out = restrict(p, Fraction(1, 10))
+    out = restrict_row(p, Fraction(1, 10))
     assert out == [Fraction(4, 5), Fraction(1, 10), Fraction(1, 10)]
     assert sum(out) == 1
 
@@ -101,7 +102,7 @@ def test_restrict_binary_equals_clamp():
         p = np.array([a, 1 - a])
         clamp = np.clip(p, gamma, 1 - gamma)
         assert (restrict(p.copy(), gamma, np.array([2])) == clamp).all()
-        assert (np.asarray(restrict(p, gamma)) == clamp).all()
+        assert (np.asarray(restrict_row(p, gamma)) == clamp).all()
 
 
 def _random_simplex(rng, size):
@@ -121,8 +122,8 @@ def test_restrict_properties_bulk():
         bminus = beta_minus(p, gamma)
         lower_scale = 1 - bminus / (1 - gamma * size)
         subset = rng.random(size) < 0.5
-        # The engine's edge-vector form and the one-row list form.
-        for out in (restrict(p.copy(), gamma, np.array([size])), np.asarray(restrict(p, gamma))):
+        # The engine's edge-vector form and the one-row reference form.
+        for out in (restrict(p.copy(), gamma, np.array([size])), np.asarray(restrict_row(p, gamma))):
             assert abs(out.sum() - 1) <= 1e-12
             assert (out >= gamma - 1e-15).all()
             for i in range(size):
@@ -140,7 +141,7 @@ def test_restrict_properties_bulk():
 def test_restrict_properties_hypothesis(weights, border_frac):
     p = np.array(weights) / sum(weights)
     gamma = border_frac / len(p)
-    for out in (restrict(p.copy(), gamma, np.array([len(p)])), np.asarray(restrict(p, gamma))):
+    for out in (restrict(p.copy(), gamma, np.array([len(p)])), np.asarray(restrict_row(p, gamma))):
         assert abs(out.sum() - 1) <= 1e-9
         assert (out >= gamma - 1e-12).all()
         assert (out <= np.maximum(gamma, p) + 1e-9).all()
@@ -193,21 +194,21 @@ def test_restrict_renormalises_unnormalised_input():
         out = restrict(np.array(p), gamma, np.array([len(p)]))
         assert abs(out.sum() - 1.0) <= 1e-12
         assert np.all(out >= gamma)
-        row = restrict(p, gamma)
+        row = restrict_row(p, gamma)
         assert abs(sum(row) - 1.0) <= 1e-12
         assert np.abs(np.array(row) - out).max() <= 1e-15
     rows = np.array([[0.2, 0.2, 0.2], [2.0, 0.5, 0.0], [0.5, 0.25, 0.25], [3.0, 0.0, 0.0]])
     out = restrict(rows.flatten(), gamma, np.full(4, 3)).reshape(4, 3)
     assert np.all(np.abs(out.sum(axis=1) - 1.0) <= 1e-12)
     assert np.all(out >= gamma)
-    assert restrict([Fraction(1, 5)] * 2, Fraction(1, 100)) == [Fraction(1, 2)] * 2
-    row = restrict([0.05] * 3, 0.1)  # every entry below the border until divided by the total
+    assert restrict_row([Fraction(1, 5)] * 2, Fraction(1, 100)) == [Fraction(1, 2)] * 2
+    row = restrict_row([0.05] * 3, 0.1)  # every entry below the border until divided by the total
     assert np.abs(np.array(row) - 1 / 3).max() <= 1e-15
     for p, degrees in [([0.0, 0.0, 0.0], [3]), ([0.5, 0.5, 0.0, 0.0], [2, 2])]:
         with pytest.raises(ValueError, match="positive total"):
             restrict(np.array(p), gamma, np.array(degrees))
     with pytest.raises(ValueError, match="positive total"):
-        restrict([0.0, 0.0, 0.0], gamma)
+        restrict_row([0.0, 0.0, 0.0], gamma)
 
 
 def test_generation_step_restriction_matches_reference(monkeypatch):
@@ -221,7 +222,7 @@ def test_generation_step_restriction_matches_reference(monkeypatch):
     model = uniform_model(g, gamma)
     calls = []
 
-    def spy(p, border, degrees=None):
+    def spy(p, border, degrees):
         calls.append(p.copy())
         return restrict(p, border, degrees)
 
@@ -745,7 +746,7 @@ def test_generation_step_mu_one(fig1):
     undrawn = np.iinfo(store.dtype).max
     for v in fig1.interior:
         points = np.eye(len(successors(fig1, v)))
-        hits = [i for i, point in enumerate(points) if np.allclose(new_model.dists[v], restrict(point, gamma))]
+        hits = [i for i, point in enumerate(points) if np.allclose(new_model.dists[v], restrict_row(point, gamma))]
         assert len(hits) == 1
         assert store[v, 0] in (hits[0], undrawn)
 

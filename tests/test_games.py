@@ -86,25 +86,14 @@ def test_silver_dollar_full_strip():
 def test_silver_dollar_counts():
     g = silver_dollar(4, 2)
     assert g.n == comb(4, 2)
-    assert g.label(g.root) == "3,4"
+    assert g.label(g.root) == "3,4" and g.root == comb(4, 2) - 1
     ends = np.flatnonzero(np.diff(g.offsets) == 0).tolist()
     assert [g.label(v) for v in ends] == ["1,2"]
-
-
-def test_silver_dollar_custom_start():
-    g = silver_dollar(5, 2, start=(2, 4))
-    # Reachable positions are exactly those pointwise <= (2, 4).
-    labels = {g.label(v) for v in range(g.n)}
-    assert labels == {"1,2", "1,3", "1,4", "2,3", "2,4"}
 
 
 def test_silver_dollar_bad_params():
     with pytest.raises(BadParams):
         silver_dollar(2, 3)
-    with pytest.raises(BadParams):
-        silver_dollar(4, 2, start=(4, 2))
-    with pytest.raises(BadParams, match="start squares must lie in 1..m"):
-        silver_dollar(5, 2, start=(0, 3))
 
 
 # --- turning turtles -------------------------------------------------------
@@ -187,7 +176,6 @@ FAMILY_DIGESTS = {
     "subtraction_nim n=300 k=270": "9103431fbce2a29dbd9aa7bea3b4368929d2ea697e72d812e90e90b6cc30a601",
     "silver_dollar m=9 k=3": "724a70e16dfdb0aca7f5d0bfa0935b9da111ddcee8ca4e22e000d37bd8dcd513",
     "silver_dollar m=7 k=2": "2122b9e7bcbd8474f1c8cdf491aee08359764fc7b94c685ff4785115821308d5",
-    "silver_dollar m=8 k=3 start=3,5,8": "c9b0796e31139ee69d653128f60703d942dff69d9d9685870d1e452dfd6d95bf",
     "turning_turtles m=8": "4317b5b4e9643e7cd73e7ecf993d5eacb17bbb7cc6884a4cc6e7cd96d83149ce",
     "forced start subtraction_nim n=64 k=2": "01ec5e33ccea991a7a16d44c9edef83aabe5f8ac1d3a749d58bd5d1fcac06f2d",
 }
@@ -196,7 +184,6 @@ FAMILY_GRAPHS = {
     "subtraction_nim n=300 k=270": lambda: subtraction_nim(300, 270),
     "silver_dollar m=9 k=3": lambda: silver_dollar(9, 3),
     "silver_dollar m=7 k=2": lambda: silver_dollar(7, 2),
-    "silver_dollar m=8 k=3 start=3,5,8": lambda: silver_dollar(8, 3, start=(3, 5, 8)),
     "turning_turtles m=8": lambda: turning_turtles(8),
     "forced start subtraction_nim n=64 k=2": lambda: ensure_first_player_win(subtraction_nim(64, 2)),
 }
@@ -213,7 +200,6 @@ def test_family_graph_pinned(name):
 REFERENCE_CASES = (
     [(subtraction_nim, subtraction_nim_reference, (n, k)) for n in (1, 2, 9, 40) for k in (1, 3, 50)]
     + [(silver_dollar, silver_dollar_reference, (m, k)) for m in range(1, 10) for k in range(1, m + 1)]
-    + [(silver_dollar, silver_dollar_reference, (9, 3, start)) for start in [(1, 2, 3), (2, 6, 7), (4, 5, 9)]]
     + [(turning_turtles, turning_turtles_reference, (m,)) for m in range(1, 10)]
     + [(chomp, chomp_reference, (m,)) for m in range(1, 8)]
 )

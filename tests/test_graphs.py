@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coevo import eda, grundy, harness, oracles, switchability
-from coevo.games import chomp, fixture, silver_dollar, subtraction_nim, turning_turtles
+from coevo.games import FIXTURE_NAMES, chomp, fixture, silver_dollar, subtraction_nim, turning_turtles
 from coevo.graphs import (
     BadEdge,
     CycleDetected,
@@ -377,6 +377,21 @@ def test_no_library_path_builds_the_successor_tuples(make, forced):
     game_to_dict(g), to_dot(g), list(g.edges())
     assert hash(g) == hash(g) and (g == base) != forced
     assert "succ" not in vars(base) and "succ" not in vars(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda name=name: fixture(name) for name in FIXTURE_NAMES]
+    + [lambda: subtraction_nim(10, 3), lambda: silver_dollar(6, 3), lambda: turning_turtles(4), lambda: chomp(3)],
+    ids=[*FIXTURE_NAMES, "subtraction_nim", "silver_dollar", "turning_turtles", "chomp"],
+)
+def test_succ_view_equals_the_arrays(make):
+    # Outside code reads succ; each graph is built here, so no other test's read is cached.
+    g = make()
+    assert len(g.succ) == g.n
+    for v in range(g.n):
+        assert g.succ[v] == successors(g, v)
+        assert all(type(w) is int for w in g.succ[v])
 
 
 @given(st.integers(min_value=2, max_value=60), st.integers(min_value=1, max_value=5))

@@ -2,6 +2,7 @@
 
 import ast
 import functools
+import inspect
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
 RUN_PY = ROOT / "benchmark" / "run.py"
 
 # Reference code that only the tests run lives in tests/helpers.py, not in the package;
-# switchability._switches and eda.Population are deleted, not moved.
+# switchability._switches, eda.Population and eda._restrict_rows (now eda.restrict)
+# are deleted, not moved.
 MOVED = {
     coevo: ("play", "Transcript", "is_optimal_sufficient", "is_switcher", "depth"),
-    eda: ("Population",),
+    eda: ("Population", "beta_plus", "beta_minus", "_restrict_rows"),
     games: ("nim_decode", "BadChar", "FIXTURE_MARKED"),
     graphs: ("play", "Transcript", "enumerate_strategies"),
     grundy: ("is_optimal_sufficient",),
@@ -38,6 +40,14 @@ def test_test_only_references_are_not_in_the_package(module):
     for name in MOVED[module]:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
         assert name not in getattr(module, "__all__", ())
+
+
+@pytest.mark.parametrize("family", list(games.FAMILIES))
+def test_every_constructor_takes_exactly_its_declared_parameters(family):
+    # GameSpec passes only the declared names, so a further parameter could
+    # only ever be set by calling the constructor directly.
+    make, names = games.FAMILIES[family]
+    assert tuple(inspect.signature(make).parameters) == names
 
 
 def test_the_package_imports_nothing_from_the_tests():
