@@ -222,16 +222,12 @@ def _cmd_switch(args) -> int:
     if args.vertex is not None:
         if not 0 <= args.vertex < g.n:
             raise UsageError(f"--vertex {args.vertex} outside the game's vertices 0..{g.n - 1}")
-        reports, _ = switchability.switchability_reports(
-            g, [args.vertex], mode=args.mode, edge_limit=args.edge_limit
-        )
+        reports, _ = switchability.switchability_reports(g, [args.vertex], args.edge_limit)
         r = reports[args.vertex]
-        witness = sorted(list(e) for e in r.witness) if r.witness else None
+        witness = None if r.witness is None else sorted(list(e) for e in r.witness)
         _emit({"vertex": r.vertex, **_report_fields(r), "witness": witness}, args.out)
         return 0
-    profile = switchability.switchability_profile(
-        g, mode=args.mode, edge_limit=args.edge_limit
-    )
+    profile = switchability.switchability_profile(g, args.edge_limit)
     reports = {str(v): _report_fields(r) for v, r in sorted(profile.reports.items())}
     summary = {"mode": profile.mode_used, "s_bar": profile.s_bar, "s_hat": profile.s_hat}
     _emit({**summary, "reports": reports}, args.out)
@@ -307,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("switch", help="switchability report")
     _add_game_arguments(p)
     p.add_argument("--vertex", type=int)
-    p.add_argument("--mode", choices=("exact", "bound", "hybrid"), default="hybrid")
     p.add_argument("--edge-limit", type=nonnegative_int, default=20)
     p.set_defaults(handler=_cmd_switch)
 

@@ -16,12 +16,9 @@ from typing import Iterable
 
 import numpy as np
 
+from . import eda as _eda
 from . import grundy as _grundy
 from .graphs import GameGraph, root_distances
-
-
-class TooLarge(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -78,8 +75,9 @@ def _misses(g: GameGraph, v: int, passable: np.ndarray) -> np.ndarray:
 _CANDIDATE_LIMIT = 500_000
 
 
-def _candidates_by_depth(g: GameGraph, edge_limit: int) -> tuple[np.ndarray, ...]:
-    """Every functional assignment, stably sorted by depth.
+def _candidates_by_depth(g: GameGraph, edge_limit: int) -> tuple[np.ndarray, ...] | None:
+    """Every functional assignment, stably sorted by depth, or ``None`` when the
+    graph has more than ``edge_limit`` edges or the candidate limit is passed.
 
     Returns a matrix whose column ``c`` picks option ``k`` at each branching
     vertex (0 assigns nothing, ``k`` the ``k``-th successor) above a row of
@@ -88,7 +86,7 @@ def _candidates_by_depth(g: GameGraph, edge_limit: int) -> tuple[np.ndarray, ...
     so equal depths keep enumeration order.
     """
     if g.edge_count > edge_limit:
-        raise TooLarge(f"{g.edge_count} edges exceeds the search budget {edge_limit}")
+        return None
     off, targets = g.offsets.tolist(), g.targets.tolist()
     branching = [v for v in g.interior if off[v + 1] - off[v] > 1]
     options = [off[v + 1] - off[v] + 1 for v in branching]
@@ -96,7 +94,7 @@ def _candidates_by_depth(g: GameGraph, edge_limit: int) -> tuple[np.ndarray, ...
     for option in options:
         count *= option
         if count > _CANDIDATE_LIMIT:
-            raise TooLarge(f"{count}+ candidate edge sets; lower the edge budget or use bounds")
+            return None
     # One row per branching vertex, plus a last row of zeros: a trailing axis of one option.
     picks = np.indices([*options, 1], dtype=np.min_scalar_type(g.max_degree))
     picks = picks.reshape(len(branching) + 1, count)
@@ -136,45 +134,35 @@ def _search(g: GameGraph, v: int, candidates, ub: int) -> SwitchabilityReport:
 
 
 def switchability_reports(
-    g: GameGraph, vertices: Iterable[int], mode: str = "hybrid", edge_limit: int = 20
+    g: GameGraph, vertices: Iterable[int], edge_limit: int = 20
 ) -> tuple[dict[int, SwitchabilityReport], str]:
-    """Reports for ``vertices`` under ``mode``, and the method it used.
+    """Reports for ``vertices``, and the method they came from.
 
-    ``"exact"`` searches every vertex exactly and raises :class:`TooLarge`
-    when the graph exceeds ``edge_limit`` edges or the candidate limit.
-    ``"bound"`` reports the shortest-root-path bound. ``"hybrid"`` searches
-    exactly when both budgets fit and otherwise falls back to the bound.
-    One BFS from the root gives every vertex's bound. Raises ValueError
-    for a vertex outside ``0..n-1``.
+    The search is exact when the graph has at most ``edge_limit`` edges and
+    at most the candidate limit of candidate sets; otherwise every report is
+    the shortest-root-path bound, which one BFS from the root gives for every
+    vertex. Raises ValueError for an ``edge_limit`` that is not an int at
+    least 0, or a vertex outside ``0..n-1``.
     """
-    if mode not in ("exact", "bound", "hybrid"):
-        raise ValueError(f"unknown mode {mode!r}")
+    _eda._require_int("edge_limit", edge_limit, 0)
     vertices = list(vertices)
     for v in vertices:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
     dist = root_distances(g)
-    if mode != "bound":
-        try:
-            candidates = _candidates_by_depth(g, edge_limit)
-        except TooLarge:
-            if mode == "exact":
-                raise
-        else:
-            return {v: _search(g, v, candidates, dist[v]) for v in vertices}, "exact_search"
-    return {v: SwitchabilityReport(v, None, dist[v], None, "path_bound") for v in vertices}, "path_bound"
+    candidates = _candidates_by_depth(g, edge_limit)
+    if candidates is None:
+        return {v: SwitchabilityReport(v, None, dist[v], None, "path_bound") for v in vertices}, "path_bound"
+    return {v: _search(g, v, candidates, dist[v]) for v in vertices}, "exact_search"
 
 
 def switchability_profile(
-    g: GameGraph,
-    mode: str = "hybrid",
-    edge_limit: int = 20,
-    gd: _grundy.GrundyData | None = None,
+    g: GameGraph, edge_limit: int = 20, gd: _grundy.GrundyData | None = None
 ) -> SwitchabilityProfile:
     """Per-vertex reports plus the two aggregates used by runtime budgets, with the critical
     positions read from ``gd`` once checked against ``g``, else from a win/lose pass."""
     zero = _grundy.zero_flags(g) if gd is None else _grundy.check_grundy_data(g, gd)
-    reports, mode_used = switchability_reports(g, range(g.n), mode, edge_limit)
+    reports, mode_used = switchability_reports(g, range(g.n), edge_limit)
     critical = _grundy.critical_rows(g, zero).tolist()
     s_bar = max(r.value for r in reports.values())
     s_hat = max((reports[v].value for v in critical), default=0)

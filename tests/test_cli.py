@@ -118,14 +118,38 @@ def test_run_trace(capsys):
 def test_switch_vertex(capsys, tmp_path):
     game_path = tmp_path / "fig1.json"
     run_cli(capsys, "gen", "--fixture", "fig1", "--out", str(game_path))
-    code, out, _ = run_cli(
-        capsys, "switch", "--game", str(game_path), "--vertex", "3", "--mode", "hybrid"
-    )
+    code, out, _ = run_cli(capsys, "switch", "--game", str(game_path), "--vertex", "3")
     assert code == 0
     payload = json.loads(out)
     assert payload["exact"] == 2
     assert payload["method"] == "exact_search"
     assert payload["witness"]
+
+
+@pytest.mark.parametrize(
+    "argv, witness",
+    [
+        (["--fixture", "fig1", "--vertex", "0"], []),  # the root is on every path
+        (["--fixture", "chain3", "--vertex", "3"], []),  # so is a forced line's sink
+        (["--fixture", "fig1", "--vertex", "4", "--edge-limit", "0"], None),  # a bound has none
+        (["--fixture", "fig3_bottom", "--vertex", "9"], None),  # 21 edges: past the default budget
+    ],
+    ids=["fig1-root", "chain3-sink", "fig1-bound", "fig3_bottom-default-budget"],
+)
+def test_switch_witness_is_empty_only_for_the_empty_switcher(capsys, argv, witness):
+    code, out, _ = run_cli(capsys, "switch", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["witness"] == witness
+    assert payload["method"] == ("path_bound" if witness is None else "exact_search")
+
+
+def test_switch_takes_no_mode(capsys):
+    # The method follows from the game and --edge-limit alone.
+    code, out, err = run_cli(capsys, "switch", "--fixture", "fig1", "--mode", "exact")
+    assert code == 1
+    assert out == ""
+    assert "--mode" in err
 
 
 def test_switch_profile(capsys):
@@ -202,23 +226,23 @@ def test_switch_hybrid_falls_back_past_the_candidate_limit(capsys):
     "argv, digest",
     [
         (
-            ["--fixture", "fig2", "--mode", "exact"],
+            ["--fixture", "fig2"],
             "b25c06425afcbcfea71828750a7ede2b0addc8a5743d537950cee3ec781865aa",
         ),
         (
-            ["--fixture", "fig4", "--mode", "exact"],
+            ["--fixture", "fig4"],
             "78f6ce1ffeef57bb45559d24687204248879777a5b5e26df694fb32abcdb676d",
         ),
         (
-            ["--family", "silver_dollar", "--m", "5", "--k", "2", "--mode", "exact"],
+            ["--family", "silver_dollar", "--m", "5", "--k", "2"],
             "e66156528fd2d5f4f26797ca38a4a7d9b1b04f33cbdea20dfdc8a3df7bdca3cf",
         ),
         (
-            ["--fixture", "fig4", "--vertex", "7", "--mode", "exact"],
+            ["--fixture", "fig4", "--vertex", "7"],
             "342552a3548f9df3ca9b606972ff04e5859bc35b5dcfcc99861e1c48eda8f07d",
         ),
         (
-            ["--fixture", "fig3_bottom", "--vertex", "9", "--mode", "exact", "--edge-limit", "32"],
+            ["--fixture", "fig3_bottom", "--vertex", "9", "--edge-limit", "32"],
             "f05c1c2e866a6921e0b510cdf582572cb3e463e4956d1b6e5aea773f60f71884",
         ),
         (
@@ -460,8 +484,8 @@ def test_run_bad_gamma_is_usage_error(capsys, gamma):
         ("--triples", ["intrans", "--triples", "0"]),
         ("--seed", ["run", "--mu", "4", "--gamma", "0.01", "--seed", "-1"]),
         ("--seed", ["intrans", "--seed", "-1"]),
-        ("--edge-limit", ["switch", "--mode", "exact", "--edge-limit", "-5"]),
-        ("--edge-limit", ["switch", "--mode", "hybrid", "--edge-limit", "-5"]),
+        ("--edge-limit", ["switch", "--edge-limit", "-5"]),
+        ("--edge-limit", ["switch", "--vertex", "3", "--edge-limit", "-5"]),
         ("--gamma", ["run", "--mu", "4", "--gamma", "0.01", "--gamma-theorem"]),
     ],
 )
@@ -508,11 +532,17 @@ def test_game_parameter_mismatch_is_usage_error(capsys, tmp_path, message, argv)
 
 
 @pytest.mark.parametrize("vertex", ["5", "99", "-1"])
-@pytest.mark.parametrize("mode", ["exact", "bound", "hybrid"])
-def test_switch_vertex_outside_the_game_is_usage_error(capsys, vertex, mode):
-    code, out, err = run_cli(
-        capsys, "switch", "--fixture", "fig1", "--vertex", vertex, "--mode", mode
-    )
+@pytest.mark.parametrize(
+    "budget",
+    [
+        pytest.param(["--edge-limit", "32"], id="exact"),
+        pytest.param(["--edge-limit", "0"], id="bound"),
+        pytest.param([], id="hybrid"),
+    ],
+)
+def test_switch_vertex_outside_the_game_is_usage_error(capsys, vertex, budget):
+    # Whatever the budget, and so the method, the vertex is checked first.
+    code, out, err = run_cli(capsys, "switch", "--fixture", "fig1", "--vertex", vertex, *budget)
     assert code == 1
     assert out == ""
     assert f"--vertex {vertex}" in err

@@ -68,26 +68,34 @@ from helpers import (
 
 # --- restriction -----------------------------------------------------------
 
+def restrict_both_forms(p, gamma) -> tuple[list, list]:
+    """``p`` restricted by the reference and, as a one-row edge vector, by the package."""
+    edge_vector = restrict(np.array(p, dtype=float), gamma, np.array([len(p)]))
+    return restrict_row(p, gamma), edge_vector.tolist()
+
+
 def test_restrict_binary_spec_value():
-    assert restrict_row([0.995, 0.005], 0.01) == [0.99, 0.01]
+    assert restrict_both_forms([0.995, 0.005], 0.01) == ([0.99, 0.01],) * 2
 
 
 def test_restrict_three_value_spec_value():
-    out = restrict_row([0.9, 0.05, 0.05], 0.1)
-    assert out == [0.8, 0.1, 0.1]
+    assert restrict_both_forms([0.9, 0.05, 0.05], 0.1) == ([0.8, 0.1, 0.1],) * 2
 
 
 def test_restrict_uniform_fixed_point():
     p = [0.25, 0.25, 0.25, 0.25]
-    assert restrict_row(p, 0.05) == p
+    assert restrict_both_forms(p, 0.05) == (p, p)
 
 
 def test_restrict_gamma_too_large():
     with pytest.raises(GammaTooLarge):
         restrict_row([0.5, 0.25, 0.25], 0.4)
+    with pytest.raises(GammaTooLarge):
+        restrict(np.array([0.5, 0.25, 0.25]), 0.4, np.array([3]))
 
 
-def test_restrict_exact_with_fractions():
+def test_restrict_reference_is_exact_with_fractions():
+    # The package's restrict is float-only; the reference keeps Fractions exact.
     p = [Fraction(9, 10), Fraction(1, 20), Fraction(1, 20)]
     out = restrict_row(p, Fraction(1, 10))
     assert out == [Fraction(4, 5), Fraction(1, 10), Fraction(1, 10)]

@@ -189,7 +189,8 @@ def test_reach_lower_bound_by_switchability():
     rng = np.random.default_rng(61)
     for name in ("fig1", "fig2"):
         g = fixture(name)
-        reports, _ = switchability_reports(g, range(g.n), "exact")
+        reports, used = switchability_reports(g, range(g.n))
+        assert used == "exact_search"
         s_exact = {v: r.exact for v, r in reports.items()}
         gamma = Fraction(1, 5 * g.max_degree)
         for _ in range(10):

@@ -24,7 +24,7 @@ MOVED = {
     games: ("nim_decode", "BadChar", "FIXTURE_MARKED"),
     graphs: ("play", "Transcript", "enumerate_strategies"),
     grundy: ("is_optimal_sufficient",),
-    switchability: ("is_switcher", "_switches", "depth", "_check_edges", "ForeignEdge"),
+    switchability: ("is_switcher", "_switches", "depth", "_check_edges", "ForeignEdge", "TooLarge"),
     graphs.Strategy: ("validate", "key"),
 }
 

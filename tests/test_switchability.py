@@ -15,7 +15,6 @@ from coevo.games import (
 )
 from coevo.grundy import grundy_values
 from coevo.switchability import (
-    TooLarge,
     root_distances,
     switchability_profile,
     switchability_reports,
@@ -80,9 +79,9 @@ def test_fig3_bottom_blue_set(fig3_bottom):
 
 def test_exact_on_marked_vertices(fig3_top, fig3_bottom):
     top_vertex, bottom_vertex = FIXTURE_MARKED["fig3_top"], FIXTURE_MARKED["fig3_bottom"]
-    top = switchability_reports(fig3_top, [top_vertex], "exact")[0][top_vertex]
+    top = switchability_reports(fig3_top, [top_vertex])[0][top_vertex]
     assert top.exact == 1
-    bottom = switchability_reports(fig3_bottom, [bottom_vertex], "exact", edge_limit=32)[0][bottom_vertex]
+    bottom = switchability_reports(fig3_bottom, [bottom_vertex], edge_limit=32)[0][bottom_vertex]
     assert bottom.exact == 2
     for report, g in ((top, fig3_top), (bottom, fig3_bottom)):
         assert report.method == "exact_search"
@@ -92,12 +91,13 @@ def test_exact_on_marked_vertices(fig3_top, fig3_bottom):
 
 def test_root_switchability_zero(fig1, fig2):
     for g in (fig1, fig2):
-        reports, _ = switchability_reports(g, [g.root], "exact")
+        reports, used = switchability_reports(g, [g.root])
+        assert used == "exact_search"
         assert reports[g.root].exact == 0
 
 
 def test_fig1_profile(fig1):
-    profile = switchability_profile(fig1, mode="exact")
+    profile = switchability_profile(fig1)
     assert {v: r.exact for v, r in profile.reports.items()} == {
         0: 0,
         1: 1,
@@ -111,7 +111,8 @@ def test_fig1_profile(fig1):
 
 
 def test_fig4_chain_growth(fig4):
-    profile = switchability_profile(fig4, mode="exact")
+    profile = switchability_profile(fig4)
+    assert profile.mode_used == "exact_search"
     values = {v: r.exact for v, r in profile.reports.items()}
     for i in range(8):
         assert values[i] == i
@@ -121,7 +122,9 @@ def test_fig4_chain_growth(fig4):
 
 def test_fig2_marked(fig2):
     marked = FIXTURE_MARKED["fig2"]
-    assert switchability_reports(fig2, [marked], "exact")[0][marked].exact == 1
+    reports, used = switchability_reports(fig2, [marked])
+    assert used == "exact_search"
+    assert reports[marked].exact == 1
 
 
 def test_witnesses_valid_across_random_graphs():
@@ -130,7 +133,8 @@ def test_witnesses_valid_across_random_graphs():
         g = random_game(rng, n_max=7)
         if g.edge_count > 20:
             continue
-        reports, _ = switchability_reports(g, range(g.n), "exact")
+        reports, used = switchability_reports(g, range(g.n))
+        assert used == "exact_search"
         for v, report in reports.items():
             assert report.exact is not None
             assert report.exact <= report.upper_bound
@@ -147,7 +151,7 @@ def test_upper_bound():
 
 def test_one_bfs_bounds_match_per_vertex_reference():
     # One root BFS serves every path bound: each of its distances and the
-    # bound-mode reports must equal a BFS that runs from the root to that
+    # reports at edge limit 0 must equal a BFS that runs from the root to that
     # vertex alone.
     rng = np.random.default_rng(59)
     corpus = [fixture(name) for name in FIXTURE_NAMES]
@@ -157,18 +161,25 @@ def test_one_bfs_bounds_match_per_vertex_reference():
     for g in corpus:
         expected = [upper_bound_switchability_per_vertex(g, v) for v in range(g.n)]
         assert root_distances(g) == expected
-        reports, used = switchability_reports(g, range(g.n), mode="bound")
+        reports, used = switchability_reports(g, range(g.n), edge_limit=0)
         assert used == "path_bound"
         assert [reports[v].upper_bound for v in range(g.n)] == expected
 
 
 @pytest.mark.parametrize("vertex", [-1, 5, 99])
 def test_vertex_outside_the_graph_is_rejected(fig1, vertex):
-    for mode in ("exact", "bound", "hybrid"):
+    for edge_limit in (0, 20):
         with pytest.raises(ValueError, match=f"vertex {vertex} outside 0..4"):
-            switchability_reports(fig1, [0, vertex], mode)
-    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
-        switchability_reports(fig1, [0], mode="bogus")
+            switchability_reports(fig1, [0, vertex], edge_limit)
+
+
+@pytest.mark.parametrize("edge_limit", [-1, True, None, "exact"])
+def test_edge_limit_must_be_a_nonnegative_int(fig1, edge_limit):
+    # "exact" is what a call written for the removed mode argument passes.
+    with pytest.raises(ValueError, match="edge_limit must be an int at least 0"):
+        switchability_reports(fig1, [0], edge_limit)
+    with pytest.raises(ValueError, match="edge_limit must be an int at least 0"):
+        switchability_profile(fig1, edge_limit)
 
 
 def test_upper_bound_chomp_row_by_row():
@@ -215,7 +226,8 @@ def test_nim_construction_is_depth1_switcher():
 
 def test_nim_profile_all_at_most_one():
     g = subtraction_nim(8, 2)
-    profile = switchability_profile(g, mode="exact")
+    profile = switchability_profile(g)
+    assert profile.mode_used == "exact_search"
     assert all(r.exact <= 1 for r in profile.reports.values())
     assert profile.s_bar <= 1
 
@@ -288,7 +300,8 @@ def test_exact_search_is_minimal_over_every_edge_subset():
             for keep in itertools.product((False, True), repeat=g.edge_count)
         ]
         depths = [depth(g, edges) for edges in subsets]
-        reports, _ = switchability_reports(g, range(g.n), "exact")
+        reports, used = switchability_reports(g, range(g.n))
+        assert used == "exact_search"
         for v, report in reports.items():
             switchers = [
                 (d, edges) for d, edges in zip(depths, subsets) if is_switcher_by_enumeration(g, edges, v)
@@ -315,19 +328,24 @@ def test_a_vertex_of_switchability_s_costs_at_most_s_plus_one_passes(monkeypatch
             continue
         for v in range(g.n):
             widths.clear()
-            report = switchability_reports(g, [v], "exact")[0][v]
+            reports, used = switchability_reports(g, [v])
+            assert used == "exact_search"
+            report = reports[v]
             assert 1 <= len(widths) <= report.exact + 1
             assert widths[0] == 1  # depth 0 holds only the empty set
 
 
 def test_too_large(fig3_bottom):
-    with pytest.raises(TooLarge):
-        switchability_reports(fig3_bottom, [9], "exact")  # 21 edges over the default budget
+    # 21 edges are over the default budget, so vertex 9 gets its path bound
+    # (exact 2 needs a raised budget: test_exact_on_marked_vertices).
+    reports, used = switchability_reports(fig3_bottom, [9])
+    assert used == "path_bound"
+    assert reports[9] == switchability.SwitchabilityReport(9, None, 3, None, "path_bound")
 
 
 def test_hybrid_profile_falls_back():
     g = subtraction_nim(40, 2)
-    profile = switchability_profile(g, mode="hybrid")
+    profile = switchability_profile(g)
     assert profile.mode_used == "path_bound"
     assert all(r.exact is None for r in profile.reports.values())
     assert profile.s_bar == root_distances(g)[0]
@@ -339,30 +357,30 @@ def test_exact_le_bound_everywhere():
         g = random_game(rng, n_max=8)
         if g.edge_count > 20:
             continue
-        reports, _ = switchability_reports(g, range(g.n), "exact")
+        reports, used = switchability_reports(g, range(g.n))
+        assert used == "exact_search"
         dist = root_distances(g)
         assert all(reports[v].exact <= dist[v] for v in range(g.n))
 
 
 def test_vertex_reports_match_profile_in_every_mode(fig1, fig2, fig3_top, fig3_bottom, fig4):
     # One resolver serves the whole-graph profile and single vertices, so
-    # every mode, budget and fallback must agree between them. At edge
-    # limit 20 fig3_bottom (21 edges) exceeds the edge budget; nim n=14,
-    # k=2 at 25 edges exceeds only the candidate limit.
+    # both methods and every budget and fallback must agree between them:
+    # edge limit 0 gives bounds, the graph's own edge count searches as far
+    # as the candidate limit allows. At edge limit 20 fig3_bottom (21 edges)
+    # exceeds the edge budget; nim n=14, k=2 at 25 edges exceeds only the
+    # candidate limit.
     rng = np.random.default_rng(47)
     corpus = [(g, 20) for g in (fig1, fig2, fig3_top, fig3_bottom, fig4)]
     corpus += [(subtraction_nim(14, 2), 25)]
     corpus += [(random_game(rng), 20) for _ in range(20)]
-    for g, edge_limit in corpus:
-        for mode in ("exact", "bound", "hybrid"):
-            try:
-                profile = switchability_profile(g, mode=mode, edge_limit=edge_limit)
-            except TooLarge:
-                assert mode == "exact"
-                with pytest.raises(TooLarge):
-                    switchability_reports(g, [g.root], mode, edge_limit)
-                continue
+    methods = set()
+    for g, budget in corpus:
+        for edge_limit in (0, budget, g.edge_count):
+            profile = switchability_profile(g, edge_limit)
+            methods.add(profile.mode_used)
             for v in range(g.n):
-                reports, used = switchability_reports(g, [v], mode, edge_limit)
+                reports, used = switchability_reports(g, [v], edge_limit)
                 assert used == profile.mode_used
                 assert reports == {v: profile.reports[v]}
+    assert methods == {"exact_search", "path_bound"}
