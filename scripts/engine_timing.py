@@ -4,8 +4,11 @@
 For each game, prints the minimum over ``--repeat`` runs, in ms, of
 ``eda.prepare`` on the built game, ``eda.uniform_vector`` on its run graph
 and one ``eda.generation_step`` from that uniform edge vector (a fresh
-seeded generator each run, so every run does the same work). The border is
-the theorem border of the game as built, as in ``harness.run_experiment``.
+seeded generator each run, so every run does the same work), and of
+``oracles.analyze_model`` on a uniform model of the run graph
+(``analyze_ms``: one reach pass, one win pass and every edge's selection
+law). The border is the theorem border of the game as built, as in
+``harness.run_experiment``.
 ``peak_mb`` is the traced peak (``tracemalloc``, in 10^6 bytes) of one more
 generation, untimed, after the timed ones. ``faults_per_gen`` is the minor
 page faults (``ru_minflt``) of a 10-generation cap-rule ``eda.run_umda``,
@@ -26,7 +29,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from coevo import eda
+from coevo import eda, oracles
 from coevo.cli import positive_int
 from coevo.games import GameSpec
 
@@ -71,8 +74,8 @@ def main() -> None:
     args = parser.parse_args()
 
     print(
-        f"{'game':<28} {'mu':>5} {'prepare_ms':>11} {'uniform_ms':>11} {'generation_ms':>14} {'peak_mb':>8}"
-        f" {'faults_per_gen':>15}"
+        f"{'game':<28} {'mu':>5} {'prepare_ms':>11} {'uniform_ms':>11} {'generation_ms':>14} {'analyze_ms':>11}"
+        f" {'peak_mb':>8} {'faults_per_gen':>15}"
     )
     for spec, mu, stop_rule in GAMES:
         base = spec.build()
@@ -91,10 +94,12 @@ def main() -> None:
         peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
         tracemalloc.stop()
         faults = faults_per_generation(instance, cfg)
+        model = eda.uniform_model(g, gamma)
+        analyze_ms = best_ms(args.repeat, lambda: oracles.analyze_model(g, model))
         name = f"{spec.family} " + " ".join(f"{k}={v}" for k, v in spec.params.items())
         print(
-            f"{name:<28} {mu:>5} {prepare_ms:>11.3f} {uniform_ms:>11.3f} {generation_ms:>14.3f} {peak_mb:>8.2f}"
-            f" {faults:>15.1f}"
+            f"{name:<28} {mu:>5} {prepare_ms:>11.3f} {uniform_ms:>11.3f} {generation_ms:>14.3f} {analyze_ms:>11.3f}"
+            f" {peak_mb:>8.2f} {faults:>15.1f}"
         )
 
 

@@ -11,15 +11,23 @@ it meets. This holds because the graph is acyclic, so no vertex is ever
 consulted twice in a playout and it never matters which of the two
 players owns the consulted entry. A model gives each interior vertex ``v``
 one probability per move, entry ``i`` for the move to
-``targets[offsets[v] + i]``. The DPs walk the graph's two arrays, read as
-lists, in plain arithmetic, so they stay exact on Fraction-valued models.
-An analysis of all n vertices and m moves is one O(n + m) reach-and-win pass.
+``targets[offsets[v] + i]``. The DPs read the model once into one list in
+edge order and walk it beside the graph's two arrays in plain arithmetic,
+so they stay exact on Fraction-valued models; every sum adds its terms left
+to right from 0, so a float result does not depend on the Python version.
+An analysis of all n vertices and m moves is one O(n + m) reach-and-win
+pass, then one array expression for every edge's selection law: float64 on
+float models, and object arrays of the model's own numbers otherwise, so an
+exact model stays exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Mapping
+
+import numpy as np
 
 from .graphs import GameGraph
 
@@ -31,15 +39,38 @@ class ModelAnalysis:
     selection: dict[int, list]
 
 
-def _vectors(g: GameGraph, model) -> Mapping[int, Sequence]:
-    """A model's vectors, checked: one per interior vertex, as long as its degree."""
-    # ProbModel vectors become lists: the same IEEE doubles as numpy scalars, faster.
-    dists = {v: p.tolist() for v, p in model.dists.items()} if hasattr(model, "dists") else model
-    off = g.offsets.tolist()
-    for v in g.interior:
-        if (got := len(dists[v]) if v in dists else "none") != off[v + 1] - off[v]:
-            raise ValueError(f"vertex {v}: expected {off[v + 1] - off[v]} entries, got {got}")
-    return dists
+@dataclass(frozen=True)
+class _Edges:
+    """A model read once into edge order and checked: ``entries`` as a list for
+    the DPs, ``array`` as float64 when every entry is a float and as the
+    entries themselves in an object array otherwise."""
+
+    entries: list
+    array: np.ndarray
+
+
+_FLOAT = np.dtype(float)
+
+
+def _edges(g: GameGraph, model) -> _Edges:
+    """A model's entries in edge order, checked: one row per interior vertex, as long as its degree."""
+    if isinstance(model, _Edges):
+        return model
+    rows, off = model.dists if hasattr(model, "dists") else model, g.offsets.tolist()
+    rows = [rows[v] if v in rows else None for v in g.interior]
+    degrees = [off[v + 1] - off[v] for v in g.interior]
+    if (got := [None if r is None else len(r) for r in rows]) != degrees:
+        v, want, have = next(x for x in zip(g.interior, degrees, got) if x[1] != x[2])
+        raise ValueError(f"vertex {v}: expected {want} entries, got {'none' if have is None else have}")
+    if hasattr(model, "dists"):
+        # ProbModel rows are arrays: the DPs read them as Python numbers, the same IEEE doubles, faster.
+        if {r.dtype for r in rows} == {_FLOAT}:
+            array = np.concatenate(rows)
+            return _Edges(array.tolist(), array)
+        rows = [r.tolist() for r in rows]
+    entries = list(chain.from_iterable(rows))
+    kind = float if all(issubclass(t, float) for t in set(map(type, entries))) else object
+    return _Edges(entries, np.array(entries, dtype=kind))
 
 
 def reach_probabilities(g: GameGraph, model) -> dict:
@@ -49,26 +80,30 @@ def reach_probabilities(g: GameGraph, model) -> dict:
     collects, over its in-edges, the probability of visiting the tail
     times the tail's chance of stepping here.
     """
-    dists, off, targets = _vectors(g, model), g.offsets.tolist(), g.targets.tolist()
-    reach = {v: 0 for v in range(g.n)}
+    probs, off, targets = _edges(g, model).entries, g.offsets.tolist(), g.targets.tolist()
+    reach = [0] * g.n
     reach[g.root] = 1
     for u in reversed(g.reverse_topo):  # forward topological order
-        r, lo = reach[u], off[u]
-        if not r or lo == off[u + 1]:
-            continue
-        for e in range(lo, off[u + 1]):
-            reach[targets[e]] = reach[targets[e]] + r * dists[u][e - lo]
-    return reach
+        r, lo, hi = reach[u], off[u], off[u + 1]
+        if r and lo < hi:
+            for t, q in zip(targets[lo:hi], probs[lo:hi]):
+                reach[t] = reach[t] + r * q
+    return dict(enumerate(reach))
 
 
 def win_probabilities(g: GameGraph, model) -> dict:
     """Probability the player about to move at each vertex wins the game."""
-    dists, off, targets = _vectors(g, model), g.offsets.tolist(), g.targets.tolist()
-    win = {}
+    probs, off, targets = _edges(g, model).entries, g.offsets.tolist(), g.targets.tolist()
+    win = [0] * g.n
     for v in g.reverse_topo:
         lo, hi = off[v], off[v + 1]
-        win[v] = 1 - sum(dists[v][e - lo] * win[targets[e]] for e in range(lo, hi)) if hi > lo else 0
-    return win
+        if lo < hi:
+            # Left to right from 0, as sum() adds before Python 3.12 compensates float sums.
+            total = 0
+            for w, p in zip(targets[lo:hi], probs[lo:hi]):
+                total = total + p * win[w]
+            win[v] = 1 - total
+    return {v: win[v] for v in g.reverse_topo}
 
 
 def _moves(g: GameGraph, u: int) -> list:
@@ -79,8 +114,17 @@ def _moves(g: GameGraph, u: int) -> list:
     return moves
 
 
-def _selection(moves: list, dists: Mapping, reach: dict, win: dict, u: int) -> list:
-    return [p * (1 + reach[u] * (1 - win[w] - win[u])) for w, p in zip(moves, dists[u])]
+def _selection_laws(g: GameGraph, model: _Edges, reach: Mapping, win: Mapping, edges: slice) -> list:
+    """The winner's probability of each edge in ``edges``, in one expression:
+    ``p * (1 + reach[src] * (lose[tgt] - win[src]))`` with ``lose = 1 - win``
+    per vertex, the per-vertex closed form's operations in its order. On a
+    float model reach and win hold floats and the exact ints 0 and 1, so
+    float64 gives the same doubles; otherwise the numbers themselves run."""
+    p, kind = model.array[edges], model.array.dtype
+    reach, win = (np.array(list(map(d.__getitem__, range(g.n))), dtype=kind) for d in (reach, win))
+    src = np.repeat(np.arange(g.n), np.diff(g.offsets))[edges]
+    lose = 1 - win
+    return (p * (1 + reach[src] * (lose[g.targets[edges]] - win[src]))).tolist()
 
 
 def selection_distribution(g: GameGraph, model, u: int) -> list:
@@ -90,8 +134,10 @@ def selection_distribution(g: GameGraph, model, u: int) -> list:
     ``1 + reach(u) * (1 - win(move) - win(u))``. Sums to one identically.
     O(n + m) per call; :func:`analyze_model` gives every vertex's law at once.
     """
-    moves, dists = _moves(g, u), _vectors(g, model)
-    return _selection(moves, dists, reach_probabilities(g, dists), win_probabilities(g, dists), u)
+    _moves(g, u)
+    probs = _edges(g, model)
+    reach, win = reach_probabilities(g, probs), win_probabilities(g, probs)
+    return _selection_laws(g, probs, reach, win, slice(g.offsets[u], g.offsets[u + 1]))
 
 
 def replicator_form(g: GameGraph, model, u: int) -> tuple[list, list, list]:
@@ -103,17 +149,20 @@ def replicator_form(g: GameGraph, model, u: int) -> tuple[list, list, list]:
     Must agree with :func:`selection_distribution` entry by entry.
     O(n + m) per call; :func:`analyze_model` gives every vertex's law at once.
     """
-    moves, dists = _moves(g, u), _vectors(g, model)
-    q, r, win = list(dists[u]), reach_probabilities(g, dists)[u], win_probabilities(g, dists)
+    moves, probs = _moves(g, u), _edges(g, model)
+    q, r = probs.entries[g.offsets[u] : g.offsets[u + 1]], reach_probabilities(g, probs)[u]
+    win = win_probabilities(g, probs)
     a = [r * (1 - win[w]) for w in moves]
-    mean_fitness = sum(qj * aj for qj, aj in zip(q, a))
+    mean_fitness = 0  # left to right from 0, as in win_probabilities
+    for qj, aj in zip(q, a):
+        mean_fitness = mean_fitness + qj * aj
     q_next = [qi * (1 + ai - mean_fitness) for qi, ai in zip(q, a)]
     return q, a, q_next
 
 
 def analyze_model(g: GameGraph, model) -> ModelAnalysis:
-    """One reach pass and one win pass, O(n + m), then every vertex's selection law."""
-    dists, off, targets = _vectors(g, model), g.offsets.tolist(), g.targets.tolist()
-    reach, win = reach_probabilities(g, dists), win_probabilities(g, dists)
-    selection = {u: _selection(targets[off[u] : off[u + 1]], dists, reach, win, u) for u in g.interior}
-    return ModelAnalysis(reach=reach, win=win, selection=selection)
+    """One reach pass and one win pass, O(n + m), then every edge's selection law in one expression."""
+    probs, off = _edges(g, model), g.offsets.tolist()
+    reach, win = reach_probabilities(g, probs), win_probabilities(g, probs)
+    laws = _selection_laws(g, probs, reach, win, slice(None))
+    return ModelAnalysis(reach=reach, win=win, selection={u: laws[off[u] : off[u + 1]] for u in g.interior})

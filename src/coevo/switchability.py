@@ -145,10 +145,10 @@ def switchability_reports(
     least 0, or a vertex outside ``0..n-1``.
     """
     _eda._require_int("edge_limit", edge_limit, 0)
-    vertices = list(vertices)
+    vertices, n = list(vertices), g.n
     for v in vertices:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} outside 0..{g.n - 1}")
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} outside 0..{n - 1}")
     dist = root_distances(g)
     candidates = _candidates_by_depth(g, edge_limit)
     if candidates is None:
@@ -164,6 +164,7 @@ def switchability_profile(
     zero = _grundy.zero_flags(g) if gd is None else _grundy.check_grundy_data(g, gd)
     reports, mode_used = switchability_reports(g, range(g.n), edge_limit)
     critical = _grundy.critical_rows(g, zero).tolist()
-    s_bar = max(r.value for r in reports.values())
-    s_hat = max((reports[v].value for v in critical), default=0)
+    values = [reports[v].value for v in range(g.n)]
+    s_bar = max(values)
+    s_hat = max((values[v] for v in critical), default=0)
     return SwitchabilityProfile(reports=reports, s_bar=s_bar, s_hat=s_hat, mode_used=mode_used)

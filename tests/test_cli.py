@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from coevo.cli import cli
-from coevo.games import fixture
+from coevo.games import fixture, silver_dollar
 from coevo.ioutil import atomic_write_text
 
 
@@ -204,6 +204,34 @@ def test_analyze_output_is_pinned(capsys, tmp_path):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "2b3ce184a7f3abf658b541119d77716c61e620d5912a76e5dd28a9c147552f0b"
+    )
+
+
+def test_analyze_output_is_pinned_on_wide_rows(capsys):
+    # chomp m=6: 923 positions, 15,709 moves, 35 of them at the root.
+    code, out, _ = run_cli(capsys, "analyze", "--family", "chomp", "--m", "6")
+    assert code == 0
+    payload = json.loads(out)
+    assert sum(map(len, payload["selection"].values())) == 15_709
+    assert len(payload["selection"]["922"]) == 35
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3c6dac5893d1a6f1211fe0ac2321f48c229e02affb741619909caf614086a802"
+    )
+
+
+def test_analyze_output_is_pinned_on_a_seeded_model(capsys, tmp_path):
+    g, rng = silver_dollar(9, 3), np.random.default_rng(13)
+    dists = {}
+    for v in g.interior:
+        w = rng.random(int(g.offsets[v + 1] - g.offsets[v])) + 0.05
+        dists[str(v)] = (w / w.sum()).tolist()
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"gamma": 0.0, "dists": dists}))
+    argv = ["analyze", "--family", "silver_dollar", "--m", "9", "--k", "3", "--model", str(model_path)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "7b4e295550932b4d107c912a19eabc4c99690a5f0c3a1d33de9a4b377dc1bc76"
     )
 
 

@@ -279,6 +279,59 @@ def test_analysis_equals_the_per_vertex_oracles_bit_for_bit_on_floats():
         _assert_analysis_is_per_vertex(g, {v: list(p) for v, p in model.dists.items()})
 
 
+def _closed_form(g, model):
+    """Every vertex's selection law by the closed form, one vertex at a time,
+    on the model's own numbers; numpy scalars are read as the Python numbers
+    they hold, since every float model's law comes back as Python floats."""
+    reach, win = reach_probabilities(g, model), win_probabilities(g, model)
+    rows = model.dists if isinstance(model, ProbModel) else model
+    law = {}
+    for u in g.interior:
+        row = [p * (1 + reach[u] * (1 - win[w] - win[u])) for w, p in zip(successors(g, u), rows[u])]
+        law[u] = [x.item() if isinstance(x, np.generic) else x for x in row]
+    return law
+
+
+def _input_forms():
+    g, rng = silver_dollar(6, 2), np.random.default_rng(73)
+    model = _float_model(g, rng)
+    exact = random_rational_model(g, rng, Fraction(1, 4 * g.max_degree))
+    yield "ProbModel", g, model
+    yield "float lists", g, {v: p.tolist() for v, p in model.dists.items()}
+    yield "np.float64 lists", g, {v: list(p) for v, p in model.dists.items()}
+    yield "ndarray rows", g, dict(model.dists)
+    yield "int and Fraction", g, {v: [1] if len(p) == 1 else p for v, p in exact.items()}
+    yield "root is a sink", build_graph({0: []}, root=0), {}
+
+
+@pytest.mark.parametrize("form, g, model", [pytest.param(*case, id=case[0]) for case in _input_forms()])
+def test_analysis_equals_the_closed_form_on_every_input_form(form, g, model):
+    analysis = analyze_model(g, model)
+    assert repr(analysis.selection) == repr(_closed_form(g, model))
+    assert repr(analysis.reach) == repr(reach_probabilities(g, model))
+    assert repr(analysis.win) == repr(win_probabilities(g, model))
+    for u in g.interior:
+        assert list(map(type, analysis.selection[u])) == list(map(type, selection_distribution(g, model, u)))
+    if form == "int and Fraction":
+        assert {type(x) for row in model.values() for x in row} == {int, Fraction}
+        assert {type(x) for q in analysis.selection.values() for x in q} == {Fraction}
+    if form == "root is a sink":
+        assert analysis.selection == {}
+
+
+def test_float_sums_add_left_to_right_from_zero():
+    # Python 3.12's sum() compensates float sums; these cases tell the two apart.
+    g = build_graph({10: list(range(10)), **{v: [11] for v in range(10)}, 11: []}, root=10)
+    model = {10: [0.1] * 10, **{v: [1.0] for v in range(10)}}
+    assert win_probabilities(g, model)[10] == 1.1102230246251565e-16  # compensated: 0.0
+    assert analyze_model(g, model).win[10] == 1.1102230246251565e-16
+    fan = build_graph({9: list(range(9)), 8: [10], **{v: [] for v in range(8)}, 10: []}, root=9)
+    _, a, q_next = replicator_form(fan, {9: [0.1] * 8 + [0.2], 8: [1.0]}, 9)
+    assert a == [1] * 8 + [0.0]
+    # Mean fitness 0.7999999999999999 left to right, 0.8 compensated.
+    assert q_next == [0.12000000000000002] * 8 + [0.040000000000000015]
+
+
 def test_analysis_makes_one_reach_pass_and_one_win_pass(monkeypatch):
     g = silver_dollar(7, 3)
     calls = {"reach": 0, "win": 0}

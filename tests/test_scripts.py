@@ -68,9 +68,11 @@ def test_engine_timing_one_repetition(tmp_path):
     done = run_script("engine_timing.py", "--repeat", "1", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     header, *rows = done.stdout.splitlines()
-    assert header.split() == ["game", "mu", "prepare_ms", "uniform_ms", "generation_ms", "peak_mb", "faults_per_gen"]
+    assert header.split() == [
+        "game", "mu", "prepare_ms", "uniform_ms", "generation_ms", "analyze_ms", "peak_mb", "faults_per_gen"
+    ]
     assert [row.split()[0] for row in rows] == ["subtraction_nim", "subtraction_nim", "chomp", "subtraction_nim"]
-    assert all(float(value) > 0 for row in rows for value in row.split()[-5:-1])
+    assert all(float(value) > 0 for row in rows for value in row.split()[-6:-1])
     assert all(math.isfinite(float(row.split()[-1])) for row in rows)  # a difference of fault counts
 
 
