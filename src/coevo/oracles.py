@@ -11,14 +11,13 @@ it meets. This holds because the graph is acyclic, so no vertex is ever
 consulted twice in a playout and it never matters which of the two
 players owns the consulted entry. A model gives each interior vertex ``v``
 one probability per move, entry ``i`` for the move to
-``targets[offsets[v] + i]``. The DPs read the model once into one list in
-edge order and walk it beside the graph's two arrays in plain arithmetic,
-so they stay exact on Fraction-valued models; every sum adds its terms left
-to right from 0, so a float result does not depend on the Python version.
-An analysis of all n vertices and m moves is one O(n + m) reach-and-win
-pass, then one array expression for every edge's selection law: float64 on
-float models, and object arrays of the model's own numbers otherwise, so an
-exact model stays exact.
+``targets[offsets[v] + i]``. The DPs read the model once into edge order
+and walk it beside the graph's two arrays in plain arithmetic, adding every
+sum left to right from 0, so they stay exact on Fraction-valued models and
+a float result does not depend on the Python version. An analysis of all n
+vertices and m moves is one O(n + m) reach-and-win pass and one array
+expression for every edge's selection law: float64 on float models, object
+arrays of the model's own numbers otherwise, so exact models stay exact.
 """
 
 from __future__ import annotations
@@ -49,22 +48,19 @@ class _Edges:
     array: np.ndarray
 
 
-_FLOAT = np.dtype(float)
-
-
 def _edges(g: GameGraph, model) -> _Edges:
     """A model's entries in edge order, checked: one row per interior vertex, as long as its degree."""
     if isinstance(model, _Edges):
         return model
-    rows, off = model.dists if hasattr(model, "dists") else model, g.offsets.tolist()
-    rows = [rows[v] if v in rows else None for v in g.interior]
-    degrees = [off[v + 1] - off[v] for v in g.interior]
-    if (got := [None if r is None else len(r) for r in rows]) != degrees:
-        v, want, have = next(x for x in zip(g.interior, degrees, got) if x[1] != x[2])
-        raise ValueError(f"vertex {v}: expected {want} entries, got {'none' if have is None else have}")
-    if hasattr(model, "dists"):
+    is_prob_model, off = hasattr(model, "dists"), g.offsets.tolist()
+    rows = model.dists if is_prob_model else model
+    for v in g.interior:
+        if (got := len(rows[v]) if v in rows else "none") != off[v + 1] - off[v]:
+            raise ValueError(f"vertex {v}: expected {off[v + 1] - off[v]} entries, got {got}")
+    rows = [rows[v] for v in g.interior]
+    if is_prob_model:
         # ProbModel rows are arrays: the DPs read them as Python numbers, the same IEEE doubles, faster.
-        if {r.dtype for r in rows} == {_FLOAT}:
+        if {r.dtype for r in rows} == {np.dtype(float)}:
             array = np.concatenate(rows)
             return _Edges(array.tolist(), array)
         rows = [r.tolist() for r in rows]

@@ -293,18 +293,23 @@ def _closed_form(g, model):
 
 
 def _input_forms():
-    g, rng = silver_dollar(6, 2), np.random.default_rng(73)
-    model = _float_model(g, rng)
-    exact = random_rational_model(g, rng, Fraction(1, 4 * g.max_degree))
-    yield "ProbModel", g, model
-    yield "float lists", g, {v: p.tolist() for v, p in model.dists.items()}
-    yield "np.float64 lists", g, {v: list(p) for v, p in model.dists.items()}
-    yield "ndarray rows", g, dict(model.dists)
-    yield "int and Fraction", g, {v: [1] if len(p) == 1 else p for v, p in exact.items()}
-    yield "root is a sink", build_graph({0: []}, root=0), {}
+    rng = np.random.default_rng(73)
+    for name, g in [("chomp m=4", chomp(4)), ("silver dollar m=9 k=3", silver_dollar(9, 3))] + [
+        (f"random game {i}", random_game(rng, n_min=8, n_max=16)) for i in range(2)
+    ]:
+        model = _float_model(g, rng)
+        exact = random_rational_model(g, rng, Fraction(1, 4 * g.max_degree))
+        yield name, "ProbModel", g, model
+        yield name, "float lists", g, {v: p.tolist() for v, p in model.dists.items()}
+        yield name, "np.float64 lists", g, {v: list(p) for v, p in model.dists.items()}
+        yield name, "ndarray rows", g, dict(model.dists)
+        yield name, "int and Fraction", g, {v: [1] if len(p) == 1 else p for v, p in exact.items()}
+    yield "one vertex", "root is a sink", build_graph({0: []}, root=0), {}
 
 
-@pytest.mark.parametrize("form, g, model", [pytest.param(*case, id=case[0]) for case in _input_forms()])
+@pytest.mark.parametrize(
+    "form, g, model", [pytest.param(*case[1:], id=f"{case[0]}: {case[1]}") for case in _input_forms()]
+)
 def test_analysis_equals_the_closed_form_on_every_input_form(form, g, model):
     analysis = analyze_model(g, model)
     assert repr(analysis.selection) == repr(_closed_form(g, model))
