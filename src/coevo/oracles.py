@@ -131,9 +131,9 @@ def selection_distribution(g: GameGraph, model, u: int) -> list:
     O(n + m) per call; :func:`analyze_model` gives every vertex's law at once.
     """
     _moves(g, u)
-    probs = _edges(g, model)
-    reach, win = reach_probabilities(g, probs), win_probabilities(g, probs)
-    return _selection_laws(g, probs, reach, win, slice(g.offsets[u], g.offsets[u + 1]))
+    model = _edges(g, model)
+    reach, win = reach_probabilities(g, model), win_probabilities(g, model)
+    return _selection_laws(g, model, reach, win, slice(g.offsets[u], g.offsets[u + 1]))
 
 
 def replicator_form(g: GameGraph, model, u: int) -> tuple[list, list, list]:
@@ -145,9 +145,9 @@ def replicator_form(g: GameGraph, model, u: int) -> tuple[list, list, list]:
     Must agree with :func:`selection_distribution` entry by entry.
     O(n + m) per call; :func:`analyze_model` gives every vertex's law at once.
     """
-    moves, probs = _moves(g, u), _edges(g, model)
-    q, r = probs.entries[g.offsets[u] : g.offsets[u + 1]], reach_probabilities(g, probs)[u]
-    win = win_probabilities(g, probs)
+    moves, model = _moves(g, u), _edges(g, model)
+    q, r = model.entries[g.offsets[u] : g.offsets[u + 1]], reach_probabilities(g, model)[u]
+    win = win_probabilities(g, model)
     a = [r * (1 - win[w]) for w in moves]
     mean_fitness = 0  # left to right from 0, as in win_probabilities
     for qj, aj in zip(q, a):
@@ -158,7 +158,7 @@ def replicator_form(g: GameGraph, model, u: int) -> tuple[list, list, list]:
 
 def analyze_model(g: GameGraph, model) -> ModelAnalysis:
     """One reach pass and one win pass, O(n + m), then every edge's selection law in one expression."""
-    probs, off = _edges(g, model), g.offsets.tolist()
-    reach, win = reach_probabilities(g, probs), win_probabilities(g, probs)
-    laws = _selection_laws(g, probs, reach, win, slice(None))
+    model, off = _edges(g, model), g.offsets.tolist()
+    reach, win = reach_probabilities(g, model), win_probabilities(g, model)
+    laws = _selection_laws(g, model, reach, win, slice(None))
     return ModelAnalysis(reach=reach, win=win, selection={u: laws[off[u] : off[u + 1]] for u in g.interior})
