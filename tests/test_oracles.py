@@ -294,21 +294,21 @@ def _closed_form(g, model):
 
 def _input_forms():
     rng = np.random.default_rng(73)
-    for name, g in [("chomp m=4", chomp(4)), ("silver dollar m=9 k=3", silver_dollar(9, 3))] + [
-        (f"random game {i}", random_game(rng, n_min=8, n_max=16)) for i in range(2)
+    for name, g in [("chomp4", chomp(4)), ("silver_dollar9_3", silver_dollar(9, 3))] + [
+        (f"random_game{i}", random_game(rng, n_min=8, n_max=16)) for i in range(2)
     ]:
         model = _float_model(g, rng)
         exact = random_rational_model(g, rng, Fraction(1, 4 * g.max_degree))
         yield name, "ProbModel", g, model
-        yield name, "float lists", g, {v: p.tolist() for v, p in model.dists.items()}
-        yield name, "np.float64 lists", g, {v: list(p) for v, p in model.dists.items()}
-        yield name, "ndarray rows", g, dict(model.dists)
-        yield name, "int and Fraction", g, {v: [1] if len(p) == 1 else p for v, p in exact.items()}
-    yield "one vertex", "root is a sink", build_graph({0: []}, root=0), {}
+        yield name, "float_lists", g, {v: p.tolist() for v, p in model.dists.items()}
+        yield name, "float64_lists", g, {v: list(p) for v, p in model.dists.items()}
+        yield name, "ndarray_rows", g, dict(model.dists)
+        yield name, "int_and_Fraction", g, {v: [1] if len(p) == 1 else p for v, p in exact.items()}
+    yield "one_vertex", "root_is_a_sink", build_graph({0: []}, root=0), {}
 
 
 @pytest.mark.parametrize(
-    "form, g, model", [pytest.param(*case[1:], id=f"{case[0]}: {case[1]}") for case in _input_forms()]
+    "form, g, model", [pytest.param(*case[1:], id=f"{case[0]}-{case[1]}") for case in _input_forms()]
 )
 def test_analysis_equals_the_closed_form_on_every_input_form(form, g, model):
     analysis = analyze_model(g, model)
@@ -317,10 +317,10 @@ def test_analysis_equals_the_closed_form_on_every_input_form(form, g, model):
     assert repr(analysis.win) == repr(win_probabilities(g, model))
     for u in g.interior:
         assert list(map(type, analysis.selection[u])) == list(map(type, selection_distribution(g, model, u)))
-    if form == "int and Fraction":
+    if form == "int_and_Fraction":
         assert {type(x) for row in model.values() for x in row} == {int, Fraction}
         assert {type(x) for q in analysis.selection.values() for x in q} == {Fraction}
-    if form == "root is a sink":
+    if form == "root_is_a_sink":
         assert analysis.selection == {}
 
 
