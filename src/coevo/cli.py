@@ -1,8 +1,10 @@
 """Command line entry point.
 
 Subcommands: gen | solve | run | sweep | switch | analyze | intrans.
-Exit codes: 0 success, 1 usage error, 2 runtime error. All file outputs
-are written atomically; everything else prints deterministic JSON.
+Exit codes: 0 success, 1 usage error, 2 runtime error. Every subcommand
+returns its JSON payload and :func:`cli` writes it, deterministically and
+in one place: atomically to ``--out``, else to stdout. A command that
+fails writes no JSON.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import eda, grundy, harness, oracles, switchability
 from .games import FAMILIES, FIXTURE_NAMES, BadParams, GameSpec
-from .graphs import game_to_dict, load_game, save_game, to_dot
+from .graphs import game_from_dict, game_to_dict, to_dot
 from .ioutil import atomic_write_text
 
 #: Families given by ``--family`` with their integer parameters, and the
@@ -63,7 +65,8 @@ def _resolve_game(args) -> tuple:
     if params:
         raise UsageError(f"--{'game' if args.game else 'fixture'} takes no --{next(iter(params))}")
     if args.game:
-        return load_game(args.game), None
+        with open(args.game) as fh:
+            return game_from_dict(json.load(fh)), None
     spec = GameSpec("fixture", {"name": args.fixture})
     return spec.build(), spec
 
@@ -122,18 +125,14 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> dict:
     g, _ = _resolve_game(args)
-    if args.out:
-        save_game(g, args.out)
-    else:
-        _emit(game_to_dict(g), None)
     if args.dot:
         atomic_write_text(args.dot, to_dot(g))
-    return 0
+    return game_to_dict(g)
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> dict:
     g, _ = _resolve_game(args)
     gd = grundy.grundy_values(g)
     first_player_win = gd.values[g.root] != 0
@@ -141,22 +140,18 @@ def _cmd_solve(args) -> int:
     if first_player_win:
         x = grundy.canonical_optimal_strategy(g, gd)
         canonical = {str(v): w for v, w in sorted(x.choice.items())}
-    _emit(
-        {
-            "n": g.n,
-            "root": g.root,
-            "grundy": list(gd.values),
-            "zero_set": sorted(gd.zero_set),
-            "critical": sorted(gd.critical),
-            "first_player_win": first_player_win,
-            "canonical_strategy": canonical,
-        },
-        args.out,
-    )
-    return 0
+    return {
+        "n": g.n,
+        "root": g.root,
+        "grundy": list(gd.values),
+        "zero_set": sorted(gd.zero_set),
+        "critical": sorted(gd.critical),
+        "first_player_win": first_player_win,
+        "canonical_strategy": canonical,
+    }
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> dict:
     g, spec = _resolve_game(args)
     instance = eda.prepare(g)
     gamma = float(eda.theorem_border(g)) if args.gamma_theorem else args.gamma
@@ -171,7 +166,7 @@ def _cmd_run(args) -> int:
     witness = None
     if result.optimal_witness is not None:
         witness = {str(v): w for v, w in sorted(result.optimal_witness.choice.items())}
-    payload = {
+    return {
         "config": {
             "game": spec.family if spec else args.game,
             "params": spec.params if spec else None,
@@ -190,11 +185,9 @@ def _cmd_run(args) -> int:
         },
         "trace": [{"generation": t, "model": snap} for t, snap in result.trace],
     }
-    _emit(payload, args.out)
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> dict:
     games = [_spec(args.family, params, "--instances") for params in args.instances]
     template = harness.ExperimentConfig(
         game=games[0],
@@ -209,32 +202,28 @@ def _cmd_sweep(args) -> int:
     csv_path, plot_path = harness.write_sweep(
         args.out_dir, summary, include_timings=args.timings
     )
-    _emit({"rows": len(summary.records), "csv": csv_path, "plot": plot_path}, None)
-    return 0
+    return {"rows": len(summary.records), "csv": csv_path, "plot": plot_path}
 
 
 def _report_fields(r: switchability.SwitchabilityReport) -> dict:
     return {"exact": r.exact, "upper_bound": r.upper_bound, "value": r.value, "method": r.method}
 
 
-def _cmd_switch(args) -> int:
+def _cmd_switch(args) -> dict:
     g, _ = _resolve_game(args)
     if args.vertex is not None:
         if not 0 <= args.vertex < g.n:
             raise UsageError(f"--vertex {args.vertex} outside the game's vertices 0..{g.n - 1}")
-        reports, _ = switchability.switchability_reports(g, [args.vertex], args.edge_limit)
-        r = reports[args.vertex]
+        r = switchability.switchability_reports(g, [args.vertex], args.edge_limit)[args.vertex]
         witness = None if r.witness is None else sorted(list(e) for e in r.witness)
-        _emit({"vertex": r.vertex, **_report_fields(r), "witness": witness}, args.out)
-        return 0
+        return {"vertex": r.vertex, **_report_fields(r), "witness": witness}
     profile = switchability.switchability_profile(g, args.edge_limit)
     reports = {str(v): _report_fields(r) for v, r in sorted(profile.reports.items())}
-    summary = {"mode": profile.mode_used, "s_bar": profile.s_bar, "s_hat": profile.s_hat}
-    _emit({**summary, "reports": reports}, args.out)
-    return 0
+    mode = profile.reports[g.root].method  # every report of one call shares its method
+    return {"mode": mode, "s_bar": profile.s_bar, "s_hat": profile.s_hat, "reports": reports}
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     g, _ = _resolve_game(args)
     if args.model:
         with open(args.model) as fh:
@@ -242,29 +231,23 @@ def _cmd_analyze(args) -> int:
     else:
         model = eda.uniform_model(g, gamma=0.0)
     analysis = oracles.analyze_model(g, model)
-    _emit(
-        {
-            "reach": {str(v): float(p) for v, p in sorted(analysis.reach.items())},
-            "win": {str(v): float(p) for v, p in sorted(analysis.win.items())},
-            "selection": {
-                str(u): [float(p) for p in vec]
-                for u, vec in sorted(analysis.selection.items())
-            },
+    return {
+        "reach": {str(v): float(p) for v, p in sorted(analysis.reach.items())},
+        "win": {str(v): float(p) for v, p in sorted(analysis.win.items())},
+        "selection": {
+            str(u): [float(p) for p in vec] for u, vec in sorted(analysis.selection.items())
         },
-        args.out,
-    )
-    return 0
+    }
 
 
-def _cmd_intrans(args) -> int:
+def _cmd_intrans(args) -> dict:
     g, spec = _resolve_game(args)
     rng = np.random.default_rng(args.seed)
     witness = harness.intransitivity_search(g, triples=args.triples, rng=rng)
     nim_params = None
     if spec and spec.family == "subtraction_nim":
         nim_params = (spec.params["n"], spec.params["k"])
-    _emit(harness.describe_intransitivity_witness(witness, nim_params), args.out)
-    return 0
+    return harness.describe_intransitivity_witness(witness, nim_params)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +310,8 @@ def cli(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.handler(args)
+        _emit(args.handler(args), getattr(args, "out", None))
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,6 @@ serialisation.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -19,8 +18,6 @@ from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
-
-from .ioutil import atomic_write_text
 
 
 class GameGraphError(ValueError):
@@ -313,15 +310,6 @@ def _field(data: Mapping, key: str, where: str):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def save_game(g: GameGraph, path) -> None:
-    atomic_write_text(path, json.dumps(game_to_dict(g), indent=2, sort_keys=True) + "\n")
-
-
-def load_game(path) -> GameGraph:
-    with open(path) as fh:
-        return game_from_dict(json.load(fh))
 
 
 def to_dot(g: GameGraph) -> str:

@@ -89,12 +89,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[ExperimentRecord]:
 
 def _experiment(cfg: ExperimentConfig, instance: eda.Instance) -> list[ExperimentRecord]:
     base, graph = instance.base, instance.graph
-    reports, mode = switchability.switchability_reports(graph, range(graph.n))
+    reports = switchability.switchability_reports(graph, range(graph.n))
     gamma = float(eda.theorem_border(base) if cfg.gamma_rule == "theorem" else cfg.gamma_rule)
     budget = eda.theorem_parameters(graph, instance.critical, {v: r.value for v, r in reports.items()})
     columns = dict(
         family=cfg.game.family, params=cfg.game.params_string(), n=base.n, delta=base.max_degree,
-        s_bar=budget.s_bar, s_mode=mode, gamma=gamma,
+        s_bar=budget.s_bar, s_mode=reports[graph.root].method, gamma=gamma,
         theorem_eval_budget=budget.eval_budget,
     )
     records = []

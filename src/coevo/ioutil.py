@@ -1,4 +1,4 @@
-"""Small file-system helpers shared by the serialisation and CLI layers."""
+"""Small file-system helpers shared by the CLI and the experiment harness."""
 
 from __future__ import annotations
 

@@ -39,7 +39,6 @@ class SwitchabilityProfile:
     reports: dict[int, SwitchabilityReport]
     s_bar: int  # max over all vertices
     s_hat: int  # max over critical positions (0 when there are none)
-    mode_used: str
 
 
 def _misses(g: GameGraph, v: int, passable: np.ndarray) -> np.ndarray:
@@ -135,8 +134,8 @@ def _search(g: GameGraph, v: int, candidates, ub: int) -> SwitchabilityReport:
 
 def switchability_reports(
     g: GameGraph, vertices: Iterable[int], edge_limit: int = 20
-) -> tuple[dict[int, SwitchabilityReport], str]:
-    """Reports for ``vertices``, and the method they came from.
+) -> dict[int, SwitchabilityReport]:
+    """Reports for ``vertices``, all from one method, which each names.
 
     The search is exact when the graph has at most ``edge_limit`` edges and
     at most the candidate limit of candidate sets; otherwise every report is
@@ -152,8 +151,8 @@ def switchability_reports(
     dist = root_distances(g)
     candidates = _candidates_by_depth(g, edge_limit)
     if candidates is None:
-        return {v: SwitchabilityReport(v, None, dist[v], None, "path_bound") for v in vertices}, "path_bound"
-    return {v: _search(g, v, candidates, dist[v]) for v in vertices}, "exact_search"
+        return {v: SwitchabilityReport(v, None, dist[v], None, "path_bound") for v in vertices}
+    return {v: _search(g, v, candidates, dist[v]) for v in vertices}
 
 
 def switchability_profile(
@@ -162,9 +161,9 @@ def switchability_profile(
     """Per-vertex reports plus the two aggregates used by runtime budgets, with the critical
     positions read from ``gd`` once checked against ``g``, else from a win/lose pass."""
     zero = _grundy.zero_flags(g) if gd is None else _grundy.check_grundy_data(g, gd)
-    reports, mode_used = switchability_reports(g, range(g.n), edge_limit)
+    reports = switchability_reports(g, range(g.n), edge_limit)
     critical = _grundy.critical_rows(g, zero).tolist()
     values = [reports[v].value for v in range(g.n)]
     s_bar = max(values)
     s_hat = max((values[v] for v in critical), default=0)
-    return SwitchabilityProfile(reports=reports, s_bar=s_bar, s_hat=s_hat, mode_used=mode_used)
+    return SwitchabilityProfile(reports=reports, s_bar=s_bar, s_hat=s_hat)

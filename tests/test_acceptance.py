@@ -204,11 +204,11 @@ def test_selection_distribution_law():
 
 def test_switchability_fixtures():
     top_vertex, bottom_vertex = FIXTURE_MARKED["fig3_top"], FIXTURE_MARKED["fig3_bottom"]
-    top, used = switchability_reports(fixture("fig3_top"), [top_vertex])
-    assert used == "exact_search"
+    top = switchability_reports(fixture("fig3_top"), [top_vertex])
+    assert {r.method for r in top.values()} == {"exact_search"}
     assert top[top_vertex].exact == 1
-    bottom, used = switchability_reports(fixture("fig3_bottom"), [bottom_vertex], edge_limit=32)
-    assert used == "exact_search"
+    bottom = switchability_reports(fixture("fig3_bottom"), [bottom_vertex], edge_limit=32)
+    assert {r.method for r in bottom.values()} == {"exact_search"}
     assert bottom[bottom_vertex].exact == 2
 
     nim = subtraction_nim(12, 3)
@@ -245,7 +245,7 @@ def test_reach_lower_bound_rational():
     for name in ("fig1", "fig2", "fig3_top", "fig3_bottom"):
         g = fixture(name)
         profile = switchability_profile(g, edge_limit=32)
-        assert profile.mode_used == "exact_search"
+        assert {r.method for r in profile.reports.values()} == {"exact_search"}
         s_exact = {v: report.exact for v, report in profile.reports.items()}
         assert all(s is not None for s in s_exact.values())
         for _ in range(50):

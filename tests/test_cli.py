@@ -63,6 +63,38 @@ def test_gen_then_solve_file(capsys, tmp_path):
     assert json.loads(out)["grundy"] == [1, 0, 2, 1, 0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--fixture", "fig1"],
+        ["gen", "--family", "chomp", "--m", "3"],
+        ["solve", "--fixture", "fig1"],
+        ["run", "--fixture", "fig1", "--mu", "4", "--gamma", "0.01", "--max-gen", "3"],
+        ["switch", "--fixture", "fig4"],
+        ["switch", "--fixture", "fig1", "--vertex", "0"],
+        ["analyze", "--fixture", "fig1"],
+        ["intrans", "--fixture", "fig1"],
+    ],
+    ids=["gen-fig1", "gen-chomp3", "solve", "run", "switch", "switch-vertex", "analyze", "intrans"],
+)
+def test_out_file_holds_what_stdout_prints(capsys, tmp_path, argv):
+    # cli() is the one writer: --out gets the same bytes, and stdout then stays empty.
+    code, printed, _ = run_cli(capsys, *argv)
+    assert code == 0
+    out = tmp_path / "out.json"
+    assert run_cli(capsys, *argv, "--out", str(out)) == (0, "", "")
+    assert out.read_bytes() == printed.encode()
+
+
+def test_failed_dot_write_leaves_no_game_file(capsys, tmp_path):
+    game_path = tmp_path / "g.json"
+    argv = ["gen", "--fixture", "fig1", "--out", str(game_path), "--dot", str(tmp_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error" in err
+    assert not game_path.exists()
+
+
 def test_run_deterministic(capsys, tmp_path):
     argv = [
         "run", "--family", "subtraction_nim", "--n", "10", "--k", "2",

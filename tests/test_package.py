@@ -1,6 +1,7 @@
 """The package's public surface and the names the benchmark's tracer wraps."""
 
 import ast
+import dataclasses
 import functools
 import inspect
 from pathlib import Path
@@ -16,13 +17,14 @@ ROOT = Path(__file__).resolve().parents[1]
 RUN_PY = ROOT / "benchmark" / "run.py"
 
 # Reference code that only the tests run lives in tests/helpers.py, not in the package;
-# switchability._switches, eda.Population and eda._restrict_rows (now eda.restrict)
-# are deleted, not moved.
+# switchability._switches, eda.Population, eda._restrict_rows (now eda.restrict) and
+# graphs.save_game/load_game (the CLI writes and reads game files itself) are deleted,
+# not moved.
 MOVED = {
     coevo: ("play", "Transcript", "is_optimal_sufficient", "is_switcher", "depth"),
     eda: ("Population", "beta_plus", "beta_minus", "_restrict_rows"),
     games: ("nim_decode", "BadChar", "FIXTURE_MARKED"),
-    graphs: ("play", "Transcript", "enumerate_strategies"),
+    graphs: ("play", "Transcript", "enumerate_strategies", "save_game", "load_game"),
     grundy: ("is_optimal_sufficient",),
     switchability: ("is_switcher", "_switches", "depth", "_check_edges", "ForeignEdge", "TooLarge"),
     graphs.Strategy: ("validate", "key"),
@@ -40,6 +42,13 @@ def test_test_only_references_are_not_in_the_package(module):
     for name in MOVED[module]:
         assert not hasattr(module, name), f"{module.__name__}.{name}"
         assert name not in getattr(module, "__all__", ())
+
+
+def test_switchability_method_lives_only_on_the_reports():
+    # Every report names its method; neither the profile nor the call carries it again.
+    fields = {f.name for f in dataclasses.fields(switchability.SwitchabilityProfile)}
+    assert "mode_used" not in fields
+    assert type(switchability.switchability_reports(games.fixture("fig1"), [0])) is dict
 
 
 @pytest.mark.parametrize("family", list(games.FAMILIES))

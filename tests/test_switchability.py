@@ -79,9 +79,9 @@ def test_fig3_bottom_blue_set(fig3_bottom):
 
 def test_exact_on_marked_vertices(fig3_top, fig3_bottom):
     top_vertex, bottom_vertex = FIXTURE_MARKED["fig3_top"], FIXTURE_MARKED["fig3_bottom"]
-    top = switchability_reports(fig3_top, [top_vertex])[0][top_vertex]
+    top = switchability_reports(fig3_top, [top_vertex])[top_vertex]
     assert top.exact == 1
-    bottom = switchability_reports(fig3_bottom, [bottom_vertex], edge_limit=32)[0][bottom_vertex]
+    bottom = switchability_reports(fig3_bottom, [bottom_vertex], edge_limit=32)[bottom_vertex]
     assert bottom.exact == 2
     for report, g in ((top, fig3_top), (bottom, fig3_bottom)):
         assert report.method == "exact_search"
@@ -91,8 +91,8 @@ def test_exact_on_marked_vertices(fig3_top, fig3_bottom):
 
 def test_root_switchability_zero(fig1, fig2):
     for g in (fig1, fig2):
-        reports, used = switchability_reports(g, [g.root])
-        assert used == "exact_search"
+        reports = switchability_reports(g, [g.root])
+        assert {r.method for r in reports.values()} == {"exact_search"}
         assert reports[g.root].exact == 0
 
 
@@ -107,12 +107,12 @@ def test_fig1_profile(fig1):
     }
     assert profile.s_bar == 2
     assert profile.s_hat == 1  # critical positions are the root and b
-    assert profile.mode_used == "exact_search"
+    assert {r.method for r in profile.reports.values()} == {"exact_search"}
 
 
 def test_fig4_chain_growth(fig4):
     profile = switchability_profile(fig4)
-    assert profile.mode_used == "exact_search"
+    assert {r.method for r in profile.reports.values()} == {"exact_search"}
     values = {v: r.exact for v, r in profile.reports.items()}
     for i in range(8):
         assert values[i] == i
@@ -122,8 +122,8 @@ def test_fig4_chain_growth(fig4):
 
 def test_fig2_marked(fig2):
     marked = FIXTURE_MARKED["fig2"]
-    reports, used = switchability_reports(fig2, [marked])
-    assert used == "exact_search"
+    reports = switchability_reports(fig2, [marked])
+    assert {r.method for r in reports.values()} == {"exact_search"}
     assert reports[marked].exact == 1
 
 
@@ -133,8 +133,8 @@ def test_witnesses_valid_across_random_graphs():
         g = random_game(rng, n_max=7)
         if g.edge_count > 20:
             continue
-        reports, used = switchability_reports(g, range(g.n))
-        assert used == "exact_search"
+        reports = switchability_reports(g, range(g.n))
+        assert {r.method for r in reports.values()} == {"exact_search"}
         for v, report in reports.items():
             assert report.exact is not None
             assert report.exact <= report.upper_bound
@@ -161,8 +161,8 @@ def test_one_bfs_bounds_match_per_vertex_reference():
     for g in corpus:
         expected = [upper_bound_switchability_per_vertex(g, v) for v in range(g.n)]
         assert root_distances(g) == expected
-        reports, used = switchability_reports(g, range(g.n), edge_limit=0)
-        assert used == "path_bound"
+        reports = switchability_reports(g, range(g.n), edge_limit=0)
+        assert {r.method for r in reports.values()} == {"path_bound"}
         assert [reports[v].upper_bound for v in range(g.n)] == expected
 
 
@@ -227,7 +227,7 @@ def test_nim_construction_is_depth1_switcher():
 def test_nim_profile_all_at_most_one():
     g = subtraction_nim(8, 2)
     profile = switchability_profile(g)
-    assert profile.mode_used == "exact_search"
+    assert {r.method for r in profile.reports.values()} == {"exact_search"}
     assert all(r.exact <= 1 for r in profile.reports.values())
     assert profile.s_bar <= 1
 
@@ -300,8 +300,8 @@ def test_exact_search_is_minimal_over_every_edge_subset():
             for keep in itertools.product((False, True), repeat=g.edge_count)
         ]
         depths = [depth(g, edges) for edges in subsets]
-        reports, used = switchability_reports(g, range(g.n))
-        assert used == "exact_search"
+        reports = switchability_reports(g, range(g.n))
+        assert {r.method for r in reports.values()} == {"exact_search"}
         for v, report in reports.items():
             switchers = [
                 (d, edges) for d, edges in zip(depths, subsets) if is_switcher_by_enumeration(g, edges, v)
@@ -328,8 +328,8 @@ def test_a_vertex_of_switchability_s_costs_at_most_s_plus_one_passes(monkeypatch
             continue
         for v in range(g.n):
             widths.clear()
-            reports, used = switchability_reports(g, [v])
-            assert used == "exact_search"
+            reports = switchability_reports(g, [v])
+            assert {r.method for r in reports.values()} == {"exact_search"}
             report = reports[v]
             assert 1 <= len(widths) <= report.exact + 1
             assert widths[0] == 1  # depth 0 holds only the empty set
@@ -338,15 +338,15 @@ def test_a_vertex_of_switchability_s_costs_at_most_s_plus_one_passes(monkeypatch
 def test_too_large(fig3_bottom):
     # 21 edges are over the default budget, so vertex 9 gets its path bound
     # (exact 2 needs a raised budget: test_exact_on_marked_vertices).
-    reports, used = switchability_reports(fig3_bottom, [9])
-    assert used == "path_bound"
+    reports = switchability_reports(fig3_bottom, [9])
+    assert {r.method for r in reports.values()} == {"path_bound"}
     assert reports[9] == switchability.SwitchabilityReport(9, None, 3, None, "path_bound")
 
 
 def test_hybrid_profile_falls_back():
     g = subtraction_nim(40, 2)
     profile = switchability_profile(g)
-    assert profile.mode_used == "path_bound"
+    assert {r.method for r in profile.reports.values()} == {"path_bound"}
     assert all(r.exact is None for r in profile.reports.values())
     assert profile.s_bar == root_distances(g)[0]
 
@@ -357,8 +357,8 @@ def test_exact_le_bound_everywhere():
         g = random_game(rng, n_max=8)
         if g.edge_count > 20:
             continue
-        reports, used = switchability_reports(g, range(g.n))
-        assert used == "exact_search"
+        reports = switchability_reports(g, range(g.n))
+        assert {r.method for r in reports.values()} == {"exact_search"}
         dist = root_distances(g)
         assert all(reports[v].exact <= dist[v] for v in range(g.n))
 
@@ -378,9 +378,11 @@ def test_vertex_reports_match_profile_in_every_mode(fig1, fig2, fig3_top, fig3_b
     for g, budget in corpus:
         for edge_limit in (0, budget, g.edge_count):
             profile = switchability_profile(g, edge_limit)
-            methods.add(profile.mode_used)
+            profile_methods = {r.method for r in profile.reports.values()}
+            assert len(profile_methods) == 1  # one profile's reports share one method
+            methods |= profile_methods
             for v in range(g.n):
-                reports, used = switchability_reports(g, [v], edge_limit)
-                assert used == profile.mode_used
+                reports = switchability_reports(g, [v], edge_limit)
+                assert {r.method for r in reports.values()} == profile_methods
                 assert reports == {v: profile.reports[v]}
     assert methods == {"exact_search", "path_bound"}
