@@ -28,12 +28,14 @@ from coevo.cli import positive_int
 from coevo.games import GameSpec
 
 # (game, mu, stop rule): the `converge` benchmark's largest rung, the
-# many-degree game, the `wide` benchmark game and a path-heavy one.
+# many-degree game, the `wide` benchmark game, a path-heavy one and one
+# whose exact stop check walks its root survivors in many blocks.
 GAMES = [
     (GameSpec("subtraction_nim", {"n": 64, "k": 2}), 1024, "exact_optimal"),
     (GameSpec("subtraction_nim", {"n": 300, "k": 270}), 40, "generation_cap_only"),
     (GameSpec("chomp", {"m": 6}), 4096, "exact_optimal"),
     (GameSpec("subtraction_nim", {"n": 256, "k": 2}), 1024, "exact_optimal"),
+    (GameSpec("turning_turtles", {"m": 10}), 2048, "exact_optimal"),
 ]
 SEED = 0
 

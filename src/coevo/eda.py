@@ -13,9 +13,11 @@ the update the same in law as drawing every entry.
 
 The exact stop check rests on a lemma: a strategy is optimal iff it moves
 to a Grundy-0 vertex at every position it can face. So it reads only those
-positions, breadth-first from the root. Both stop rules scan the winners
-in blocks of columns, in order, and stop at the first block with a hit, so
-the witness is the first column that meets the rule.
+positions, breadth-first from the root: one root pass reads every winner's
+first move and drops those that leave the Grundy-0 set, and only the root
+survivors walk on, in blocks of survivors in column order. The certificate
+scans the winners in blocks of columns, in order. Both stop at the first
+block with a hit, so the witness is the first column that meets the rule.
 """
 
 from __future__ import annotations
@@ -47,7 +49,10 @@ RENORM_TOLERANCE = 1e-12
 STOP_RULES = {
     "exact": "exact_optimal", "sufficient": "sufficient_optimal", "cap": "generation_cap_only"
 }
-STOP_BLOCK = 2**18  # (column, position) pairs per block of the stop check
+#: (column, position) pairs per block of the stop check: of root survivors'
+#: pairs for the exact check, after one root pass over every column, and of
+#: columns' critical rows for the certificate.
+STOP_BLOCK = 2**18
 
 
 @dataclass
@@ -398,37 +403,57 @@ def _replies(g: GameGraph, col: np.ndarray, at: np.ndarray, seen: np.ndarray, de
     return np.repeat(col, degrees), pos
 
 
-def population_optimal_mask(g: GameGraph, choices: np.ndarray, zero: np.ndarray, draw):
-    """Exact-optimality flags for every column of a column-major slot store.
+def population_optimal_mask(
+    g: GameGraph, choices: np.ndarray, zero: np.ndarray, draw, block: int | None = None
+) -> np.ndarray:
+    """Exact-optimality flags for the columns of a column-major slot store, up
+    to the first block of root survivors with an optimal column.
 
     ``zero`` flags the Grundy-0 vertices. Column j is optimal iff it beats
     every opponent as first mover, which holds iff it moves to a Grundy-0
     vertex at every position it can face: the root, and every reply to one
-    of its own moves. The walk over (column, position) pairs runs
-    breadth-first from the root; a column drops out at its first move to a
+    of its own moves. A root pass reads every column's first move and keeps
+    the columns that move to a Grundy-0 vertex. These survivors then walk on
+    in blocks of ``block`` (all in one block if None), in column order, and
+    the walk ends after the first block with an optimal column: the flags
+    are exact up to that block and False after it, so the first flagged
+    column is the first optimal one. A block's walk over (column, position)
+    pairs runs breadth-first; a column drops out at its first move to a
     nonzero vertex, and each (column, Grundy-0 vertex) pair is expanded at
     most once: at most Z + 1 pair steps a column, Z the edges out of
-    Grundy-0 vertices. An undrawn entry the walk reads (one holding the
-    dtype's largest value) is drawn by ``draw`` and written back.
+    Grundy-0 vertices. An undrawn entry a pass reads (one holding the
+    dtype's largest value) is drawn by ``draw`` and written back, so the
+    root pass draws its entries in ascending column order in one call.
     """
     offsets, targets, n, count = g.offsets, g.targets, g.n, choices.shape[1]
     if not choices.flags.f_contiguous:
         raise ValueError("the stop check needs a column-major slot store")
+    ok = np.zeros(count, dtype=bool)
+    if offsets[g.root + 1] == offsets[g.root]:  # a sink root loses
+        return ok
     slots = choices.ravel(order="F")  # slot of (v, j) at j * n + v
     undrawn, degree = np.iinfo(slots.dtype).max, offsets[1:] - offsets[:-1]
-    ok = np.full(count, offsets[g.root + 1] > offsets[g.root])  # a sink root loses
-    seen = np.zeros(n * count, dtype=bool)  # (Grundy-0 vertex w, column j) at w * count + j
-    col = np.flatnonzero(ok)
-    pos = np.full(len(col), g.root)
-    while len(col):
-        read = _read_slots(slots, col * n + pos, n, draw, undrawn)
-        pos = targets[offsets[pos] + read]  # where each column moves
-        to_zero = zero[pos]
-        if np.count_nonzero(to_zero) < len(pos):  # some column drops out
-            ok[col[~to_zero]] = False
-            live = ok[col]
-            col, pos = col[live], pos[live]  # dropped before the expansion, which lowers its peak
-        col, pos = _replies(g, col, pos, seen, degree)
+    first = targets[offsets[g.root] + _read_slots(slots, np.arange(count) * n + g.root, n, draw, undrawn)]
+    survivors = np.flatnonzero(zero[first])
+    first = first[survivors]  # the survivors' first moves; the root pass frees the rest
+    block = block or max(1, len(survivors))
+    for lo in range(0, len(survivors), block):
+        cols = survivors[lo : lo + block]
+        alive = np.ones(len(cols), dtype=bool)
+        seen = np.zeros(n * len(cols), dtype=bool)  # (Grundy-0 vertex w, survivor i) at w * len(cols) + i
+        col, pos = _replies(g, np.arange(len(cols)), first[lo : lo + block], seen, degree)
+        while len(col):
+            read = _read_slots(slots, cols[col] * n + pos, n, draw, undrawn)
+            pos = targets[offsets[pos] + read]  # where each column moves
+            to_zero = zero[pos]
+            if np.count_nonzero(to_zero) < len(pos):  # some column drops out
+                alive[col[~to_zero]] = False
+                live = alive[col]
+                col, pos = col[live], pos[live]  # dropped before the expansion, which lowers its peak
+            col, pos = _replies(g, col, pos, seen, degree)
+        ok[cols] = alive
+        if alive.any():
+            break
     return ok
 
 
@@ -483,9 +508,10 @@ def prepare(base: GameGraph) -> Instance:
 
 
 def _stop_block(instance: Instance, stop_rule: str) -> int:
-    """Columns per block of the stop check: ``STOP_BLOCK // Z`` for the exact check
-    (at most Z + 1 pair steps a column, Z the edges out of Grundy-0 vertices) and
-    ``STOP_BLOCK`` for the certificate (a row at a time)."""
+    """Columns per block of the stop check: for the exact check, ``STOP_BLOCK // Z``
+    root survivors per block of its walk (at most Z + 1 pair steps a column, Z the
+    edges out of Grundy-0 vertices; its root pass reads every column at once), and
+    ``STOP_BLOCK`` columns for the certificate (a row at a time)."""
     if stop_rule == "sufficient_optimal":
         return STOP_BLOCK
     zero_edges = int(np.diff(instance.graph.offsets)[instance.zero].sum())
@@ -539,18 +565,19 @@ def generation_step(
         return drawn[-1][1]
 
     witness = None
-    if cfg.stop_rule != "generation_cap_only":
+    if cfg.stop_rule == "exact_optimal":  # one call: it blocks the root survivors itself
+        mask = population_optimal_mask(g, store, instance.zero, draw, _stop_block(instance, cfg.stop_rule))
+        witness = int(np.argmax(mask)) if mask.any() else None
+    elif cfg.stop_rule == "sufficient_optimal":
         block = _stop_block(instance, cfg.stop_rule)
-        for lo in range(0, mu, block):  # up to the first block with a hit
+        for lo in range(0, mu, block):  # up to the first block of columns with a hit
             part = store[:, lo : lo + block]
-            if cfg.stop_rule == "exact_optimal":
-                mask = population_optimal_mask(g, part, instance.zero, draw)
-            else:
-                mask = population_sufficient_mask(g, instance.critical, part, instance.zero, draw)
+            mask = population_sufficient_mask(g, instance.critical, part, instance.zero, draw)
             if mask.any():
                 witness = lo + int(np.argmax(mask))
-                _read_slots(store.ravel(order="F"), witness * g.n + np.arange(g.n), g.n, draw, undrawn)
                 break
+    if witness is not None:
+        _read_slots(store.ravel(order="F"), witness * g.n + np.arange(g.n), g.n, draw, undrawn)
 
     del table  # every draw is made; free it before the update, where memory peaks
     if drawn:

@@ -1164,8 +1164,12 @@ def test_optimal_mask_equals_reference_up_to_the_first_hit(monkeypatch, base, mu
 
 @pytest.mark.parametrize("stop_rule", ["exact_optimal", "sufficient_optimal"])
 @pytest.mark.parametrize("columns", [1, 3])
-@pytest.mark.parametrize("seed", [2, 6])  # first hits in columns 12 to 64, each past the third block
+@pytest.mark.parametrize("seed", [2, 6])  # first hits in columns 31 to 64, each past the third block
 def test_witness_is_the_first_hit_across_blocks(monkeypatch, stop_rule, columns, seed):
+    # The certificate scans blocks of columns; the exact check blocks the
+    # columns whose root move is to a Grundy-0 vertex (its root pass draws
+    # every root entry). Here the root is a forced start, so every column
+    # survives it.
     base = silver_dollar(7, 2)
     g = ensure_first_player_win(base)
     gd, zero = grundy_values(g), zero_mask(g)
@@ -1183,17 +1187,22 @@ def test_witness_is_the_first_hit_across_blocks(monkeypatch, stop_rule, columns,
         masks = [population_sufficient_mask(g, critical, choices, zero, no_draw) for choices in populations]
     assert result.succeeded and not any(mask.any() for mask in masks[:-1])
     first = int(np.argmax(masks[-1]))
-    assert first >= 3 * columns  # past the first blocks
+    if stop_rule == "exact_optimal":
+        root_moves = g.targets[g.offsets[g.root] + populations[-1][g.root, :first]]
+        assert np.count_nonzero(zero[root_moves]) >= 3 * columns  # past the first blocks of root survivors
+    else:
+        assert first >= 3 * columns  # past the first blocks
     assert witnesses[-1] == first
     assert result.optimal_witness.choice == column_strategy(g, populations[-1], first).choice
 
 
 def test_stop_check_memory_stays_near_the_population(monkeypatch):
-    # A generation hands the stop check one block of its winners at a time,
-    # and a block pass, drawing the entries its walk reads, holds about one
-    # block's seen flags, pair frontier and draws. With the model on a
-    # Grundy-0 move wherever there is one, every winner is optimal, so the
-    # first block's pass walks every column to the end.
+    # A generation hands the stop check all its winners at once. The root
+    # pass holds a few μ-length arrays, freed before the survivors walk on a
+    # block at a time, and a block pass, drawing the entries its walk reads,
+    # holds about one block's seen flags, pair frontier and draws. With the
+    # model on a Grundy-0 move wherever there is one, every winner is
+    # optimal, so the first block's pass walks every column to the end.
     g = ensure_first_player_win(turning_turtles(10))
     zero, mu = zero_mask(g), 2048
     instance = prepare(g)
@@ -1205,16 +1214,16 @@ def test_stop_check_memory_stays_near_the_population(monkeypatch):
             model.dists[v] = np.eye(len(successors(g, v)))[good[0]]
     widths, peaks, drawn = [], [], []
 
-    def spy(g, part, zero, draw):
+    def spy(g, store, zero, draw, block):
         def counted(rows):
             drawn.append(len(rows))
             return draw(rows)
 
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        mask = population_optimal_mask(g, part, zero, counted)
+        mask = population_optimal_mask(g, store, zero, counted, block)
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
-        widths.append(part.shape[1])
+        widths.append((store.shape[1], block))
         return mask
 
     monkeypatch.setattr(eda, "population_optimal_mask", spy)
@@ -1226,12 +1235,73 @@ def test_stop_check_memory_stays_near_the_population(monkeypatch):
         *_, witness = step(model, cfg, np.random.default_rng(5), instance)
     finally:
         tracemalloc.stop()
-    assert widths == [block] and block < mu and witness == 0
+    assert widths == [(mu, block)] and block < mu and witness == 0
     assert sum(drawn) > g.n * block // 2  # the walk drew most of the block
     # One pass over all 2048 columns at once reached 560 MB; with the drawn
     # rows as int64 and the walk's step temporaries held into the next
     # step, one block pass reached 7.4 MB.
     assert peaks[0] <= 2 * g.n * mu + 2 * 2**20
+
+
+def test_stop_check_draws_the_root_first_and_skips_its_leavers(monkeypatch):
+    # With two root survivors per block, the check's first draw takes the
+    # root entries the games left undrawn, in ascending column order, and
+    # its later draws read only columns whose root move is to a Grundy-0
+    # vertex: a column that left at the root draws nothing more.
+    g = chomp(4)
+    instance = prepare(g)
+    zero, root = instance.zero, g.root
+    monkeypatch.setattr(eda, "STOP_BLOCK", 2 * int(np.diff(g.offsets)[zero].sum()))
+    calls = []
+
+    def spy(g, store, zero, draw, block):
+        before, draws = store.copy(order="F"), []
+
+        def kept(rows):
+            draws.append(draw(rows))
+            return draws[-1]
+
+        mask = population_optimal_mask(g, store, zero, kept, block)
+        calls.append((before, store.copy(order="F"), draws, block))
+        return mask
+
+    monkeypatch.setattr(eda, "population_optimal_mask", spy)
+    cfg = UmdaConfig(mu=200, gamma=0.0, max_generations=1, seed=0)
+    step(uniform_model(g, 0.0), cfg, np.random.default_rng(3), instance)
+    [(before, after, draws, block)] = calls
+    undrawn = np.iinfo(before.dtype).max
+    missing = np.flatnonzero(before[root] == undrawn)
+    assert block == 2 and len(missing) > 0
+    assert np.array_equal(draws[0], after[root, missing])  # one call, in column order
+    stayed = zero[g.targets[g.offsets[root] + after[root]]]
+    later = np.delete(before != after, root, axis=0)  # the entries drawn after the root pass
+    assert sum(map(len, draws[1:])) == np.count_nonzero(later)
+    assert np.count_nonzero(later.any(axis=0)) > 3 * block  # the walk went past its first blocks
+    assert not later[:, ~stayed].any()
+
+
+def test_generations_to_success_do_not_depend_on_the_survivor_block(monkeypatch):
+    # The block size orders the stop check's draws but not their law: the
+    # generations to a verified optimum with one root survivor per block are
+    # not told apart from those with every survivor in one block by a
+    # two-sided Mann-Whitney test at p >= 0.001 (threshold fixed before the
+    # first run; runs that hit the cap count as cap + 1). The two samples
+    # take disjoint seeds, so they are independent.
+    base, mu, runs, cap = chomp(4), 400, 16, 100
+    g = ensure_first_player_win(base)
+    gamma, instance = float(theorem_border(base)), prepare(g)
+    assert mu <= eda._stop_block(instance, "exact_optimal")  # the default: one block
+    one_survivor = int(np.diff(g.offsets)[instance.zero].sum())  # STOP_BLOCK // Z = 1
+    samples = []
+    for stop_block, first_seed in ((eda.STOP_BLOCK, 900), (one_survivor, 1900)):
+        monkeypatch.setattr(eda, "STOP_BLOCK", stop_block)
+        generations = []
+        for seed in range(first_seed, first_seed + runs):
+            result = run_umda(g, UmdaConfig(mu=mu, gamma=gamma, max_generations=cap, seed=seed))
+            assert not result.succeeded or is_optimal_exact(g, result.optimal_witness)
+            generations.append(result.generations_used if result.succeeded else cap + 1)
+        samples.append(generations)
+    assert mann_whitney_p(*samples) >= 0.001
 
 
 def test_generation_memory_stays_near_the_store():

@@ -70,7 +70,9 @@ def test_engine_timing_one_repetition(tmp_path):
     assert header.split() == [
         "game", "mu", "prepare_ms", "uniform_ms", "generation_ms", "analyze_ms", "peak_mb"
     ]
-    assert [row.split()[0] for row in rows] == ["subtraction_nim", "subtraction_nim", "chomp", "subtraction_nim"]
+    assert [row.split()[0] for row in rows] == [
+        "subtraction_nim", "subtraction_nim", "chomp", "subtraction_nim", "turning_turtles"
+    ]
     assert all(float(value) > 0 for row in rows for value in row.split()[-5:])
 
 
